@@ -132,6 +132,50 @@ fn simtest_campaign_digest_is_thread_count_independent() {
 }
 
 #[test]
+fn campaign_digests_match_recorded() {
+    // The cross-commit behaviour oracle: every other digest assertion in
+    // this file compares two runs of the *same* build. These values were
+    // recorded at commit a5a29f5 (release build, stable across processes
+    // and `--jobs`) with `simtest <campaign> --seed 0xC1C1 --cases 20`; a
+    // refactor that claims "no behaviour change" must leave them alone, and
+    // a PR that legitimately moves virtual time or the schedule re-records
+    // them and says why.
+    use photon_simtest::{run_campaign, Campaign, CampaignOpts};
+    let recorded: [(Campaign, u64); 8] = [
+        (Campaign::Smoke, 0xb2b2_4027_9357_a8cd),
+        (Campaign::Credits, 0xd89c_807d_b9c0_cf05),
+        (Campaign::Faults, 0x983e_2a01_4b53_9cb6),
+        (Campaign::Quiescence, 0x0eb4_f319_5f0f_d967),
+        (Campaign::Crash, 0x07f9_9d34_7e92_7756),
+        (Campaign::Rpc, 0x566f_8b78_b457_6fe8),
+        (Campaign::Ds, 0x617f_c6f7_45cb_619f),
+        (Campaign::Churn, 0xf388_aee5_4bf4_7232),
+    ];
+    assert_eq!(recorded.map(|(c, _)| c), Campaign::all(), "every campaign is pinned");
+    for (campaign, want) in recorded {
+        let r = run_campaign(
+            campaign,
+            &CampaignOpts {
+                cases: 20,
+                seed: 0xC1C1,
+                jobs: 2,
+                shrink: false,
+                corpus: None,
+                progress_threads: 0,
+            },
+        );
+        assert!(r.passed(), "{}", r.summary());
+        assert_eq!(
+            r.digest,
+            want,
+            "campaign {} digest moved: got {:#018x}, recorded {want:#018x}",
+            campaign.name(),
+            r.digest
+        );
+    }
+}
+
+#[test]
 fn reset_time_restores_origin() {
     let c = PhotonCluster::new(2, NetworkModel::ib_fdr(), PhotonConfig::default());
     let (p0, p1) = (c.rank(0), c.rank(1));
