@@ -69,9 +69,11 @@
 
 pub mod atomics;
 pub mod buffers;
+mod cluster;
 pub mod collectives;
 pub(crate) mod completion;
 pub mod config;
+mod conn;
 pub mod eager;
 pub mod layout;
 pub mod ledger;
@@ -83,6 +85,9 @@ pub mod probe;
 pub mod process;
 pub(crate) mod progress;
 pub mod rendezvous;
+mod rx;
+mod tx;
+mod wait;
 
 pub use buffers::PhotonBuffer;
 pub use collectives::ReduceOp;

@@ -32,285 +32,59 @@
 //! advance the consumer's clock correctly.  Probe costs are *not* charged to
 //! virtual time (they are measured in wall time by the criterion benches).
 
-use crate::buffers::{BufferDescriptor, PhotonBuffer};
-use crate::completion::{LocalQueue, RemoteQueue, RidMap, TakeOutcome, WrTable};
+use crate::buffers::PhotonBuffer;
+use crate::completion::{LocalQueue, RemoteQueue, RidMap, WrTable};
 use crate::config::PhotonConfig;
-use crate::eager::{self, EagerFrame, EagerRx, EagerTx, FrameHeader, FrameKind};
-use crate::ledger::{self, Entry, EntryKind, LedgerRx, LedgerTx, ENTRY_BYTES};
-use crate::obs::{Metrics, Obs, OpKind, SpanTrace, Stats, StatsSnapshot, TraceOp, Tracer};
-use crate::probe::{rid_space, Completion, CompletionClass, ProbeFlags, RemoteEvent};
+use crate::conn::Conn;
+use crate::eager;
+use crate::ledger::ENTRY_BYTES;
+use crate::obs::{Metrics, Obs, SpanTrace, Stats, StatsSnapshot, Tracer};
 use crate::{PhotonError, Rank, Result};
 use parking_lot::{Mutex, RwLock};
 use photon_fabric::api::{
-    Access, Completion as Cqe, FabricBackend, FabricError, MemoryRegion, MrSlice, Qp, RemoteKey,
-    RemoteSlice, SendWr, VClock, VTime, WcStatus, WrOp,
+    Completion as Cqe, FabricBackend, MemoryRegion, RemoteKey, RemoteSlice, VClock, VTime,
 };
-use photon_fabric::sock::SockCluster;
-use photon_fabric::{Cluster, NetworkModel};
+use photon_fabric::Cluster;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+
+pub use crate::cluster::{FabricHandle, PhotonCluster};
+pub use crate::conn::{ConnDirectory, PeerHealthState};
+pub use crate::tx::{GetManyItem, PutManyItem};
 
 /// Bytes of credit words per peer block: ledger consumed count, ring
 /// cursor, and the fabric-stamped virtual delivery time of the credit write
 /// (so a producer that was *blocked* on credits advances its clock to the
 /// moment the credits causally arrived).
-const CREDIT_BYTES: usize = 24;
+pub(crate) const CREDIT_BYTES: usize = 24;
 
 /// Internal-rid namespace for middleware-generated local completions.
-const INTERNAL_RID_BASE: u64 = 0xFF10_0000_0000_0000;
+pub(crate) const INTERNAL_RID_BASE: u64 = 0xFF10_0000_0000_0000;
 
 /// Sentinel rid marking a doorbell-batched work request: the CQE's real
 /// local rids live in [`Photon::batch_rids`], keyed by `wr_id`. Sits in the
 /// reserved namespace so user rids can never alias it.
-const BATCH_RID: u64 = 0xFF20_0000_0000_0000;
+pub(crate) const BATCH_RID: u64 = 0xFF20_0000_0000_0000;
 
 /// Consecutive `try_lock` skips of one peer's receive lock before a probe
 /// blocks on it (see [`Photon::poll_peer`]).
-const RX_SKIP_LIMIT: u32 = 16;
+pub(crate) const RX_SKIP_LIMIT: u32 = 16;
 
 /// One-entry destination-resolve memo for a receive pass: `(rkey, MR-table
 /// generation, region)`. See [`Photon::resolve_write_cached`].
-type MrCache = Option<(u32, u64, MemoryRegion)>;
+pub(crate) type MrCache = Option<(u32, u64, MemoryRegion)>;
 
 /// Retention cap of the per-context scratch-vector recycler caches: enough
 /// for every plausible in-flight batch, small enough that an adversarial
 /// burst cannot pin unbounded memory.
-const VEC_POOL_CAP: usize = 64;
+pub(crate) const VEC_POOL_CAP: usize = 64;
 
 /// CQEs drained per harvest pass.
-const CQ_HARVEST_BATCH: usize = 256;
+pub(crate) const CQ_HARVEST_BATCH: usize = 256;
 
 /// Queue of collective-namespace arrivals: `(src, payload, arrival time)`.
 pub(crate) type CollQueue = VecDeque<(Rank, Vec<u8>, VTime)>;
-
-#[derive(Debug)]
-struct PeerTx {
-    ledger: LedgerTx,
-    ring: EagerTx,
-    /// Recycled scratch for composing doorbell runs: lives with the TX
-    /// state its runs are built under, so steady-state batching allocates
-    /// nothing (the run/span lists reach capacity once and stay).
-    run: Vec<RunFrame>,
-    lens: Vec<usize>,
-}
-
-#[derive(Debug)]
-struct PeerRx {
-    ledger: LedgerRx,
-    ring: EagerRx,
-    /// Recycled staging for remote events routed during a drain pass: all
-    /// events of one pass share `src`, so they are published to the
-    /// per-peer event queue in one locked append instead of one lock per
-    /// event. Lives with the rx state (whose mutex serializes drainers of
-    /// this peer), so steady-state batching allocates nothing.
-    ev_scratch: Vec<RemoteEvent>,
-}
-
-/// Externally visible classification of a peer by the health machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PeerHealthState {
-    /// Reachable; operations post normally.
-    Healthy,
-    /// Missed its response deadline; reconnection probes are running under
-    /// exponential backoff. Posts report "would block" until it recovers.
-    Suspect,
-    /// Declared dead and evicted: pending rids were flushed as error
-    /// completions and new operations fail fast with
-    /// [`PhotonError::PeerDead`].
-    Dead,
-}
-
-const PEER_HEALTHY: u8 = 0;
-const PEER_SUSPECT: u8 = 1;
-const PEER_DEAD: u8 = 2;
-
-/// Per-peer health machine: `Healthy → Suspect` on an unreachable path
-/// (response deadline), `Suspect → Healthy` when a backoff-gated
-/// reconnection probe finds the path restored, `Suspect → Dead` after
-/// [`PhotonConfig::suspect_death_probes`] failed probes or on fabric
-/// evidence the node itself is gone. `state` is the lock-free fast path;
-/// the mutex guards the probe bookkeeping.
-#[derive(Debug)]
-struct PeerHealth {
-    state: AtomicU8,
-    inner: Mutex<HealthInner>,
-}
-
-#[derive(Debug)]
-struct HealthInner {
-    /// Consecutive failed reconnection probes since entering Suspect.
-    fails: u32,
-    /// Virtual time before which no further probe may run.
-    next_retry: VTime,
-}
-
-impl PeerHealth {
-    fn new() -> PeerHealth {
-        PeerHealth {
-            state: AtomicU8::new(PEER_HEALTHY),
-            inner: Mutex::new(HealthInner { fails: 0, next_retry: VTime::ZERO }),
-        }
-    }
-}
-
-/// One established connection to a peer: the QP, the per-connection
-/// service/staging blocks, the producer/consumer protocol state, and the
-/// peer's health machine. Everything per-peer lives here and is allocated
-/// on first contact, so an idle pair of ranks costs nothing.
-#[derive(Debug)]
-pub(crate) struct Conn {
-    /// The connected peer's rank.
-    peer: Rank,
-    /// QP to the peer.
-    qp: Qp,
-    /// Service block the peer writes into (ledger + ring + credit words).
-    svc: MemoryRegion,
-    /// Staging block for outbound protocol writes toward the peer.
-    stage: MemoryRegion,
-    /// The peer's service block dedicated to this rank.
-    remote_key: RemoteKey,
-    /// Peer incarnation this connection was established against. A stale
-    /// value (the peer died and rejoined) invalidates the connection at
-    /// the post/probe gates — a rejoined peer can never resurrect a
-    /// flushed generation.
-    peer_inc: u64,
-    /// This rank's own incarnation at establishment (a revived rank must
-    /// not reuse its crashed generation's connections either).
-    local_inc: u64,
-    tx: Mutex<PeerTx>,
-    rx: Mutex<PeerRx>,
-    health: PeerHealth,
-    /// Bounded-skip counter for the receive lock (see [`Photon::poll_peer`]).
-    rx_skips: AtomicU32,
-    /// LRU stamp: bumped on every use, read by cache eviction.
-    touch: AtomicU64,
-}
-
-impl Conn {
-    /// Approximate heap + registered bytes of this connection's state (for
-    /// the membership/connection memory accounting).
-    fn state_bytes(&self) -> usize {
-        self.svc.len() + self.stage.len() + std::mem::size_of::<Conn>()
-    }
-}
-
-/// The out-of-band connection manager: a directory of every context in the
-/// job, standing in for the PMI/CM service of a real launcher (the same
-/// role the init-time descriptor exchange played before connections became
-/// lazy). Connection setup and teardown run under one directory-wide lock
-/// — establishment is rare (cache misses only), and serializing it makes
-/// the pairwise handshake trivially deadlock-free.
-#[derive(Debug, Default)]
-pub struct ConnDirectory {
-    slots: RwLock<Vec<Weak<Photon>>>,
-    cm_lock: Mutex<()>,
-}
-
-impl ConnDirectory {
-    fn photon(&self, rank: Rank) -> Option<Arc<Photon>> {
-        self.slots.read().get(rank).and_then(Weak::upgrade)
-    }
-}
-
-/// Where an eager frame's payload comes from. `Mr` is the zero-alloc put
-/// fast path: the registered source region is read directly into the stage,
-/// with no intermediate `Vec` (the staging copy the paper's o-overhead
-/// charges is the *only* copy).
-enum FrameSrc<'a> {
-    /// Borrowed bytes (runtime messages, control payloads).
-    Bytes(&'a [u8]),
-    /// `len` bytes starting at an offset of a registered region.
-    Mr(&'a MemoryRegion, usize),
-}
-
-impl FrameSrc<'_> {
-    /// Copy `len` payload bytes into the stage at `off`.
-    fn write_to(&self, stage: &MemoryRegion, off: usize, len: usize) {
-        match self {
-            FrameSrc::Bytes(b) => stage.write_at(off, &b[..len]),
-            // Distinct regions, read → write: never the same lock (the
-            // stage is middleware-internal and never a user buffer).
-            FrameSrc::Mr(region, src_off) => {
-                region.with_bytes(|s| stage.write_at(off, &s[*src_off..*src_off + len]))
-            }
-        }
-    }
-}
-
-/// Payload source of one frame in a doorbell run. Holds indices, not
-/// borrows, so run scratch can be kept in [`PeerTx`] and recycled across
-/// batches; the compose step resolves them against the run's shared context
-/// (one source region and/or one payload slice per run).
-#[derive(Debug, Clone, Copy)]
-enum RunSrc {
-    /// Byte offset into the run's shared source region.
-    Region(usize),
-    /// Index into the run's payload slice.
-    Payload(usize),
-}
-
-/// One frame of a doorbell batch (see [`Photon::try_put_many`]).
-#[derive(Debug, Clone, Copy)]
-struct RunFrame {
-    kind: FrameKind,
-    rid: u64,
-    dst: Option<(u64, u32)>,
-    src: RunSrc,
-    len: usize,
-    local_rid: Option<u64>,
-}
-
-/// One ledger entry of a coalesced control run (see
-/// [`Photon::try_post_entry_run`]): the rendezvous batch APIs build these
-/// and the posting layer packs contiguous ledger slots into single
-/// doorbell writes.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct EntrySpec {
-    /// Control-entry kind (RdvPost, Fin, ...).
-    pub(crate) kind: EntryKind,
-    /// Request / tag id carried by the entry.
-    pub(crate) rid: u64,
-    /// Size field (protocol-specific).
-    pub(crate) size: u64,
-    /// Remote address field (protocol-specific).
-    pub(crate) addr: u64,
-    /// Remote rkey field (protocol-specific).
-    pub(crate) rkey: u32,
-}
-
-/// One element of a [`Photon::get_many`] doorbell batch: a read of
-/// `src[soff..soff+len]` on the peer into `local[loff..]`, surfacing
-/// `local_rid` when the whole batch's data has landed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GetManyItem {
-    /// Destination offset within the local buffer.
-    pub loff: usize,
-    /// Bytes to fetch.
-    pub len: usize,
-    /// Source offset within the remote buffer.
-    pub soff: usize,
-    /// Local completion id (data landed).
-    pub local_rid: u64,
-}
-
-/// One element of a [`Photon::put_many`] doorbell batch: a put of
-/// `local[loff..loff+len]` to `dst[doff..]`, surfacing `local_rid` here and
-/// `remote_rid` at the peer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PutManyItem {
-    /// Source offset within the local buffer.
-    pub loff: usize,
-    /// Bytes to put.
-    pub len: usize,
-    /// Destination offset within the remote buffer.
-    pub doff: usize,
-    /// Local completion id (source reusable).
-    pub local_rid: u64,
-    /// Remote completion id (data visible at the peer).
-    pub remote_rid: u64,
-}
 
 /// Snapshot of the credit/flow-control state between one rank and one peer,
 /// taken by [`Photon::credit_state`] for invariant checking.
@@ -346,227 +120,87 @@ pub struct CreditState {
 /// thread probes).
 #[derive(Debug)]
 pub struct Photon {
-    rank: Rank,
-    n: usize,
-    cfg: PhotonConfig,
-    nic: Arc<dyn FabricBackend>,
-    clock: VClock,
+    pub(crate) rank: Rank,
+    pub(crate) n: usize,
+    pub(crate) cfg: PhotonConfig,
+    pub(crate) nic: Arc<dyn FabricBackend>,
+    pub(crate) clock: VClock,
     /// Established connections, keyed by peer rank. O(active peers): a
     /// never-contacted peer has no entry and costs nothing.
-    conns: RwLock<HashMap<Rank, Arc<Conn>>>,
+    pub(crate) conns: RwLock<HashMap<Rank, Arc<Conn>>>,
     /// LRU clock feeding [`Conn::touch`].
-    conn_stamp: AtomicU64,
+    pub(crate) conn_stamp: AtomicU64,
     /// Peers declared dead, with the incarnation that died. Reconnection
     /// is allowed only against a *newer* incarnation, so a flushed
     /// generation can never be resurrected.
-    dead: Mutex<HashMap<Rank, u64>>,
+    pub(crate) dead: Mutex<HashMap<Rank, u64>>,
     /// The out-of-band connection manager (set at cluster construction).
-    directory: OnceLock<Arc<ConnDirectory>>,
+    pub(crate) directory: OnceLock<Arc<ConnDirectory>>,
     /// Collective scratch buffers, allocated on first collective use
     /// (`n * coll_slot_bytes` each — O(N), so lazy matters at scale).
-    coll_recv: OnceLock<PhotonBuffer>,
-    coll_send: OnceLock<PhotonBuffer>,
+    pub(crate) coll_recv: OnceLock<PhotonBuffer>,
+    pub(crate) coll_send: OnceLock<PhotonBuffer>,
     /// Collective-window descriptors for every rank, pre-exchanged at
     /// multi-process join ([`crate::process::PhotonProcess`]). Absent
     /// in-process, where the connection directory serves the lookup.
-    coll_keys: OnceLock<Vec<RemoteKey>>,
-    wr_table: WrTable,
-    local_events: LocalQueue,
-    remote_events: RemoteQueue,
+    pub(crate) coll_keys: OnceLock<Vec<RemoteKey>>,
+    pub(crate) wr_table: WrTable,
+    pub(crate) local_events: LocalQueue,
+    pub(crate) remote_events: RemoteQueue,
     /// Which class an `Any` probe tries first; flipped per take for fair
     /// local/remote interleaving.
-    any_toggle: AtomicU64,
+    pub(crate) any_toggle: AtomicU64,
     /// Held (true) while one thread runs a [`Photon::progress`] pass;
     /// concurrent passes no-op instead of convoying on the CQ locks and
     /// per-peer region reads.
-    progress_gate: AtomicBool,
+    pub(crate) progress_gate: AtomicBool,
     /// Probe counter driving the amortized progress schedule (see
     /// [`Photon::progress_for_probe`]).
-    probe_ticks: AtomicU64,
+    pub(crate) probe_ticks: AtomicU64,
     /// Set while dedicated progress threads are running for this context:
     /// probe paths then consume queued events without pumping (the threads
     /// pump), falling back to an inline pass only on an empty queue.
-    threads_active: AtomicBool,
+    pub(crate) threads_active: AtomicBool,
     /// Recycled snapshot of the connection table for progress passes:
     /// sorted by peer rank so pass order (and thus virtual-time evolution)
     /// is deterministic regardless of hash-map iteration order.
-    conn_scratch: Mutex<Vec<Arc<Conn>>>,
+    pub(crate) conn_scratch: Mutex<Vec<Arc<Conn>>>,
     /// Local rids carried by in-flight doorbell-batched work requests,
     /// keyed by `wr_id` (the wr itself carries [`BATCH_RID`]). One lock op
     /// per *batch*, not per frame; rid-hashed and free-listed so the
     /// steady-state batch path allocates nothing.
-    batch_rids: Mutex<RidMap<Vec<u64>>>,
+    pub(crate) batch_rids: Mutex<RidMap<Vec<u64>>>,
     /// Recycler cache of rid-list vectors cycling through `batch_rids`.
-    rid_vec_pool: Mutex<Vec<Vec<u64>>>,
+    pub(crate) rid_vec_pool: Mutex<Vec<Vec<u64>>>,
     /// Recycler cache of delivery-stamp offset vectors cycling through
     /// doorbell-batched work requests.
-    stamp_vec_pool: Mutex<Vec<Vec<usize>>>,
+    pub(crate) stamp_vec_pool: Mutex<Vec<Vec<usize>>>,
     /// Recycled CQE harvest buffer (the allocation-free twin of polling
     /// into a fresh `Vec` per pass). Progress threads carry their own.
-    cq_scratch: Mutex<Vec<Cqe>>,
+    pub(crate) cq_scratch: Mutex<Vec<Cqe>>,
     /// Peers declared dead by [`Photon::mark_dead`] and not yet collected
     /// via [`Photon::take_dead_peers`]. Runtime layers drain this to tear
     /// down per-peer state of their own (e.g. RPC dedup windows).
-    dead_notify: Mutex<Vec<Rank>>,
+    pub(crate) dead_notify: Mutex<Vec<Rank>>,
     /// Lock-free fast path for [`Photon::take_dead_peers`]: number of
     /// uncollected entries in `dead_notify`.
-    dead_pending: AtomicU64,
+    pub(crate) dead_pending: AtomicU64,
     pub(crate) coll_inbox: Mutex<HashMap<u64, CollQueue>>,
     pub(crate) rdv_announces: Mutex<HashMap<(Rank, u64), (RemoteKey, VTime)>>,
     pub(crate) rdv_fins: Mutex<HashMap<(Rank, u64), VTime>>,
     pub(crate) coll_seq: AtomicU32,
-    next_internal: AtomicU64,
-    credit_return_seq: AtomicU64,
-    stats: Stats,
-    tracer: Tracer,
-    obs: Obs,
-    ledger_bytes: usize,
-    ring_bytes: usize,
-    block: usize,
-}
-
-/// The fabric a [`PhotonCluster`] was constructed over: the simulated
-/// switch or an in-process sockets cluster. Backend-specific escape
-/// hatches (fault plans, socket addresses) hang off the respective arm.
-#[derive(Debug)]
-pub enum FabricHandle {
-    /// Simulated RDMA fabric (LogGP model, fault injection).
-    Sim(Cluster),
-    /// In-process sockets cluster: one UDP endpoint + reactor per rank,
-    /// data crossing the loopback interface for real.
-    Sock(Arc<SockCluster>),
-}
-
-/// A whole Photon job: `n` contexts over one fabric (simulated by
-/// default; see [`crate::config::BackendKind`]).
-#[derive(Debug)]
-pub struct PhotonCluster {
-    fabric: FabricHandle,
-    ranks: Vec<Arc<Photon>>,
-    /// Dedicated progress threads (see [`crate::progress`]); `None` in
-    /// inline mode (`PhotonConfig::progress_threads == 0`).
-    progress: Option<crate::progress::ProgressEngine>,
-}
-
-impl PhotonCluster {
-    /// Build an `n`-rank job over the backend `cfg.backend` selects. The
-    /// sim backend models the network with `model`; the sockets backend
-    /// moves real datagrams and ignores it.
-    pub fn new(n: usize, model: NetworkModel, cfg: PhotonConfig) -> PhotonCluster {
-        match cfg.backend {
-            crate::config::BackendKind::Sim => Self::with_fabric(Cluster::new(n, model), cfg),
-            crate::config::BackendKind::Sock => Self::new_sock(n, cfg),
-        }
-    }
-
-    /// Build over a pre-constructed simulated fabric (custom registration
-    /// limits, fault plans).
-    pub fn with_fabric(fabric: Cluster, cfg: PhotonConfig) -> PhotonCluster {
-        let n = fabric.len();
-        let ranks: Vec<Arc<Photon>> =
-            (0..n).map(|i| Arc::new(Photon::init(i, &fabric, cfg).expect("photon init"))).collect();
-        Self::assemble(FabricHandle::Sim(fabric), ranks, cfg)
-    }
-
-    /// Build an `n`-rank job over an in-process sockets cluster: every
-    /// rank's protocol writes cross real UDP sockets on loopback, served
-    /// by per-rank reactor threads. The multi-process twin is
-    /// `photon-launch` + [`crate::process::PhotonProcess`].
-    pub fn new_sock(n: usize, cfg: PhotonConfig) -> PhotonCluster {
-        let sock = Arc::new(SockCluster::new(n).expect("sockets cluster"));
-        let ranks: Vec<Arc<Photon>> = (0..n)
-            .map(|i| {
-                let nic: Arc<dyn FabricBackend> = Arc::clone(sock.nic(i)) as _;
-                Arc::new(Photon::init_backend(i, n, nic, cfg).expect("photon init"))
-            })
-            .collect();
-        Self::assemble(FabricHandle::Sock(sock), ranks, cfg)
-    }
-
-    /// Shared tail of every constructor: out-of-band connection-manager
-    /// wiring (PMI stand-in — no descriptors are exchanged here;
-    /// connections and their service blocks are established lazily on
-    /// first contact) plus the progress engine.
-    fn assemble(fabric: FabricHandle, ranks: Vec<Arc<Photon>>, cfg: PhotonConfig) -> PhotonCluster {
-        let directory = Arc::new(ConnDirectory::default());
-        *directory.slots.write() = ranks.iter().map(Arc::downgrade).collect();
-        for p in &ranks {
-            p.directory.set(Arc::clone(&directory)).expect("init once");
-        }
-        let progress = crate::progress::ProgressEngine::spawn(&ranks, cfg.progress_threads);
-        PhotonCluster { fabric, ranks, progress }
-    }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.ranks.len()
-    }
-
-    /// True for an empty job.
-    pub fn is_empty(&self) -> bool {
-        self.ranks.is_empty()
-    }
-
-    /// The context for `rank`.
-    pub fn rank(&self, rank: Rank) -> &Arc<Photon> {
-        &self.ranks[rank]
-    }
-
-    /// All contexts.
-    pub fn ranks(&self) -> &[Arc<Photon>] {
-        &self.ranks
-    }
-
-    /// The backend this cluster was constructed over.
-    pub fn fabric_handle(&self) -> &FabricHandle {
-        &self.fabric
-    }
-
-    /// The underlying *simulated* fabric (model, faults, diagnostics).
-    ///
-    /// # Panics
-    ///
-    /// On a sockets-backed cluster — fault plans and the LogGP switch are
-    /// sim-only concepts. Match on [`PhotonCluster::fabric_handle`] when
-    /// the backend is not statically known.
-    pub fn fabric(&self) -> &Cluster {
-        match &self.fabric {
-            FabricHandle::Sim(c) => c,
-            FabricHandle::Sock(_) => {
-                panic!("fabric(): sockets-backed cluster has no simulated switch")
-            }
-        }
-    }
-
-    /// Reset all virtual clocks (and, on the sim backend, the switch's
-    /// port reservations) to the origin. Benchmark harness hook: lets
-    /// repetitions start from t=0. On the sockets backend only the rank
-    /// clocks reset — wall-clock timestamps keep flowing from the job
-    /// epoch, and the [`photon_fabric::VTime`] monotonicity contract makes
-    /// that safe.
-    pub fn reset_time(&self) {
-        if let FabricHandle::Sim(c) = &self.fabric {
-            c.switch().reset_time();
-        }
-        for p in &self.ranks {
-            p.clock.reset();
-        }
-    }
-}
-
-impl Drop for PhotonCluster {
-    fn drop(&mut self) {
-        // Stop and join the progress threads before any context state is
-        // torn down; each thread holds an `Arc<Photon>`, so joining here
-        // (not just dropping handles) is what bounds their lifetime.
-        if let Some(mut engine) = self.progress.take() {
-            engine.stop();
-        }
-    }
+    pub(crate) next_internal: AtomicU64,
+    pub(crate) credit_return_seq: AtomicU64,
+    pub(crate) stats: Stats,
+    pub(crate) tracer: Tracer,
+    pub(crate) obs: Obs,
+    pub(crate) ledger_bytes: usize,
+    pub(crate) ring_bytes: usize,
+    pub(crate) block: usize,
 }
 
 impl Photon {
-    fn init(rank: Rank, fabric: &Cluster, cfg: PhotonConfig) -> Result<Photon> {
+    pub(crate) fn init(rank: Rank, fabric: &Cluster, cfg: PhotonConfig) -> Result<Photon> {
         let nic: Arc<dyn FabricBackend> = Arc::clone(fabric.nic(rank)) as _;
         Self::init_backend(rank, fabric.len(), nic, cfg)
     }
@@ -627,391 +261,6 @@ impl Photon {
             ring_bytes,
             block,
         })
-    }
-
-    // ----------------------------------------------------- connection cache
-
-    fn dir(&self) -> Result<&Arc<ConnDirectory>> {
-        self.directory
-            .get()
-            .ok_or_else(|| PhotonError::Config("no connection directory (cluster required)".into()))
-    }
-
-    /// Stamp `conn` as recently used (LRU bookkeeping).
-    fn touch_conn(&self, conn: &Conn) {
-        conn.touch.store(self.conn_stamp.fetch_add(1, Ordering::Relaxed) + 1, Ordering::Relaxed);
-    }
-
-    /// The established connection to `peer`, if any.
-    fn conn_opt(&self, peer: Rank) -> Option<Arc<Conn>> {
-        let c = self.conns.read().get(&peer).cloned()?;
-        self.touch_conn(&c);
-        Some(c)
-    }
-
-    /// True while `conn` still targets the generations it was established
-    /// against — of the peer *and* of this rank. One relaxed load when no
-    /// fault has ever been injected.
-    fn conn_is_current(&self, conn: &Conn) -> bool {
-        let now = self.clock.now();
-        self.nic.node_incarnation(conn.peer, now) == conn.peer_inc
-            && self.nic.node_incarnation(self.rank, now) == conn.local_inc
-    }
-
-    /// The connection to `peer`, establishing it on first contact and
-    /// re-establishing it after an eviction or a peer rejoin. Fails fast
-    /// with [`PhotonError::PeerDead`] while the peer's *current* incarnation
-    /// is the one that died.
-    pub(crate) fn conn(&self, peer: Rank) -> Result<Arc<Conn>> {
-        self.check_rank(peer)?;
-        if let Some(c) = self.conn_opt(peer) {
-            if self.conn_is_current(&c) {
-                return Ok(c);
-            }
-            // Stale generation (the peer — or this rank — died and came
-            // back): flush it like a death and reconnect fresh below.
-            self.retire_stale(&c);
-        }
-        self.establish(peer)
-    }
-
-    /// Establish the connection pair `(self, peer)` through the out-of-band
-    /// connection manager. Both halves are created under the directory's CM
-    /// lock — establishment never nests, so the global lock is trivially
-    /// deadlock-free and models a serialized CM service.
-    fn establish(&self, peer: Rank) -> Result<Arc<Conn>> {
-        let dir = Arc::clone(self.dir()?);
-        let _cm = dir.cm_lock.lock();
-        // Double-check under the CM lock (another thread may have won).
-        if let Some(c) = self.conn_opt(peer) {
-            return Ok(c);
-        }
-        let now = self.clock.now();
-        let peer_inc = self.nic.node_incarnation(peer, now);
-        if let Some(&dead_inc) = self.dead.lock().get(&peer) {
-            if peer_inc <= dead_inc {
-                // The incarnation that died is still the current one: a
-                // reconnect could resurrect the flushed generation.
-                return Err(PhotonError::PeerDead(peer));
-            }
-        }
-        let other = dir.photon(peer).ok_or(PhotonError::PeerDead(peer))?;
-        // The CM control plane is reliable and can tell a crashed peer
-        // from a live one: connecting to a dead peer fails fast (and is
-        // recorded, so later attempts skip the CM round-trip).
-        if other.nic.node_status(peer, now).is_some_and(|s| s == WcStatus::RemoteDead) {
-            self.dead.lock().insert(peer, peer_inc);
-            self.note_dead(peer);
-            return Err(PhotonError::PeerDead(peer));
-        }
-        let local_inc = self.nic.node_incarnation(self.rank, now);
-        let my_qp = self.nic.create_qp(peer)?;
-        let my_svc = self.nic.register(self.block, Access::ALL)?;
-        let my_stage = self.nic.register(self.block, Access::LOCAL)?;
-        let mine = if peer == self.rank {
-            let key = my_svc.remote_key();
-            let c = self.build_conn(peer, my_qp, my_svc, my_stage, key, peer_inc, local_inc);
-            self.conns.write().insert(peer, Arc::clone(&c));
-            c
-        } else {
-            let peer_qp = other.nic.create_qp(self.rank)?;
-            let peer_svc = other.nic.register(other.block, Access::ALL)?;
-            let peer_stage = other.nic.register(other.block, Access::LOCAL)?;
-            let my_key = my_svc.remote_key();
-            let peer_key = peer_svc.remote_key();
-            let c = self.build_conn(peer, my_qp, my_svc, my_stage, peer_key, peer_inc, local_inc);
-            let theirs = other
-                .build_conn(self.rank, peer_qp, peer_svc, peer_stage, my_key, local_inc, peer_inc);
-            // The acceptor may still hold a half from a previous generation
-            // of this rank (we died and rejoined before it ever spoke to
-            // us again): retire it so its pending wrs flush and the
-            // acceptor's upper layers hear about the old generation's death
-            // before the fresh half appears.
-            let stale = other.conns.read().get(&self.rank).cloned();
-            if let Some(stale) = stale {
-                other.retire_stale(&stale);
-            }
-            self.conns.write().insert(peer, Arc::clone(&c));
-            other.conns.write().insert(self.rank, theirs);
-            Stats::bump(&other.stats.conns_opened);
-            c
-        };
-        Stats::bump(&self.stats.conns_opened);
-        // Charge the modeled CM round-trip to the initiating rank only
-        // (the accept side does no blocking work of its own).
-        self.clock.advance(self.cfg.connect_cost_ns);
-        self.enforce_cache_cap_locked(&dir);
-        if peer != self.rank {
-            other.enforce_cache_cap_locked(&dir);
-        }
-        Ok(mine)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build_conn(
-        &self,
-        peer: Rank,
-        qp: Qp,
-        svc: MemoryRegion,
-        stage: MemoryRegion,
-        remote_key: RemoteKey,
-        peer_inc: u64,
-        local_inc: u64,
-    ) -> Arc<Conn> {
-        Arc::new(Conn {
-            peer,
-            qp,
-            svc,
-            stage,
-            remote_key,
-            peer_inc,
-            local_inc,
-            tx: Mutex::new(PeerTx {
-                ledger: LedgerTx::new(self.cfg.ledger_entries),
-                ring: EagerTx::new(self.ring_bytes),
-                run: Vec::new(),
-                lens: Vec::new(),
-            }),
-            rx: Mutex::new(PeerRx {
-                ledger: LedgerRx::new(self.cfg.ledger_entries, self.cfg.credit_interval_entries()),
-                ring: EagerRx::new(self.ring_bytes, (self.ring_bytes / 4) as u64),
-                ev_scratch: Vec::new(),
-            }),
-            health: PeerHealth::new(),
-            rx_skips: AtomicU32::new(0),
-            touch: AtomicU64::new(self.conn_stamp.fetch_add(1, Ordering::Relaxed) + 1),
-        })
-    }
-
-    // ------------------------------------------------- multi-process join
-    //
-    // The eager twin of `establish` for jobs whose peers live in *other
-    // OS processes* (no directory, no CM lock): service blocks are
-    // registered up front, their descriptors allgathered through the
-    // bootstrap rendezvous, and every connection installed fully formed.
-
-    /// Register one service block this rank dedicates to a future peer
-    /// (multi-process join, step 1: keys must exist before the exchange).
-    pub(crate) fn preregister_svc(&self) -> Result<MemoryRegion> {
-        Ok(self.nic.register(self.block, Access::ALL)?)
-    }
-
-    /// Install a fully specified connection to `peer` from pre-exchanged
-    /// descriptors (multi-process join, step 2). Incarnations start at 0 on
-    /// both sides — the sockets backend never revives a rank in place.
-    pub(crate) fn install_conn(&self, peer: Rank, svc: MemoryRegion, key: RemoteKey) -> Result<()> {
-        let qp = self.nic.create_qp(peer)?;
-        let stage = self.nic.register(self.block, Access::LOCAL)?;
-        let conn = self.build_conn(peer, qp, svc, stage, key, 0, 0);
-        self.conns.write().insert(peer, conn);
-        Stats::bump(&self.stats.conns_opened);
-        Ok(())
-    }
-
-    /// Install the pre-exchanged collective-window key table (one
-    /// descriptor per rank, this rank's own included).
-    pub(crate) fn set_coll_keys(&self, keys: Vec<RemoteKey>) {
-        self.coll_keys.set(keys).expect("coll keys set once");
-    }
-
-    /// Evict least-recently-used connections until the cache respects
-    /// [`PhotonConfig::conn_cache_cap`]. Caller holds the CM lock. Victims
-    /// with no in-flight work requests are preferred (their flush is a
-    /// no-op); a busy victim's pending rids flush exactly like peer death.
-    fn enforce_cache_cap_locked(&self, dir: &ConnDirectory) {
-        let cap = self.cfg.conn_cache_cap;
-        if cap == 0 {
-            return;
-        }
-        loop {
-            let victim = {
-                let conns = self.conns.read();
-                if conns.len() <= cap {
-                    return;
-                }
-                let mut idle_best: Option<&Arc<Conn>> = None;
-                let mut any_best: Option<&Arc<Conn>> = None;
-                for c in conns.values() {
-                    let stamp = c.touch.load(Ordering::Relaxed);
-                    if any_best.is_none_or(|b| stamp < b.touch.load(Ordering::Relaxed)) {
-                        any_best = Some(c);
-                    }
-                    if !self.wr_table.has_peer(c.peer)
-                        && idle_best.is_none_or(|b| stamp < b.touch.load(Ordering::Relaxed))
-                    {
-                        idle_best = Some(c);
-                    }
-                }
-                idle_best.or(any_best).cloned()
-            };
-            let Some(v) = victim else { return };
-            self.disconnect_locked(dir, &v);
-        }
-    }
-
-    /// Tear down the connection pair behind `conn` (eviction path): drain
-    /// each side's inbound frames (explicit teardown is lossless — nothing
-    /// already delivered to a service region may vanish), remove both
-    /// halves, flush each side's pending work requests exactly like
-    /// [`Photon::mark_dead`] does, and release the QPs and the registered
-    /// blocks. The peers stay *healthy* — traffic after an eviction
-    /// reconnects on demand. Caller holds the CM lock.
-    fn disconnect_locked(&self, dir: &ConnDirectory, conn: &Arc<Conn>) {
-        let _ = self.poll_peer(conn);
-        self.drop_half(conn);
-        Stats::bump(&self.stats.conns_evicted);
-        if conn.peer != self.rank {
-            if let Some(other) = dir.photon(conn.peer) {
-                let theirs = other.conns.read().get(&self.rank).cloned();
-                if let Some(theirs) = theirs {
-                    let _ = other.poll_peer(&theirs);
-                    other.drop_half(&theirs);
-                    Stats::bump(&other.stats.conns_evicted);
-                }
-            }
-        }
-    }
-
-    /// Remove this side's half of a connection and flush everything that
-    /// was riding it: harvest the send CQ, error-complete every in-flight
-    /// wr bound for the peer (with doorbell-batch fan-out), tear down the
-    /// QP and deregister the blocks.
-    fn drop_half(&self, conn: &Arc<Conn>) {
-        {
-            let mut conns = self.conns.write();
-            match conns.get(&conn.peer) {
-                Some(c) if Arc::ptr_eq(c, conn) => {
-                    conns.remove(&conn.peer);
-                }
-                _ => return, // already replaced or gone
-            }
-        }
-        self.flush_peer_wrs(conn.peer);
-        let _ = self.nic.destroy_qp(conn.qp);
-        let _ = self.nic.mrs().deregister(&conn.svc);
-        let _ = self.nic.mrs().deregister(&conn.stage);
-    }
-
-    /// Error-complete every in-flight work request bound for `peer`,
-    /// fanning doorbell-batch sentinels out to their member rids — the
-    /// shared flush step of death, eviction, and stale-generation
-    /// retirement.
-    fn flush_peer_wrs(&self, peer: Rank) {
-        self.harvest_send_cq();
-        let now = self.clock.now();
-        for (wr_id, rid) in self.wr_table.drain_peer(peer) {
-            if rid == BATCH_RID {
-                if let Some(rids) = self.batch_rids.lock().remove(&wr_id) {
-                    for &r in &rids {
-                        self.local_events.push(r, peer, now, WcStatus::FlushErr);
-                        Stats::bump(&self.stats.rids_flushed);
-                    }
-                    self.give_rid_vec(rids);
-                }
-            } else {
-                self.local_events.push(rid, peer, now, WcStatus::FlushErr);
-                Stats::bump(&self.stats.rids_flushed);
-            }
-        }
-    }
-
-    /// Retire a connection whose generation is stale (the peer died and
-    /// rejoined, or this rank itself did). When the *peer's* generation
-    /// changed, its old incarnation died — run the full death bookkeeping
-    /// (flush, credit reclaim, dead-map record, upper-layer notification)
-    /// unless the health machine already did; then drop the half for real,
-    /// releasing the QP and the registered blocks.
-    fn retire_stale(&self, conn: &Arc<Conn>) {
-        let now = self.clock.now();
-        if self.nic.node_incarnation(conn.peer, now) != conn.peer_inc {
-            self.mark_dead_conn(conn);
-        }
-        self.drop_half(conn);
-    }
-
-    /// Queue a dead-peer notification for [`Photon::take_dead_peers`].
-    fn note_dead(&self, peer: Rank) {
-        self.dead_notify.lock().push(peer);
-        self.dead_pending.fetch_add(1, Ordering::Release);
-    }
-
-    /// Number of live connections in the cache.
-    pub fn conn_count(&self) -> usize {
-        self.conns.read().len()
-    }
-
-    /// Approximate bytes of per-rank membership/connection state: the
-    /// registered service/staging blocks plus the heap structures of every
-    /// live connection, the dead map, and the collective buffers if they
-    /// were ever allocated. The churn memory-bound test asserts this grows
-    /// sublinearly in cluster size.
-    pub fn conn_state_bytes(&self) -> usize {
-        let conns = self.conns.read();
-        let mut bytes: usize = conns.values().map(|c| c.state_bytes()).sum();
-        bytes += self.dead.lock().len() * (std::mem::size_of::<Rank>() + 8);
-        bytes += self.remote_events.state_bytes();
-        for buf in [self.coll_recv.get(), self.coll_send.get()].into_iter().flatten() {
-            bytes += buf.len();
-        }
-        bytes
-    }
-
-    /// How many per-peer remote-event FIFOs this rank has allocated — the
-    /// lazy-allocation witness for the memory-bound tests.
-    pub fn remote_fifos_allocated(&self) -> usize {
-        self.remote_events.peers_allocated()
-    }
-
-    /// This rank's own incarnation number: how many times the fabric has
-    /// revived it. Gossip alive-claims carry it so a rejoined rank's
-    /// announcements supersede the Dead rumors of its previous life.
-    pub fn self_incarnation(&self) -> u64 {
-        self.nic.node_incarnation(self.rank, self.clock.now())
-    }
-
-    /// The incarnation of `peer` that this rank recorded as dead, if any.
-    /// Gossip sources its Dead rumors from here so a rumor always names the
-    /// generation that actually died.
-    pub fn dead_incarnation(&self, peer: Rank) -> Option<u64> {
-        self.dead.lock().get(&peer).copied()
-    }
-
-    /// Drain pending gossip frames: `(source, payload, delivery time)` in
-    /// arrival order. Gossip rides a reserved rid, so frames land in the
-    /// internal inbox (like collective traffic) instead of the user event
-    /// queues.
-    pub(crate) fn gossip_inbox(&self) -> Vec<(Rank, Vec<u8>, VTime)> {
-        match self.coll_inbox.lock().remove(&rid_space::GOSSIP) {
-            Some(q) => q.into(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Send one gossip frame on the eager path under the reserved gossip
-    /// rid. Fire-and-forget locally: no local completion is tracked.
-    pub(crate) fn send_gossip_frame(&self, peer: Rank, payload: &[u8]) -> Result<()> {
-        self.send_internal(peer, payload, rid_space::GOSSIP, None)
-    }
-
-    /// Snapshot `(peer, incarnation, health)` for every live connection,
-    /// sorted by peer, *without* touching the LRU stamps (observation must
-    /// not distort eviction). Gossip samples this to originate Suspect
-    /// rumors and direct-evidence Alive refutations.
-    pub fn peer_states(&self) -> Vec<(Rank, u64, PeerHealthState)> {
-        let conns = self.conns.read();
-        let mut out: Vec<(Rank, u64, PeerHealthState)> = conns
-            .values()
-            .map(|c| {
-                let health = match c.health.state.load(Ordering::Acquire) {
-                    PEER_HEALTHY => PeerHealthState::Healthy,
-                    PEER_SUSPECT => PeerHealthState::Suspect,
-                    _ => PeerHealthState::Dead,
-                };
-                (c.peer, c.peer_inc, health)
-            })
-            .collect();
-        out.sort_unstable_by_key(|&(peer, _, _)| peer);
-        out
     }
 
     // ---------------------------------------------------------------- basic
@@ -1154,7 +403,7 @@ impl Photon {
         })
     }
 
-    fn check_rank(&self, peer: Rank) -> Result<()> {
+    pub(crate) fn check_rank(&self, peer: Rank) -> Result<()> {
         if peer >= self.n {
             return Err(PhotonError::InvalidRank(peer));
         }
@@ -1180,39 +429,7 @@ impl Photon {
         self.copy_ns(bytes)
     }
 
-    /// Post an arbitrary tracked work request on the QP to `peer`:
-    /// `local_rid` surfaces as a local completion when its CQE drains.
-    pub(crate) fn post_tracked(
-        &self,
-        peer: Rank,
-        op: photon_fabric::verbs::WrOp,
-        local_rid: u64,
-    ) -> Result<()> {
-        let conn = self.gate_blocking(peer)?;
-        let wr_id = self.wr_table.insert(local_rid, peer);
-        let wr = SendWr::new(wr_id, op);
-        if let Err(e) = self.nic.post_send(conn.qp, wr, self.clock.now()) {
-            self.wr_table.remove(wr_id);
-            return self.fail_post(&conn, Err(e.into()));
-        }
-        Ok(())
-    }
-
-    /// Ledger-entry post without paired data (rendezvous control traffic).
-    pub(crate) fn try_post_entry_pub(
-        &self,
-        peer: Rank,
-        kind: EntryKind,
-        rid: u64,
-        size: u64,
-        addr: u64,
-        rkey: u32,
-    ) -> Result<bool> {
-        self.check_rank(peer)?;
-        self.try_post_entry(peer, kind, rid, size, addr, rkey, None)
-    }
-
-    fn copy_ns(&self, bytes: usize) -> u64 {
+    pub(crate) fn copy_ns(&self, bytes: usize) -> u64 {
         (bytes as u64 * self.cfg.copy_ps_per_byte).div_ceil(1000)
     }
 
@@ -1222,19 +439,19 @@ impl Photon {
     // mirror), so all offsets are block-relative: there is no per-peer
     // stride any more.
 
-    fn sub_ledger(&self, slot: usize) -> usize {
+    pub(crate) fn sub_ledger(&self, slot: usize) -> usize {
         slot * ENTRY_BYTES
     }
 
-    fn sub_ring(&self, ring_off: usize) -> usize {
+    pub(crate) fn sub_ring(&self, ring_off: usize) -> usize {
         self.ledger_bytes + ring_off
     }
 
-    fn sub_credit(&self) -> usize {
+    pub(crate) fn sub_credit(&self) -> usize {
         self.ledger_bytes + self.ring_bytes
     }
 
-    fn remote_slice(&self, conn: &Conn, sub: usize, len: usize) -> RemoteSlice {
+    pub(crate) fn remote_slice(&self, conn: &Conn, sub: usize, len: usize) -> RemoteSlice {
         RemoteSlice { addr: conn.remote_key.addr + sub as u64, rkey: conn.remote_key.rkey, len }
     }
 
@@ -1273,2596 +490,17 @@ impl Photon {
         let p = dir.photon(peer).expect("peer context alive");
         p.coll_recv_buf().region().remote_key()
     }
-
-    // ------------------------------------------------------- posting layer
-
-    /// Write `len` staged bytes at `sub` to the peer's mirror slot.
-    fn post_stage_write(
-        &self,
-        conn: &Conn,
-        sub: usize,
-        len: usize,
-        local_rid: Option<u64>,
-        stamp: Option<usize>,
-    ) -> Result<()> {
-        let peer = conn.peer;
-        let local = MrSlice::new(&conn.stage, sub, len);
-        let remote = self.remote_slice(conn, sub, len);
-        let tracked = local_rid.map(|rid| self.wr_table.insert(rid, peer));
-        let mut wr = match tracked {
-            Some(wr_id) => SendWr::new(wr_id, WrOp::Write { local, remote, imm: None }),
-            None => SendWr::unsignaled(WrOp::Write { local, remote, imm: None }),
-        };
-        wr.stamp_deliver_at = stamp;
-        let res = self.nic.post_send(conn.qp, wr, self.clock.now());
-        if res.is_err() {
-            if let Some(wr_id) = tracked {
-                self.wr_table.remove(wr_id);
-            }
-        }
-        res.map_err(Into::into)
-    }
-
-    // ------------------------------------------------- scratch recyclers
-    //
-    // Free lists for the vectors that cycle through the doorbell-batch
-    // machinery (rid fan-out lists, delivery-stamp offset lists, CQE
-    // harvest buffers). Each vector reaches its working capacity once and
-    // is then recycled forever, so the steady-state batch path performs
-    // zero heap allocations (pinned by `obs_overhead`'s counting test).
-
-    /// Take a rid-list vector from the recycler cache (empty, capacity
-    /// retained from earlier batches).
-    fn take_rid_vec(&self) -> Vec<u64> {
-        self.rid_vec_pool.lock().pop().unwrap_or_default()
-    }
-
-    /// Return a rid-list vector to the recycler cache (dropped past the
-    /// retention cap).
-    fn give_rid_vec(&self, mut v: Vec<u64>) {
-        let mut pool = self.rid_vec_pool.lock();
-        if pool.len() < VEC_POOL_CAP {
-            v.clear();
-            pool.push(v);
-        }
-    }
-
-    /// Take a delivery-stamp offset vector from the recycler cache.
-    fn take_stamp_vec(&self) -> Vec<usize> {
-        self.stamp_vec_pool.lock().pop().unwrap_or_default()
-    }
-
-    /// Return a delivery-stamp offset vector to the recycler cache.
-    fn give_stamp_vec(&self, mut v: Vec<usize>) {
-        let mut pool = self.stamp_vec_pool.lock();
-        if pool.len() < VEC_POOL_CAP {
-            v.clear();
-            pool.push(v);
-        }
-    }
-
-    /// [`Photon::post_stage_write`] for a doorbell-batched run: one wire
-    /// write covering `len` staged bytes, every offset in
-    /// `{first_stamp} ∪ more_stamps` (relative to the staged slice) gets the
-    /// delivery stamp, and all of `local_rids` surface as local completions
-    /// when the single CQE drains. Both vectors come from (and return to)
-    /// the recycler caches.
-    fn post_stage_write_run(
-        &self,
-        conn: &Conn,
-        sub: usize,
-        len: usize,
-        local_rids: Vec<u64>,
-        first_stamp: usize,
-        more_stamps: Vec<usize>,
-    ) -> Result<()> {
-        let peer = conn.peer;
-        let local = MrSlice::new(&conn.stage, sub, len);
-        let remote = self.remote_slice(conn, sub, len);
-        let tracked = match local_rids.len() {
-            0 | 1 => {
-                let t = local_rids.first().map(|&rid| self.wr_table.insert(rid, peer));
-                self.give_rid_vec(local_rids);
-                t
-            }
-            _ => {
-                let wr_id = self.wr_table.insert(BATCH_RID, peer);
-                self.batch_rids.lock().insert(wr_id, local_rids);
-                Some(wr_id)
-            }
-        };
-        let op = WrOp::Write { local, remote, imm: None };
-        let mut wr = match tracked {
-            Some(wr_id) => SendWr::new(wr_id, op),
-            None => SendWr::unsignaled(op),
-        };
-        wr.stamp_deliver_at = Some(first_stamp);
-        wr.stamp_deliver_also = more_stamps;
-        // Post by reference (the one-element doorbell run) so the recycled
-        // stamp list can be reclaimed after the fabric consumes it.
-        let res = self.nic.post_send_many(conn.qp, std::slice::from_ref(&wr), self.clock.now());
-        self.give_stamp_vec(std::mem::take(&mut wr.stamp_deliver_also));
-        if res.is_err() {
-            if let Some(wr_id) = tracked {
-                self.wr_table.remove(wr_id);
-                if let Some(rids) = self.batch_rids.lock().remove(&wr_id) {
-                    self.give_rid_vec(rids);
-                }
-            }
-        }
-        res.map_err(Into::into)
-    }
-
-    /// Write and post an explicit `Skip` frame covering a dead ring tail,
-    /// when a reservation requires one.
-    fn post_skip(&self, conn: &Conn, skip: Option<(usize, u32, u64)>) -> Result<()> {
-        let Some((off, dead, seq)) = skip else { return Ok(()) };
-        let h = FrameHeader {
-            seq,
-            rid: 0,
-            dst_addr: 0,
-            dst_rkey: 0,
-            size: dead,
-            kind: FrameKind::Skip,
-            ts: 0,
-        };
-        conn.stage.write_at(self.sub_ring(off), &h.encode());
-        self.post_stage_write(
-            conn,
-            self.sub_ring(off),
-            eager::FRAME_HDR,
-            None,
-            Some(eager::TS_OFFSET),
-        )
-    }
-
-    /// Try to deliver an eager frame to `peer`. Returns `Ok(false)` when the
-    /// ring is out of credits.
-    #[allow(clippy::too_many_arguments)]
-    fn try_send_frame(
-        &self,
-        peer: Rank,
-        kind: FrameKind,
-        rid: u64,
-        src: FrameSrc<'_>,
-        len: usize,
-        dst: Option<(u64, u32)>,
-        local_rid: Option<u64>,
-    ) -> Result<bool> {
-        let Some(conn) = self.gated_conn(peer)? else {
-            return Ok(false);
-        };
-        let r = {
-            let mut tx = conn.tx.lock();
-            self.try_send_frame_locked(&conn, &mut tx, kind, rid, src, len, dst, local_rid)
-        };
-        self.fail_post(&conn, r)
-    }
-
-    /// [`Photon::try_send_frame`] with the per-peer TX lock already held, so
-    /// a doorbell batch can mix frames and ledger entries under one
-    /// acquisition.
-    #[allow(clippy::too_many_arguments)]
-    fn try_send_frame_locked(
-        &self,
-        conn: &Conn,
-        tx: &mut PeerTx,
-        kind: FrameKind,
-        rid: u64,
-        src: FrameSrc<'_>,
-        len: usize,
-        dst: Option<(u64, u32)>,
-        local_rid: Option<u64>,
-    ) -> Result<bool> {
-        let r = match tx.ring.try_reserve(len) {
-            Some(r) => r,
-            None => {
-                // Out of credits: read the credit words; if that unblocks
-                // us, our progress causally depends on the credit write, so
-                // the clock advances to its delivery time.
-                let credit_ts = self.refresh_tx_credits(conn, tx);
-                match tx.ring.try_reserve(len) {
-                    Some(r) => {
-                        self.clock.advance_to(credit_ts);
-                        r
-                    }
-                    None => {
-                        Stats::bump(&self.stats.credit_stalls);
-                        return Ok(false);
-                    }
-                }
-            }
-        };
-        self.post_skip(conn, r.skip)?;
-        let (dst_addr, dst_rkey) = dst.unwrap_or((0, 0));
-        let h = FrameHeader { seq: r.seq, rid, dst_addr, dst_rkey, size: len as u32, kind, ts: 0 };
-        let so = self.sub_ring(r.offset);
-        conn.stage.write_at(so, &h.encode());
-        if len > 0 {
-            src.write_to(&conn.stage, so + eager::FRAME_HDR, len);
-            // Staging memcpy is real middleware work: charge it.
-            self.clock.advance(self.copy_ns(len));
-            if matches!(src, FrameSrc::Mr(..)) {
-                Stats::bump(&self.stats.stage_copies_avoided);
-            }
-        }
-        if let Some(rid) = local_rid {
-            self.obs.op_stage(rid, self.clock.now());
-        }
-        self.post_stage_write(
-            conn,
-            self.sub_ring(r.offset),
-            eager::frame_span(len),
-            local_rid,
-            Some(eager::TS_OFFSET),
-        )?;
-        Ok(true)
-    }
-
-    /// Post a contiguous run of eager frames to `peer` as **one** wire write
-    /// (the doorbell batch). Returns how many of `frames` were posted: the
-    /// longest prefix the ring could hold (halving on credit exhaustion),
-    /// `0` on a full stall. The caller holds the TX lock across the whole
-    /// batch, so the run is atomic in the peer's delivery order.
-    /// `src_region`, when set, is the registered region every `Mr` frame in
-    /// the run reads from: the whole run is then composed under **one**
-    /// source read lock and one stage write lock (taken in the same
-    /// region → stage order as the single-frame path), instead of paying
-    /// three lock acquisitions per frame.
-    fn post_frame_run_locked(
-        &self,
-        conn: &Conn,
-        tx: &mut PeerTx,
-        frames: &[RunFrame],
-        src_region: Option<&MemoryRegion>,
-        payloads: &[Vec<u8>],
-    ) -> Result<usize> {
-        debug_assert!(!frames.is_empty());
-        // The span list lives in the TX state's scratch vector, so the
-        // steady-state batch path performs no heap allocation at all.
-        let mut lens = std::mem::take(&mut tx.lens);
-        lens.clear();
-        lens.extend(frames.iter().map(|f| f.len));
-        let mut k = frames.len();
-        let mut refreshed = None;
-        let r = loop {
-            if let Some(r) = tx.ring.try_reserve_run(&lens[..k]) {
-                if let Some(t) = refreshed {
-                    if k == frames.len() {
-                        // Unblocked by the credit read: causally ordered after it.
-                        self.clock.advance_to(t);
-                    }
-                }
-                break r;
-            }
-            if refreshed.is_none() {
-                refreshed = Some(self.refresh_tx_credits(conn, tx));
-                continue;
-            }
-            k /= 2;
-            if k == 0 {
-                Stats::bump(&self.stats.credit_stalls);
-                tx.lens = lens;
-                return Ok(0);
-            }
-        };
-        tx.lens = lens;
-        self.post_skip(conn, r.skip)?;
-        let base_sub = self.sub_ring(r.offset);
-        let base_so = base_sub;
-        let mut run_span = 0usize;
-        let mut more_stamps = self.take_stamp_vec();
-        let mut local_rids = self.take_rid_vec();
-        let mut payload_bytes = 0usize;
-        let mut compose = |sb: &mut [u8], shared: Option<&[u8]>| {
-            let mut rel = 0usize;
-            for (i, f) in frames[..k].iter().enumerate() {
-                let (dst_addr, dst_rkey) = f.dst.unwrap_or((0, 0));
-                let h = FrameHeader {
-                    seq: r.first_seq + i as u64,
-                    rid: f.rid,
-                    dst_addr,
-                    dst_rkey,
-                    size: f.len as u32,
-                    kind: f.kind,
-                    ts: 0,
-                };
-                let fo = base_so + rel;
-                sb[fo..fo + eager::FRAME_HDR].copy_from_slice(&h.encode());
-                if f.len > 0 {
-                    let dst = &mut sb[fo + eager::FRAME_HDR..fo + eager::FRAME_HDR + f.len];
-                    match f.src {
-                        RunSrc::Payload(p) => dst.copy_from_slice(&payloads[p][..f.len]),
-                        RunSrc::Region(off) => {
-                            let s =
-                                shared.expect("Region run frames carry the shared source region");
-                            dst.copy_from_slice(&s[off..off + f.len]);
-                            Stats::bump(&self.stats.stage_copies_avoided);
-                        }
-                    }
-                    payload_bytes += f.len;
-                }
-                if i > 0 {
-                    more_stamps.push(rel + eager::TS_OFFSET);
-                }
-                if let Some(rid) = f.local_rid {
-                    local_rids.push(rid);
-                }
-                rel += eager::frame_span(f.len);
-            }
-            run_span = rel;
-        };
-        match src_region {
-            Some(region) => {
-                region.with_bytes(|s| conn.stage.with_bytes_mut(|sb| compose(sb, Some(s))))
-            }
-            None => conn.stage.with_bytes_mut(|sb| compose(sb, None)),
-        }
-        if payload_bytes > 0 {
-            self.clock.advance(self.copy_ns(payload_bytes));
-        }
-        for rid in &local_rids {
-            self.obs.op_stage(*rid, self.clock.now());
-        }
-        self.post_stage_write_run(
-            conn,
-            base_sub,
-            run_span,
-            local_rids,
-            eager::TS_OFFSET,
-            more_stamps,
-        )?;
-        self.stats.record_batch(k);
-        Ok(k)
-    }
-
-    /// Try to append a ledger entry at `peer`. Returns `Ok(false)` when the
-    /// ledger is out of credits. When `paired_data` is set, the data write
-    /// it describes is posted first, under the same reservation, so data and
-    /// completion arrive in order.
-    #[allow(clippy::too_many_arguments)]
-    fn try_post_entry(
-        &self,
-        peer: Rank,
-        kind: EntryKind,
-        rid: u64,
-        size: u64,
-        addr: u64,
-        rkey: u32,
-        paired_data: Option<(MrSlice, RemoteSlice, u64)>,
-    ) -> Result<bool> {
-        let Some(conn) = self.gated_conn(peer)? else {
-            return Ok(false);
-        };
-        let r = {
-            let mut tx = conn.tx.lock();
-            self.try_post_entry_locked(&conn, &mut tx, kind, rid, size, addr, rkey, paired_data)
-        };
-        self.fail_post(&conn, r)
-    }
-
-    /// [`Photon::try_post_entry`] with the per-peer TX lock already held.
-    #[allow(clippy::too_many_arguments)]
-    fn try_post_entry_locked(
-        &self,
-        conn: &Conn,
-        tx: &mut PeerTx,
-        kind: EntryKind,
-        rid: u64,
-        size: u64,
-        addr: u64,
-        rkey: u32,
-        paired_data: Option<(MrSlice, RemoteSlice, u64)>,
-    ) -> Result<bool> {
-        let (slot, seq) = match tx.ledger.try_produce() {
-            Some(v) => v,
-            None => {
-                let credit_ts = self.refresh_tx_credits(conn, tx);
-                match tx.ledger.try_produce() {
-                    Some(v) => {
-                        self.clock.advance_to(credit_ts);
-                        v
-                    }
-                    None => {
-                        Stats::bump(&self.stats.credit_stalls);
-                        return Ok(false);
-                    }
-                }
-            }
-        };
-        if let Some((local, remote, local_rid)) = paired_data {
-            let wr_id = self.wr_table.insert(local_rid, conn.peer);
-            let wr = SendWr::new(wr_id, WrOp::Write { local, remote, imm: None });
-            if let Err(e) = self.nic.post_send(conn.qp, wr, self.clock.now()) {
-                self.wr_table.remove(wr_id);
-                return Err(e.into());
-            }
-        }
-        let e = Entry { seq, rid, size, addr, rkey, kind, ts: 0 };
-        conn.stage.write_at(self.sub_ledger(slot), &e.encode());
-        self.post_stage_write(
-            conn,
-            self.sub_ledger(slot),
-            ENTRY_BYTES,
-            None,
-            Some(ledger::TS_OFFSET),
-        )?;
-        Ok(true)
-    }
-
-    /// Post a run of control-ledger entries toward `peer` with coalesced
-    /// doorbells: contiguous ledger slots are staged together and pushed as
-    /// **one** wire write (one doorbell, one delivery-stamp run) instead of
-    /// one write per entry. The ring of ledger slots wraps, so a run may
-    /// split into several contiguous segments — still at most two writes
-    /// per wrap instead of one per entry. Returns how many of `specs` were
-    /// posted: the longest prefix the ledger credits allow (`0` on a full
-    /// stall or a gated peer).
-    pub(crate) fn try_post_entry_run(&self, peer: Rank, specs: &[EntrySpec]) -> Result<usize> {
-        if specs.is_empty() {
-            return Ok(0);
-        }
-        let Some(conn) = self.gated_conn(peer)? else {
-            return Ok(0);
-        };
-        let r = (|| {
-            let mut tx = conn.tx.lock();
-            // Claim as many ledger slots as credits allow (refreshing the
-            // credit words once on exhaustion, like the single-entry path).
-            let mut slots: Vec<(usize, u64)> = Vec::with_capacity(specs.len());
-            let mut refreshed = None;
-            let mut unblocked = false;
-            while slots.len() < specs.len() {
-                match tx.ledger.try_produce() {
-                    Some(v) => {
-                        if refreshed.is_some() {
-                            unblocked = true;
-                        }
-                        slots.push(v);
-                    }
-                    None if refreshed.is_none() => {
-                        refreshed = Some(self.refresh_tx_credits(&conn, &mut tx));
-                    }
-                    None => break,
-                }
-            }
-            if slots.is_empty() {
-                Stats::bump(&self.stats.credit_stalls);
-                return Ok(0);
-            }
-            if unblocked {
-                // Unblocked by the credit read: causally ordered after it.
-                self.clock.advance_to(refreshed.expect("unblocked implies refreshed"));
-            }
-            drop(tx);
-            // Stage and post each contiguous slot segment as one write.
-            let mut i = 0usize;
-            while i < slots.len() {
-                let mut seg = 1usize;
-                while i + seg < slots.len() && slots[i + seg].0 == slots[i].0 + seg {
-                    seg += 1;
-                }
-                for j in 0..seg {
-                    let sp = &specs[i + j];
-                    let (slot, seq) = slots[i + j];
-                    let e = Entry {
-                        seq,
-                        rid: sp.rid,
-                        size: sp.size,
-                        addr: sp.addr,
-                        rkey: sp.rkey,
-                        kind: sp.kind,
-                        ts: 0,
-                    };
-                    conn.stage.write_at(self.sub_ledger(slot), &e.encode());
-                }
-                let mut stamps = self.take_stamp_vec();
-                stamps.extend((1..seg).map(|j| j * ENTRY_BYTES + ledger::TS_OFFSET));
-                self.post_stage_write_run(
-                    &conn,
-                    self.sub_ledger(slots[i].0),
-                    seg * ENTRY_BYTES,
-                    self.take_rid_vec(),
-                    ledger::TS_OFFSET,
-                    stamps,
-                )?;
-                i += seg;
-            }
-            Ok(slots.len())
-        })();
-        self.fail_post(&conn, r)
-    }
-
-    /// Read the local credit words for production over `conn`; returns the
-    /// virtual delivery time of the last credit write.
-    fn refresh_tx_credits(&self, conn: &Conn, tx: &mut PeerTx) -> VTime {
-        let off = self.sub_credit();
-        tx.ledger.update_credits(conn.svc.read_u64(off));
-        tx.ring.update_credits(conn.svc.read_u64(off + 8));
-        VTime(conn.svc.read_u64(off + 16))
-    }
-
-    fn return_credits(
-        &self,
-        conn: &Arc<Conn>,
-        ledger_consumed: u64,
-        ring_cursor: u64,
-    ) -> Result<()> {
-        let skip = self.cfg.skip_credit_return_interval;
-        if skip > 0 && self.credit_return_seq.fetch_add(1, Ordering::Relaxed) % skip == skip - 1 {
-            // Seeded credit-accounting bug (see PhotonConfig): the consumer
-            // has advanced its counters but the producer is never told.
-            return Ok(());
-        }
-        if conn.health.state.load(Ordering::Acquire) == PEER_DEAD {
-            // No point writing credit words into a dead peer's memory.
-            return Ok(());
-        }
-        let sub = self.sub_credit();
-        conn.stage.write_u64(sub, ledger_consumed);
-        conn.stage.write_u64(sub + 8, ring_cursor);
-        match self.post_stage_write(conn, sub, CREDIT_BYTES, None, Some(16)) {
-            Err(PhotonError::Fabric(FabricError::PeerUnreachable { .. })) => {
-                // Swallow: a failed credit write must not poison this rank's
-                // progress loop (other peers still need service), and credit
-                // words are absolute counters, so dropping one write is
-                // harmless — the next return re-publishes the same state.
-                // The health machine is told so the path gets probed.
-                self.note_unreachable(conn);
-                return Ok(());
-            }
-            r => r?,
-        }
-        Stats::bump(&self.stats.credit_returns);
-        self.tracer.record(self.clock.now(), TraceOp::CreditReturn, conn.peer, 0, CREDIT_BYTES);
-        Ok(())
-    }
-
-    // ------------------------------------------------------ peer health
-    //
-    // The per-peer failure detector (see DESIGN.md, "Failure model").
-    // Every post path calls `peer_gate` *before* consuming any protocol
-    // state (ring reservations, ledger slots), so an unreachable peer is
-    // detected while the connection state is still consistent and the op
-    // can simply be refused. A post that fails *mid-flight* — after the
-    // reservation — has already broken the per-peer delivery sequence,
-    // which on a reliable-connected QP means the connection is gone: the
-    // peer is declared dead and evicted (`fail_post`).
-
-    /// Health check run at the top of every post path. `Ok(true)` — post
-    /// may proceed. `Ok(false)` — the peer is Suspect; treat as a credit
-    /// stall (non-blocking callers return "would block", blocking callers
-    /// spin through here, which paces the reconnection probes).
-    /// `Err(PeerDead)` — the peer is gone. Establishes the connection on
-    /// first contact (lazy wiring).
-    pub(crate) fn peer_gate(&self, peer: Rank) -> Result<bool> {
-        let conn = self.conn(peer)?;
-        self.gate_conn(&conn)
-    }
-
-    /// [`Photon::peer_gate`] that hands back the gated connection: `None`
-    /// while the peer is Suspect (would-block).
-    fn gated_conn(&self, peer: Rank) -> Result<Option<Arc<Conn>>> {
-        let conn = self.conn(peer)?;
-        Ok(self.gate_conn(&conn)?.then_some(conn))
-    }
-
-    fn gate_conn(&self, conn: &Arc<Conn>) -> Result<bool> {
-        match conn.health.state.load(Ordering::Acquire) {
-            PEER_HEALTHY => {
-                let now = self.clock.now();
-                match self.nic.peer_status(conn.qp, now) {
-                    None => Ok(true),
-                    // `RemoteDead` fires when *either* end of the wire is
-                    // down. If it is this rank that crashed (its clock rode
-                    // past its own kill time), the peer must not be blamed:
-                    // recording a live peer dead at its current incarnation
-                    // is unrefutable and the lie would spread via gossip.
-                    Some(WcStatus::RemoteDead) if self.nic.self_dead_at(now) => {
-                        Err(PhotonError::PeerDead(self.rank))
-                    }
-                    Some(WcStatus::RemoteDead) => {
-                        self.mark_dead_conn(conn);
-                        Err(PhotonError::PeerDead(conn.peer))
-                    }
-                    // Partitioned: might heal — start probing.
-                    Some(_) => {
-                        self.mark_suspect(conn);
-                        Ok(false)
-                    }
-                }
-            }
-            PEER_SUSPECT => self.suspect_probe(conn),
-            _ => Err(PhotonError::PeerDead(conn.peer)),
-        }
-    }
-
-    /// Healthy → Suspect: arm the response deadline for the first probe.
-    fn mark_suspect(&self, conn: &Conn) {
-        let h = &conn.health;
-        let mut inner = h.inner.lock();
-        if h.state.load(Ordering::Acquire) != PEER_HEALTHY {
-            return; // lost the race to another thread
-        }
-        inner.fails = 0;
-        inner.next_retry = VTime(self.clock.now().0 + self.cfg.suspect_deadline_ns);
-        h.state.store(PEER_SUSPECT, Ordering::Release);
-        Stats::bump(&self.stats.peers_suspected);
-    }
-
-    /// One backoff-gated reconnection probe of a Suspect peer.
-    ///
-    /// The probe *advances this rank's virtual clock* to the retry time:
-    /// virtual time only moves when someone moves it, so waiting out a
-    /// partition window must be modeled as elapsed local time — otherwise
-    /// a blocked producer would re-test the same instant forever and a
-    /// windowed partition could never heal (virtual-time livelock).
-    fn suspect_probe(&self, conn: &Arc<Conn>) -> Result<bool> {
-        let peer = conn.peer;
-        let h = &conn.health;
-        let mut inner = h.inner.lock();
-        match h.state.load(Ordering::Acquire) {
-            PEER_SUSPECT => {}
-            PEER_HEALTHY => return Ok(true),
-            _ => return Err(PhotonError::PeerDead(peer)),
-        }
-        if self.clock.now() < inner.next_retry {
-            self.clock.advance_to(inner.next_retry);
-        }
-        let now = self.clock.now();
-        Stats::bump(&self.stats.reconnect_probes);
-        match self.nic.peer_status(conn.qp, now) {
-            None => {
-                // Path restored: recycle the errored QP and resume.
-                self.nic.reset_qp(conn.qp)?;
-                inner.fails = 0;
-                h.state.store(PEER_HEALTHY, Ordering::Release);
-                Stats::bump(&self.stats.peer_recoveries);
-                Ok(true)
-            }
-            // This rank's own crash, not evidence against the peer (the
-            // probe ride itself may have carried the clock past the local
-            // kill time — see `gate_conn`).
-            Some(WcStatus::RemoteDead) if self.nic.self_dead_at(now) => {
-                Err(PhotonError::PeerDead(self.rank))
-            }
-            Some(WcStatus::RemoteDead) => {
-                drop(inner);
-                self.mark_dead_conn(conn);
-                Err(PhotonError::PeerDead(peer))
-            }
-            Some(_) => {
-                inner.fails += 1;
-                if inner.fails >= self.cfg.suspect_death_probes {
-                    drop(inner);
-                    self.mark_dead_conn(conn);
-                    return Err(PhotonError::PeerDead(peer));
-                }
-                let backoff = self
-                    .cfg
-                    .backoff_base_ns
-                    .checked_shl(inner.fails - 1)
-                    .unwrap_or(u64::MAX)
-                    .min(self.cfg.backoff_max_ns);
-                inner.next_retry = VTime(now.0 + backoff);
-                Ok(false)
-            }
-        }
-    }
-
-    /// Report an unreachable peer discovered outside a gated post (failed
-    /// credit return): classify and move the machine without evicting —
-    /// credit writes carry no sequencing, so the connection is intact.
-    fn note_unreachable(&self, conn: &Arc<Conn>) {
-        if conn.health.state.load(Ordering::Acquire) != PEER_HEALTHY {
-            return;
-        }
-        let now = self.clock.now();
-        match self.nic.peer_status(conn.qp, now) {
-            // Own crash, not evidence against the peer (see `gate_conn`).
-            Some(WcStatus::RemoteDead) if self.nic.self_dead_at(now) => {}
-            Some(WcStatus::RemoteDead) => self.mark_dead_conn(conn),
-            Some(_) => self.mark_suspect(conn),
-            None => {}
-        }
-    }
-
-    /// Declare the peer behind `conn` dead and evict the connection: flush
-    /// every pending rid toward it as an error completion, reclaim its
-    /// flow-control credits so no later op can stall on a ghost, drop its
-    /// parked rendezvous state, record the incarnation that died (so a
-    /// reconnect can never resurrect the flushed generation), and release
-    /// the connection's fabric resources. Idempotent per connection.
-    fn mark_dead_conn(&self, conn: &Arc<Conn>) {
-        {
-            let _inner = conn.health.inner.lock();
-            if conn.health.state.swap(PEER_DEAD, Ordering::AcqRel) == PEER_DEAD {
-                return;
-            }
-        }
-        let peer = conn.peer;
-        Stats::bump(&self.stats.peers_dead);
-        // The generation guard: remember which incarnation died. A later
-        // `conn()` refuses to reconnect until the fault plan shows a newer
-        // incarnation for the peer.
-        {
-            let mut dead = self.dead.lock();
-            let e = dead.entry(peer).or_insert(conn.peer_inc);
-            *e = (*e).max(conn.peer_inc);
-        }
-        // Flush its in-flight work requests (CQEs that already exist
-        // deliver with their true status first). The connection itself
-        // STAYS cached: the dying peer's clock may lag ours, so its last
-        // writes must keep landing in a still-registered service region
-        // (and keep being polled and routed, exactly like the pre-cache
-        // all-to-all design) instead of surfacing as invalid-rkey post
-        // errors on a live rank. The half is reaped when the cache cap
-        // evicts it or a newer incarnation reconnects.
-        self.flush_peer_wrs(peer);
-        // Reclaim eager-ring and ledger credits: everything produced counts
-        // as consumed, so a caller already holding this connection's Arc
-        // can never stall waiting for a dead consumer to return credits.
-        {
-            let mut tx = conn.tx.lock();
-            let cursor = tx.ring.cursor();
-            tx.ring.update_credits(cursor);
-            let produced = tx.ledger.produced();
-            tx.ledger.update_credits(produced);
-        }
-        // Rendezvous state parked from the dead peer will never FIN/match.
-        self.rdv_announces.lock().retain(|(src, _), _| *src != peer);
-        self.rdv_fins.lock().retain(|(src, _), _| *src != peer);
-        // Publish the eviction for layers above: each death is queued
-        // exactly once (the state swap above is the idempotence guard).
-        self.note_dead(peer);
-    }
-
-    /// Drain the peers declared dead since the last call. Each evicted peer
-    /// is reported exactly once per context; layers above poll this from
-    /// their progress paths to tear down per-peer state of their own (the
-    /// runtime uses it to forget dead clients' RPC dedup windows). The fast
-    /// path is one atomic load.
-    pub fn take_dead_peers(&self) -> Vec<Rank> {
-        if self.dead_pending.load(Ordering::Acquire) == 0 {
-            return Vec::new();
-        }
-        let mut q = self.dead_notify.lock();
-        self.dead_pending.fetch_sub(q.len() as u64, Ordering::AcqRel);
-        std::mem::take(&mut *q)
-    }
-
-    /// Convert an *actual* post failure into its health consequence: an
-    /// unreachable transfer after the gate passed means the per-peer
-    /// delivery sequence has a hole (the reservation was consumed), which
-    /// on a reliable-connected QP is a broken connection — evict. The
-    /// fabric names which end of the wire was down: only the *peer* being
-    /// unreachable is evidence against the peer. If the failing end is
-    /// this rank itself (its clock has crossed its own scheduled kill
-    /// time), blaming the target would record a live node dead at its
-    /// current incarnation — unrefutable — so the error is surfaced
-    /// against the local rank instead.
-    fn fail_post<T>(&self, conn: &Arc<Conn>, r: Result<T>) -> Result<T> {
-        match r {
-            Err(PhotonError::Fabric(FabricError::PeerUnreachable { node })) => {
-                if node == conn.peer || node != self.rank {
-                    self.mark_dead_conn(conn);
-                    Err(PhotonError::PeerDead(conn.peer))
-                } else {
-                    Err(PhotonError::PeerDead(self.rank))
-                }
-            }
-            other => other,
-        }
-    }
-
-    /// Ride the health machine to a verdict: returns once the peer is
-    /// Healthy, or [`PhotonError::PeerDead`] once it is declared Dead.
-    /// Terminates deterministically — every Suspect probe advances the
-    /// virtual clock to its backoff deadline, so the peer either heals
-    /// inside the partition window or exhausts its probe budget. Used by
-    /// the direct-RDMA paths, which have no credit gate whose retry loop
-    /// would otherwise pace the probes.
-    fn gate_blocking(&self, peer: Rank) -> Result<Arc<Conn>> {
-        loop {
-            // Re-fetch per spin: a probe may retire the connection (death)
-            // or another thread may replace it (rejoin).
-            let conn = self.conn(peer)?;
-            if self.gate_conn(&conn)? {
-                return Ok(conn);
-            }
-        }
-    }
-
-    /// Actively probe `peer`'s liveness: runs one pass of the health gate
-    /// (the same check every post path performs) and reports the resulting
-    /// classification. Unlike the passive [`Photon::peer_health`] read,
-    /// this *drives* detection — a Suspect peer gets one backoff-paced
-    /// reconnection probe (which may advance the virtual clock to its
-    /// retry deadline), and a peer found dead is evicted. Runtime layers
-    /// use it to classify stalled waits without posting traffic.
-    pub fn check_peer(&self, peer: Rank) -> Result<PeerHealthState> {
-        self.check_rank(peer)?;
-        match self.peer_gate(peer) {
-            Ok(_) => self.peer_health(peer),
-            Err(PhotonError::PeerDead(_)) => Ok(PeerHealthState::Dead),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// The health machine's classification of `peer`. Passive: never
-    /// connects. An unconnected peer reads Healthy unless the generation
-    /// recorded in the dead map is still its current incarnation.
-    pub fn peer_health(&self, peer: Rank) -> Result<PeerHealthState> {
-        self.check_rank(peer)?;
-        if let Some(conn) = self.conn_opt(peer) {
-            return Ok(match conn.health.state.load(Ordering::Acquire) {
-                PEER_HEALTHY => PeerHealthState::Healthy,
-                PEER_SUSPECT => PeerHealthState::Suspect,
-                _ => PeerHealthState::Dead,
-            });
-        }
-        if let Some(&dead_inc) = self.dead.lock().get(&peer) {
-            if self.nic.node_incarnation(peer, self.clock.now()) <= dead_inc {
-                return Ok(PeerHealthState::Dead);
-            }
-        }
-        Ok(PeerHealthState::Healthy)
-    }
-
-    // ------------------------------------------------------------ user API
-
-    /// One-sided put with local **and** remote completion (the Photon
-    /// signature: `photon_put_with_completion`).
-    ///
-    /// Copies `len` bytes from `local[loff..]` to `dst[doff..]` on `peer`.
-    /// `local_rid` is surfaced here when the source buffer is reusable;
-    /// `remote_rid` is surfaced at `peer` when the data is visible there.
-    /// Small payloads take the packed eager path (one wire op, copy-out at
-    /// probe time); large payloads go direct RDMA + ledger entry.
-    ///
-    /// Blocks only on credit exhaustion; see
-    /// [`Photon::try_put_with_completion`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn put_with_completion(
-        &self,
-        peer: Rank,
-        local: &PhotonBuffer,
-        loff: usize,
-        len: usize,
-        dst: &BufferDescriptor,
-        doff: usize,
-        local_rid: u64,
-        remote_rid: u64,
-    ) -> Result<()> {
-        self.blocking("pwc credits", |s| {
-            s.try_put_with_completion(peer, local, loff, len, dst, doff, local_rid, remote_rid)
-                .map(|posted| posted.then_some(()))
-        })
-    }
-
-    /// Non-blocking [`Photon::put_with_completion`]: `Ok(false)` when out of
-    /// credits.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_put_with_completion(
-        &self,
-        peer: Rank,
-        local: &PhotonBuffer,
-        loff: usize,
-        len: usize,
-        dst: &BufferDescriptor,
-        doff: usize,
-        local_rid: u64,
-        remote_rid: u64,
-    ) -> Result<bool> {
-        self.check_rank(peer)?;
-        local.check(loff, len)?;
-        if doff + len > dst.len {
-            return Err(PhotonError::OutOfRange { offset: doff, len, cap: dst.len });
-        }
-        let Some(conn) = self.gated_conn(peer)? else {
-            return Ok(false);
-        };
-        if len <= self.cfg.eager_threshold && len <= self.cfg.max_eager_payload() {
-            // Zero-alloc fast path: the source region is staged directly,
-            // with no intermediate heap buffer.
-            self.obs.op_post(local_rid, peer, OpKind::PutEager, len, self.clock.now());
-            let posted = self.try_send_frame(
-                peer,
-                FrameKind::Put,
-                remote_rid,
-                FrameSrc::Mr(local.region(), loff),
-                len,
-                Some((dst.addr + doff as u64, dst.rkey)),
-                Some(local_rid),
-            )?;
-            if posted {
-                Stats::bump(&self.stats.puts_eager);
-                Stats::add(&self.stats.bytes_put, len as u64);
-                self.tracer.record(self.clock.now(), TraceOp::PutEager, peer, remote_rid, len);
-            }
-            Ok(posted)
-        } else if self.cfg.imm_completions {
-            // CQ-notification mode: one write-with-immediate carries both
-            // the data and the remote completion id. No ledger, no credits.
-            self.obs.op_post(local_rid, peer, OpKind::PutDirect, len, self.clock.now());
-            let wr_id = self.wr_table.insert(local_rid, peer);
-            let wr = SendWr::new(
-                wr_id,
-                WrOp::Write {
-                    local: MrSlice::new(local.region(), loff, len),
-                    remote: RemoteSlice::from_key(dst, doff, len),
-                    imm: Some(remote_rid),
-                },
-            );
-            if let Err(e) = self.nic.post_send(conn.qp, wr, self.clock.now()) {
-                self.wr_table.remove(wr_id);
-                return self.fail_post(&conn, Err(e.into()));
-            }
-            Stats::bump(&self.stats.puts_direct);
-            Stats::add(&self.stats.bytes_put, len as u64);
-            self.tracer.record(self.clock.now(), TraceOp::PutDirect, peer, remote_rid, len);
-            Ok(true)
-        } else {
-            self.obs.op_post(local_rid, peer, OpKind::PutDirect, len, self.clock.now());
-            let data_local = MrSlice::new(local.region(), loff, len);
-            let data_remote = RemoteSlice::from_key(dst, doff, len);
-            let posted = self.try_post_entry(
-                peer,
-                EntryKind::Completion,
-                remote_rid,
-                len as u64,
-                0,
-                0,
-                Some((data_local, data_remote, local_rid)),
-            )?;
-            if posted {
-                Stats::bump(&self.stats.puts_direct);
-                Stats::add(&self.stats.bytes_put, len as u64);
-                self.tracer.record(self.clock.now(), TraceOp::PutDirect, peer, remote_rid, len);
-            }
-            Ok(posted)
-        }
-    }
-
-    /// Doorbell-batched [`Photon::put_with_completion`]: post every item in
-    /// `items` toward `peer`, coalescing runs of eager-sized items into a
-    /// single contiguous ring reservation and **one** wire write (header
-    /// run + payloads). The whole batch — including ledger entries for
-    /// oversized items — posts under one TX lock acquisition, and the
-    /// fabric charges its per-post overhead once per run instead of once
-    /// per frame. Blocks on credit exhaustion.
-    pub fn put_many(
-        &self,
-        peer: Rank,
-        local: &PhotonBuffer,
-        dst: &BufferDescriptor,
-        items: &[PutManyItem],
-    ) -> Result<()> {
-        let mut done = 0usize;
-        self.blocking("put_many credits", |s| {
-            done += s.try_put_many(peer, local, dst, &items[done..])?;
-            Ok((done == items.len()).then_some(()))
-        })
-    }
-
-    /// Non-blocking [`Photon::put_many`]: posts the longest prefix of
-    /// `items` the credits allow and returns how many were posted (`0` on a
-    /// full stall — retry after probing).
-    pub fn try_put_many(
-        &self,
-        peer: Rank,
-        local: &PhotonBuffer,
-        dst: &BufferDescriptor,
-        items: &[PutManyItem],
-    ) -> Result<usize> {
-        self.check_rank(peer)?;
-        for it in items {
-            local.check(it.loff, it.len)?;
-            if it.doff + it.len > dst.len {
-                return Err(PhotonError::OutOfRange { offset: it.doff, len: it.len, cap: dst.len });
-            }
-        }
-        if items.is_empty() {
-            return Ok(0);
-        }
-        let Some(conn) = self.gated_conn(peer)? else {
-            return Ok(0);
-        };
-        let eager_ok =
-            |len: usize| len <= self.cfg.eager_threshold && len <= self.cfg.max_eager_payload();
-        // The whole batch posts inside the closure so the TX guard is
-        // released before `fail_post` (eviction locks the same TX state).
-        let res = (|| {
-            let mut posted = 0usize;
-            let mut tx = conn.tx.lock();
-            // Run scratch lives in the TX state and is recycled across
-            // batches (RunFrame holds indices, not borrows).
-            let mut run = std::mem::take(&mut tx.run);
-            while posted < items.len() {
-                let it = &items[posted];
-                if eager_ok(it.len) {
-                    // Longest eager run from here whose combined span fits the
-                    // ring (a run never wraps, so it can never exceed it).
-                    let mut span = 0usize;
-                    run.clear();
-                    for it2 in &items[posted..] {
-                        if !eager_ok(it2.len) {
-                            break;
-                        }
-                        let s = eager::frame_span(it2.len);
-                        if span + s > self.ring_bytes {
-                            break;
-                        }
-                        span += s;
-                        run.push(RunFrame {
-                            kind: FrameKind::Put,
-                            rid: it2.remote_rid,
-                            dst: Some((dst.addr + it2.doff as u64, dst.rkey)),
-                            src: RunSrc::Region(it2.loff),
-                            len: it2.len,
-                            local_rid: Some(it2.local_rid),
-                        });
-                    }
-                    let want = run.len();
-                    for it2 in &items[posted..posted + want] {
-                        self.obs.op_post(
-                            it2.local_rid,
-                            peer,
-                            OpKind::PutEager,
-                            it2.len,
-                            self.clock.now(),
-                        );
-                    }
-                    let n = self.post_frame_run_locked(
-                        &conn,
-                        &mut tx,
-                        &run,
-                        Some(local.region()),
-                        &[],
-                    )?;
-                    for it2 in &items[posted..posted + n] {
-                        Stats::bump(&self.stats.puts_eager);
-                        Stats::add(&self.stats.bytes_put, it2.len as u64);
-                        self.tracer.record(
-                            self.clock.now(),
-                            TraceOp::PutEager,
-                            peer,
-                            it2.remote_rid,
-                            it2.len,
-                        );
-                    }
-                    posted += n;
-                    if n < want {
-                        break; // out of ring credits
-                    }
-                } else if self.cfg.imm_completions {
-                    self.obs.op_post(
-                        it.local_rid,
-                        peer,
-                        OpKind::PutDirect,
-                        it.len,
-                        self.clock.now(),
-                    );
-                    let wr_id = self.wr_table.insert(it.local_rid, peer);
-                    let wr = SendWr::new(
-                        wr_id,
-                        WrOp::Write {
-                            local: MrSlice::new(local.region(), it.loff, it.len),
-                            remote: RemoteSlice::from_key(dst, it.doff, it.len),
-                            imm: Some(it.remote_rid),
-                        },
-                    );
-                    if let Err(e) = self.nic.post_send(conn.qp, wr, self.clock.now()) {
-                        self.wr_table.remove(wr_id);
-                        return Err(e.into());
-                    }
-                    Stats::bump(&self.stats.puts_direct);
-                    Stats::add(&self.stats.bytes_put, it.len as u64);
-                    self.tracer.record(
-                        self.clock.now(),
-                        TraceOp::PutDirect,
-                        peer,
-                        it.remote_rid,
-                        it.len,
-                    );
-                    posted += 1;
-                } else {
-                    self.obs.op_post(
-                        it.local_rid,
-                        peer,
-                        OpKind::PutDirect,
-                        it.len,
-                        self.clock.now(),
-                    );
-                    let ok = self.try_post_entry_locked(
-                        &conn,
-                        &mut tx,
-                        EntryKind::Completion,
-                        it.remote_rid,
-                        it.len as u64,
-                        0,
-                        0,
-                        Some((
-                            MrSlice::new(local.region(), it.loff, it.len),
-                            RemoteSlice::from_key(dst, it.doff, it.len),
-                            it.local_rid,
-                        )),
-                    )?;
-                    if !ok {
-                        break; // out of ledger credits
-                    }
-                    Stats::bump(&self.stats.puts_direct);
-                    Stats::add(&self.stats.bytes_put, it.len as u64);
-                    self.tracer.record(
-                        self.clock.now(),
-                        TraceOp::PutDirect,
-                        peer,
-                        it.remote_rid,
-                        it.len,
-                    );
-                    posted += 1;
-                }
-            }
-            tx.run = run;
-            Ok(posted)
-        })();
-        self.fail_post(&conn, res)
-    }
-
-    /// Doorbell-batched [`Photon::send`]: deliver every payload to `peer` as
-    /// its own eager `Msg` frame (each surfacing `remote_rid` with its
-    /// payload), coalesced into as few wire writes as the ring allows.
-    /// Blocks on credit exhaustion.
-    pub fn send_many(&self, peer: Rank, payloads: &[Vec<u8>], remote_rid: u64) -> Result<()> {
-        let mut done = 0usize;
-        self.blocking("send_many credits", |s| {
-            done += s.try_send_many(peer, &payloads[done..], remote_rid)?;
-            Ok((done == payloads.len()).then_some(()))
-        })
-    }
-
-    /// Non-blocking [`Photon::send_many`]: posts the longest prefix the
-    /// credits allow, returns how many payloads were posted.
-    pub fn try_send_many(
-        &self,
-        peer: Rank,
-        payloads: &[Vec<u8>],
-        remote_rid: u64,
-    ) -> Result<usize> {
-        self.check_rank(peer)?;
-        for p in payloads {
-            if p.len() > self.cfg.max_eager_payload() {
-                return Err(PhotonError::MessageTooLarge {
-                    len: p.len(),
-                    max: self.cfg.max_eager_payload(),
-                });
-            }
-        }
-        if payloads.is_empty() {
-            return Ok(0);
-        }
-        let Some(conn) = self.gated_conn(peer)? else {
-            return Ok(0);
-        };
-        let res = (|| {
-            let mut posted = 0usize;
-            let mut tx = conn.tx.lock();
-            let mut run = std::mem::take(&mut tx.run);
-            while posted < payloads.len() {
-                let mut span = 0usize;
-                run.clear();
-                for (i, p) in payloads[posted..].iter().enumerate() {
-                    let s = eager::frame_span(p.len());
-                    if span + s > self.ring_bytes {
-                        break;
-                    }
-                    span += s;
-                    run.push(RunFrame {
-                        kind: FrameKind::Msg,
-                        rid: remote_rid,
-                        dst: None,
-                        src: RunSrc::Payload(posted + i),
-                        len: p.len(),
-                        local_rid: None,
-                    });
-                }
-                let want = run.len();
-                let n = self.post_frame_run_locked(&conn, &mut tx, &run, None, payloads)?;
-                for p in &payloads[posted..posted + n] {
-                    Stats::bump(&self.stats.sends);
-                    self.tracer.record(self.clock.now(), TraceOp::Send, peer, remote_rid, p.len());
-                }
-                posted += n;
-                if n < want {
-                    break;
-                }
-            }
-            tx.run = run;
-            Ok(posted)
-        })();
-        self.fail_post(&conn, res)
-    }
-
-    /// One-sided put with local completion only (`photon_post_os_put`):
-    /// the peer is not notified.
-    #[allow(clippy::too_many_arguments)]
-    pub fn put(
-        &self,
-        peer: Rank,
-        local: &PhotonBuffer,
-        loff: usize,
-        len: usize,
-        dst: &BufferDescriptor,
-        doff: usize,
-        local_rid: u64,
-    ) -> Result<()> {
-        self.check_rank(peer)?;
-        local.check(loff, len)?;
-        if doff + len > dst.len {
-            return Err(PhotonError::OutOfRange { offset: doff, len, cap: dst.len });
-        }
-        // Direct RDMA has no credit gate to ride through the health machine:
-        // settle it here before consuming a work-request slot.
-        let conn = self.gate_blocking(peer)?;
-        self.obs.op_post(local_rid, peer, OpKind::Put, len, self.clock.now());
-        let wr_id = self.wr_table.insert(local_rid, peer);
-        let wr = SendWr::new(
-            wr_id,
-            WrOp::Write {
-                local: MrSlice::new(local.region(), loff, len),
-                remote: RemoteSlice::from_key(dst, doff, len),
-                imm: None,
-            },
-        );
-        if let Err(e) = self.nic.post_send(conn.qp, wr, self.clock.now()) {
-            self.wr_table.remove(wr_id);
-            return self.fail_post(&conn, Err(e.into()));
-        }
-        Stats::bump(&self.stats.puts_direct);
-        Stats::add(&self.stats.bytes_put, len as u64);
-        self.tracer.record(self.clock.now(), TraceOp::Put, peer, local_rid, len);
-        Ok(())
-    }
-
-    /// One-sided get with local completion (`photon_get_with_completion`):
-    /// fetches `len` bytes from `src[soff..]` on `peer` into
-    /// `local[loff..]`; `local_rid` is surfaced when the data has landed.
-    #[allow(clippy::too_many_arguments)]
-    pub fn get_with_completion(
-        &self,
-        peer: Rank,
-        local: &PhotonBuffer,
-        loff: usize,
-        len: usize,
-        src: &BufferDescriptor,
-        soff: usize,
-        local_rid: u64,
-    ) -> Result<()> {
-        self.check_rank(peer)?;
-        local.check(loff, len)?;
-        if soff + len > src.len {
-            return Err(PhotonError::OutOfRange { offset: soff, len, cap: src.len });
-        }
-        let conn = self.gate_blocking(peer)?;
-        self.obs.op_post(local_rid, peer, OpKind::Get, len, self.clock.now());
-        let wr_id = self.wr_table.insert(local_rid, peer);
-        let wr = SendWr::new(
-            wr_id,
-            WrOp::Read {
-                local: MrSlice::new(local.region(), loff, len),
-                remote: RemoteSlice::from_key(src, soff, len),
-            },
-        );
-        if let Err(e) = self.nic.post_send(conn.qp, wr, self.clock.now()) {
-            self.wr_table.remove(wr_id);
-            return self.fail_post(&conn, Err(e.into()));
-        }
-        Stats::bump(&self.stats.gets);
-        Stats::add(&self.stats.bytes_got, len as u64);
-        self.tracer.record(self.clock.now(), TraceOp::Get, peer, local_rid, len);
-        Ok(())
-    }
-
-    /// Doorbell-batched [`Photon::get_with_completion`]: post every read in
-    /// `items` toward `peer` with **one** doorbell and one signaled CQE.
-    /// On a reliable-connected QP reads retire in posting order, so the
-    /// final read's CQE means every earlier read's data has landed too: the
-    /// one CQE fans out into `items.len()` local completions through the
-    /// same side table the batched put path uses. Each item's `local_rid`
-    /// therefore surfaces when the *batch* completes — items that need
-    /// independent completion latitude should use single gets.
-    pub fn get_many(
-        &self,
-        peer: Rank,
-        local: &PhotonBuffer,
-        src: &BufferDescriptor,
-        items: &[GetManyItem],
-    ) -> Result<()> {
-        self.check_rank(peer)?;
-        for it in items {
-            local.check(it.loff, it.len)?;
-            if it.soff + it.len > src.len {
-                return Err(PhotonError::OutOfRange { offset: it.soff, len: it.len, cap: src.len });
-            }
-        }
-        if items.is_empty() {
-            return Ok(());
-        }
-        let conn = self.gate_blocking(peer)?;
-        let now = self.clock.now();
-        let mut rids = self.take_rid_vec();
-        rids.extend(items.iter().map(|it| it.local_rid));
-        // Register the fan-out side table *before* posting: once the
-        // doorbell rings, a progress thread may harvest the CQE immediately.
-        let wr_id = self.wr_table.insert(BATCH_RID, peer);
-        self.batch_rids.lock().insert(wr_id, rids);
-        let mut wrs = Vec::with_capacity(items.len());
-        for (i, it) in items.iter().enumerate() {
-            self.obs.op_post(it.local_rid, peer, OpKind::Get, it.len, now);
-            let op = WrOp::Read {
-                local: MrSlice::new(local.region(), it.loff, it.len),
-                remote: RemoteSlice::from_key(src, it.soff, it.len),
-            };
-            // Only the run's last read is signaled; it carries the batch id.
-            wrs.push(if i + 1 == items.len() {
-                SendWr::new(wr_id, op)
-            } else {
-                SendWr::unsignaled(op)
-            });
-        }
-        if let Err(e) = self.nic.post_send_many(conn.qp, &wrs, now) {
-            self.wr_table.remove(wr_id);
-            if let Some(rids) = self.batch_rids.lock().remove(&wr_id) {
-                self.give_rid_vec(rids);
-            }
-            return self.fail_post(&conn, Err(e.into()));
-        }
-        for it in items {
-            Stats::bump(&self.stats.gets);
-            Stats::add(&self.stats.bytes_got, it.len as u64);
-            self.tracer.record(now, TraceOp::Get, peer, it.local_rid, it.len);
-        }
-        Ok(())
-    }
-
-    /// [`Photon::get_with_completion`] plus a remote notification: `peer`
-    /// also receives `remote_rid` (so it can, e.g., recycle the source).
-    #[allow(clippy::too_many_arguments)]
-    pub fn get_with_remote_notify(
-        &self,
-        peer: Rank,
-        local: &PhotonBuffer,
-        loff: usize,
-        len: usize,
-        src: &BufferDescriptor,
-        soff: usize,
-        local_rid: u64,
-        remote_rid: u64,
-    ) -> Result<()> {
-        self.get_with_completion(peer, local, loff, len, src, soff, local_rid)?;
-        self.blocking("gwc notify credits", |s| {
-            s.try_post_entry(peer, EntryKind::GetNotify, remote_rid, len as u64, 0, 0, None)
-                .map(|p| p.then_some(()))
-        })
-    }
-
-    /// Destination-less message (`photon_send` analogue): the payload is
-    /// delivered to `peer` through its probe loop. This is the parcel /
-    /// active-message primitive. Blocks on credit exhaustion.
-    pub fn send(&self, peer: Rank, payload: &[u8], remote_rid: u64) -> Result<()> {
-        debug_assert!(
-            !rid_space::is_reserved(remote_rid),
-            "user rids must stay below the reserved namespace"
-        );
-        self.send_internal(peer, payload, remote_rid, None)
-    }
-
-    /// [`Photon::send`] that also surfaces `local_rid` when the payload has
-    /// been injected (source slice reusable).
-    pub fn send_with_local(
-        &self,
-        peer: Rank,
-        payload: &[u8],
-        remote_rid: u64,
-        local_rid: u64,
-    ) -> Result<()> {
-        self.send_internal(peer, payload, remote_rid, Some(local_rid))
-    }
-
-    /// Non-blocking send: `Ok(false)` when out of ring credits.
-    pub fn try_send(&self, peer: Rank, payload: &[u8], remote_rid: u64) -> Result<bool> {
-        self.check_rank(peer)?;
-        if payload.len() > self.cfg.max_eager_payload() {
-            return Err(PhotonError::MessageTooLarge {
-                len: payload.len(),
-                max: self.cfg.max_eager_payload(),
-            });
-        }
-        let posted = self.try_send_frame(
-            peer,
-            FrameKind::Msg,
-            remote_rid,
-            FrameSrc::Bytes(payload),
-            payload.len(),
-            None,
-            None,
-        )?;
-        if posted {
-            Stats::bump(&self.stats.sends);
-            self.tracer.record(self.clock.now(), TraceOp::Send, peer, remote_rid, payload.len());
-        }
-        Ok(posted)
-    }
-
-    pub(crate) fn send_internal(
-        &self,
-        peer: Rank,
-        payload: &[u8],
-        remote_rid: u64,
-        local_rid: Option<u64>,
-    ) -> Result<()> {
-        self.check_rank(peer)?;
-        if payload.len() > self.cfg.max_eager_payload() {
-            return Err(PhotonError::MessageTooLarge {
-                len: payload.len(),
-                max: self.cfg.max_eager_payload(),
-            });
-        }
-        self.blocking("send credits", |s| {
-            if let Some(rid) = local_rid {
-                s.obs.op_post(rid, peer, OpKind::Send, payload.len(), s.clock.now());
-            }
-            let posted = s.try_send_frame(
-                peer,
-                FrameKind::Msg,
-                remote_rid,
-                FrameSrc::Bytes(payload),
-                payload.len(),
-                None,
-                local_rid,
-            )?;
-            if posted {
-                Stats::bump(&s.stats.sends);
-                s.tracer.record(s.clock.now(), TraceOp::Send, peer, remote_rid, payload.len());
-            }
-            Ok(posted.then_some(()))
-        })
-    }
-
-    // ------------------------------------------------------------- probing
-
-    /// Advance the engine: harvest fabric completions and scan all peers'
-    /// ledgers and eager rings, routing what is found.
-    ///
-    /// The entire pass is gated on one atomic flag: when another thread is
-    /// mid-pass this call is a no-op, because the active pass harvests
-    /// everything pending (including this caller's completions) and every
-    /// progress caller either spins (blocking loops) or retries by contract
-    /// (the polling probe APIs). Convoying all spinning waiters through the
-    /// CQ locks and per-peer region reads costs far more than the skipped
-    /// pass is worth — a pass over idle queues is pure coherence traffic.
-    pub fn progress(&self) -> Result<()> {
-        if self
-            .progress_gate
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            return Ok(());
-        }
-        let res = self.progress_pass();
-        self.progress_gate.store(false, Ordering::Release);
-        res.map(|_| ())
-    }
-
-    // --------------------------------------------------- progress threads
-
-    /// Mark this context as served by dedicated progress threads; while
-    /// set, probe paths with events already queued become pure consumers
-    /// (see [`Photon::progress_for_probe`]). Set and cleared by the
-    /// [`crate::progress::ProgressEngine`].
-    pub(crate) fn set_threads_active(&self, active: bool) {
-        self.threads_active.store(active, Ordering::Release);
-    }
-
-    /// One sharded progress pass, run by dedicated progress thread `shard`
-    /// of `nshards`: thread 0 additionally harvests the completion queues,
-    /// and every thread polls the peers hashed to it (Fibonacci multiply,
-    /// like the completion engine's rid sharding — so the peer→thread map
-    /// is stable and disjoint). Returns the amount of work moved, the
-    /// thread's idle-backoff signal. Errors are swallowed into the
-    /// `progress_thread_errors` counter: the op that hit the error still
-    /// resolves through the health machine and its caller's own wait, and
-    /// a progress thread must keep serving the surviving peers.
-    pub(crate) fn progress_shard(
-        &self,
-        shard: usize,
-        nshards: usize,
-        scratch: &mut Vec<Cqe>,
-        conns: &mut Vec<Arc<Conn>>,
-    ) -> usize {
-        let mut work = 0usize;
-        if shard == 0 {
-            scratch.clear();
-            if self.nic.poll_send_cq_into(CQ_HARVEST_BATCH, scratch) > 0 {
-                work += self.retire_send_cqes(scratch);
-            }
-            if self.cfg.imm_completions {
-                scratch.clear();
-                if self.nic.poll_recv_cq_into(CQ_HARVEST_BATCH, scratch) > 0 {
-                    work += self.retire_recv_cqes(scratch);
-                }
-            }
-        }
-        self.snapshot_conns(conns);
-        for conn in conns.iter() {
-            if Self::peer_shard(conn.peer, nshards) != shard {
-                continue;
-            }
-            match self.poll_peer(conn) {
-                Ok(n) => work += n,
-                Err(_) => Stats::bump(&self.stats.progress_thread_errors),
-            }
-        }
-        work
-    }
-
-    /// Fill `out` with a snapshot of the live connections, sorted by peer
-    /// rank: progress passes only touch peers we have actually spoken to
-    /// (the lazy cache's whole point), and the stable order keeps the
-    /// single-threaded simulator deterministic.
-    fn snapshot_conns(&self, out: &mut Vec<Arc<Conn>>) {
-        out.clear();
-        out.extend(self.conns.read().values().cloned());
-        out.sort_unstable_by_key(|c| c.peer);
-    }
-
-    /// Peer → progress-thread assignment.
-    pub(crate) fn peer_shard(peer: Rank, nshards: usize) -> usize {
-        (((peer as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % nshards
-    }
-
-    /// Retire a harvested slice of send CQEs into local events. Retiring a
-    /// CQE is one sharded-slab lookup; a stale or unsignaled wr_id simply
-    /// misses. Exactly-once is guaranteed by the table's generation check,
-    /// not by a global lock pairing, so inline callers and dedicated
-    /// progress threads can retire concurrently. Returns how many CQEs
-    /// matched a tracked work request.
-    fn retire_send_cqes(&self, cqes: &[Cqe]) -> usize {
-        let mut retired = 0usize;
-        for c in cqes {
-            if let Some((rid, peer)) = self.wr_table.remove(c.wr_id) {
-                retired += 1;
-                if rid == BATCH_RID {
-                    // One CQE for a doorbell batch: every frame's source
-                    // became reusable when the run was staged, so all
-                    // its local rids surface at the batch's delivery.
-                    if let Some(rids) = self.batch_rids.lock().remove(&c.wr_id) {
-                        if self.obs.is_enabled() {
-                            for &r in &rids {
-                                self.obs.op_inject(r, c.ts);
-                            }
-                        }
-                        self.local_events.push_many(&rids, peer, c.ts, c.status);
-                        Stats::add(&self.stats.local_completions, rids.len() as u64);
-                        self.give_rid_vec(rids);
-                    }
-                } else {
-                    self.obs.op_inject(rid, c.ts);
-                    self.local_events.push(rid, peer, c.ts, c.status);
-                    Stats::bump(&self.stats.local_completions);
-                }
-            }
-        }
-        retired
-    }
-
-    /// Route a harvested slice of recv CQEs (immediate-data completions)
-    /// into remote events. Returns how many were routed.
-    fn retire_recv_cqes(&self, cqes: &[Cqe]) -> usize {
-        let mut routed = 0usize;
-        for c in cqes {
-            if let photon_fabric::verbs::CompletionKind::ImmDone { src, len, imm } = c.kind {
-                routed += 1;
-                Stats::bump(&self.stats.remote_completions);
-                if rid_space::is_reserved(imm) {
-                    self.coll_inbox.lock().entry(imm).or_default().push_back((
-                        src,
-                        Vec::new(),
-                        c.ts,
-                    ));
-                } else {
-                    self.obs.op_deliver(src, imm, OpKind::PutDirect, len, c.ts);
-                    self.remote_events.push(RemoteEvent {
-                        src,
-                        rid: imm,
-                        size: len,
-                        payload: None,
-                        ts: c.ts,
-                        status: WcStatus::Success,
-                    });
-                }
-            }
-        }
-        routed
-    }
-
-    /// Retire every send CQE currently in the queue into local events,
-    /// harvesting through the recycled scratch buffer (no per-pass heap
-    /// allocation). Returns how many CQEs matched a tracked work request.
-    fn harvest_send_cq(&self) -> usize {
-        let mut buf = self.cq_scratch.lock();
-        buf.clear();
-        if self.nic.poll_send_cq_into(CQ_HARVEST_BATCH, &mut buf) == 0 {
-            return 0;
-        }
-        self.retire_send_cqes(&buf)
-    }
-
-    fn progress_pass(&self) -> Result<usize> {
-        let mut work = self.harvest_send_cq();
-        if self.cfg.imm_completions {
-            let routed = {
-                let mut buf = self.cq_scratch.lock();
-                buf.clear();
-                if self.nic.poll_recv_cq_into(CQ_HARVEST_BATCH, &mut buf) > 0 {
-                    self.retire_recv_cqes(&buf)
-                } else {
-                    0
-                }
-            };
-            work += routed;
-        }
-        // The scratch mutex is uncontended here: progress_pass is
-        // single-flight behind progress_gate, and the dedicated progress
-        // threads carry their own per-thread snapshot buffers.
-        let mut conns = self.conn_scratch.lock();
-        self.snapshot_conns(&mut conns);
-        for conn in conns.iter() {
-            work += self.poll_peer(conn)?;
-        }
-        Ok(work)
-    }
-
-    /// Scan one peer's completion ledger and eager ring, routing everything
-    /// pending. Returns the number of entries/frames routed (the progress
-    /// threads' idle-backoff signal).
-    fn poll_peer(&self, conn: &Arc<Conn>) -> Result<usize> {
-        let j = conn.peer;
-        // If another thread is already polling this peer, usually skip: the
-        // holder harvests everything pending, and every caller of progress()
-        // either re-polls on its next spin (blocking loops) or is a polling
-        // API the caller retries by contract. Waiting here would convoy all
-        // progress threads behind one receive lock. The skip is *bounded*,
-        // though: under dedicated progress threads a persistently contended
-        // lock could otherwise starve the peer's service entirely, so after
-        // `RX_SKIP_LIMIT` consecutive skips the caller blocks and takes a
-        // turn (pinned by `bounded_rx_skip_forces_a_blocking_lock`).
-        let mut rx = match conn.rx.try_lock() {
-            Some(g) => {
-                conn.rx_skips.store(0, Ordering::Relaxed);
-                g
-            }
-            None => {
-                if conn.rx_skips.fetch_add(1, Ordering::Relaxed) + 1 < RX_SKIP_LIMIT {
-                    Stats::bump(&self.stats.rx_lock_skips);
-                    return Ok(0);
-                }
-                conn.rx_skips.store(0, Ordering::Relaxed);
-                Stats::bump(&self.stats.rx_lock_waits);
-                conn.rx.lock()
-            }
-        };
-        let mut routed = 0usize;
-        // Credit returns are *coalesced* across the whole pass: every time
-        // an interval fires we capture the latest `(consumed, cursor)` pair,
-        // but only the final capture is written. The end state the producer
-        // sees is identical to writing at every firing (each capture
-        // dominates its predecessors), with one RDMA write per peer per
-        // pass instead of one per interval.
-        let mut credit: Option<(u64, u64)> = None;
-        // Completion-ledger entries. Routing happens *under* the per-peer
-        // receive lock (held across the whole pass): cursor advance and
-        // event delivery must be atomic, or two concurrently probing threads
-        // could publish a peer's events out of order (and mis-order
-        // eager-put copy-outs).
-        loop {
-            let n = conn.svc.with_bytes(|b| {
-                let rx = &mut *rx;
-                let mut n = 0usize;
-                loop {
-                    let off = rx.ledger.head_offset();
-                    let Some(e) = rx.ledger.accept(&b[off..off + ENTRY_BYTES]) else { break };
-                    self.route_entry(j, e, &mut rx.ev_scratch);
-                    n += 1;
-                }
-                n
-            });
-            if n == 0 {
-                break;
-            }
-            routed += n;
-            // `credit_due` is a stateful threshold check against the total
-            // consumed count, so one check per drained batch fires iff a
-            // per-entry check would have fired somewhere inside it — and
-            // captures an even fresher cursor.
-            if rx.ledger.credit_due().is_some() {
-                credit = Some((rx.ledger.consumed(), rx.ring.cursor()));
-            }
-        }
-        // Eager frames, same discipline. Frames are routed *inside* the
-        // service-region read closure so put payloads copy straight from
-        // the ring to their destination region with no intermediate heap
-        // buffer (svc.read → dst.write never nests the same lock: the one
-        // degenerate case — a put targeting the service region itself — is
-        // deferred and staged through a copy below).
-        let svc_rkey = conn.svc.remote_key().rkey;
-        let rbase = self.ledger_bytes;
-        // One-entry destination-resolve cache for the pass: doorbell-batched
-        // puts land as runs of frames aimed at the same rkey, and the MR
-        // table lookup (map lock + hash + handle clone + bounds) was the
-        // single largest per-frame cost. Generation-checked, so a racing
-        // deregistration invalidates it exactly like a fresh resolve would.
-        let mut mr_cache: MrCache = None;
-        loop {
-            let mut deferred: Option<(EagerFrame, usize)> = None;
-            let mut err: Option<PhotonError> = None;
-            // The service-region read lock is held across the whole drained
-            // batch, not re-taken per frame; routing stays inside it so put
-            // payloads copy straight from the ring to their destination
-            // region with no intermediate heap buffer (svc.read → dst.write
-            // never nests the same lock: the one degenerate case — a put
-            // targeting the service region itself — is deferred and staged
-            // through a copy below).
-            let got = conn.svc.with_bytes(|b| {
-                let rx = &mut *rx;
-                let ring = &b[rbase..rbase + self.ring_bytes];
-                let mut n = 0usize;
-                while let Some(f) = rx.ring.accept(ring) {
-                    n += 1;
-                    let take = f.header.size as usize;
-                    let pay: &[u8] = if f.header.kind != FrameKind::Skip && take > 0 {
-                        &ring[f.payload_offset..f.payload_offset + take]
-                    } else {
-                        &[]
-                    };
-                    if f.header.kind == FrameKind::Put && f.header.dst_rkey == svc_rkey {
-                        // A put whose destination *is* the service region:
-                        // copying out under the read lock would nest it.
-                        // Remember the payload's region-absolute offset and
-                        // finish after the lock drops — the rx guard (held
-                        // until the credit return below) keeps the ring slot
-                        // from being overwritten in the meantime.
-                        let src_off = rbase + f.payload_offset;
-                        deferred = Some((f, src_off));
-                        break;
-                    }
-                    if f.header.kind == FrameKind::Put && !pay.is_empty() {
-                        Stats::bump(&self.stats.stage_copies_avoided);
-                    }
-                    if let Err(e) = self.route_frame(j, f, pay, &mut mr_cache, &mut rx.ev_scratch) {
-                        err = Some(e);
-                        break;
-                    }
-                }
-                n
-            });
-            if got == 0 {
-                break;
-            }
-            routed += got;
-            if let Some(e) = err {
-                // Publish whatever routed cleanly before surfacing the
-                // error; staged events must not sit in the scratch while
-                // the caller sees the pass as failed.
-                self.remote_events.push_drain(j, &mut rx.ev_scratch);
-                return Err(e);
-            }
-            if let Some((f, src_off)) = deferred {
-                // In-place ring → destination move inside the one region,
-                // no intermediate heap buffer (ranges may overlap).
-                let h = f.header;
-                let take = h.size as usize;
-                let (mr, off) =
-                    self.resolve_write_cached(&mut mr_cache, h.dst_addr, h.dst_rkey, take)?;
-                mr.with_bytes_mut(|b| b.copy_within(src_off..src_off + take, off));
-                self.clock.advance_to(VTime(h.ts));
-                let done = self.clock.advance(self.copy_ns(take));
-                Stats::bump(&self.stats.remote_completions);
-                if take > 0 {
-                    Stats::bump(&self.stats.stage_copies_avoided);
-                }
-                if rid_space::is_reserved(h.rid) {
-                    self.coll_inbox.lock().entry(h.rid).or_default().push_back((
-                        j,
-                        Vec::new(),
-                        done,
-                    ));
-                } else {
-                    self.obs.op_deliver(j, h.rid, OpKind::PutEager, take, done);
-                    rx.ev_scratch.push(RemoteEvent {
-                        src: j,
-                        rid: h.rid,
-                        size: take,
-                        payload: None,
-                        ts: done,
-                        status: WcStatus::Success,
-                    });
-                }
-            }
-            if rx.ring.credit_due().is_some() {
-                credit = Some((rx.ledger.consumed(), rx.ring.cursor()));
-            }
-        }
-        // Publish the pass's staged events — ledger entries first, frames
-        // after, exactly the order they were routed — in one locked append
-        // per peer instead of one lock per event.
-        self.remote_events.push_drain(j, &mut rx.ev_scratch);
-        // The credit write happens while the receive lock is still held:
-        // the words are *absolute* counters, so two writers racing (a
-        // progress thread and an inline help-pumper) could publish a stale
-        // pair after a newer one, silently re-crediting consumed slots to
-        // the producer. Serializing through the rx guard makes each peer's
-        // credit stream monotone. Lock order stays acyclic: the write path
-        // takes only the stage/MR locks, which are never held around an rx
-        // acquisition.
-        if let Some((lc, rc)) = credit {
-            self.return_credits(conn, lc, rc)?;
-        }
-        drop(rx);
-        Ok(routed)
-    }
-
-    /// [`MrTable::resolve`] for `REMOTE_WRITE`, memoized through a one-entry
-    /// `(rkey, generation, region)` cache. A hit skips the table's map lock
-    /// and hash probe entirely; any deregistration bumps the table
-    /// generation and forces a full (re-validating) resolve.
-    fn resolve_write_cached<'c>(
-        &self,
-        cache: &'c mut MrCache,
-        addr: u64,
-        rkey: u32,
-        len: usize,
-    ) -> Result<(&'c MemoryRegion, usize)> {
-        let mrs = self.nic.mrs();
-        let gen = mrs.generation();
-        // A hit hands back a borrow of the cached handle — no Arc clone
-        // per frame, the region reference lives as long as the pass.
-        let hit = match cache {
-            Some((ck, cgen, mr)) if *ck == rkey && *cgen == gen => {
-                let base = mr.base_addr();
-                addr >= base
-                    && ((addr - base) as usize).checked_add(len).is_some_and(|end| end <= mr.len())
-            }
-            _ => false,
-        };
-        if !hit {
-            let (mr, _) = mrs.resolve(addr, rkey, len, Access::REMOTE_WRITE)?;
-            *cache = Some((rkey, gen, mr));
-        }
-        let (_, _, mr) = cache.as_ref().expect("cache filled above");
-        Ok((mr, (addr - mr.base_addr()) as usize))
-    }
-
-    /// Route one completion-ledger entry. Remote events go to `sink` (the
-    /// drain pass's per-peer staging buffer), not straight to the event
-    /// queue — the caller publishes the whole run under one peer lock.
-    fn route_entry(&self, src: Rank, e: Entry, sink: &mut Vec<RemoteEvent>) {
-        let ts = VTime(e.ts);
-        match e.kind {
-            EntryKind::Completion | EntryKind::GetNotify => {
-                Stats::bump(&self.stats.remote_completions);
-                if rid_space::is_reserved(e.rid) {
-                    self.coll_inbox.lock().entry(e.rid).or_default().push_back((
-                        src,
-                        Vec::new(),
-                        ts,
-                    ));
-                } else {
-                    self.obs.op_deliver(src, e.rid, OpKind::PutDirect, e.size as usize, ts);
-                    sink.push(RemoteEvent {
-                        src,
-                        rid: e.rid,
-                        size: e.size as usize,
-                        payload: None,
-                        ts,
-                        status: WcStatus::Success,
-                    });
-                }
-            }
-            EntryKind::RdvPost => {
-                Stats::bump(&self.stats.rendezvous_ops);
-                self.rdv_announces.lock().insert(
-                    (src, e.rid),
-                    (RemoteKey { addr: e.addr, rkey: e.rkey, len: e.size as usize }, ts),
-                );
-            }
-            EntryKind::Fin => {
-                Stats::bump(&self.stats.rendezvous_ops);
-                self.rdv_fins.lock().insert((src, e.rid), ts);
-            }
-        }
-    }
-
-    /// Route one eager frame. Remote events go to `sink` (the drain pass's
-    /// per-peer staging buffer), not straight to the event queue — the
-    /// caller publishes the whole run under one peer lock.
-    fn route_frame(
-        &self,
-        src: Rank,
-        f: EagerFrame,
-        payload: &[u8],
-        mr_cache: &mut MrCache,
-        sink: &mut Vec<RemoteEvent>,
-    ) -> Result<()> {
-        let h = f.header;
-        let ts = VTime(h.ts);
-        match h.kind {
-            FrameKind::Skip => {}
-            FrameKind::Msg => {
-                // Msg payloads become owned event data (they outlive the
-                // ring slot); only Put frames get the in-place copy-out.
-                Stats::bump(&self.stats.remote_completions);
-                if rid_space::is_reserved(h.rid) {
-                    self.coll_inbox.lock().entry(h.rid).or_default().push_back((
-                        src,
-                        payload.to_vec(),
-                        ts,
-                    ));
-                } else {
-                    self.obs.op_deliver(src, h.rid, OpKind::Send, h.size as usize, ts);
-                    sink.push(RemoteEvent {
-                        src,
-                        rid: h.rid,
-                        size: h.size as usize,
-                        payload: Some(payload.to_vec()),
-                        ts,
-                        status: WcStatus::Success,
-                    });
-                }
-            }
-            FrameKind::Put => {
-                // Probe-time copy-out to the final destination.
-                let (mr, off) =
-                    self.resolve_write_cached(mr_cache, h.dst_addr, h.dst_rkey, h.size as usize)?;
-                mr.write_at(off, payload);
-                self.clock.advance_to(ts);
-                let done = self.clock.advance(self.copy_ns(payload.len()));
-                Stats::bump(&self.stats.remote_completions);
-                if rid_space::is_reserved(h.rid) {
-                    self.coll_inbox.lock().entry(h.rid).or_default().push_back((
-                        src,
-                        Vec::new(),
-                        done,
-                    ));
-                } else {
-                    self.obs.op_deliver(src, h.rid, OpKind::PutEager, h.size as usize, done);
-                    sink.push(RemoteEvent {
-                        src,
-                        rid: h.rid,
-                        size: h.size as usize,
-                        payload: None,
-                        ts: done,
-                        status: WcStatus::Success,
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Dequeue one event honoring `flags`. For `Any`, the starting class
-    /// alternates on every take, so sustained traffic of one class can delay
-    /// the other by at most one event — the old local-first drain starved
-    /// remote delivery indefinitely.
-    /// Dequeue one event matching `flags` in the consolidated
-    /// [`Completion`] shape; every dequeue path funnels through here, which
-    /// is also where the lifecycle spans get their `complete` stamp.
-    fn take_one_completion(&self, flags: ProbeFlags) -> Option<Completion> {
-        let local = |s: &Self| {
-            s.local_events
-                .pop_front()
-                .map(|(rid, peer, ts, status)| Completion::local(rid, peer, ts, status))
-        };
-        let remote = |s: &Self| s.remote_events.pop_any().map(Completion::from);
-        let got = match flags {
-            ProbeFlags::Local => local(self),
-            ProbeFlags::Remote => remote(self),
-            ProbeFlags::Any => {
-                if self.any_toggle.fetch_add(1, Ordering::Relaxed) & 1 == 0 {
-                    local(self).or_else(|| remote(self))
-                } else {
-                    remote(self).or_else(|| local(self))
-                }
-            }
-        };
-        if let Some(c) = &got {
-            match c.class {
-                CompletionClass::Local => self.obs.op_complete_local(c.rid, c.ts, c.status),
-                CompletionClass::Remote => {
-                    self.obs.op_complete_remote(c.peer, c.rid, c.ts, c.status)
-                }
-            }
-        }
-        got
-    }
-
-    /// Run progress ahead of a probe, amortized: when events matching
-    /// `flags` are already queued, only every 8th probe pays for a full
-    /// pass — the probe can be satisfied from the queue, and consecutive
-    /// single-event probes draining a backlog would otherwise spend most of
-    /// their time re-polling idle fabric queues. An empty queue always
-    /// progresses (that is the only way events appear).
-    fn progress_for_probe(&self, flags: ProbeFlags) -> Result<()> {
-        let queued = match flags {
-            ProbeFlags::Local => self.local_events.len() > 0,
-            ProbeFlags::Remote => self.remote_events.len() > 0,
-            ProbeFlags::Any => self.local_events.len() > 0 || self.remote_events.len() > 0,
-        };
-        if queued && self.threads_active.load(Ordering::Relaxed) {
-            // Dedicated progress threads are pumping: a probe with events
-            // already queued is a pure consumer and pays nothing at all.
-            return Ok(());
-        }
-        if !queued || self.probe_ticks.fetch_add(1, Ordering::Relaxed) & 7 == 0 {
-            self.progress()?;
-        }
-        Ok(())
-    }
-
-    /// Block until the local completion `rid` arrives; other events stay
-    /// queued. Returns the completion's virtual time, or
-    /// [`PhotonError::OpFailed`] when the operation completed with an error
-    /// status (its peer died or the path to it broke). The lookup is O(1)
-    /// per spin (indexed by rid), independent of queue depth.
-    pub fn wait_local(&self, rid: u64) -> Result<VTime> {
-        self.wait_local_inner(rid, Duration::from_secs(self.cfg.wait_timeout_secs))
-    }
-
-    /// [`Photon::wait_local`] with a caller-supplied deadline: reports
-    /// [`PhotonError::Timeout`] (carrying `rid`) when the completion does
-    /// not arrive in time, leaving the operation pending.
-    pub fn wait_local_for(&self, rid: u64, timeout: Duration) -> Result<VTime> {
-        self.wait_local_inner(rid, timeout)
-    }
-
-    fn wait_local_inner(&self, rid: u64, timeout: Duration) -> Result<VTime> {
-        // Consumer-first fast path: a completion already harvested — by a
-        // dedicated progress thread or an earlier pass — is taken with no
-        // progress work at all.
-        if let Some((ts, status)) = self.local_events.take_rid(rid) {
-            return self.finish_local(rid, ts, status);
-        }
-        // Optimistic inline pass: with synchronous fabric effects one pass
-        // usually harvests the completion, and a hit skips the claim locks.
-        self.progress()?;
-        if let Some((ts, status)) = self.local_events.take_rid(rid) {
-            return self.finish_local(rid, ts, status);
-        }
-        // Slow path: claim the rid while blocked so a concurrent
-        // `flush_local` leaves its event to us (see `flush_local`).
-        self.local_events.claim(rid);
-        let res = self.blocking_deadline("local completion", Some(rid), timeout, |s| {
-            Ok(s.local_events.take_rid(rid))
-        });
-        self.local_events.unclaim(rid);
-        let (ts, status) = res?;
-        self.finish_local(rid, ts, status)
-    }
-
-    /// Consume one harvested local completion: advance the clock, trace,
-    /// and surface an error status as [`PhotonError::OpFailed`].
-    fn finish_local(&self, rid: u64, ts: VTime, status: WcStatus) -> Result<VTime> {
-        self.clock.advance_to(ts);
-        self.obs.op_complete_local(rid, ts, status);
-        self.tracer.record(ts, TraceOp::LocalDone, self.rank, rid, 0);
-        if status.is_ok() {
-            Ok(ts)
-        } else {
-            Err(PhotonError::OpFailed { rid, status })
-        }
-    }
-
-    // ---------------------------------------- consolidated completion view
-
-    /// Probe for the next completion in the consolidated [`Completion`]
-    /// shape: one struct carrying rid, peer, timestamp, status, and class
-    /// for both local and remote completions. Non-blocking; `Ok(None)` when
-    /// nothing is pending (`photon_probe_completion`).
-    pub fn poll_completion(&self, flags: ProbeFlags) -> Result<Option<Completion>> {
-        Stats::bump(&self.stats.probes);
-        self.progress_for_probe(flags)?;
-        let c = self.take_one_completion(flags);
-        if let Some(c) = &c {
-            self.clock.advance_to(c.ts);
-            self.trace_completion(c);
-        }
-        Ok(c)
-    }
-
-    /// Batch [`Photon::poll_completion`]: run progress once, then drain up
-    /// to `max` completions matching `flags` into `out` (appended; the
-    /// caller's buffer is not cleared). Returns how many were delivered.
-    ///
-    /// One progress pass and a handful of shard-lock acquisitions amortize
-    /// across the whole batch, which is what a runtime progress thread
-    /// wants under load; `Any` interleaves local and remote events fairly
-    /// within the batch.
-    pub fn poll_completions(
-        &self,
-        flags: ProbeFlags,
-        out: &mut Vec<Completion>,
-        max: usize,
-    ) -> Result<usize> {
-        Stats::bump(&self.stats.probes);
-        Stats::bump(&self.stats.probe_batches);
-        self.progress_for_probe(flags)?;
-        if matches!(flags, ProbeFlags::Local) {
-            // Local-only drains (the runtime's completion-reap shape) take
-            // the batched queue path: one shard lock per run instead of one
-            // per event, with the clock advanced once to the batch maximum
-            // (`advance_to` is a running max, so order is immaterial).
-            let mut latest = VTime(0);
-            let got = self.local_events.pop_front_batch(max, |rid, peer, ts, status| {
-                let c = Completion::local(rid, peer, ts, status);
-                self.obs.op_complete_local(rid, ts, status);
-                latest = latest.max(ts);
-                self.trace_completion(&c);
-                out.push(c);
-            });
-            if got > 0 {
-                self.clock.advance_to(latest);
-            }
-            return Ok(got);
-        }
-        let mut got = 0;
-        while got < max {
-            let Some(c) = self.take_one_completion(flags) else { break };
-            self.clock.advance_to(c.ts);
-            self.trace_completion(&c);
-            out.push(c);
-            got += 1;
-        }
-        Ok(got)
-    }
-
-    /// Block until any completion arrives, in the consolidated
-    /// [`Completion`] shape (fair across classes).
-    pub fn wait_completion(&self) -> Result<Completion> {
-        self.wait_completion_for(Duration::from_secs(self.cfg.wait_timeout_secs))
-    }
-
-    /// [`Photon::wait_completion`] with a caller-supplied deadline: reports
-    /// [`PhotonError::Timeout`] when no completion arrives in time.
-    pub fn wait_completion_for(&self, timeout: Duration) -> Result<Completion> {
-        self.blocking_deadline("completion", None, timeout, |s| {
-            Ok(s.take_one_completion(ProbeFlags::Any))
-        })
-        .inspect(|c| {
-            self.clock.advance_to(c.ts);
-            self.trace_completion(c);
-        })
-    }
-
-    /// Block until a completion matching `flags` arrives. The class-aware
-    /// sibling of [`Photon::wait_completion`]: [`ProbeFlags::Remote`] is
-    /// the historical `wait_remote` (events of the other class stay
-    /// queued), [`ProbeFlags::Local`] blocks for the next initiator-side
-    /// completion regardless of rid.
-    pub fn wait_completion_matching(&self, flags: ProbeFlags) -> Result<Completion> {
-        let what = match flags {
-            ProbeFlags::Local => "local completion",
-            ProbeFlags::Remote => "remote completion",
-            ProbeFlags::Any => "completion",
-        };
-        let c = self.blocking(what, |s| Ok(s.take_one_completion(flags)))?;
-        self.clock.advance_to(c.ts);
-        self.trace_completion(&c);
-        Ok(c)
-    }
-
-    /// Block until a remote completion *from `src`* arrives, in the
-    /// consolidated [`Completion`] shape; events from other peers stay
-    /// queued (the per-proc probe of the original API). O(1) per spin: the
-    /// per-peer queue is popped directly, never scanned.
-    pub fn wait_completion_from(&self, src: Rank) -> Result<Completion> {
-        self.check_rank(src)?;
-        let ev =
-            self.blocking("remote completion from peer", |s| Ok(s.remote_events.pop_from(src)))?;
-        self.clock.advance_to(ev.ts);
-        self.obs.op_complete_remote(ev.src, ev.rid, ev.ts, ev.status);
-        self.tracer.record(ev.ts, TraceOp::RemoteDone, ev.src, ev.rid, ev.size);
-        Ok(Completion::from(ev))
-    }
-
-    fn trace_completion(&self, c: &Completion) {
-        if self.tracer.is_enabled() {
-            match c.class {
-                CompletionClass::Local => {
-                    self.tracer.record(c.ts, TraceOp::LocalDone, self.rank, c.rid, 0)
-                }
-                CompletionClass::Remote => {
-                    self.tracer.record(c.ts, TraceOp::RemoteDone, c.peer, c.rid, c.size)
-                }
-            }
-        }
-    }
-
-    /// Non-blocking check for the local completion `rid` (`photon_test`):
-    /// consumes and returns its timestamp when present; an error-status
-    /// completion surfaces as [`PhotonError::OpFailed`]. O(1) lookup.
-    pub fn test_local(&self, rid: u64) -> Result<Option<VTime>> {
-        // Consumer-first, like `wait_local`: an already-harvested
-        // completion costs one shard lookup and no progress pass.
-        if let Some((ts, status)) = self.local_events.take_rid(rid) {
-            return self.finish_local(rid, ts, status).map(Some);
-        }
-        self.progress()?;
-        match self.local_events.take_rid(rid) {
-            Some((ts, status)) => self.finish_local(rid, ts, status).map(Some),
-            None => Ok(None),
-        }
-    }
-
-    /// Block until every operation this context had initiated *at the time
-    /// of the call* has completed locally, consuming those completions'
-    /// events. This is the `photon_flush`-style quiesce used before reusing
-    /// or releasing many buffers at once.
-    ///
-    /// Two snapshots taken at entry bound what the flush touches:
-    ///
-    /// * **Completion** is tracked by `wr_id`: the flush returns once every
-    ///   work request pending at entry has been harvested from the send CQ,
-    ///   no matter which thread consumes the resulting events. Waiting on
-    ///   event *consumption* instead would deadlock whenever a concurrent
-    ///   `wait_local` legitimately eats one of them.
-    /// * **Consumption** is by the pending rids, and opportunistic: the
-    ///   flush drains their events as they appear, but skips any rid a
-    ///   concurrent `wait_local` has claimed — those events belong to their
-    ///   waiters (claim check and take share one queue-shard lock, so the
-    ///   flush can never win a check-then-take race against a waiter). The
-    ///   previous implementation cleared the whole shared queue on every
-    ///   spin, silently discarding completions concurrent waiters needed
-    ///   and stranding them until timeout.
-    pub fn flush_local(&self) -> Result<()> {
-        let mut wrs = self.wr_table.pending_wrs();
-        let mut owed = self.wr_table.pending_rids();
-        let sweep = |s: &Self, owed: &mut HashMap<u64, usize>| {
-            owed.retain(|rid, n| {
-                while *n > 0 {
-                    match s.local_events.take_rid_unclaimed(*rid) {
-                        // A flush quiesces: an error completion still means
-                        // the source buffer is final (flushed), so it counts.
-                        TakeOutcome::Taken(ts, status) => {
-                            s.clock.advance_to(ts);
-                            s.obs.op_complete_local(*rid, ts, status);
-                            *n -= 1;
-                        }
-                        TakeOutcome::Claimed => return false,
-                        TakeOutcome::Empty => break,
-                    }
-                }
-                *n > 0
-            });
-        };
-        self.blocking("local flush", |s| {
-            sweep(s, &mut owed);
-            wrs.retain(|&w| s.wr_table.contains(w));
-            Ok(wrs.is_empty().then_some(()))
-        })?;
-        // One mop-up pass: a harvester on another thread may have retired
-        // the final wr just before pushing its event.
-        self.progress()?;
-        sweep(self, &mut owed);
-        Ok(())
-    }
-
-    /// Block until a collective-namespace message with `rid` arrives.
-    pub(crate) fn wait_coll(&self, rid: u64) -> Result<(Rank, Vec<u8>, VTime)> {
-        let got = self.blocking("collective message", |s| {
-            Ok(s.coll_inbox.lock().get_mut(&rid).and_then(|q| q.pop_front()))
-        })?;
-        self.clock.advance_to(got.2);
-        Ok(got)
-    }
-
-    /// Spin, making progress, until `f` yields a value or the config-wide
-    /// deadline passes.
-    pub(crate) fn blocking<T>(
-        &self,
-        what: &'static str,
-        f: impl FnMut(&Self) -> Result<Option<T>>,
-    ) -> Result<T> {
-        self.blocking_deadline(what, None, Duration::from_secs(self.cfg.wait_timeout_secs), f)
-    }
-
-    /// [`Photon::blocking`] with an explicit deadline and optional rid
-    /// context for the [`PhotonError::Timeout`] it reports.
-    pub(crate) fn blocking_deadline<T>(
-        &self,
-        what: &'static str,
-        rid: Option<u64>,
-        timeout: Duration,
-        mut f: impl FnMut(&Self) -> Result<Option<T>>,
-    ) -> Result<T> {
-        let deadline = Instant::now() + timeout;
-        let mut spins: u32 = 0;
-        loop {
-            self.progress()?;
-            // The predicate is O(1) on the sharded engine; the progress pass
-            // is the expensive half of the spin. Re-check a few times per
-            // pass so a harvest by a concurrently progressing thread is
-            // picked up without paying for another full pass of our own.
-            for _ in 0..4 {
-                if let Some(v) = f(self)? {
-                    return Ok(v);
-                }
-                std::hint::spin_loop();
-            }
-            // A full pass plus rechecks came up empty: whatever this caller
-            // is waiting on must be produced by another thread (or will not
-            // arrive at all), so hand the core over instead of burning the
-            // rest of the quantum re-polling idle queues.
-            std::thread::yield_now();
-            spins = spins.wrapping_add(1);
-            if spins.is_multiple_of(16) && Instant::now() > deadline {
-                return Err(PhotonError::Timeout { what, rid });
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::rid_space;
+    use crate::{PhotonCluster, PhotonConfig, ProbeFlags};
+    use photon_fabric::NetworkModel;
 
     fn pair() -> PhotonCluster {
         PhotonCluster::new(2, NetworkModel::ib_fdr(), PhotonConfig::default())
-    }
-
-    #[test]
-    fn pwc_eager_roundtrip() {
-        let c = pair();
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        let src = p0.register_buffer(256).unwrap();
-        let dst = p1.register_buffer(256).unwrap();
-        src.write_at(0, b"eager path");
-        p0.put_with_completion(1, &src, 0, 10, &dst.descriptor(), 16, 7, 99).unwrap();
-        assert!(p0.wait_local(7).unwrap() > VTime::ZERO);
-        let ev = p1.wait_completion_matching(ProbeFlags::Remote).unwrap();
-        assert_eq!(ev.rid, 99);
-        assert_eq!(ev.peer, 0);
-        assert_eq!(ev.size, 10);
-        assert!(ev.payload.is_none(), "eager put copies out, no payload");
-        assert_eq!(dst.to_vec(16, 10), b"eager path");
-        assert_eq!(p0.stats().puts_eager, 1);
-        // Remote completion happens after wire latency.
-        assert!(ev.ts.as_nanos() >= 700);
-    }
-
-    #[test]
-    fn pwc_direct_roundtrip() {
-        let c = pair();
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        let len = 64 * 1024; // above the eager threshold
-        let src = p0.register_buffer(len).unwrap();
-        let dst = p1.register_buffer(len).unwrap();
-        src.fill(0xAB);
-        p0.put_with_completion(1, &src, 0, len, &dst.descriptor(), 0, 1, 2).unwrap();
-        p0.wait_local(1).unwrap();
-        let ev = p1.wait_completion_matching(ProbeFlags::Remote).unwrap();
-        assert_eq!(ev.rid, 2);
-        assert_eq!(ev.size, len);
-        assert_eq!(dst.to_vec(0, len), vec![0xAB; len]);
-        assert_eq!(p0.stats().puts_direct, 1);
-        assert_eq!(p0.stats().puts_eager, 0);
-    }
-
-    #[test]
-    fn get_with_completion_pulls() {
-        let c = pair();
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        let dst = p0.register_buffer(128).unwrap();
-        let src = p1.register_buffer(128).unwrap();
-        src.write_at(32, b"pull me");
-        p0.get_with_completion(1, &dst, 0, 7, &src.descriptor(), 32, 55).unwrap();
-        p0.wait_local(55).unwrap();
-        assert_eq!(dst.to_vec(0, 7), b"pull me");
-        assert_eq!(p0.stats().gets, 1);
-    }
-
-    #[test]
-    fn bounded_rx_skip_forces_a_blocking_lock() {
-        let c = pair();
-        let p0 = c.rank(0).clone();
-        // Hold peer 1's receive lock on another thread; every progress pass
-        // skips it (bounded), and once the budget runs out the pass blocks
-        // until the holder releases — the peer cannot be starved forever.
-        let conn = p0.conn(1).unwrap();
-        let holder = {
-            let conn = Arc::clone(&conn);
-            std::thread::spawn(move || {
-                let _rx = conn.rx.lock();
-                std::thread::sleep(Duration::from_millis(200));
-            })
-        };
-        // Wait until the holder owns the lock.
-        while conn.rx.try_lock().is_some() {
-            std::thread::yield_now();
-        }
-        for _ in 0..RX_SKIP_LIMIT - 1 {
-            p0.progress().unwrap();
-        }
-        let s = p0.stats();
-        assert_eq!(s.rx_lock_skips, (RX_SKIP_LIMIT - 1) as u64, "skips below the budget");
-        assert_eq!(s.rx_lock_waits, 0, "no forced wait yet");
-        // The budget is exhausted: the next pass blocks until the holder
-        // releases instead of skipping again.
-        p0.progress().unwrap();
-        holder.join().unwrap();
-        let s = p0.stats();
-        assert_eq!(s.rx_lock_waits, 1, "the 16th consecutive skip blocks instead");
-        assert_eq!(s.rx_lock_skips, (RX_SKIP_LIMIT - 1) as u64, "the wait is not a skip");
-        // A successful try_lock resets the budget: later passes skip-count
-        // from zero again instead of blocking immediately.
-        p0.progress().unwrap();
-        assert_eq!(p0.stats().rx_lock_waits, 1);
-    }
-
-    #[test]
-    fn get_many_batches_reads_behind_one_cqe() {
-        let c = pair();
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        let dst = p0.register_buffer(256).unwrap();
-        let src = p1.register_buffer(256).unwrap();
-        for i in 0..32u8 {
-            src.write_at(i as usize * 8, &[i; 8]);
-        }
-        let items: Vec<GetManyItem> = (0..32)
-            .map(|i| GetManyItem { loff: i * 8, len: 8, soff: i * 8, local_rid: 100 + i as u64 })
-            .collect();
-        p0.get_many(1, &dst, &src.descriptor(), &items).unwrap();
-        // One CQE fans out into every item's local completion, and the
-        // first rid's completion already implies all data landed (RC
-        // in-order retirement).
-        for it in &items {
-            p0.wait_local(it.local_rid).unwrap();
-        }
-        for i in 0..32u8 {
-            assert_eq!(dst.to_vec(i as usize * 8, 8), vec![i; 8]);
-        }
-        assert_eq!(p0.stats().gets, 32);
-        assert_eq!(p0.stats().local_completions, 32);
-    }
-
-    #[test]
-    fn get_many_validates_and_handles_empty() {
-        let c = pair();
-        let p0 = c.rank(0);
-        let dst = p0.register_buffer(16).unwrap();
-        let src = c.rank(1).register_buffer(16).unwrap();
-        p0.get_many(1, &dst, &src.descriptor(), &[]).unwrap();
-        let bad = [GetManyItem { loff: 0, len: 8, soff: 12, local_rid: 1 }];
-        assert!(matches!(
-            p0.get_many(1, &dst, &src.descriptor(), &bad),
-            Err(PhotonError::OutOfRange { .. })
-        ));
-        assert_eq!(p0.stats().gets, 0, "failed batch posts nothing");
-    }
-
-    #[test]
-    fn get_with_remote_notify_notifies() {
-        let c = pair();
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        let dst = p0.register_buffer(8).unwrap();
-        let src = p1.register_buffer(8).unwrap();
-        p0.get_with_remote_notify(1, &dst, 0, 8, &src.descriptor(), 0, 1, 77).unwrap();
-        p0.wait_local(1).unwrap();
-        let ev = p1.wait_completion_matching(ProbeFlags::Remote).unwrap();
-        assert_eq!(ev.rid, 77);
-    }
-
-    #[test]
-    fn send_delivers_payload() {
-        let c = pair();
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        p0.send(1, b"parcel bytes", 11).unwrap();
-        let ev = p1.wait_completion_matching(ProbeFlags::Remote).unwrap();
-        assert_eq!(ev.rid, 11);
-        assert_eq!(ev.payload.as_deref(), Some(&b"parcel bytes"[..]));
-        assert_eq!(p0.stats().sends, 1);
-    }
-
-    #[test]
-    fn many_sends_wrap_the_ring() {
-        let c = PhotonCluster::new(2, NetworkModel::ideal(), PhotonConfig::tiny());
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        // Far more traffic than the 512-byte ring holds: exercises credits,
-        // skips and wraparound. Consumer runs concurrently.
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for i in 0..500u64 {
-                    let payload = vec![i as u8; (i % 60) as usize];
-                    p0.send(1, &payload, i).unwrap();
-                }
-            });
-            s.spawn(|| {
-                for i in 0..500u64 {
-                    let ev = p1.wait_completion_matching(ProbeFlags::Remote).unwrap();
-                    assert_eq!(ev.rid, i, "in-order delivery");
-                    assert_eq!(ev.payload.unwrap(), vec![i as u8; (i % 60) as usize]);
-                }
-            });
-        });
-        assert!(p0.stats().credit_stalls > 0, "ring pressure was exercised");
-        assert!(p1.stats().credit_returns > 0);
-    }
-
-    #[test]
-    fn ledger_backpressure_direct_puts() {
-        let cfg = PhotonConfig { eager_threshold: 0, ..PhotonConfig::tiny() };
-        let c = PhotonCluster::new(2, NetworkModel::ideal(), cfg);
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        let src = p0.register_buffer(64).unwrap();
-        let dst = p1.register_buffer(64).unwrap();
-        // 8-slot ledger: the 9th un-probed direct put must report no space.
-        for i in 0..8 {
-            assert!(p0.try_put_with_completion(1, &src, 0, 8, &dst.descriptor(), 0, i, i).unwrap());
-        }
-        assert!(!p0.try_put_with_completion(1, &src, 0, 8, &dst.descriptor(), 0, 9, 9).unwrap());
-        assert!(p0.stats().credit_stalls > 0);
-        // Once the peer probes, credits come back.
-        for _ in 0..8 {
-            p1.wait_completion_matching(ProbeFlags::Remote).unwrap();
-        }
-        assert!(p0.try_put_with_completion(1, &src, 0, 8, &dst.descriptor(), 0, 9, 9).unwrap());
-    }
-
-    #[test]
-    fn plain_put_has_no_remote_event() {
-        let c = pair();
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        let src = p0.register_buffer(8).unwrap();
-        let dst = p1.register_buffer(8).unwrap();
-        src.write_u64(0, 31337);
-        p0.put(1, &src, 0, 8, &dst.descriptor(), 0, 4).unwrap();
-        p0.wait_local(4).unwrap();
-        assert_eq!(dst.read_u64(0), 31337);
-        assert!(p1.poll_completion(ProbeFlags::Any).unwrap().is_none());
-    }
-
-    #[test]
-    fn bounds_and_rank_checks() {
-        let c = pair();
-        let p0 = c.rank(0);
-        let src = p0.register_buffer(8).unwrap();
-        let d = src.descriptor();
-        assert!(matches!(
-            p0.put_with_completion(5, &src, 0, 8, &d, 0, 1, 1),
-            Err(PhotonError::InvalidRank(5))
-        ));
-        assert!(matches!(
-            p0.put_with_completion(1, &src, 4, 8, &d, 0, 1, 1),
-            Err(PhotonError::OutOfRange { .. })
-        ));
-        assert!(matches!(
-            p0.put_with_completion(1, &src, 0, 8, &d, 4, 1, 1),
-            Err(PhotonError::OutOfRange { .. })
-        ));
-        let huge = vec![0u8; 1 << 20];
-        assert!(matches!(p0.send(1, &huge, 1), Err(PhotonError::MessageTooLarge { .. })));
-    }
-
-    #[test]
-    fn probe_flags_separate_queues() {
-        let c = pair();
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        p0.send(1, b"x", 1).unwrap();
-        p1.send(0, b"y", 2).unwrap();
-        // p0 has a remote event incoming; probing Local only must not eat it.
-        p0.blocking("event arrival", |s| Ok((s.queued_events().1 > 0).then_some(()))).unwrap();
-        assert!(p0.poll_completion(ProbeFlags::Local).unwrap().is_none());
-        let ev = p0.poll_completion(ProbeFlags::Remote).unwrap().unwrap();
-        assert_eq!(ev.rid, 2);
     }
 
     #[test]
@@ -3878,195 +516,6 @@ mod tests {
         let before = p0.now();
         p0.elapse(5_000);
         assert_eq!(p0.now().as_nanos(), before.as_nanos() + 5_000);
-    }
-
-    #[test]
-    fn wait_completion_from_filters_by_source() {
-        let c = PhotonCluster::new(3, NetworkModel::ib_fdr(), PhotonConfig::default());
-        let (p0, p1, p2) = (c.rank(0), c.rank(1), c.rank(2));
-        p1.send(0, b"from-1", 11).unwrap();
-        // Ensure rank 1's message is already queued before rank 2 sends, so
-        // the filter (not arrival order) is what's being tested.
-        p0.blocking("first arrival", |s| Ok((s.queued_events().1 > 0).then_some(()))).unwrap();
-        p2.send(0, b"from-2", 22).unwrap();
-        let ev = p0.wait_completion_from(2).unwrap();
-        assert_eq!((ev.peer, ev.rid), (2, 22));
-        let ev = p0.wait_completion_matching(ProbeFlags::Remote).unwrap();
-        assert_eq!((ev.peer, ev.rid), (1, 11), "skipped event still queued");
-        assert!(p0.wait_completion_from(9).is_err());
-    }
-
-    #[test]
-    fn test_local_is_nonblocking() {
-        let c = pair();
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        assert_eq!(p0.test_local(5).unwrap(), None);
-        let src = p0.register_buffer(8).unwrap();
-        let dst = p1.register_buffer(8).unwrap();
-        p0.put(1, &src, 0, 8, &dst.descriptor(), 0, 5).unwrap();
-        let ts = p0.test_local(5).unwrap();
-        assert!(ts.is_some());
-        assert_eq!(p0.test_local(5).unwrap(), None, "consumed");
-    }
-
-    #[test]
-    fn flush_local_quiesces() {
-        let c = pair();
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        let src = p0.register_buffer(8).unwrap();
-        let dst = p1.register_buffer(8).unwrap();
-        for i in 0..20 {
-            p0.put(1, &src, 0, 8, &dst.descriptor(), 0, i).unwrap();
-        }
-        p0.flush_local().unwrap();
-        // All local events consumed; nothing pending.
-        assert!(p0.poll_completion(ProbeFlags::Local).unwrap().is_none());
-    }
-
-    #[test]
-    fn flush_local_spares_already_harvested_events() {
-        let c = pair();
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        let src = p0.register_buffer(8).unwrap();
-        let dst = p1.register_buffer(8).unwrap();
-        // A waiter's operation completes and its event is harvested...
-        p0.put(1, &src, 0, 8, &dst.descriptor(), 0, 777).unwrap();
-        p0.progress().unwrap();
-        // ...then another batch is posted and flushed. The flush owns only
-        // the completions pending at entry, not the waiter's queued event.
-        for i in 0..20 {
-            p0.put(1, &src, 0, 8, &dst.descriptor(), 0, i).unwrap();
-        }
-        p0.flush_local().unwrap();
-        assert!(
-            p0.test_local(777).unwrap().is_some(),
-            "flush discarded a completion it did not own"
-        );
-        for i in 0..20 {
-            assert!(p0.test_local(i).unwrap().is_none(), "flush consumed its own batch");
-        }
-    }
-
-    #[test]
-    fn flush_local_race_with_wait_local() {
-        // A waiter blocked in wait_local must never lose its completion to a
-        // concurrent flush_local: the old flush cleared the entire shared
-        // local-event queue on every spin. The waiter claims each rid before
-        // posting (wait_local claims on entry; doing it pre-post closes the
-        // post-to-claim window so the flush snapshot provably excludes it),
-        // and a dedicated harvester thread keeps queued events exposed to the
-        // flusher instead of letting the waiter consume them back-to-back.
-        let cfg = PhotonConfig { wait_timeout_secs: 3, ..PhotonConfig::default() };
-        let c = PhotonCluster::new(2, NetworkModel::ib_fdr(), cfg);
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        let dst = p1.register_buffer(8).unwrap();
-        let d = dst.descriptor();
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        std::thread::scope(|s| {
-            {
-                let p0 = p0.clone();
-                let stop = &stop;
-                s.spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        p0.progress().unwrap();
-                        std::thread::yield_now();
-                    }
-                });
-            }
-            let waiter = {
-                let p0 = p0.clone();
-                let src = p0.register_buffer(8).unwrap();
-                s.spawn(move || {
-                    for i in 0..200u64 {
-                        let rid = 0x7700_0000 + i;
-                        p0.local_events.claim(rid);
-                        p0.put(1, &src, 0, 8, &d, 0, rid).unwrap();
-                        // Simulated work between post and wait: the harvester
-                        // queues the completion, which sits exposed to the
-                        // concurrent flush until the waiter comes back for it.
-                        std::thread::sleep(Duration::from_micros(20));
-                        let res = p0.wait_local(rid);
-                        p0.local_events.unclaim(rid);
-                        res.unwrap();
-                    }
-                })
-            };
-            let flusher = {
-                let p0 = p0.clone();
-                let src = p0.register_buffer(8).unwrap();
-                s.spawn(move || {
-                    for round in 0..200u64 {
-                        for i in 0..10 {
-                            p0.put(1, &src, 0, 8, &d, 0, (round << 8) | i).unwrap();
-                        }
-                        p0.flush_local().unwrap();
-                    }
-                })
-            };
-            let w = waiter.join();
-            let f = flusher.join();
-            stop.store(true, Ordering::Relaxed);
-            w.expect("waiter lost a completion to flush_local");
-            f.expect("flusher failed");
-        });
-    }
-
-    #[test]
-    fn any_probe_is_fair_under_local_backlog() {
-        let c = pair();
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        // One remote event queued on p0...
-        p1.send(0, b"hi", 42).unwrap();
-        p0.blocking("arrival", |s| Ok((s.queued_events().1 > 0).then_some(()))).unwrap();
-        // ...behind a deep backlog of local completions.
-        let src = p0.register_buffer(8).unwrap();
-        let dst = p1.register_buffer(8).unwrap();
-        for i in 0..64 {
-            p0.put(1, &src, 0, 8, &dst.descriptor(), 0, i).unwrap();
-        }
-        p0.progress().unwrap();
-        // A fair Any drain surfaces the remote event within two probes; the
-        // old local-first drain served all 64 locals before it.
-        let surfaced = (0..2).any(
-            |_| matches!(p0.poll_completion(ProbeFlags::Any).unwrap(), Some(c) if c.is_remote()),
-        );
-        assert!(surfaced, "remote event starved behind local backlog");
-    }
-
-    #[test]
-    fn batch_probe_drains_mixed_classes_fairly() {
-        let c = pair();
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        let src = p0.register_buffer(8).unwrap();
-        let dst = p1.register_buffer(8).unwrap();
-        for i in 0..8 {
-            p0.put(1, &src, 0, 8, &dst.descriptor(), 0, 100 + i).unwrap();
-        }
-        for i in 0..4 {
-            p1.send(0, b"m", 200 + i).unwrap();
-        }
-        p0.blocking("arrivals", |s| Ok((s.queued_events().1 == 4).then_some(()))).unwrap();
-        let mut buf = Vec::new();
-        let n = p0.poll_completions(ProbeFlags::Any, &mut buf, 64).unwrap();
-        assert_eq!(n, 12);
-        let remote_slots: Vec<usize> =
-            buf.iter().enumerate().filter(|(_, e)| e.is_remote()).map(|(k, _)| k).collect();
-        assert_eq!(remote_slots.len(), 4);
-        // Fair interleave inside the batch: remote events alternate with
-        // locals instead of bunching at the tail after every local.
-        assert!(
-            *remote_slots.last().unwrap() <= 8,
-            "remote events bunched at batch tail: {remote_slots:?}"
-        );
-        // A capped drain delivers at most `max` and leaves the rest queued.
-        for i in 0..8 {
-            p0.put(1, &src, 0, 8, &dst.descriptor(), 0, 300 + i).unwrap();
-        }
-        p0.progress().unwrap();
-        let mut small = Vec::new();
-        assert_eq!(p0.poll_completions(ProbeFlags::Local, &mut small, 3).unwrap(), 3);
-        assert_eq!(p0.queued_events().0, 5);
-        assert_eq!(p0.stats().probe_batches, 2);
     }
 
     #[test]
@@ -4097,264 +546,6 @@ mod tests {
     }
 
     #[test]
-    fn imm_completion_mode_delivers_direct_puts() {
-        let cfg = PhotonConfig {
-            eager_threshold: 0, // everything direct
-            imm_completions: true,
-            ..PhotonConfig::default()
-        };
-        let c = PhotonCluster::new(2, NetworkModel::ib_fdr(), cfg);
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        let src = p0.register_buffer(4096).unwrap();
-        let dst = p1.register_buffer(4096).unwrap();
-        src.fill(0x42);
-        p0.put_with_completion(1, &src, 0, 4096, &dst.descriptor(), 0, 1, 77).unwrap();
-        p0.wait_local(1).unwrap();
-        let ev = p1.wait_completion_matching(ProbeFlags::Remote).unwrap();
-        assert_eq!((ev.rid, ev.size, ev.peer), (77, 4096, 0));
-        assert_eq!(dst.to_vec(0, 8), vec![0x42; 8]);
-        // No ledger entries were consumed for this put.
-        assert_eq!(p1.stats().credit_returns, 0);
-    }
-
-    #[test]
-    fn imm_mode_lacks_flow_control_cq_overflow() {
-        // The documented trade: with CQ-notification and no credits, an
-        // unprobed flood overruns the consumer's CQ and errors the producer.
-        let fabric = photon_fabric::Cluster::with_config(
-            2,
-            NetworkModel::ideal(),
-            photon_fabric::NicConfig { cq_depth: 32, ..photon_fabric::NicConfig::default() },
-        );
-        let cfg =
-            PhotonConfig { eager_threshold: 0, imm_completions: true, ..PhotonConfig::default() };
-        let c = PhotonCluster::with_fabric(fabric, cfg);
-        let p0 = c.rank(0);
-        let src = p0.register_buffer(8).unwrap();
-        let dst = c.rank(1).register_buffer(8).unwrap();
-        let d = dst.descriptor();
-        let mut overflowed = false;
-        for i in 0..64 {
-            match p0.try_put_with_completion(1, &src, 0, 8, &d, 0, i, i) {
-                Ok(true) => {}
-                Err(PhotonError::Fabric(photon_fabric::FabricError::CqOverflow)) => {
-                    overflowed = true;
-                    break;
-                }
-                other => panic!("unexpected: {other:?}"),
-            }
-        }
-        assert!(overflowed, "an unprobed flood must overflow the 32-deep CQ");
-        // With the (default) ledger mode the same flood backpressures
-        // cleanly instead.
-        let fabric = photon_fabric::Cluster::with_config(
-            2,
-            NetworkModel::ideal(),
-            photon_fabric::NicConfig { cq_depth: 32, ..photon_fabric::NicConfig::default() },
-        );
-        let cfg = PhotonConfig { eager_threshold: 0, ledger_entries: 8, ..PhotonConfig::default() };
-        let c = PhotonCluster::with_fabric(fabric, cfg);
-        let p0 = c.rank(0);
-        let src = p0.register_buffer(8).unwrap();
-        let dst = c.rank(1).register_buffer(8).unwrap();
-        let d = dst.descriptor();
-        let mut posted = 0;
-        for i in 0..64 {
-            if p0.try_put_with_completion(1, &src, 0, 8, &d, 0, i, i).unwrap() {
-                posted += 1;
-            } else {
-                break;
-            }
-        }
-        assert_eq!(posted, 8, "ledger mode stops cleanly at the credit limit");
-    }
-
-    #[test]
-    fn eager_fast_path_avoids_staging_copies() {
-        // The zero-alloc acceptance check: every eager put performs exactly
-        // one direct MR→stage copy at TX and one in-place ring copy-out at
-        // RX — no intermediate heap buffer on either side.
-        let c = pair();
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        let src = p0.register_buffer(64).unwrap();
-        let dst = p1.register_buffer(64).unwrap();
-        let d = dst.descriptor();
-        let n = 10u64;
-        for i in 0..n {
-            p0.put_with_completion(1, &src, 0, 8, &d, 0, i, i).unwrap();
-            p0.wait_local(i).unwrap();
-            p1.wait_completion_matching(ProbeFlags::Remote).unwrap();
-        }
-        assert_eq!(p0.stats().stage_copies_avoided, n, "one per TX staging");
-        assert_eq!(p1.stats().stage_copies_avoided, n, "one per RX copy-out");
-    }
-
-    #[test]
-    fn put_many_roundtrip_and_batch_stats() {
-        let c = PhotonCluster::new(2, NetworkModel::ideal(), PhotonConfig::default());
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        let src = p0.register_buffer(1024).unwrap();
-        let dst = p1.register_buffer(1024).unwrap();
-        let d = dst.descriptor();
-        let items: Vec<PutManyItem> = (0..8usize)
-            .map(|i| PutManyItem {
-                loff: i * 16,
-                len: 16,
-                doff: i * 16,
-                local_rid: 100 + i as u64,
-                remote_rid: i as u64,
-            })
-            .collect();
-        for (i, it) in items.iter().enumerate() {
-            src.write_at(it.loff, &[i as u8 + 1; 16]);
-        }
-        assert_eq!(p0.try_put_many(1, &src, &d, &items).unwrap(), 8);
-        // Remote completions surface per frame, in posting order, and the
-        // data landed at each sub-put's destination.
-        for (i, it) in items.iter().enumerate() {
-            let ev = p1.wait_completion_matching(ProbeFlags::Remote).unwrap();
-            assert_eq!((ev.rid, ev.size), (i as u64, 16));
-            assert_eq!(dst.to_vec(it.doff, 16), vec![i as u8 + 1; 16]);
-        }
-        // Every item's local completion surfaces off the one batched CQE.
-        for it in &items {
-            p0.wait_local(it.local_rid).unwrap();
-        }
-        let s = p0.stats();
-        assert_eq!(s.puts_eager, 8);
-        assert_eq!(s.batch_posts, 1, "one doorbell for the whole run");
-        assert_eq!(s.frames_per_batch_5_16, 1);
-        assert_eq!(s.stage_copies_avoided, 8);
-    }
-
-    #[test]
-    fn put_many_mixes_eager_runs_and_ledger_entries() {
-        // An oversized item in the middle splits the eager runs; the whole
-        // batch still posts in order under one call.
-        let c = PhotonCluster::new(2, NetworkModel::ideal(), PhotonConfig::default());
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        let big = 16 * 1024; // above the default 8 KiB eager threshold
-        let src = p0.register_buffer(big + 64).unwrap();
-        let dst = p1.register_buffer(big + 64).unwrap();
-        let d = dst.descriptor();
-        src.fill(0x5A);
-        let items = vec![
-            PutManyItem { loff: 0, len: 8, doff: 0, local_rid: 100, remote_rid: 0 },
-            PutManyItem { loff: 8, len: 8, doff: 8, local_rid: 101, remote_rid: 1 },
-            PutManyItem { loff: 0, len: big, doff: 64, local_rid: 102, remote_rid: 2 },
-            PutManyItem { loff: 16, len: 8, doff: 16, local_rid: 103, remote_rid: 3 },
-        ];
-        assert_eq!(p0.try_put_many(1, &src, &d, &items).unwrap(), 4);
-        let mut rids = Vec::new();
-        while rids.len() < 4 {
-            if let Some(ev) = p1.poll_completion(ProbeFlags::Remote).unwrap() {
-                rids.push(ev.rid);
-            }
-        }
-        rids.sort_unstable();
-        assert_eq!(rids, vec![0, 1, 2, 3]);
-        assert_eq!(dst.to_vec(64, big), vec![0x5A; big]);
-        for it in &items {
-            p0.wait_local(it.local_rid).unwrap();
-        }
-        let s = p0.stats();
-        assert_eq!((s.puts_eager, s.puts_direct), (3, 1));
-        assert_eq!(s.batch_posts, 2, "the oversized item split the run in two");
-    }
-
-    #[test]
-    fn batched_frames_stay_ordered_against_interleaved_ledger_entry() {
-        // A doorbell batch is atomic in the peer's eager delivery order: an
-        // interleaved direct put (ledger entry) never splits it, and eager
-        // frames across batches surface in exact posting order.
-        let c = PhotonCluster::new(2, NetworkModel::ideal(), PhotonConfig::default());
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        let src = p0.register_buffer(64 * 1024).unwrap();
-        let dst = p1.register_buffer(64 * 1024).unwrap();
-        let d = dst.descriptor();
-        let batch1: Vec<PutManyItem> = (0..2u64)
-            .map(|i| PutManyItem {
-                loff: i as usize * 8,
-                len: 8,
-                doff: i as usize * 8,
-                local_rid: 100 + i,
-                remote_rid: 1 + i,
-            })
-            .collect();
-        assert_eq!(p0.try_put_many(1, &src, &d, &batch1).unwrap(), 2);
-        // Interleaved ledger-path put (above the eager threshold).
-        p0.put_with_completion(1, &src, 0, 16 * 1024, &d, 1024, 150, 50).unwrap();
-        let batch2 = vec![PutManyItem { loff: 0, len: 8, doff: 64, local_rid: 103, remote_rid: 3 }];
-        assert_eq!(p0.try_put_many(1, &src, &d, &batch2).unwrap(), 1);
-        let mut rids = Vec::new();
-        while rids.len() < 4 {
-            if let Some(ev) = p1.poll_completion(ProbeFlags::Remote).unwrap() {
-                rids.push(ev.rid);
-            }
-        }
-        let eager_order: Vec<u64> = rids.iter().copied().filter(|r| *r != 50).collect();
-        assert_eq!(eager_order, vec![1, 2, 3], "eager frames keep per-peer posting order");
-        assert_eq!(rids.iter().filter(|r| **r == 50).count(), 1);
-        let batch1_pos = rids.iter().position(|r| *r == 1).unwrap();
-        let ledger_pos = rids.iter().position(|r| *r == 50).unwrap();
-        assert!(
-            ledger_pos < batch1_pos || ledger_pos > batch1_pos + 1,
-            "ledger entry split a doorbell batch: {rids:?}"
-        );
-        for rid in [100, 101, 150, 103] {
-            p0.wait_local(rid).unwrap();
-        }
-    }
-
-    #[test]
-    fn send_many_delivers_each_payload() {
-        let c = PhotonCluster::new(2, NetworkModel::ideal(), PhotonConfig::default());
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        let payloads: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 3 + i as usize]).collect();
-        p0.send_many(1, &payloads, 7).unwrap();
-        for want in &payloads {
-            let ev = p1.wait_completion_matching(ProbeFlags::Remote).unwrap();
-            assert_eq!(ev.rid, 7);
-            assert_eq!(ev.payload.as_deref(), Some(&want[..]));
-        }
-        let s = p0.stats();
-        assert_eq!(s.sends, 5);
-        assert_eq!(s.batch_posts, 1);
-        assert_eq!(s.frames_per_batch_5_16, 1);
-    }
-
-    #[test]
-    fn put_many_respects_credit_limits() {
-        // A tiny ring takes only part of a large batch; the remainder posts
-        // once the consumer probes, and nothing is lost or reordered.
-        let c = PhotonCluster::new(2, NetworkModel::ideal(), PhotonConfig::tiny());
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        let src = p0.register_buffer(512).unwrap();
-        let dst = p1.register_buffer(512).unwrap();
-        let d = dst.descriptor();
-        let items: Vec<PutManyItem> = (0..32u64)
-            .map(|i| PutManyItem {
-                loff: (i as usize % 16) * 8,
-                len: 8,
-                doff: (i as usize % 16) * 8,
-                local_rid: 1000 + i,
-                remote_rid: i,
-            })
-            .collect();
-        let first = p0.try_put_many(1, &src, &d, &items).unwrap();
-        assert!(first > 1 && first < 32, "tiny ring truncates the batch (got {first})");
-        std::thread::scope(|s| {
-            s.spawn(|| p0.put_many(1, &src, &d, &items[first..]).unwrap());
-            s.spawn(|| {
-                for i in 0..32u64 {
-                    let ev = p1.wait_completion_matching(ProbeFlags::Remote).unwrap();
-                    assert_eq!(ev.rid, i, "in-order delivery across partial batches");
-                }
-            });
-        });
-    }
-
-    #[test]
     fn internal_rids_are_reserved_and_unique() {
         let c = pair();
         let p0 = c.rank(0);
@@ -4372,68 +563,5 @@ mod tests {
         let _b = p0.register_buffer(1 << 20).unwrap();
         let m = NetworkModel::ib_fdr();
         assert_eq!(p0.now().as_nanos() - before.as_nanos(), m.registration_ns(1 << 20));
-    }
-
-    #[test]
-    fn error_status_completion_surfaces_as_op_failed() {
-        // The queues carry the status end-to-end: an error completion must
-        // reach the caller as OpFailed from every consumption API, never be
-        // silently swallowed as a success.
-        let c = pair();
-        let p0 = c.rank(0);
-        p0.local_events.push(7, 1, VTime(10), WcStatus::FlushErr);
-        assert_eq!(
-            p0.wait_local(7),
-            Err(PhotonError::OpFailed { rid: 7, status: WcStatus::FlushErr })
-        );
-        p0.local_events.push(8, 1, VTime(11), WcStatus::RemoteDead);
-        assert_eq!(
-            p0.test_local(8),
-            Err(PhotonError::OpFailed { rid: 8, status: WcStatus::RemoteDead })
-        );
-        p0.local_events.push(9, 1, VTime(12), WcStatus::RetryExceeded);
-        let ev = p0.wait_completion().unwrap();
-        assert!(!ev.is_ok());
-        assert_eq!(ev.status, WcStatus::RetryExceeded);
-        assert_eq!(ev.rid, 9);
-    }
-
-    #[test]
-    fn wait_local_for_reports_timeout_with_rid() {
-        let c = pair();
-        let p0 = c.rank(0);
-        let e = p0.wait_local_for(0x2a, Duration::from_millis(20)).unwrap_err();
-        assert_eq!(e, PhotonError::Timeout { what: "local completion", rid: Some(0x2a) });
-        assert!(e.to_string().contains("0x2a"));
-        let e = p0.wait_completion_for(Duration::from_millis(20)).unwrap_err();
-        assert_eq!(e, PhotonError::Timeout { what: "completion", rid: None });
-    }
-
-    #[test]
-    fn deferred_self_target_put_copies_in_place() {
-        // A put whose destination is the receiver's own service region takes
-        // the deferred RX path; it must land exactly like any other put and
-        // count as an avoided staging copy.
-        let c = pair();
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        let src = p0.register_buffer(64).unwrap();
-        src.write_at(0, b"self-target payload");
-        // Rank 1's own service region (its half of the 1↔0 connection) as
-        // the destination (the degenerate case: probe-time copy-out source
-        // and destination share the region).
-        let conn1 = p1.conn(0).unwrap();
-        let key = conn1.svc.remote_key();
-        let dst = BufferDescriptor { addr: key.addr, rkey: key.rkey, len: 64 };
-        let before = p1.stats().stage_copies_avoided;
-        p0.put_with_completion(1, &src, 0, 19, &dst, 0, 1, 2).unwrap();
-        let ev = p1.wait_completion_matching(ProbeFlags::Remote).unwrap();
-        assert_eq!(ev.rid, 2);
-        assert_eq!(ev.size, 19);
-        assert!(ev.status.is_ok());
-        assert_eq!(&conn1.svc.to_vec(0, 19), b"self-target payload");
-        assert!(
-            p1.stats().stage_copies_avoided > before,
-            "deferred path must count its avoided staging copy"
-        );
     }
 }

@@ -19,7 +19,8 @@
 //! generation check (exactly-once CQE retirement), and credit returns
 //! serialized under the receive lock (absolute counters stay monotone).
 
-use crate::photon::{Conn, Photon};
+use crate::conn::Conn;
+use crate::photon::Photon;
 use crate::Rank;
 use photon_fabric::verbs::Completion as Cqe;
 use std::sync::atomic::{AtomicBool, Ordering};

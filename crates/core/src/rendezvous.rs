@@ -118,9 +118,9 @@ impl Photon {
     /// for the window instead of one per buffer). Blocks on ledger credits.
     pub fn post_recv_buffers(&self, peer: Rank, posts: &[(u64, BufferDescriptor)]) -> Result<()> {
         self.check_rank_pub(peer)?;
-        let specs: Vec<crate::photon::EntrySpec> = posts
+        let specs: Vec<crate::tx::EntrySpec> = posts
             .iter()
-            .map(|(tag, d)| crate::photon::EntrySpec {
+            .map(|(tag, d)| crate::tx::EntrySpec {
                 kind: EntryKind::RdvPost,
                 rid: *tag,
                 size: d.len as u64,
@@ -142,9 +142,9 @@ impl Photon {
     /// single wire writes. Blocks on ledger credits.
     pub fn send_fins(&self, peer: Rank, tags: &[u64]) -> Result<()> {
         self.check_rank_pub(peer)?;
-        let specs: Vec<crate::photon::EntrySpec> = tags
+        let specs: Vec<crate::tx::EntrySpec> = tags
             .iter()
-            .map(|&tag| crate::photon::EntrySpec {
+            .map(|&tag| crate::tx::EntrySpec {
                 kind: EntryKind::Fin,
                 rid: tag,
                 size: 0,

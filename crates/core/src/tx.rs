@@ -1,0 +1,1775 @@
+//! The TX path: staging and posting of eager frames, ledger entries and
+//! tracked one-sided work requests, and the user-facing put / get / send
+//! API built on them.
+
+use crate::buffers::{BufferDescriptor, PhotonBuffer};
+use crate::conn::{Conn, PeerTx, PEER_DEAD};
+use crate::eager::{self, FrameHeader, FrameKind};
+use crate::ledger::{self, Entry, EntryKind, ENTRY_BYTES};
+use crate::obs::{OpKind, Stats, TraceOp};
+use crate::photon::{Photon, BATCH_RID, CREDIT_BYTES, VEC_POOL_CAP};
+use crate::probe::rid_space;
+use crate::{PhotonError, Rank, Result};
+use photon_fabric::api::{FabricError, MemoryRegion, MrSlice, RemoteSlice, SendWr, VTime, WrOp};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+/// Where an eager frame's payload comes from. `Mr` is the zero-alloc put
+/// fast path: the registered source region is read directly into the stage,
+/// with no intermediate `Vec` (the staging copy the paper's o-overhead
+/// charges is the *only* copy).
+enum FrameSrc<'a> {
+    /// Borrowed bytes (runtime messages, control payloads).
+    Bytes(&'a [u8]),
+    /// `len` bytes starting at an offset of a registered region.
+    Mr(&'a MemoryRegion, usize),
+}
+
+impl FrameSrc<'_> {
+    /// Copy `len` payload bytes into the stage at `off`.
+    fn write_to(&self, stage: &MemoryRegion, off: usize, len: usize) {
+        match self {
+            FrameSrc::Bytes(b) => stage.write_at(off, &b[..len]),
+            // Distinct regions, read → write: never the same lock (the
+            // stage is middleware-internal and never a user buffer).
+            FrameSrc::Mr(region, src_off) => {
+                region.with_bytes(|s| stage.write_at(off, &s[*src_off..*src_off + len]))
+            }
+        }
+    }
+}
+
+/// Payload source of one frame in a doorbell run. Holds indices, not
+/// borrows, so run scratch can be kept in [`PeerTx`] and recycled across
+/// batches; the compose step resolves them against the run's shared context
+/// (one source region and/or one payload slice per run).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RunSrc {
+    /// Byte offset into the run's shared source region.
+    Region(usize),
+    /// Index into the run's payload slice.
+    Payload(usize),
+}
+
+/// One frame of a doorbell batch (see [`Photon::try_put_many`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RunFrame {
+    pub(crate) kind: FrameKind,
+    pub(crate) rid: u64,
+    pub(crate) dst: Option<(u64, u32)>,
+    pub(crate) src: RunSrc,
+    pub(crate) len: usize,
+    pub(crate) local_rid: Option<u64>,
+}
+
+/// One ledger entry of a coalesced control run (see
+/// [`Photon::try_post_entry_run`]): the rendezvous batch APIs build these
+/// and the posting layer packs contiguous ledger slots into single
+/// doorbell writes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EntrySpec {
+    /// Control-entry kind (RdvPost, Fin, ...).
+    pub(crate) kind: EntryKind,
+    /// Request / tag id carried by the entry.
+    pub(crate) rid: u64,
+    /// Size field (protocol-specific).
+    pub(crate) size: u64,
+    /// Remote address field (protocol-specific).
+    pub(crate) addr: u64,
+    /// Remote rkey field (protocol-specific).
+    pub(crate) rkey: u32,
+}
+
+/// One element of a [`Photon::get_many`] doorbell batch: a read of
+/// `src[soff..soff+len]` on the peer into `local[loff..]`, surfacing
+/// `local_rid` when the whole batch's data has landed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GetManyItem {
+    /// Destination offset within the local buffer.
+    pub loff: usize,
+    /// Bytes to fetch.
+    pub len: usize,
+    /// Source offset within the remote buffer.
+    pub soff: usize,
+    /// Local completion id (data landed).
+    pub local_rid: u64,
+}
+
+/// One element of a [`Photon::put_many`] doorbell batch: a put of
+/// `local[loff..loff+len]` to `dst[doff..]`, surfacing `local_rid` here and
+/// `remote_rid` at the peer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PutManyItem {
+    /// Source offset within the local buffer.
+    pub loff: usize,
+    /// Bytes to put.
+    pub len: usize,
+    /// Destination offset within the remote buffer.
+    pub doff: usize,
+    /// Local completion id (source reusable).
+    pub local_rid: u64,
+    /// Remote completion id (data visible at the peer).
+    pub remote_rid: u64,
+}
+
+impl Photon {
+    /// Post an arbitrary tracked work request on the QP to `peer`:
+    /// `local_rid` surfaces as a local completion when its CQE drains.
+    pub(crate) fn post_tracked(
+        &self,
+        peer: Rank,
+        op: photon_fabric::verbs::WrOp,
+        local_rid: u64,
+    ) -> Result<()> {
+        let conn = self.gate_blocking(peer)?;
+        let wr_id = self.wr_table.insert(local_rid, peer);
+        let wr = SendWr::new(wr_id, op);
+        if let Err(e) = self.nic.post_send(conn.qp, wr, self.clock.now()) {
+            self.wr_table.remove(wr_id);
+            return self.fail_post(&conn, Err(e.into()));
+        }
+        Ok(())
+    }
+
+    /// Ledger-entry post without paired data (rendezvous control traffic).
+    pub(crate) fn try_post_entry_pub(
+        &self,
+        peer: Rank,
+        kind: EntryKind,
+        rid: u64,
+        size: u64,
+        addr: u64,
+        rkey: u32,
+    ) -> Result<bool> {
+        self.check_rank(peer)?;
+        self.try_post_entry(peer, kind, rid, size, addr, rkey, None)
+    }
+
+    // ------------------------------------------------------- posting layer
+
+    /// Write `len` staged bytes at `sub` to the peer's mirror slot.
+    fn post_stage_write(
+        &self,
+        conn: &Conn,
+        sub: usize,
+        len: usize,
+        local_rid: Option<u64>,
+        stamp: Option<usize>,
+    ) -> Result<()> {
+        let peer = conn.peer;
+        let local = MrSlice::new(&conn.stage, sub, len);
+        let remote = self.remote_slice(conn, sub, len);
+        let tracked = local_rid.map(|rid| self.wr_table.insert(rid, peer));
+        let mut wr = match tracked {
+            Some(wr_id) => SendWr::new(wr_id, WrOp::Write { local, remote, imm: None }),
+            None => SendWr::unsignaled(WrOp::Write { local, remote, imm: None }),
+        };
+        wr.stamp_deliver_at = stamp;
+        let res = self.nic.post_send(conn.qp, wr, self.clock.now());
+        if res.is_err() {
+            if let Some(wr_id) = tracked {
+                self.wr_table.remove(wr_id);
+            }
+        }
+        res.map_err(Into::into)
+    }
+
+    // ------------------------------------------------- scratch recyclers
+    //
+    // Free lists for the vectors that cycle through the doorbell-batch
+    // machinery (rid fan-out lists, delivery-stamp offset lists, CQE
+    // harvest buffers). Each vector reaches its working capacity once and
+    // is then recycled forever, so the steady-state batch path performs
+    // zero heap allocations (pinned by `obs_overhead`'s counting test).
+
+    /// Take a rid-list vector from the recycler cache (empty, capacity
+    /// retained from earlier batches).
+    fn take_rid_vec(&self) -> Vec<u64> {
+        self.rid_vec_pool.lock().pop().unwrap_or_default()
+    }
+
+    /// Return a rid-list vector to the recycler cache (dropped past the
+    /// retention cap).
+    pub(crate) fn give_rid_vec(&self, mut v: Vec<u64>) {
+        let mut pool = self.rid_vec_pool.lock();
+        if pool.len() < VEC_POOL_CAP {
+            v.clear();
+            pool.push(v);
+        }
+    }
+
+    /// Take a delivery-stamp offset vector from the recycler cache.
+    fn take_stamp_vec(&self) -> Vec<usize> {
+        self.stamp_vec_pool.lock().pop().unwrap_or_default()
+    }
+
+    /// Return a delivery-stamp offset vector to the recycler cache.
+    fn give_stamp_vec(&self, mut v: Vec<usize>) {
+        let mut pool = self.stamp_vec_pool.lock();
+        if pool.len() < VEC_POOL_CAP {
+            v.clear();
+            pool.push(v);
+        }
+    }
+
+    /// [`Photon::post_stage_write`] for a doorbell-batched run: one wire
+    /// write covering `len` staged bytes, every offset in
+    /// `{first_stamp} ∪ more_stamps` (relative to the staged slice) gets the
+    /// delivery stamp, and all of `local_rids` surface as local completions
+    /// when the single CQE drains. Both vectors come from (and return to)
+    /// the recycler caches.
+    fn post_stage_write_run(
+        &self,
+        conn: &Conn,
+        sub: usize,
+        len: usize,
+        local_rids: Vec<u64>,
+        first_stamp: usize,
+        more_stamps: Vec<usize>,
+    ) -> Result<()> {
+        let peer = conn.peer;
+        let local = MrSlice::new(&conn.stage, sub, len);
+        let remote = self.remote_slice(conn, sub, len);
+        let tracked = match local_rids.len() {
+            0 | 1 => {
+                let t = local_rids.first().map(|&rid| self.wr_table.insert(rid, peer));
+                self.give_rid_vec(local_rids);
+                t
+            }
+            _ => {
+                let wr_id = self.wr_table.insert(BATCH_RID, peer);
+                self.batch_rids.lock().insert(wr_id, local_rids);
+                Some(wr_id)
+            }
+        };
+        let op = WrOp::Write { local, remote, imm: None };
+        let mut wr = match tracked {
+            Some(wr_id) => SendWr::new(wr_id, op),
+            None => SendWr::unsignaled(op),
+        };
+        wr.stamp_deliver_at = Some(first_stamp);
+        wr.stamp_deliver_also = more_stamps;
+        // Post by reference (the one-element doorbell run) so the recycled
+        // stamp list can be reclaimed after the fabric consumes it.
+        let res = self.nic.post_send_many(conn.qp, std::slice::from_ref(&wr), self.clock.now());
+        self.give_stamp_vec(std::mem::take(&mut wr.stamp_deliver_also));
+        if res.is_err() {
+            if let Some(wr_id) = tracked {
+                self.wr_table.remove(wr_id);
+                if let Some(rids) = self.batch_rids.lock().remove(&wr_id) {
+                    self.give_rid_vec(rids);
+                }
+            }
+        }
+        res.map_err(Into::into)
+    }
+
+    /// Write and post an explicit `Skip` frame covering a dead ring tail,
+    /// when a reservation requires one.
+    fn post_skip(&self, conn: &Conn, skip: Option<(usize, u32, u64)>) -> Result<()> {
+        let Some((off, dead, seq)) = skip else { return Ok(()) };
+        let h = FrameHeader {
+            seq,
+            rid: 0,
+            dst_addr: 0,
+            dst_rkey: 0,
+            size: dead,
+            kind: FrameKind::Skip,
+            ts: 0,
+        };
+        conn.stage.write_at(self.sub_ring(off), &h.encode());
+        self.post_stage_write(
+            conn,
+            self.sub_ring(off),
+            eager::FRAME_HDR,
+            None,
+            Some(eager::TS_OFFSET),
+        )
+    }
+
+    /// Try to deliver an eager frame to `peer`. Returns `Ok(false)` when the
+    /// ring is out of credits.
+    #[allow(clippy::too_many_arguments)]
+    fn try_send_frame(
+        &self,
+        peer: Rank,
+        kind: FrameKind,
+        rid: u64,
+        src: FrameSrc<'_>,
+        len: usize,
+        dst: Option<(u64, u32)>,
+        local_rid: Option<u64>,
+    ) -> Result<bool> {
+        let Some(conn) = self.gated_conn(peer)? else {
+            return Ok(false);
+        };
+        let r = {
+            let mut tx = conn.tx.lock();
+            self.try_send_frame_locked(&conn, &mut tx, kind, rid, src, len, dst, local_rid)
+        };
+        self.fail_post(&conn, r)
+    }
+
+    /// [`Photon::try_send_frame`] with the per-peer TX lock already held, so
+    /// a doorbell batch can mix frames and ledger entries under one
+    /// acquisition.
+    #[allow(clippy::too_many_arguments)]
+    fn try_send_frame_locked(
+        &self,
+        conn: &Conn,
+        tx: &mut PeerTx,
+        kind: FrameKind,
+        rid: u64,
+        src: FrameSrc<'_>,
+        len: usize,
+        dst: Option<(u64, u32)>,
+        local_rid: Option<u64>,
+    ) -> Result<bool> {
+        let r = match tx.ring.try_reserve(len) {
+            Some(r) => r,
+            None => {
+                // Out of credits: read the credit words; if that unblocks
+                // us, our progress causally depends on the credit write, so
+                // the clock advances to its delivery time.
+                let credit_ts = self.refresh_tx_credits(conn, tx);
+                match tx.ring.try_reserve(len) {
+                    Some(r) => {
+                        self.clock.advance_to(credit_ts);
+                        r
+                    }
+                    None => {
+                        Stats::bump(&self.stats.credit_stalls);
+                        return Ok(false);
+                    }
+                }
+            }
+        };
+        self.post_skip(conn, r.skip)?;
+        let (dst_addr, dst_rkey) = dst.unwrap_or((0, 0));
+        let h = FrameHeader { seq: r.seq, rid, dst_addr, dst_rkey, size: len as u32, kind, ts: 0 };
+        let so = self.sub_ring(r.offset);
+        conn.stage.write_at(so, &h.encode());
+        if len > 0 {
+            src.write_to(&conn.stage, so + eager::FRAME_HDR, len);
+            // Staging memcpy is real middleware work: charge it.
+            self.clock.advance(self.copy_ns(len));
+            if matches!(src, FrameSrc::Mr(..)) {
+                Stats::bump(&self.stats.stage_copies_avoided);
+            }
+        }
+        if let Some(rid) = local_rid {
+            self.obs.op_stage(rid, self.clock.now());
+        }
+        self.post_stage_write(
+            conn,
+            self.sub_ring(r.offset),
+            eager::frame_span(len),
+            local_rid,
+            Some(eager::TS_OFFSET),
+        )?;
+        Ok(true)
+    }
+
+    /// Post a contiguous run of eager frames to `peer` as **one** wire write
+    /// (the doorbell batch). Returns how many of `frames` were posted: the
+    /// longest prefix the ring could hold (halving on credit exhaustion),
+    /// `0` on a full stall. The caller holds the TX lock across the whole
+    /// batch, so the run is atomic in the peer's delivery order.
+    /// `src_region`, when set, is the registered region every `Mr` frame in
+    /// the run reads from: the whole run is then composed under **one**
+    /// source read lock and one stage write lock (taken in the same
+    /// region → stage order as the single-frame path), instead of paying
+    /// three lock acquisitions per frame.
+    fn post_frame_run_locked(
+        &self,
+        conn: &Conn,
+        tx: &mut PeerTx,
+        frames: &[RunFrame],
+        src_region: Option<&MemoryRegion>,
+        payloads: &[Vec<u8>],
+    ) -> Result<usize> {
+        debug_assert!(!frames.is_empty());
+        // The span list lives in the TX state's scratch vector, so the
+        // steady-state batch path performs no heap allocation at all.
+        let mut lens = std::mem::take(&mut tx.lens);
+        lens.clear();
+        lens.extend(frames.iter().map(|f| f.len));
+        let mut k = frames.len();
+        let mut refreshed = None;
+        let r = loop {
+            if let Some(r) = tx.ring.try_reserve_run(&lens[..k]) {
+                if let Some(t) = refreshed {
+                    if k == frames.len() {
+                        // Unblocked by the credit read: causally ordered after it.
+                        self.clock.advance_to(t);
+                    }
+                }
+                break r;
+            }
+            if refreshed.is_none() {
+                refreshed = Some(self.refresh_tx_credits(conn, tx));
+                continue;
+            }
+            k /= 2;
+            if k == 0 {
+                Stats::bump(&self.stats.credit_stalls);
+                tx.lens = lens;
+                return Ok(0);
+            }
+        };
+        tx.lens = lens;
+        self.post_skip(conn, r.skip)?;
+        let base_sub = self.sub_ring(r.offset);
+        let base_so = base_sub;
+        let mut run_span = 0usize;
+        let mut more_stamps = self.take_stamp_vec();
+        let mut local_rids = self.take_rid_vec();
+        let mut payload_bytes = 0usize;
+        let mut compose = |sb: &mut [u8], shared: Option<&[u8]>| {
+            let mut rel = 0usize;
+            for (i, f) in frames[..k].iter().enumerate() {
+                let (dst_addr, dst_rkey) = f.dst.unwrap_or((0, 0));
+                let h = FrameHeader {
+                    seq: r.first_seq + i as u64,
+                    rid: f.rid,
+                    dst_addr,
+                    dst_rkey,
+                    size: f.len as u32,
+                    kind: f.kind,
+                    ts: 0,
+                };
+                let fo = base_so + rel;
+                sb[fo..fo + eager::FRAME_HDR].copy_from_slice(&h.encode());
+                if f.len > 0 {
+                    let dst = &mut sb[fo + eager::FRAME_HDR..fo + eager::FRAME_HDR + f.len];
+                    match f.src {
+                        RunSrc::Payload(p) => dst.copy_from_slice(&payloads[p][..f.len]),
+                        RunSrc::Region(off) => {
+                            let s =
+                                shared.expect("Region run frames carry the shared source region");
+                            dst.copy_from_slice(&s[off..off + f.len]);
+                            Stats::bump(&self.stats.stage_copies_avoided);
+                        }
+                    }
+                    payload_bytes += f.len;
+                }
+                if i > 0 {
+                    more_stamps.push(rel + eager::TS_OFFSET);
+                }
+                if let Some(rid) = f.local_rid {
+                    local_rids.push(rid);
+                }
+                rel += eager::frame_span(f.len);
+            }
+            run_span = rel;
+        };
+        match src_region {
+            Some(region) => {
+                region.with_bytes(|s| conn.stage.with_bytes_mut(|sb| compose(sb, Some(s))))
+            }
+            None => conn.stage.with_bytes_mut(|sb| compose(sb, None)),
+        }
+        if payload_bytes > 0 {
+            self.clock.advance(self.copy_ns(payload_bytes));
+        }
+        for rid in &local_rids {
+            self.obs.op_stage(*rid, self.clock.now());
+        }
+        self.post_stage_write_run(
+            conn,
+            base_sub,
+            run_span,
+            local_rids,
+            eager::TS_OFFSET,
+            more_stamps,
+        )?;
+        self.stats.record_batch(k);
+        Ok(k)
+    }
+
+    /// Try to append a ledger entry at `peer`. Returns `Ok(false)` when the
+    /// ledger is out of credits. When `paired_data` is set, the data write
+    /// it describes is posted first, under the same reservation, so data and
+    /// completion arrive in order.
+    #[allow(clippy::too_many_arguments)]
+    fn try_post_entry(
+        &self,
+        peer: Rank,
+        kind: EntryKind,
+        rid: u64,
+        size: u64,
+        addr: u64,
+        rkey: u32,
+        paired_data: Option<(MrSlice, RemoteSlice, u64)>,
+    ) -> Result<bool> {
+        let Some(conn) = self.gated_conn(peer)? else {
+            return Ok(false);
+        };
+        let r = {
+            let mut tx = conn.tx.lock();
+            self.try_post_entry_locked(&conn, &mut tx, kind, rid, size, addr, rkey, paired_data)
+        };
+        self.fail_post(&conn, r)
+    }
+
+    /// [`Photon::try_post_entry`] with the per-peer TX lock already held.
+    #[allow(clippy::too_many_arguments)]
+    fn try_post_entry_locked(
+        &self,
+        conn: &Conn,
+        tx: &mut PeerTx,
+        kind: EntryKind,
+        rid: u64,
+        size: u64,
+        addr: u64,
+        rkey: u32,
+        paired_data: Option<(MrSlice, RemoteSlice, u64)>,
+    ) -> Result<bool> {
+        let (slot, seq) = match tx.ledger.try_produce() {
+            Some(v) => v,
+            None => {
+                let credit_ts = self.refresh_tx_credits(conn, tx);
+                match tx.ledger.try_produce() {
+                    Some(v) => {
+                        self.clock.advance_to(credit_ts);
+                        v
+                    }
+                    None => {
+                        Stats::bump(&self.stats.credit_stalls);
+                        return Ok(false);
+                    }
+                }
+            }
+        };
+        if let Some((local, remote, local_rid)) = paired_data {
+            let wr_id = self.wr_table.insert(local_rid, conn.peer);
+            let wr = SendWr::new(wr_id, WrOp::Write { local, remote, imm: None });
+            if let Err(e) = self.nic.post_send(conn.qp, wr, self.clock.now()) {
+                self.wr_table.remove(wr_id);
+                return Err(e.into());
+            }
+        }
+        let e = Entry { seq, rid, size, addr, rkey, kind, ts: 0 };
+        conn.stage.write_at(self.sub_ledger(slot), &e.encode());
+        self.post_stage_write(
+            conn,
+            self.sub_ledger(slot),
+            ENTRY_BYTES,
+            None,
+            Some(ledger::TS_OFFSET),
+        )?;
+        Ok(true)
+    }
+
+    /// Post a run of control-ledger entries toward `peer` with coalesced
+    /// doorbells: contiguous ledger slots are staged together and pushed as
+    /// **one** wire write (one doorbell, one delivery-stamp run) instead of
+    /// one write per entry. The ring of ledger slots wraps, so a run may
+    /// split into several contiguous segments — still at most two writes
+    /// per wrap instead of one per entry. Returns how many of `specs` were
+    /// posted: the longest prefix the ledger credits allow (`0` on a full
+    /// stall or a gated peer).
+    pub(crate) fn try_post_entry_run(&self, peer: Rank, specs: &[EntrySpec]) -> Result<usize> {
+        if specs.is_empty() {
+            return Ok(0);
+        }
+        let Some(conn) = self.gated_conn(peer)? else {
+            return Ok(0);
+        };
+        let r = (|| {
+            let mut tx = conn.tx.lock();
+            // Claim as many ledger slots as credits allow (refreshing the
+            // credit words once on exhaustion, like the single-entry path).
+            let mut slots: Vec<(usize, u64)> = Vec::with_capacity(specs.len());
+            let mut refreshed = None;
+            let mut unblocked = false;
+            while slots.len() < specs.len() {
+                match tx.ledger.try_produce() {
+                    Some(v) => {
+                        if refreshed.is_some() {
+                            unblocked = true;
+                        }
+                        slots.push(v);
+                    }
+                    None if refreshed.is_none() => {
+                        refreshed = Some(self.refresh_tx_credits(&conn, &mut tx));
+                    }
+                    None => break,
+                }
+            }
+            if slots.is_empty() {
+                Stats::bump(&self.stats.credit_stalls);
+                return Ok(0);
+            }
+            if unblocked {
+                // Unblocked by the credit read: causally ordered after it.
+                self.clock.advance_to(refreshed.expect("unblocked implies refreshed"));
+            }
+            drop(tx);
+            // Stage and post each contiguous slot segment as one write.
+            let mut i = 0usize;
+            while i < slots.len() {
+                let mut seg = 1usize;
+                while i + seg < slots.len() && slots[i + seg].0 == slots[i].0 + seg {
+                    seg += 1;
+                }
+                for j in 0..seg {
+                    let sp = &specs[i + j];
+                    let (slot, seq) = slots[i + j];
+                    let e = Entry {
+                        seq,
+                        rid: sp.rid,
+                        size: sp.size,
+                        addr: sp.addr,
+                        rkey: sp.rkey,
+                        kind: sp.kind,
+                        ts: 0,
+                    };
+                    conn.stage.write_at(self.sub_ledger(slot), &e.encode());
+                }
+                let mut stamps = self.take_stamp_vec();
+                stamps.extend((1..seg).map(|j| j * ENTRY_BYTES + ledger::TS_OFFSET));
+                self.post_stage_write_run(
+                    &conn,
+                    self.sub_ledger(slots[i].0),
+                    seg * ENTRY_BYTES,
+                    self.take_rid_vec(),
+                    ledger::TS_OFFSET,
+                    stamps,
+                )?;
+                i += seg;
+            }
+            Ok(slots.len())
+        })();
+        self.fail_post(&conn, r)
+    }
+
+    /// Read the local credit words for production over `conn`; returns the
+    /// virtual delivery time of the last credit write.
+    fn refresh_tx_credits(&self, conn: &Conn, tx: &mut PeerTx) -> VTime {
+        let off = self.sub_credit();
+        tx.ledger.update_credits(conn.svc.read_u64(off));
+        tx.ring.update_credits(conn.svc.read_u64(off + 8));
+        VTime(conn.svc.read_u64(off + 16))
+    }
+
+    pub(crate) fn return_credits(
+        &self,
+        conn: &Arc<Conn>,
+        ledger_consumed: u64,
+        ring_cursor: u64,
+    ) -> Result<()> {
+        let skip = self.cfg.skip_credit_return_interval;
+        if skip > 0 && self.credit_return_seq.fetch_add(1, Ordering::Relaxed) % skip == skip - 1 {
+            // Seeded credit-accounting bug (see PhotonConfig): the consumer
+            // has advanced its counters but the producer is never told.
+            return Ok(());
+        }
+        if conn.health.state.load(Ordering::Acquire) == PEER_DEAD {
+            // No point writing credit words into a dead peer's memory.
+            return Ok(());
+        }
+        let sub = self.sub_credit();
+        conn.stage.write_u64(sub, ledger_consumed);
+        conn.stage.write_u64(sub + 8, ring_cursor);
+        match self.post_stage_write(conn, sub, CREDIT_BYTES, None, Some(16)) {
+            Err(PhotonError::Fabric(FabricError::PeerUnreachable { .. })) => {
+                // Swallow: a failed credit write must not poison this rank's
+                // progress loop (other peers still need service), and credit
+                // words are absolute counters, so dropping one write is
+                // harmless — the next return re-publishes the same state.
+                // The health machine is told so the path gets probed.
+                self.note_unreachable(conn);
+                return Ok(());
+            }
+            r => r?,
+        }
+        Stats::bump(&self.stats.credit_returns);
+        self.tracer.record(self.clock.now(), TraceOp::CreditReturn, conn.peer, 0, CREDIT_BYTES);
+        Ok(())
+    }
+
+    // ------------------------------------------------------------ user API
+
+    /// One-sided put with local **and** remote completion (the Photon
+    /// signature: `photon_put_with_completion`).
+    ///
+    /// Copies `len` bytes from `local[loff..]` to `dst[doff..]` on `peer`.
+    /// `local_rid` is surfaced here when the source buffer is reusable;
+    /// `remote_rid` is surfaced at `peer` when the data is visible there.
+    /// Small payloads take the packed eager path (one wire op, copy-out at
+    /// probe time); large payloads go direct RDMA + ledger entry.
+    ///
+    /// Blocks only on credit exhaustion; see
+    /// [`Photon::try_put_with_completion`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn put_with_completion(
+        &self,
+        peer: Rank,
+        local: &PhotonBuffer,
+        loff: usize,
+        len: usize,
+        dst: &BufferDescriptor,
+        doff: usize,
+        local_rid: u64,
+        remote_rid: u64,
+    ) -> Result<()> {
+        self.blocking("pwc credits", |s| {
+            s.try_put_with_completion(peer, local, loff, len, dst, doff, local_rid, remote_rid)
+                .map(|posted| posted.then_some(()))
+        })
+    }
+
+    /// Non-blocking [`Photon::put_with_completion`]: `Ok(false)` when out of
+    /// credits.
+    #[allow(clippy::too_many_arguments)]
+    pub fn try_put_with_completion(
+        &self,
+        peer: Rank,
+        local: &PhotonBuffer,
+        loff: usize,
+        len: usize,
+        dst: &BufferDescriptor,
+        doff: usize,
+        local_rid: u64,
+        remote_rid: u64,
+    ) -> Result<bool> {
+        self.check_rank(peer)?;
+        local.check(loff, len)?;
+        if doff + len > dst.len {
+            return Err(PhotonError::OutOfRange { offset: doff, len, cap: dst.len });
+        }
+        let Some(conn) = self.gated_conn(peer)? else {
+            return Ok(false);
+        };
+        if len <= self.cfg.eager_threshold && len <= self.cfg.max_eager_payload() {
+            // Zero-alloc fast path: the source region is staged directly,
+            // with no intermediate heap buffer.
+            self.obs.op_post(local_rid, peer, OpKind::PutEager, len, self.clock.now());
+            let posted = self.try_send_frame(
+                peer,
+                FrameKind::Put,
+                remote_rid,
+                FrameSrc::Mr(local.region(), loff),
+                len,
+                Some((dst.addr + doff as u64, dst.rkey)),
+                Some(local_rid),
+            )?;
+            if posted {
+                Stats::bump(&self.stats.puts_eager);
+                Stats::add(&self.stats.bytes_put, len as u64);
+                self.tracer.record(self.clock.now(), TraceOp::PutEager, peer, remote_rid, len);
+            }
+            Ok(posted)
+        } else if self.cfg.imm_completions {
+            // CQ-notification mode: one write-with-immediate carries both
+            // the data and the remote completion id. No ledger, no credits.
+            self.obs.op_post(local_rid, peer, OpKind::PutDirect, len, self.clock.now());
+            let wr_id = self.wr_table.insert(local_rid, peer);
+            let wr = SendWr::new(
+                wr_id,
+                WrOp::Write {
+                    local: MrSlice::new(local.region(), loff, len),
+                    remote: RemoteSlice::from_key(dst, doff, len),
+                    imm: Some(remote_rid),
+                },
+            );
+            if let Err(e) = self.nic.post_send(conn.qp, wr, self.clock.now()) {
+                self.wr_table.remove(wr_id);
+                return self.fail_post(&conn, Err(e.into()));
+            }
+            Stats::bump(&self.stats.puts_direct);
+            Stats::add(&self.stats.bytes_put, len as u64);
+            self.tracer.record(self.clock.now(), TraceOp::PutDirect, peer, remote_rid, len);
+            Ok(true)
+        } else {
+            self.obs.op_post(local_rid, peer, OpKind::PutDirect, len, self.clock.now());
+            let data_local = MrSlice::new(local.region(), loff, len);
+            let data_remote = RemoteSlice::from_key(dst, doff, len);
+            let posted = self.try_post_entry(
+                peer,
+                EntryKind::Completion,
+                remote_rid,
+                len as u64,
+                0,
+                0,
+                Some((data_local, data_remote, local_rid)),
+            )?;
+            if posted {
+                Stats::bump(&self.stats.puts_direct);
+                Stats::add(&self.stats.bytes_put, len as u64);
+                self.tracer.record(self.clock.now(), TraceOp::PutDirect, peer, remote_rid, len);
+            }
+            Ok(posted)
+        }
+    }
+
+    /// Doorbell-batched [`Photon::put_with_completion`]: post every item in
+    /// `items` toward `peer`, coalescing runs of eager-sized items into a
+    /// single contiguous ring reservation and **one** wire write (header
+    /// run + payloads). The whole batch — including ledger entries for
+    /// oversized items — posts under one TX lock acquisition, and the
+    /// fabric charges its per-post overhead once per run instead of once
+    /// per frame. Blocks on credit exhaustion.
+    pub fn put_many(
+        &self,
+        peer: Rank,
+        local: &PhotonBuffer,
+        dst: &BufferDescriptor,
+        items: &[PutManyItem],
+    ) -> Result<()> {
+        let mut done = 0usize;
+        self.blocking("put_many credits", |s| {
+            done += s.try_put_many(peer, local, dst, &items[done..])?;
+            Ok((done == items.len()).then_some(()))
+        })
+    }
+
+    /// Non-blocking [`Photon::put_many`]: posts the longest prefix of
+    /// `items` the credits allow and returns how many were posted (`0` on a
+    /// full stall — retry after probing).
+    pub fn try_put_many(
+        &self,
+        peer: Rank,
+        local: &PhotonBuffer,
+        dst: &BufferDescriptor,
+        items: &[PutManyItem],
+    ) -> Result<usize> {
+        self.check_rank(peer)?;
+        for it in items {
+            local.check(it.loff, it.len)?;
+            if it.doff + it.len > dst.len {
+                return Err(PhotonError::OutOfRange { offset: it.doff, len: it.len, cap: dst.len });
+            }
+        }
+        if items.is_empty() {
+            return Ok(0);
+        }
+        let Some(conn) = self.gated_conn(peer)? else {
+            return Ok(0);
+        };
+        let eager_ok =
+            |len: usize| len <= self.cfg.eager_threshold && len <= self.cfg.max_eager_payload();
+        // The whole batch posts inside the closure so the TX guard is
+        // released before `fail_post` (eviction locks the same TX state).
+        let res = (|| {
+            let mut posted = 0usize;
+            let mut tx = conn.tx.lock();
+            // Run scratch lives in the TX state and is recycled across
+            // batches (RunFrame holds indices, not borrows).
+            let mut run = std::mem::take(&mut tx.run);
+            while posted < items.len() {
+                let it = &items[posted];
+                if eager_ok(it.len) {
+                    // Longest eager run from here whose combined span fits the
+                    // ring (a run never wraps, so it can never exceed it).
+                    let mut span = 0usize;
+                    run.clear();
+                    for it2 in &items[posted..] {
+                        if !eager_ok(it2.len) {
+                            break;
+                        }
+                        let s = eager::frame_span(it2.len);
+                        if span + s > self.ring_bytes {
+                            break;
+                        }
+                        span += s;
+                        run.push(RunFrame {
+                            kind: FrameKind::Put,
+                            rid: it2.remote_rid,
+                            dst: Some((dst.addr + it2.doff as u64, dst.rkey)),
+                            src: RunSrc::Region(it2.loff),
+                            len: it2.len,
+                            local_rid: Some(it2.local_rid),
+                        });
+                    }
+                    let want = run.len();
+                    for it2 in &items[posted..posted + want] {
+                        self.obs.op_post(
+                            it2.local_rid,
+                            peer,
+                            OpKind::PutEager,
+                            it2.len,
+                            self.clock.now(),
+                        );
+                    }
+                    let n = self.post_frame_run_locked(
+                        &conn,
+                        &mut tx,
+                        &run,
+                        Some(local.region()),
+                        &[],
+                    )?;
+                    for it2 in &items[posted..posted + n] {
+                        Stats::bump(&self.stats.puts_eager);
+                        Stats::add(&self.stats.bytes_put, it2.len as u64);
+                        self.tracer.record(
+                            self.clock.now(),
+                            TraceOp::PutEager,
+                            peer,
+                            it2.remote_rid,
+                            it2.len,
+                        );
+                    }
+                    posted += n;
+                    if n < want {
+                        break; // out of ring credits
+                    }
+                } else if self.cfg.imm_completions {
+                    self.obs.op_post(
+                        it.local_rid,
+                        peer,
+                        OpKind::PutDirect,
+                        it.len,
+                        self.clock.now(),
+                    );
+                    let wr_id = self.wr_table.insert(it.local_rid, peer);
+                    let wr = SendWr::new(
+                        wr_id,
+                        WrOp::Write {
+                            local: MrSlice::new(local.region(), it.loff, it.len),
+                            remote: RemoteSlice::from_key(dst, it.doff, it.len),
+                            imm: Some(it.remote_rid),
+                        },
+                    );
+                    if let Err(e) = self.nic.post_send(conn.qp, wr, self.clock.now()) {
+                        self.wr_table.remove(wr_id);
+                        return Err(e.into());
+                    }
+                    Stats::bump(&self.stats.puts_direct);
+                    Stats::add(&self.stats.bytes_put, it.len as u64);
+                    self.tracer.record(
+                        self.clock.now(),
+                        TraceOp::PutDirect,
+                        peer,
+                        it.remote_rid,
+                        it.len,
+                    );
+                    posted += 1;
+                } else {
+                    self.obs.op_post(
+                        it.local_rid,
+                        peer,
+                        OpKind::PutDirect,
+                        it.len,
+                        self.clock.now(),
+                    );
+                    let ok = self.try_post_entry_locked(
+                        &conn,
+                        &mut tx,
+                        EntryKind::Completion,
+                        it.remote_rid,
+                        it.len as u64,
+                        0,
+                        0,
+                        Some((
+                            MrSlice::new(local.region(), it.loff, it.len),
+                            RemoteSlice::from_key(dst, it.doff, it.len),
+                            it.local_rid,
+                        )),
+                    )?;
+                    if !ok {
+                        break; // out of ledger credits
+                    }
+                    Stats::bump(&self.stats.puts_direct);
+                    Stats::add(&self.stats.bytes_put, it.len as u64);
+                    self.tracer.record(
+                        self.clock.now(),
+                        TraceOp::PutDirect,
+                        peer,
+                        it.remote_rid,
+                        it.len,
+                    );
+                    posted += 1;
+                }
+            }
+            tx.run = run;
+            Ok(posted)
+        })();
+        self.fail_post(&conn, res)
+    }
+
+    /// Doorbell-batched [`Photon::send`]: deliver every payload to `peer` as
+    /// its own eager `Msg` frame (each surfacing `remote_rid` with its
+    /// payload), coalesced into as few wire writes as the ring allows.
+    /// Blocks on credit exhaustion.
+    pub fn send_many(&self, peer: Rank, payloads: &[Vec<u8>], remote_rid: u64) -> Result<()> {
+        let mut done = 0usize;
+        self.blocking("send_many credits", |s| {
+            done += s.try_send_many(peer, &payloads[done..], remote_rid)?;
+            Ok((done == payloads.len()).then_some(()))
+        })
+    }
+
+    /// Non-blocking [`Photon::send_many`]: posts the longest prefix the
+    /// credits allow, returns how many payloads were posted.
+    pub fn try_send_many(
+        &self,
+        peer: Rank,
+        payloads: &[Vec<u8>],
+        remote_rid: u64,
+    ) -> Result<usize> {
+        self.check_rank(peer)?;
+        for p in payloads {
+            if p.len() > self.cfg.max_eager_payload() {
+                return Err(PhotonError::MessageTooLarge {
+                    len: p.len(),
+                    max: self.cfg.max_eager_payload(),
+                });
+            }
+        }
+        if payloads.is_empty() {
+            return Ok(0);
+        }
+        let Some(conn) = self.gated_conn(peer)? else {
+            return Ok(0);
+        };
+        let res = (|| {
+            let mut posted = 0usize;
+            let mut tx = conn.tx.lock();
+            let mut run = std::mem::take(&mut tx.run);
+            while posted < payloads.len() {
+                let mut span = 0usize;
+                run.clear();
+                for (i, p) in payloads[posted..].iter().enumerate() {
+                    let s = eager::frame_span(p.len());
+                    if span + s > self.ring_bytes {
+                        break;
+                    }
+                    span += s;
+                    run.push(RunFrame {
+                        kind: FrameKind::Msg,
+                        rid: remote_rid,
+                        dst: None,
+                        src: RunSrc::Payload(posted + i),
+                        len: p.len(),
+                        local_rid: None,
+                    });
+                }
+                let want = run.len();
+                let n = self.post_frame_run_locked(&conn, &mut tx, &run, None, payloads)?;
+                for p in &payloads[posted..posted + n] {
+                    Stats::bump(&self.stats.sends);
+                    self.tracer.record(self.clock.now(), TraceOp::Send, peer, remote_rid, p.len());
+                }
+                posted += n;
+                if n < want {
+                    break;
+                }
+            }
+            tx.run = run;
+            Ok(posted)
+        })();
+        self.fail_post(&conn, res)
+    }
+
+    /// One-sided put with local completion only (`photon_post_os_put`):
+    /// the peer is not notified.
+    #[allow(clippy::too_many_arguments)]
+    pub fn put(
+        &self,
+        peer: Rank,
+        local: &PhotonBuffer,
+        loff: usize,
+        len: usize,
+        dst: &BufferDescriptor,
+        doff: usize,
+        local_rid: u64,
+    ) -> Result<()> {
+        self.check_rank(peer)?;
+        local.check(loff, len)?;
+        if doff + len > dst.len {
+            return Err(PhotonError::OutOfRange { offset: doff, len, cap: dst.len });
+        }
+        // Direct RDMA has no credit gate to ride through the health machine:
+        // settle it here before consuming a work-request slot.
+        let conn = self.gate_blocking(peer)?;
+        self.obs.op_post(local_rid, peer, OpKind::Put, len, self.clock.now());
+        let wr_id = self.wr_table.insert(local_rid, peer);
+        let wr = SendWr::new(
+            wr_id,
+            WrOp::Write {
+                local: MrSlice::new(local.region(), loff, len),
+                remote: RemoteSlice::from_key(dst, doff, len),
+                imm: None,
+            },
+        );
+        if let Err(e) = self.nic.post_send(conn.qp, wr, self.clock.now()) {
+            self.wr_table.remove(wr_id);
+            return self.fail_post(&conn, Err(e.into()));
+        }
+        Stats::bump(&self.stats.puts_direct);
+        Stats::add(&self.stats.bytes_put, len as u64);
+        self.tracer.record(self.clock.now(), TraceOp::Put, peer, local_rid, len);
+        Ok(())
+    }
+
+    /// One-sided get with local completion (`photon_get_with_completion`):
+    /// fetches `len` bytes from `src[soff..]` on `peer` into
+    /// `local[loff..]`; `local_rid` is surfaced when the data has landed.
+    #[allow(clippy::too_many_arguments)]
+    pub fn get_with_completion(
+        &self,
+        peer: Rank,
+        local: &PhotonBuffer,
+        loff: usize,
+        len: usize,
+        src: &BufferDescriptor,
+        soff: usize,
+        local_rid: u64,
+    ) -> Result<()> {
+        self.check_rank(peer)?;
+        local.check(loff, len)?;
+        if soff + len > src.len {
+            return Err(PhotonError::OutOfRange { offset: soff, len, cap: src.len });
+        }
+        let conn = self.gate_blocking(peer)?;
+        self.obs.op_post(local_rid, peer, OpKind::Get, len, self.clock.now());
+        let wr_id = self.wr_table.insert(local_rid, peer);
+        let wr = SendWr::new(
+            wr_id,
+            WrOp::Read {
+                local: MrSlice::new(local.region(), loff, len),
+                remote: RemoteSlice::from_key(src, soff, len),
+            },
+        );
+        if let Err(e) = self.nic.post_send(conn.qp, wr, self.clock.now()) {
+            self.wr_table.remove(wr_id);
+            return self.fail_post(&conn, Err(e.into()));
+        }
+        Stats::bump(&self.stats.gets);
+        Stats::add(&self.stats.bytes_got, len as u64);
+        self.tracer.record(self.clock.now(), TraceOp::Get, peer, local_rid, len);
+        Ok(())
+    }
+
+    /// Doorbell-batched [`Photon::get_with_completion`]: post every read in
+    /// `items` toward `peer` with **one** doorbell and one signaled CQE.
+    /// On a reliable-connected QP reads retire in posting order, so the
+    /// final read's CQE means every earlier read's data has landed too: the
+    /// one CQE fans out into `items.len()` local completions through the
+    /// same side table the batched put path uses. Each item's `local_rid`
+    /// therefore surfaces when the *batch* completes — items that need
+    /// independent completion latitude should use single gets.
+    pub fn get_many(
+        &self,
+        peer: Rank,
+        local: &PhotonBuffer,
+        src: &BufferDescriptor,
+        items: &[GetManyItem],
+    ) -> Result<()> {
+        self.check_rank(peer)?;
+        for it in items {
+            local.check(it.loff, it.len)?;
+            if it.soff + it.len > src.len {
+                return Err(PhotonError::OutOfRange { offset: it.soff, len: it.len, cap: src.len });
+            }
+        }
+        if items.is_empty() {
+            return Ok(());
+        }
+        let conn = self.gate_blocking(peer)?;
+        let now = self.clock.now();
+        let mut rids = self.take_rid_vec();
+        rids.extend(items.iter().map(|it| it.local_rid));
+        // Register the fan-out side table *before* posting: once the
+        // doorbell rings, a progress thread may harvest the CQE immediately.
+        let wr_id = self.wr_table.insert(BATCH_RID, peer);
+        self.batch_rids.lock().insert(wr_id, rids);
+        let mut wrs = Vec::with_capacity(items.len());
+        for (i, it) in items.iter().enumerate() {
+            self.obs.op_post(it.local_rid, peer, OpKind::Get, it.len, now);
+            let op = WrOp::Read {
+                local: MrSlice::new(local.region(), it.loff, it.len),
+                remote: RemoteSlice::from_key(src, it.soff, it.len),
+            };
+            // Only the run's last read is signaled; it carries the batch id.
+            wrs.push(if i + 1 == items.len() {
+                SendWr::new(wr_id, op)
+            } else {
+                SendWr::unsignaled(op)
+            });
+        }
+        if let Err(e) = self.nic.post_send_many(conn.qp, &wrs, now) {
+            self.wr_table.remove(wr_id);
+            if let Some(rids) = self.batch_rids.lock().remove(&wr_id) {
+                self.give_rid_vec(rids);
+            }
+            return self.fail_post(&conn, Err(e.into()));
+        }
+        for it in items {
+            Stats::bump(&self.stats.gets);
+            Stats::add(&self.stats.bytes_got, it.len as u64);
+            self.tracer.record(now, TraceOp::Get, peer, it.local_rid, it.len);
+        }
+        Ok(())
+    }
+
+    /// [`Photon::get_with_completion`] plus a remote notification: `peer`
+    /// also receives `remote_rid` (so it can, e.g., recycle the source).
+    #[allow(clippy::too_many_arguments)]
+    pub fn get_with_remote_notify(
+        &self,
+        peer: Rank,
+        local: &PhotonBuffer,
+        loff: usize,
+        len: usize,
+        src: &BufferDescriptor,
+        soff: usize,
+        local_rid: u64,
+        remote_rid: u64,
+    ) -> Result<()> {
+        self.get_with_completion(peer, local, loff, len, src, soff, local_rid)?;
+        self.blocking("gwc notify credits", |s| {
+            s.try_post_entry(peer, EntryKind::GetNotify, remote_rid, len as u64, 0, 0, None)
+                .map(|p| p.then_some(()))
+        })
+    }
+
+    /// Destination-less message (`photon_send` analogue): the payload is
+    /// delivered to `peer` through its probe loop. This is the parcel /
+    /// active-message primitive. Blocks on credit exhaustion.
+    pub fn send(&self, peer: Rank, payload: &[u8], remote_rid: u64) -> Result<()> {
+        debug_assert!(
+            !rid_space::is_reserved(remote_rid),
+            "user rids must stay below the reserved namespace"
+        );
+        self.send_internal(peer, payload, remote_rid, None)
+    }
+
+    /// [`Photon::send`] that also surfaces `local_rid` when the payload has
+    /// been injected (source slice reusable).
+    pub fn send_with_local(
+        &self,
+        peer: Rank,
+        payload: &[u8],
+        remote_rid: u64,
+        local_rid: u64,
+    ) -> Result<()> {
+        self.send_internal(peer, payload, remote_rid, Some(local_rid))
+    }
+
+    /// Non-blocking send: `Ok(false)` when out of ring credits.
+    pub fn try_send(&self, peer: Rank, payload: &[u8], remote_rid: u64) -> Result<bool> {
+        self.check_rank(peer)?;
+        if payload.len() > self.cfg.max_eager_payload() {
+            return Err(PhotonError::MessageTooLarge {
+                len: payload.len(),
+                max: self.cfg.max_eager_payload(),
+            });
+        }
+        let posted = self.try_send_frame(
+            peer,
+            FrameKind::Msg,
+            remote_rid,
+            FrameSrc::Bytes(payload),
+            payload.len(),
+            None,
+            None,
+        )?;
+        if posted {
+            Stats::bump(&self.stats.sends);
+            self.tracer.record(self.clock.now(), TraceOp::Send, peer, remote_rid, payload.len());
+        }
+        Ok(posted)
+    }
+
+    pub(crate) fn send_internal(
+        &self,
+        peer: Rank,
+        payload: &[u8],
+        remote_rid: u64,
+        local_rid: Option<u64>,
+    ) -> Result<()> {
+        self.check_rank(peer)?;
+        if payload.len() > self.cfg.max_eager_payload() {
+            return Err(PhotonError::MessageTooLarge {
+                len: payload.len(),
+                max: self.cfg.max_eager_payload(),
+            });
+        }
+        self.blocking("send credits", |s| {
+            if let Some(rid) = local_rid {
+                s.obs.op_post(rid, peer, OpKind::Send, payload.len(), s.clock.now());
+            }
+            let posted = s.try_send_frame(
+                peer,
+                FrameKind::Msg,
+                remote_rid,
+                FrameSrc::Bytes(payload),
+                payload.len(),
+                None,
+                local_rid,
+            )?;
+            if posted {
+                Stats::bump(&s.stats.sends);
+                s.tracer.record(s.clock.now(), TraceOp::Send, peer, remote_rid, payload.len());
+            }
+            Ok(posted.then_some(()))
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{PhotonCluster, PhotonConfig, ProbeFlags};
+    use photon_fabric::NetworkModel;
+
+    fn pair() -> PhotonCluster {
+        PhotonCluster::new(2, NetworkModel::ib_fdr(), PhotonConfig::default())
+    }
+
+    #[test]
+    fn pwc_eager_roundtrip() {
+        let c = pair();
+        let (p0, p1) = (c.rank(0), c.rank(1));
+        let src = p0.register_buffer(256).unwrap();
+        let dst = p1.register_buffer(256).unwrap();
+        src.write_at(0, b"eager path");
+        p0.put_with_completion(1, &src, 0, 10, &dst.descriptor(), 16, 7, 99).unwrap();
+        assert!(p0.wait_local(7).unwrap() > VTime::ZERO);
+        let ev = p1.wait_completion_matching(ProbeFlags::Remote).unwrap();
+        assert_eq!(ev.rid, 99);
+        assert_eq!(ev.peer, 0);
+        assert_eq!(ev.size, 10);
+        assert!(ev.payload.is_none(), "eager put copies out, no payload");
+        assert_eq!(dst.to_vec(16, 10), b"eager path");
+        assert_eq!(p0.stats().puts_eager, 1);
+        // Remote completion happens after wire latency.
+        assert!(ev.ts.as_nanos() >= 700);
+    }
+
+    #[test]
+    fn pwc_direct_roundtrip() {
+        let c = pair();
+        let (p0, p1) = (c.rank(0), c.rank(1));
+        let len = 64 * 1024; // above the eager threshold
+        let src = p0.register_buffer(len).unwrap();
+        let dst = p1.register_buffer(len).unwrap();
+        src.fill(0xAB);
+        p0.put_with_completion(1, &src, 0, len, &dst.descriptor(), 0, 1, 2).unwrap();
+        p0.wait_local(1).unwrap();
+        let ev = p1.wait_completion_matching(ProbeFlags::Remote).unwrap();
+        assert_eq!(ev.rid, 2);
+        assert_eq!(ev.size, len);
+        assert_eq!(dst.to_vec(0, len), vec![0xAB; len]);
+        assert_eq!(p0.stats().puts_direct, 1);
+        assert_eq!(p0.stats().puts_eager, 0);
+    }
+
+    #[test]
+    fn get_with_completion_pulls() {
+        let c = pair();
+        let (p0, p1) = (c.rank(0), c.rank(1));
+        let dst = p0.register_buffer(128).unwrap();
+        let src = p1.register_buffer(128).unwrap();
+        src.write_at(32, b"pull me");
+        p0.get_with_completion(1, &dst, 0, 7, &src.descriptor(), 32, 55).unwrap();
+        p0.wait_local(55).unwrap();
+        assert_eq!(dst.to_vec(0, 7), b"pull me");
+        assert_eq!(p0.stats().gets, 1);
+    }
+
+    #[test]
+    fn get_many_batches_reads_behind_one_cqe() {
+        let c = pair();
+        let (p0, p1) = (c.rank(0), c.rank(1));
+        let dst = p0.register_buffer(256).unwrap();
+        let src = p1.register_buffer(256).unwrap();
+        for i in 0..32u8 {
+            src.write_at(i as usize * 8, &[i; 8]);
+        }
+        let items: Vec<GetManyItem> = (0..32)
+            .map(|i| GetManyItem { loff: i * 8, len: 8, soff: i * 8, local_rid: 100 + i as u64 })
+            .collect();
+        p0.get_many(1, &dst, &src.descriptor(), &items).unwrap();
+        // One CQE fans out into every item's local completion, and the
+        // first rid's completion already implies all data landed (RC
+        // in-order retirement).
+        for it in &items {
+            p0.wait_local(it.local_rid).unwrap();
+        }
+        for i in 0..32u8 {
+            assert_eq!(dst.to_vec(i as usize * 8, 8), vec![i; 8]);
+        }
+        assert_eq!(p0.stats().gets, 32);
+        assert_eq!(p0.stats().local_completions, 32);
+    }
+
+    #[test]
+    fn get_many_validates_and_handles_empty() {
+        let c = pair();
+        let p0 = c.rank(0);
+        let dst = p0.register_buffer(16).unwrap();
+        let src = c.rank(1).register_buffer(16).unwrap();
+        p0.get_many(1, &dst, &src.descriptor(), &[]).unwrap();
+        let bad = [GetManyItem { loff: 0, len: 8, soff: 12, local_rid: 1 }];
+        assert!(matches!(
+            p0.get_many(1, &dst, &src.descriptor(), &bad),
+            Err(PhotonError::OutOfRange { .. })
+        ));
+        assert_eq!(p0.stats().gets, 0, "failed batch posts nothing");
+    }
+
+    #[test]
+    fn get_with_remote_notify_notifies() {
+        let c = pair();
+        let (p0, p1) = (c.rank(0), c.rank(1));
+        let dst = p0.register_buffer(8).unwrap();
+        let src = p1.register_buffer(8).unwrap();
+        p0.get_with_remote_notify(1, &dst, 0, 8, &src.descriptor(), 0, 1, 77).unwrap();
+        p0.wait_local(1).unwrap();
+        let ev = p1.wait_completion_matching(ProbeFlags::Remote).unwrap();
+        assert_eq!(ev.rid, 77);
+    }
+
+    #[test]
+    fn send_delivers_payload() {
+        let c = pair();
+        let (p0, p1) = (c.rank(0), c.rank(1));
+        p0.send(1, b"parcel bytes", 11).unwrap();
+        let ev = p1.wait_completion_matching(ProbeFlags::Remote).unwrap();
+        assert_eq!(ev.rid, 11);
+        assert_eq!(ev.payload.as_deref(), Some(&b"parcel bytes"[..]));
+        assert_eq!(p0.stats().sends, 1);
+    }
+
+    #[test]
+    fn many_sends_wrap_the_ring() {
+        let c = PhotonCluster::new(2, NetworkModel::ideal(), PhotonConfig::tiny());
+        let (p0, p1) = (c.rank(0), c.rank(1));
+        // Far more traffic than the 512-byte ring holds: exercises credits,
+        // skips and wraparound. Consumer runs concurrently.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..500u64 {
+                    let payload = vec![i as u8; (i % 60) as usize];
+                    p0.send(1, &payload, i).unwrap();
+                }
+            });
+            s.spawn(|| {
+                for i in 0..500u64 {
+                    let ev = p1.wait_completion_matching(ProbeFlags::Remote).unwrap();
+                    assert_eq!(ev.rid, i, "in-order delivery");
+                    assert_eq!(ev.payload.unwrap(), vec![i as u8; (i % 60) as usize]);
+                }
+            });
+        });
+        assert!(p0.stats().credit_stalls > 0, "ring pressure was exercised");
+        assert!(p1.stats().credit_returns > 0);
+    }
+
+    #[test]
+    fn ledger_backpressure_direct_puts() {
+        let cfg = PhotonConfig { eager_threshold: 0, ..PhotonConfig::tiny() };
+        let c = PhotonCluster::new(2, NetworkModel::ideal(), cfg);
+        let (p0, p1) = (c.rank(0), c.rank(1));
+        let src = p0.register_buffer(64).unwrap();
+        let dst = p1.register_buffer(64).unwrap();
+        // 8-slot ledger: the 9th un-probed direct put must report no space.
+        for i in 0..8 {
+            assert!(p0.try_put_with_completion(1, &src, 0, 8, &dst.descriptor(), 0, i, i).unwrap());
+        }
+        assert!(!p0.try_put_with_completion(1, &src, 0, 8, &dst.descriptor(), 0, 9, 9).unwrap());
+        assert!(p0.stats().credit_stalls > 0);
+        // Once the peer probes, credits come back.
+        for _ in 0..8 {
+            p1.wait_completion_matching(ProbeFlags::Remote).unwrap();
+        }
+        assert!(p0.try_put_with_completion(1, &src, 0, 8, &dst.descriptor(), 0, 9, 9).unwrap());
+    }
+
+    #[test]
+    fn plain_put_has_no_remote_event() {
+        let c = pair();
+        let (p0, p1) = (c.rank(0), c.rank(1));
+        let src = p0.register_buffer(8).unwrap();
+        let dst = p1.register_buffer(8).unwrap();
+        src.write_u64(0, 31337);
+        p0.put(1, &src, 0, 8, &dst.descriptor(), 0, 4).unwrap();
+        p0.wait_local(4).unwrap();
+        assert_eq!(dst.read_u64(0), 31337);
+        assert!(p1.poll_completion(ProbeFlags::Any).unwrap().is_none());
+    }
+
+    #[test]
+    fn bounds_and_rank_checks() {
+        let c = pair();
+        let p0 = c.rank(0);
+        let src = p0.register_buffer(8).unwrap();
+        let d = src.descriptor();
+        assert!(matches!(
+            p0.put_with_completion(5, &src, 0, 8, &d, 0, 1, 1),
+            Err(PhotonError::InvalidRank(5))
+        ));
+        assert!(matches!(
+            p0.put_with_completion(1, &src, 4, 8, &d, 0, 1, 1),
+            Err(PhotonError::OutOfRange { .. })
+        ));
+        assert!(matches!(
+            p0.put_with_completion(1, &src, 0, 8, &d, 4, 1, 1),
+            Err(PhotonError::OutOfRange { .. })
+        ));
+        let huge = vec![0u8; 1 << 20];
+        assert!(matches!(p0.send(1, &huge, 1), Err(PhotonError::MessageTooLarge { .. })));
+    }
+
+    #[test]
+    fn imm_completion_mode_delivers_direct_puts() {
+        let cfg = PhotonConfig {
+            eager_threshold: 0, // everything direct
+            imm_completions: true,
+            ..PhotonConfig::default()
+        };
+        let c = PhotonCluster::new(2, NetworkModel::ib_fdr(), cfg);
+        let (p0, p1) = (c.rank(0), c.rank(1));
+        let src = p0.register_buffer(4096).unwrap();
+        let dst = p1.register_buffer(4096).unwrap();
+        src.fill(0x42);
+        p0.put_with_completion(1, &src, 0, 4096, &dst.descriptor(), 0, 1, 77).unwrap();
+        p0.wait_local(1).unwrap();
+        let ev = p1.wait_completion_matching(ProbeFlags::Remote).unwrap();
+        assert_eq!((ev.rid, ev.size, ev.peer), (77, 4096, 0));
+        assert_eq!(dst.to_vec(0, 8), vec![0x42; 8]);
+        // No ledger entries were consumed for this put.
+        assert_eq!(p1.stats().credit_returns, 0);
+    }
+
+    #[test]
+    fn imm_mode_lacks_flow_control_cq_overflow() {
+        // The documented trade: with CQ-notification and no credits, an
+        // unprobed flood overruns the consumer's CQ and errors the producer.
+        let fabric = photon_fabric::Cluster::with_config(
+            2,
+            NetworkModel::ideal(),
+            photon_fabric::NicConfig { cq_depth: 32, ..photon_fabric::NicConfig::default() },
+        );
+        let cfg =
+            PhotonConfig { eager_threshold: 0, imm_completions: true, ..PhotonConfig::default() };
+        let c = PhotonCluster::with_fabric(fabric, cfg);
+        let p0 = c.rank(0);
+        let src = p0.register_buffer(8).unwrap();
+        let dst = c.rank(1).register_buffer(8).unwrap();
+        let d = dst.descriptor();
+        let mut overflowed = false;
+        for i in 0..64 {
+            match p0.try_put_with_completion(1, &src, 0, 8, &d, 0, i, i) {
+                Ok(true) => {}
+                Err(PhotonError::Fabric(photon_fabric::FabricError::CqOverflow)) => {
+                    overflowed = true;
+                    break;
+                }
+                other => panic!("unexpected: {other:?}"),
+            }
+        }
+        assert!(overflowed, "an unprobed flood must overflow the 32-deep CQ");
+        // With the (default) ledger mode the same flood backpressures
+        // cleanly instead.
+        let fabric = photon_fabric::Cluster::with_config(
+            2,
+            NetworkModel::ideal(),
+            photon_fabric::NicConfig { cq_depth: 32, ..photon_fabric::NicConfig::default() },
+        );
+        let cfg = PhotonConfig { eager_threshold: 0, ledger_entries: 8, ..PhotonConfig::default() };
+        let c = PhotonCluster::with_fabric(fabric, cfg);
+        let p0 = c.rank(0);
+        let src = p0.register_buffer(8).unwrap();
+        let dst = c.rank(1).register_buffer(8).unwrap();
+        let d = dst.descriptor();
+        let mut posted = 0;
+        for i in 0..64 {
+            if p0.try_put_with_completion(1, &src, 0, 8, &d, 0, i, i).unwrap() {
+                posted += 1;
+            } else {
+                break;
+            }
+        }
+        assert_eq!(posted, 8, "ledger mode stops cleanly at the credit limit");
+    }
+
+    #[test]
+    fn eager_fast_path_avoids_staging_copies() {
+        // The zero-alloc acceptance check: every eager put performs exactly
+        // one direct MR→stage copy at TX and one in-place ring copy-out at
+        // RX — no intermediate heap buffer on either side.
+        let c = pair();
+        let (p0, p1) = (c.rank(0), c.rank(1));
+        let src = p0.register_buffer(64).unwrap();
+        let dst = p1.register_buffer(64).unwrap();
+        let d = dst.descriptor();
+        let n = 10u64;
+        for i in 0..n {
+            p0.put_with_completion(1, &src, 0, 8, &d, 0, i, i).unwrap();
+            p0.wait_local(i).unwrap();
+            p1.wait_completion_matching(ProbeFlags::Remote).unwrap();
+        }
+        assert_eq!(p0.stats().stage_copies_avoided, n, "one per TX staging");
+        assert_eq!(p1.stats().stage_copies_avoided, n, "one per RX copy-out");
+    }
+
+    #[test]
+    fn put_many_roundtrip_and_batch_stats() {
+        let c = PhotonCluster::new(2, NetworkModel::ideal(), PhotonConfig::default());
+        let (p0, p1) = (c.rank(0), c.rank(1));
+        let src = p0.register_buffer(1024).unwrap();
+        let dst = p1.register_buffer(1024).unwrap();
+        let d = dst.descriptor();
+        let items: Vec<PutManyItem> = (0..8usize)
+            .map(|i| PutManyItem {
+                loff: i * 16,
+                len: 16,
+                doff: i * 16,
+                local_rid: 100 + i as u64,
+                remote_rid: i as u64,
+            })
+            .collect();
+        for (i, it) in items.iter().enumerate() {
+            src.write_at(it.loff, &[i as u8 + 1; 16]);
+        }
+        assert_eq!(p0.try_put_many(1, &src, &d, &items).unwrap(), 8);
+        // Remote completions surface per frame, in posting order, and the
+        // data landed at each sub-put's destination.
+        for (i, it) in items.iter().enumerate() {
+            let ev = p1.wait_completion_matching(ProbeFlags::Remote).unwrap();
+            assert_eq!((ev.rid, ev.size), (i as u64, 16));
+            assert_eq!(dst.to_vec(it.doff, 16), vec![i as u8 + 1; 16]);
+        }
+        // Every item's local completion surfaces off the one batched CQE.
+        for it in &items {
+            p0.wait_local(it.local_rid).unwrap();
+        }
+        let s = p0.stats();
+        assert_eq!(s.puts_eager, 8);
+        assert_eq!(s.batch_posts, 1, "one doorbell for the whole run");
+        assert_eq!(s.frames_per_batch_5_16, 1);
+        assert_eq!(s.stage_copies_avoided, 8);
+    }
+
+    #[test]
+    fn put_many_mixes_eager_runs_and_ledger_entries() {
+        // An oversized item in the middle splits the eager runs; the whole
+        // batch still posts in order under one call.
+        let c = PhotonCluster::new(2, NetworkModel::ideal(), PhotonConfig::default());
+        let (p0, p1) = (c.rank(0), c.rank(1));
+        let big = 16 * 1024; // above the default 8 KiB eager threshold
+        let src = p0.register_buffer(big + 64).unwrap();
+        let dst = p1.register_buffer(big + 64).unwrap();
+        let d = dst.descriptor();
+        src.fill(0x5A);
+        let items = vec![
+            PutManyItem { loff: 0, len: 8, doff: 0, local_rid: 100, remote_rid: 0 },
+            PutManyItem { loff: 8, len: 8, doff: 8, local_rid: 101, remote_rid: 1 },
+            PutManyItem { loff: 0, len: big, doff: 64, local_rid: 102, remote_rid: 2 },
+            PutManyItem { loff: 16, len: 8, doff: 16, local_rid: 103, remote_rid: 3 },
+        ];
+        assert_eq!(p0.try_put_many(1, &src, &d, &items).unwrap(), 4);
+        let mut rids = Vec::new();
+        while rids.len() < 4 {
+            if let Some(ev) = p1.poll_completion(ProbeFlags::Remote).unwrap() {
+                rids.push(ev.rid);
+            }
+        }
+        rids.sort_unstable();
+        assert_eq!(rids, vec![0, 1, 2, 3]);
+        assert_eq!(dst.to_vec(64, big), vec![0x5A; big]);
+        for it in &items {
+            p0.wait_local(it.local_rid).unwrap();
+        }
+        let s = p0.stats();
+        assert_eq!((s.puts_eager, s.puts_direct), (3, 1));
+        assert_eq!(s.batch_posts, 2, "the oversized item split the run in two");
+    }
+
+    #[test]
+    fn batched_frames_stay_ordered_against_interleaved_ledger_entry() {
+        // A doorbell batch is atomic in the peer's eager delivery order: an
+        // interleaved direct put (ledger entry) never splits it, and eager
+        // frames across batches surface in exact posting order.
+        let c = PhotonCluster::new(2, NetworkModel::ideal(), PhotonConfig::default());
+        let (p0, p1) = (c.rank(0), c.rank(1));
+        let src = p0.register_buffer(64 * 1024).unwrap();
+        let dst = p1.register_buffer(64 * 1024).unwrap();
+        let d = dst.descriptor();
+        let batch1: Vec<PutManyItem> = (0..2u64)
+            .map(|i| PutManyItem {
+                loff: i as usize * 8,
+                len: 8,
+                doff: i as usize * 8,
+                local_rid: 100 + i,
+                remote_rid: 1 + i,
+            })
+            .collect();
+        assert_eq!(p0.try_put_many(1, &src, &d, &batch1).unwrap(), 2);
+        // Interleaved ledger-path put (above the eager threshold).
+        p0.put_with_completion(1, &src, 0, 16 * 1024, &d, 1024, 150, 50).unwrap();
+        let batch2 = vec![PutManyItem { loff: 0, len: 8, doff: 64, local_rid: 103, remote_rid: 3 }];
+        assert_eq!(p0.try_put_many(1, &src, &d, &batch2).unwrap(), 1);
+        let mut rids = Vec::new();
+        while rids.len() < 4 {
+            if let Some(ev) = p1.poll_completion(ProbeFlags::Remote).unwrap() {
+                rids.push(ev.rid);
+            }
+        }
+        let eager_order: Vec<u64> = rids.iter().copied().filter(|r| *r != 50).collect();
+        assert_eq!(eager_order, vec![1, 2, 3], "eager frames keep per-peer posting order");
+        assert_eq!(rids.iter().filter(|r| **r == 50).count(), 1);
+        let batch1_pos = rids.iter().position(|r| *r == 1).unwrap();
+        let ledger_pos = rids.iter().position(|r| *r == 50).unwrap();
+        assert!(
+            ledger_pos < batch1_pos || ledger_pos > batch1_pos + 1,
+            "ledger entry split a doorbell batch: {rids:?}"
+        );
+        for rid in [100, 101, 150, 103] {
+            p0.wait_local(rid).unwrap();
+        }
+    }
+
+    #[test]
+    fn send_many_delivers_each_payload() {
+        let c = PhotonCluster::new(2, NetworkModel::ideal(), PhotonConfig::default());
+        let (p0, p1) = (c.rank(0), c.rank(1));
+        let payloads: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 3 + i as usize]).collect();
+        p0.send_many(1, &payloads, 7).unwrap();
+        for want in &payloads {
+            let ev = p1.wait_completion_matching(ProbeFlags::Remote).unwrap();
+            assert_eq!(ev.rid, 7);
+            assert_eq!(ev.payload.as_deref(), Some(&want[..]));
+        }
+        let s = p0.stats();
+        assert_eq!(s.sends, 5);
+        assert_eq!(s.batch_posts, 1);
+        assert_eq!(s.frames_per_batch_5_16, 1);
+    }
+
+    #[test]
+    fn put_many_respects_credit_limits() {
+        // A tiny ring takes only part of a large batch; the remainder posts
+        // once the consumer probes, and nothing is lost or reordered.
+        let c = PhotonCluster::new(2, NetworkModel::ideal(), PhotonConfig::tiny());
+        let (p0, p1) = (c.rank(0), c.rank(1));
+        let src = p0.register_buffer(512).unwrap();
+        let dst = p1.register_buffer(512).unwrap();
+        let d = dst.descriptor();
+        let items: Vec<PutManyItem> = (0..32u64)
+            .map(|i| PutManyItem {
+                loff: (i as usize % 16) * 8,
+                len: 8,
+                doff: (i as usize % 16) * 8,
+                local_rid: 1000 + i,
+                remote_rid: i,
+            })
+            .collect();
+        let first = p0.try_put_many(1, &src, &d, &items).unwrap();
+        assert!(first > 1 && first < 32, "tiny ring truncates the batch (got {first})");
+        std::thread::scope(|s| {
+            s.spawn(|| p0.put_many(1, &src, &d, &items[first..]).unwrap());
+            s.spawn(|| {
+                for i in 0..32u64 {
+                    let ev = p1.wait_completion_matching(ProbeFlags::Remote).unwrap();
+                    assert_eq!(ev.rid, i, "in-order delivery across partial batches");
+                }
+            });
+        });
+    }
+}
