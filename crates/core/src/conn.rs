@@ -7,7 +7,7 @@ use crate::ledger::{LedgerRx, LedgerTx};
 use crate::obs::Stats;
 use crate::photon::{Photon, BATCH_RID};
 use crate::probe::{rid_space, RemoteEvent};
-use crate::tx::RunFrame;
+use crate::tx::{pool_give, RunFrame};
 use crate::{PhotonError, Rank, Result};
 use parking_lot::{Mutex, RwLock};
 use photon_fabric::api::{Access, FabricError, MemoryRegion, Qp, RemoteKey, VTime, WcStatus};
@@ -421,7 +421,7 @@ impl Photon {
                         self.local_events.push(r, peer, now, WcStatus::FlushErr);
                         Stats::bump(&self.stats.rids_flushed);
                     }
-                    self.give_rid_vec(rids);
+                    pool_give(&self.rid_vec_pool, rids);
                 }
             } else {
                 self.local_events.push(rid, peer, now, WcStatus::FlushErr);

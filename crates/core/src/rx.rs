@@ -8,6 +8,7 @@ use crate::ledger::{Entry, EntryKind, ENTRY_BYTES};
 use crate::obs::{OpKind, Stats};
 use crate::photon::{MrCache, Photon, BATCH_RID, CQ_HARVEST_BATCH, RX_SKIP_LIMIT};
 use crate::probe::{rid_space, RemoteEvent};
+use crate::tx::pool_give;
 use crate::{PhotonError, Rank, Result};
 use photon_fabric::api::{Access, Completion as Cqe, MemoryRegion, RemoteKey, VTime, WcStatus};
 use std::sync::atomic::Ordering;
@@ -129,7 +130,7 @@ impl Photon {
                         }
                         self.local_events.push_many(&rids, peer, c.ts, c.status);
                         Stats::add(&self.stats.local_completions, rids.len() as u64);
-                        self.give_rid_vec(rids);
+                        pool_give(&self.rid_vec_pool, rids);
                     }
                 } else {
                     self.obs.op_inject(rid, c.ts);

@@ -10,34 +10,10 @@ use crate::obs::{OpKind, Stats, TraceOp};
 use crate::photon::{Photon, BATCH_RID, CREDIT_BYTES, VEC_POOL_CAP};
 use crate::probe::rid_space;
 use crate::{PhotonError, Rank, Result};
+use parking_lot::Mutex;
 use photon_fabric::api::{FabricError, MemoryRegion, MrSlice, RemoteSlice, SendWr, VTime, WrOp};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-/// Where an eager frame's payload comes from. `Mr` is the zero-alloc put
-/// fast path: the registered source region is read directly into the stage,
-/// with no intermediate `Vec` (the staging copy the paper's o-overhead
-/// charges is the *only* copy).
-enum FrameSrc<'a> {
-    /// Borrowed bytes (runtime messages, control payloads).
-    Bytes(&'a [u8]),
-    /// `len` bytes starting at an offset of a registered region.
-    Mr(&'a MemoryRegion, usize),
-}
-
-impl FrameSrc<'_> {
-    /// Copy `len` payload bytes into the stage at `off`.
-    fn write_to(&self, stage: &MemoryRegion, off: usize, len: usize) {
-        match self {
-            FrameSrc::Bytes(b) => stage.write_at(off, &b[..len]),
-            // Distinct regions, read → write: never the same lock (the
-            // stage is middleware-internal and never a user buffer).
-            FrameSrc::Mr(region, src_off) => {
-                region.with_bytes(|s| stage.write_at(off, &s[*src_off..*src_off + len]))
-            }
-        }
-    }
-}
 
 /// Payload source of one frame in a doorbell run. Holds indices, not
 /// borrows, so run scratch can be kept in [`PeerTx`] and recycled across
@@ -112,6 +88,27 @@ pub struct PutManyItem {
     pub remote_rid: u64,
 }
 
+// Free lists for the vectors that cycle through the doorbell-batch
+// machinery (rid fan-out lists, delivery-stamp offset lists). Each vector
+// reaches its working capacity once and is then recycled forever, so the
+// steady-state batch path performs zero heap allocations (pinned by
+// `obs_overhead`'s counting test).
+
+/// Take a vector from a recycler cache (empty, capacity retained from
+/// earlier batches).
+pub(crate) fn pool_take<T>(pool: &Mutex<Vec<Vec<T>>>) -> Vec<T> {
+    pool.lock().pop().unwrap_or_default()
+}
+
+/// Return a vector to a recycler cache (dropped past the retention cap).
+pub(crate) fn pool_give<T>(pool: &Mutex<Vec<Vec<T>>>, mut v: Vec<T>) {
+    let mut pool = pool.lock();
+    if pool.len() < VEC_POOL_CAP {
+        v.clear();
+        pool.push(v);
+    }
+}
+
 impl Photon {
     /// Post an arbitrary tracked work request on the QP to `peer`:
     /// `local_rid` surfaces as a local completion when its CQE drains.
@@ -147,118 +144,59 @@ impl Photon {
 
     // ------------------------------------------------------- posting layer
 
-    /// Write `len` staged bytes at `sub` to the peer's mirror slot.
+    /// Write `len` staged bytes at `sub` to the peer's mirror slot: the one
+    /// place a staged protocol write (frame run, ledger-entry run, skip
+    /// frame, credit words) reaches the fabric. Every offset in `stamps`
+    /// (relative to the staged slice) gets the delivery stamp, and all of
+    /// `local_rids` surface as local completions when the write's single
+    /// CQE drains. Only a run carrying more than one rid touches the
+    /// `batch_rids` side table and its recycler pool (likewise the stamp
+    /// pool for more than one stamp): a single frame or entry costs no lock
+    /// beyond the work-request table's.
     fn post_stage_write(
         &self,
         conn: &Conn,
         sub: usize,
         len: usize,
-        local_rid: Option<u64>,
-        stamp: Option<usize>,
+        local_rids: impl IntoIterator<Item = u64>,
+        stamps: impl IntoIterator<Item = usize>,
     ) -> Result<()> {
         let peer = conn.peer;
         let local = MrSlice::new(&conn.stage, sub, len);
         let remote = self.remote_slice(conn, sub, len);
-        let tracked = local_rid.map(|rid| self.wr_table.insert(rid, peer));
-        let mut wr = match tracked {
-            Some(wr_id) => SendWr::new(wr_id, WrOp::Write { local, remote, imm: None }),
-            None => SendWr::unsignaled(WrOp::Write { local, remote, imm: None }),
-        };
-        wr.stamp_deliver_at = stamp;
-        let res = self.nic.post_send(conn.qp, wr, self.clock.now());
-        if res.is_err() {
-            if let Some(wr_id) = tracked {
-                self.wr_table.remove(wr_id);
-            }
-        }
-        res.map_err(Into::into)
-    }
-
-    // ------------------------------------------------- scratch recyclers
-    //
-    // Free lists for the vectors that cycle through the doorbell-batch
-    // machinery (rid fan-out lists, delivery-stamp offset lists, CQE
-    // harvest buffers). Each vector reaches its working capacity once and
-    // is then recycled forever, so the steady-state batch path performs
-    // zero heap allocations (pinned by `obs_overhead`'s counting test).
-
-    /// Take a rid-list vector from the recycler cache (empty, capacity
-    /// retained from earlier batches).
-    fn take_rid_vec(&self) -> Vec<u64> {
-        self.rid_vec_pool.lock().pop().unwrap_or_default()
-    }
-
-    /// Return a rid-list vector to the recycler cache (dropped past the
-    /// retention cap).
-    pub(crate) fn give_rid_vec(&self, mut v: Vec<u64>) {
-        let mut pool = self.rid_vec_pool.lock();
-        if pool.len() < VEC_POOL_CAP {
-            v.clear();
-            pool.push(v);
-        }
-    }
-
-    /// Take a delivery-stamp offset vector from the recycler cache.
-    fn take_stamp_vec(&self) -> Vec<usize> {
-        self.stamp_vec_pool.lock().pop().unwrap_or_default()
-    }
-
-    /// Return a delivery-stamp offset vector to the recycler cache.
-    fn give_stamp_vec(&self, mut v: Vec<usize>) {
-        let mut pool = self.stamp_vec_pool.lock();
-        if pool.len() < VEC_POOL_CAP {
-            v.clear();
-            pool.push(v);
-        }
-    }
-
-    /// [`Photon::post_stage_write`] for a doorbell-batched run: one wire
-    /// write covering `len` staged bytes, every offset in
-    /// `{first_stamp} ∪ more_stamps` (relative to the staged slice) gets the
-    /// delivery stamp, and all of `local_rids` surface as local completions
-    /// when the single CQE drains. Both vectors come from (and return to)
-    /// the recycler caches.
-    fn post_stage_write_run(
-        &self,
-        conn: &Conn,
-        sub: usize,
-        len: usize,
-        local_rids: Vec<u64>,
-        first_stamp: usize,
-        more_stamps: Vec<usize>,
-    ) -> Result<()> {
-        let peer = conn.peer;
-        let local = MrSlice::new(&conn.stage, sub, len);
-        let remote = self.remote_slice(conn, sub, len);
-        let tracked = match local_rids.len() {
-            0 | 1 => {
-                let t = local_rids.first().map(|&rid| self.wr_table.insert(rid, peer));
-                self.give_rid_vec(local_rids);
-                t
-            }
-            _ => {
-                let wr_id = self.wr_table.insert(BATCH_RID, peer);
-                self.batch_rids.lock().insert(wr_id, local_rids);
-                Some(wr_id)
-            }
-        };
         let op = WrOp::Write { local, remote, imm: None };
-        let mut wr = match tracked {
-            Some(wr_id) => SendWr::new(wr_id, op),
-            None => SendWr::unsignaled(op),
+        let mut rids = local_rids.into_iter().fuse();
+        let mut wr = match (rids.next(), rids.next()) {
+            (None, _) => SendWr::unsignaled(op),
+            (Some(rid), None) => SendWr::new(self.wr_table.insert(rid, peer), op),
+            (Some(first), Some(second)) => {
+                // One CQE for the whole run: the wr carries the sentinel
+                // and the side table fans it out to the member rids.
+                let wr_id = self.wr_table.insert(BATCH_RID, peer);
+                let mut fanout = pool_take(&self.rid_vec_pool);
+                fanout.extend([first, second]);
+                fanout.extend(rids);
+                self.batch_rids.lock().insert(wr_id, fanout);
+                SendWr::new(wr_id, op)
+            }
         };
-        wr.stamp_deliver_at = Some(first_stamp);
-        wr.stamp_deliver_also = more_stamps;
-        // Post by reference (the one-element doorbell run) so the recycled
-        // stamp list can be reclaimed after the fabric consumes it.
+        let mut stamps = stamps.into_iter().fuse();
+        wr.stamp_deliver_at = stamps.next();
+        if let Some(second) = stamps.next() {
+            wr.stamp_deliver_also = pool_take(&self.stamp_vec_pool);
+            wr.stamp_deliver_also.push(second);
+            wr.stamp_deliver_also.extend(stamps);
+        }
+        // Post by reference so a recycled stamp list can be reclaimed after
+        // the fabric consumes it.
         let res = self.nic.post_send_many(conn.qp, std::slice::from_ref(&wr), self.clock.now());
-        self.give_stamp_vec(std::mem::take(&mut wr.stamp_deliver_also));
-        if res.is_err() {
-            if let Some(wr_id) = tracked {
-                self.wr_table.remove(wr_id);
-                if let Some(rids) = self.batch_rids.lock().remove(&wr_id) {
-                    self.give_rid_vec(rids);
-                }
+        if wr.stamp_deliver_also.capacity() > 0 {
+            pool_give(&self.stamp_vec_pool, std::mem::take(&mut wr.stamp_deliver_also));
+        }
+        if res.is_err() && wr.signaled {
+            self.wr_table.remove(wr.wr_id);
+            if let Some(fanout) = self.batch_rids.lock().remove(&wr.wr_id) {
+                pool_give(&self.rid_vec_pool, fanout);
             }
         }
         res.map_err(Into::into)
@@ -278,119 +216,31 @@ impl Photon {
             ts: 0,
         };
         conn.stage.write_at(self.sub_ring(off), &h.encode());
-        self.post_stage_write(
-            conn,
-            self.sub_ring(off),
-            eager::FRAME_HDR,
-            None,
-            Some(eager::TS_OFFSET),
-        )
-    }
-
-    /// Try to deliver an eager frame to `peer`. Returns `Ok(false)` when the
-    /// ring is out of credits.
-    #[allow(clippy::too_many_arguments)]
-    fn try_send_frame(
-        &self,
-        peer: Rank,
-        kind: FrameKind,
-        rid: u64,
-        src: FrameSrc<'_>,
-        len: usize,
-        dst: Option<(u64, u32)>,
-        local_rid: Option<u64>,
-    ) -> Result<bool> {
-        let Some(conn) = self.gated_conn(peer)? else {
-            return Ok(false);
-        };
-        let r = {
-            let mut tx = conn.tx.lock();
-            self.try_send_frame_locked(&conn, &mut tx, kind, rid, src, len, dst, local_rid)
-        };
-        self.fail_post(&conn, r)
-    }
-
-    /// [`Photon::try_send_frame`] with the per-peer TX lock already held, so
-    /// a doorbell batch can mix frames and ledger entries under one
-    /// acquisition.
-    #[allow(clippy::too_many_arguments)]
-    fn try_send_frame_locked(
-        &self,
-        conn: &Conn,
-        tx: &mut PeerTx,
-        kind: FrameKind,
-        rid: u64,
-        src: FrameSrc<'_>,
-        len: usize,
-        dst: Option<(u64, u32)>,
-        local_rid: Option<u64>,
-    ) -> Result<bool> {
-        let r = match tx.ring.try_reserve(len) {
-            Some(r) => r,
-            None => {
-                // Out of credits: read the credit words; if that unblocks
-                // us, our progress causally depends on the credit write, so
-                // the clock advances to its delivery time.
-                let credit_ts = self.refresh_tx_credits(conn, tx);
-                match tx.ring.try_reserve(len) {
-                    Some(r) => {
-                        self.clock.advance_to(credit_ts);
-                        r
-                    }
-                    None => {
-                        Stats::bump(&self.stats.credit_stalls);
-                        return Ok(false);
-                    }
-                }
-            }
-        };
-        self.post_skip(conn, r.skip)?;
-        let (dst_addr, dst_rkey) = dst.unwrap_or((0, 0));
-        let h = FrameHeader { seq: r.seq, rid, dst_addr, dst_rkey, size: len as u32, kind, ts: 0 };
-        let so = self.sub_ring(r.offset);
-        conn.stage.write_at(so, &h.encode());
-        if len > 0 {
-            src.write_to(&conn.stage, so + eager::FRAME_HDR, len);
-            // Staging memcpy is real middleware work: charge it.
-            self.clock.advance(self.copy_ns(len));
-            if matches!(src, FrameSrc::Mr(..)) {
-                Stats::bump(&self.stats.stage_copies_avoided);
-            }
-        }
-        if let Some(rid) = local_rid {
-            self.obs.op_stage(rid, self.clock.now());
-        }
-        self.post_stage_write(
-            conn,
-            self.sub_ring(r.offset),
-            eager::frame_span(len),
-            local_rid,
-            Some(eager::TS_OFFSET),
-        )?;
-        Ok(true)
+        self.post_stage_write(conn, self.sub_ring(off), eager::FRAME_HDR, [], [eager::TS_OFFSET])
     }
 
     /// Post a contiguous run of eager frames to `peer` as **one** wire write
-    /// (the doorbell batch). Returns how many of `frames` were posted: the
-    /// longest prefix the ring could hold (halving on credit exhaustion),
-    /// `0` on a full stall. The caller holds the TX lock across the whole
-    /// batch, so the run is atomic in the peer's delivery order.
-    /// `src_region`, when set, is the registered region every `Mr` frame in
-    /// the run reads from: the whole run is then composed under **one**
-    /// source read lock and one stage write lock (taken in the same
-    /// region → stage order as the single-frame path), instead of paying
-    /// three lock acquisitions per frame.
-    fn post_frame_run_locked(
+    /// — the only way a frame reaches the ring; a single put or send is the
+    /// one-frame run. Returns how many of `frames` were posted: the longest
+    /// prefix the ring could hold (halving on credit exhaustion), `0` on a
+    /// full stall. The caller holds the TX lock across the whole batch, so
+    /// the run is atomic in the peer's delivery order. `src_region`, when
+    /// set, is the registered region every `Region` frame in the run reads
+    /// from, and `payloads` the slice every `Payload` frame indexes: the
+    /// whole run is composed under **one** source read lock and one stage
+    /// write lock, with no intermediate heap buffer (the staging copy the
+    /// paper's o-overhead charges is the *only* copy).
+    fn post_frame_run_locked<P: AsRef<[u8]>>(
         &self,
         conn: &Conn,
         tx: &mut PeerTx,
         frames: &[RunFrame],
         src_region: Option<&MemoryRegion>,
-        payloads: &[Vec<u8>],
+        payloads: &[P],
     ) -> Result<usize> {
         debug_assert!(!frames.is_empty());
         // The span list lives in the TX state's scratch vector, so the
-        // steady-state batch path performs no heap allocation at all.
+        // steady-state path performs no heap allocation at all.
         let mut lens = std::mem::take(&mut tx.lens);
         lens.clear();
         lens.extend(frames.iter().map(|f| f.len));
@@ -420,10 +270,7 @@ impl Photon {
         tx.lens = lens;
         self.post_skip(conn, r.skip)?;
         let base_sub = self.sub_ring(r.offset);
-        let base_so = base_sub;
         let mut run_span = 0usize;
-        let mut more_stamps = self.take_stamp_vec();
-        let mut local_rids = self.take_rid_vec();
         let mut payload_bytes = 0usize;
         let mut compose = |sb: &mut [u8], shared: Option<&[u8]>| {
             let mut rel = 0usize;
@@ -438,12 +285,12 @@ impl Photon {
                     kind: f.kind,
                     ts: 0,
                 };
-                let fo = base_so + rel;
+                let fo = base_sub + rel;
                 sb[fo..fo + eager::FRAME_HDR].copy_from_slice(&h.encode());
                 if f.len > 0 {
                     let dst = &mut sb[fo + eager::FRAME_HDR..fo + eager::FRAME_HDR + f.len];
                     match f.src {
-                        RunSrc::Payload(p) => dst.copy_from_slice(&payloads[p][..f.len]),
+                        RunSrc::Payload(p) => dst.copy_from_slice(&payloads[p].as_ref()[..f.len]),
                         RunSrc::Region(off) => {
                             let s =
                                 shared.expect("Region run frames carry the shared source region");
@@ -453,16 +300,12 @@ impl Photon {
                     }
                     payload_bytes += f.len;
                 }
-                if i > 0 {
-                    more_stamps.push(rel + eager::TS_OFFSET);
-                }
-                if let Some(rid) = f.local_rid {
-                    local_rids.push(rid);
-                }
                 rel += eager::frame_span(f.len);
             }
             run_span = rel;
         };
+        // Region → stage lock order; never the same lock (the stage is
+        // middleware-internal and never a user buffer).
         match src_region {
             Some(region) => {
                 region.with_bytes(|s| conn.stage.with_bytes_mut(|sb| compose(sb, Some(s))))
@@ -470,20 +313,20 @@ impl Photon {
             None => conn.stage.with_bytes_mut(|sb| compose(sb, None)),
         }
         if payload_bytes > 0 {
+            // Staging memcpy is real middleware work: charge it.
             self.clock.advance(self.copy_ns(payload_bytes));
         }
-        for rid in &local_rids {
-            self.obs.op_stage(*rid, self.clock.now());
+        let local_rids = frames[..k].iter().filter_map(|f| f.local_rid);
+        for rid in local_rids.clone() {
+            self.obs.op_stage(rid, self.clock.now());
         }
-        self.post_stage_write_run(
-            conn,
-            base_sub,
-            run_span,
-            local_rids,
-            eager::TS_OFFSET,
-            more_stamps,
-        )?;
-        self.stats.record_batch(k);
+        // One delivery stamp per frame header, at the frame's run offset.
+        let stamps = frames[..k].iter().scan(0usize, |rel, f| {
+            let at = *rel + eager::TS_OFFSET;
+            *rel += eager::frame_span(f.len);
+            Some(at)
+        });
+        self.post_stage_write(conn, base_sub, run_span, local_rids, stamps)?;
         Ok(k)
     }
 
@@ -551,13 +394,7 @@ impl Photon {
         }
         let e = Entry { seq, rid, size, addr, rkey, kind, ts: 0 };
         conn.stage.write_at(self.sub_ledger(slot), &e.encode());
-        self.post_stage_write(
-            conn,
-            self.sub_ledger(slot),
-            ENTRY_BYTES,
-            None,
-            Some(ledger::TS_OFFSET),
-        )?;
+        self.post_stage_write(conn, self.sub_ledger(slot), ENTRY_BYTES, [], [ledger::TS_OFFSET])?;
         Ok(true)
     }
 
@@ -627,15 +464,12 @@ impl Photon {
                     };
                     conn.stage.write_at(self.sub_ledger(slot), &e.encode());
                 }
-                let mut stamps = self.take_stamp_vec();
-                stamps.extend((1..seg).map(|j| j * ENTRY_BYTES + ledger::TS_OFFSET));
-                self.post_stage_write_run(
+                self.post_stage_write(
                     &conn,
                     self.sub_ledger(slots[i].0),
                     seg * ENTRY_BYTES,
-                    self.take_rid_vec(),
-                    ledger::TS_OFFSET,
-                    stamps,
+                    [],
+                    (0..seg).map(|j| j * ENTRY_BYTES + ledger::TS_OFFSET),
                 )?;
                 i += seg;
             }
@@ -672,7 +506,7 @@ impl Photon {
         let sub = self.sub_credit();
         conn.stage.write_u64(sub, ledger_consumed);
         conn.stage.write_u64(sub + 8, ring_cursor);
-        match self.post_stage_write(conn, sub, CREDIT_BYTES, None, Some(16)) {
+        match self.post_stage_write(conn, sub, CREDIT_BYTES, [], [16]) {
             Err(PhotonError::Fabric(FabricError::PeerUnreachable { .. })) => {
                 // Swallow: a failed credit write must not poison this rank's
                 // progress loop (other peers still need service), and credit
@@ -721,7 +555,7 @@ impl Photon {
     }
 
     /// Non-blocking [`Photon::put_with_completion`]: `Ok(false)` when out of
-    /// credits.
+    /// credits. The one-item case of [`Photon::try_put_many`].
     #[allow(clippy::too_many_arguments)]
     pub fn try_put_with_completion(
         &self,
@@ -734,74 +568,8 @@ impl Photon {
         local_rid: u64,
         remote_rid: u64,
     ) -> Result<bool> {
-        self.check_rank(peer)?;
-        local.check(loff, len)?;
-        if doff + len > dst.len {
-            return Err(PhotonError::OutOfRange { offset: doff, len, cap: dst.len });
-        }
-        let Some(conn) = self.gated_conn(peer)? else {
-            return Ok(false);
-        };
-        if len <= self.cfg.eager_threshold && len <= self.cfg.max_eager_payload() {
-            // Zero-alloc fast path: the source region is staged directly,
-            // with no intermediate heap buffer.
-            self.obs.op_post(local_rid, peer, OpKind::PutEager, len, self.clock.now());
-            let posted = self.try_send_frame(
-                peer,
-                FrameKind::Put,
-                remote_rid,
-                FrameSrc::Mr(local.region(), loff),
-                len,
-                Some((dst.addr + doff as u64, dst.rkey)),
-                Some(local_rid),
-            )?;
-            if posted {
-                Stats::bump(&self.stats.puts_eager);
-                Stats::add(&self.stats.bytes_put, len as u64);
-                self.tracer.record(self.clock.now(), TraceOp::PutEager, peer, remote_rid, len);
-            }
-            Ok(posted)
-        } else if self.cfg.imm_completions {
-            // CQ-notification mode: one write-with-immediate carries both
-            // the data and the remote completion id. No ledger, no credits.
-            self.obs.op_post(local_rid, peer, OpKind::PutDirect, len, self.clock.now());
-            let wr_id = self.wr_table.insert(local_rid, peer);
-            let wr = SendWr::new(
-                wr_id,
-                WrOp::Write {
-                    local: MrSlice::new(local.region(), loff, len),
-                    remote: RemoteSlice::from_key(dst, doff, len),
-                    imm: Some(remote_rid),
-                },
-            );
-            if let Err(e) = self.nic.post_send(conn.qp, wr, self.clock.now()) {
-                self.wr_table.remove(wr_id);
-                return self.fail_post(&conn, Err(e.into()));
-            }
-            Stats::bump(&self.stats.puts_direct);
-            Stats::add(&self.stats.bytes_put, len as u64);
-            self.tracer.record(self.clock.now(), TraceOp::PutDirect, peer, remote_rid, len);
-            Ok(true)
-        } else {
-            self.obs.op_post(local_rid, peer, OpKind::PutDirect, len, self.clock.now());
-            let data_local = MrSlice::new(local.region(), loff, len);
-            let data_remote = RemoteSlice::from_key(dst, doff, len);
-            let posted = self.try_post_entry(
-                peer,
-                EntryKind::Completion,
-                remote_rid,
-                len as u64,
-                0,
-                0,
-                Some((data_local, data_remote, local_rid)),
-            )?;
-            if posted {
-                Stats::bump(&self.stats.puts_direct);
-                Stats::add(&self.stats.bytes_put, len as u64);
-                self.tracer.record(self.clock.now(), TraceOp::PutDirect, peer, remote_rid, len);
-            }
-            Ok(posted)
-        }
+        let item = PutManyItem { loff, len, doff, local_rid, remote_rid };
+        Ok(self.post_puts(peer, local, dst, std::slice::from_ref(&item), false)? == 1)
     }
 
     /// Doorbell-batched [`Photon::put_with_completion`]: post every item in
@@ -834,6 +602,21 @@ impl Photon {
         local: &PhotonBuffer,
         dst: &BufferDescriptor,
         items: &[PutManyItem],
+    ) -> Result<usize> {
+        self.post_puts(peer, local, dst, items, true)
+    }
+
+    /// The put dispatch, written once: eager runs, write-with-immediate, or
+    /// direct RDMA + ledger entry per item, all under one TX lock
+    /// acquisition. `batch_api` says the caller is a `*_many` entry point,
+    /// whose eager runs count toward the doorbell-batch statistics.
+    fn post_puts(
+        &self,
+        peer: Rank,
+        local: &PhotonBuffer,
+        dst: &BufferDescriptor,
+        items: &[PutManyItem],
+        batch_api: bool,
     ) -> Result<usize> {
         self.check_rank(peer)?;
         for it in items {
@@ -893,13 +676,16 @@ impl Photon {
                             self.clock.now(),
                         );
                     }
-                    let n = self.post_frame_run_locked(
+                    let n = self.post_frame_run_locked::<&[u8]>(
                         &conn,
                         &mut tx,
                         &run,
                         Some(local.region()),
                         &[],
                     )?;
+                    if batch_api && n > 0 {
+                        self.stats.record_batch(n);
+                    }
                     for it2 in &items[posted..posted + n] {
                         Stats::bump(&self.stats.puts_eager);
                         Stats::add(&self.stats.bytes_put, it2.len as u64);
@@ -1009,15 +795,32 @@ impl Photon {
         payloads: &[Vec<u8>],
         remote_rid: u64,
     ) -> Result<usize> {
+        self.check_msgs(peer, payloads)?;
+        self.post_msgs(peer, payloads, remote_rid, None, true)
+    }
+
+    /// Validate a message post: rank in range, every payload eager-sized.
+    fn check_msgs<P: AsRef<[u8]>>(&self, peer: Rank, payloads: &[P]) -> Result<()> {
         self.check_rank(peer)?;
-        for p in payloads {
-            if p.len() > self.cfg.max_eager_payload() {
-                return Err(PhotonError::MessageTooLarge {
-                    len: p.len(),
-                    max: self.cfg.max_eager_payload(),
-                });
-            }
+        let max = self.cfg.max_eager_payload();
+        match payloads.iter().map(|p| p.as_ref().len()).find(|&len| len > max) {
+            Some(len) => Err(PhotonError::MessageTooLarge { len, max }),
+            None => Ok(()),
         }
+    }
+
+    /// Post every (validated) payload as an eager `Msg` frame, in runs as
+    /// long as the ring allows; returns how many were posted. `local_rid`,
+    /// when set, surfaces when a payload has been injected (the single-send
+    /// case); `batch_api` as in [`Photon::post_puts`].
+    fn post_msgs<P: AsRef<[u8]>>(
+        &self,
+        peer: Rank,
+        payloads: &[P],
+        remote_rid: u64,
+        local_rid: Option<u64>,
+        batch_api: bool,
+    ) -> Result<usize> {
         if payloads.is_empty() {
             return Ok(0);
         }
@@ -1032,7 +835,8 @@ impl Photon {
                 let mut span = 0usize;
                 run.clear();
                 for (i, p) in payloads[posted..].iter().enumerate() {
-                    let s = eager::frame_span(p.len());
+                    let len = p.as_ref().len();
+                    let s = eager::frame_span(len);
                     if span + s > self.ring_bytes {
                         break;
                     }
@@ -1042,15 +846,18 @@ impl Photon {
                         rid: remote_rid,
                         dst: None,
                         src: RunSrc::Payload(posted + i),
-                        len: p.len(),
-                        local_rid: None,
+                        len,
+                        local_rid,
                     });
                 }
                 let want = run.len();
                 let n = self.post_frame_run_locked(&conn, &mut tx, &run, None, payloads)?;
-                for p in &payloads[posted..posted + n] {
+                if batch_api && n > 0 {
+                    self.stats.record_batch(n);
+                }
+                for f in &run[..n] {
                     Stats::bump(&self.stats.sends);
-                    self.tracer.record(self.clock.now(), TraceOp::Send, peer, remote_rid, p.len());
+                    self.tracer.record(self.clock.now(), TraceOp::Send, peer, remote_rid, f.len);
                 }
                 posted += n;
                 if n < want {
@@ -1170,7 +977,7 @@ impl Photon {
         }
         let conn = self.gate_blocking(peer)?;
         let now = self.clock.now();
-        let mut rids = self.take_rid_vec();
+        let mut rids = pool_take(&self.rid_vec_pool);
         rids.extend(items.iter().map(|it| it.local_rid));
         // Register the fan-out side table *before* posting: once the
         // doorbell rings, a progress thread may harvest the CQE immediately.
@@ -1193,7 +1000,7 @@ impl Photon {
         if let Err(e) = self.nic.post_send_many(conn.qp, &wrs, now) {
             self.wr_table.remove(wr_id);
             if let Some(rids) = self.batch_rids.lock().remove(&wr_id) {
-                self.give_rid_vec(rids);
+                pool_give(&self.rid_vec_pool, rids);
             }
             return self.fail_post(&conn, Err(e.into()));
         }
@@ -1251,27 +1058,9 @@ impl Photon {
 
     /// Non-blocking send: `Ok(false)` when out of ring credits.
     pub fn try_send(&self, peer: Rank, payload: &[u8], remote_rid: u64) -> Result<bool> {
-        self.check_rank(peer)?;
-        if payload.len() > self.cfg.max_eager_payload() {
-            return Err(PhotonError::MessageTooLarge {
-                len: payload.len(),
-                max: self.cfg.max_eager_payload(),
-            });
-        }
-        let posted = self.try_send_frame(
-            peer,
-            FrameKind::Msg,
-            remote_rid,
-            FrameSrc::Bytes(payload),
-            payload.len(),
-            None,
-            None,
-        )?;
-        if posted {
-            Stats::bump(&self.stats.sends);
-            self.tracer.record(self.clock.now(), TraceOp::Send, peer, remote_rid, payload.len());
-        }
-        Ok(posted)
+        let one = std::slice::from_ref(&payload);
+        self.check_msgs(peer, one)?;
+        Ok(self.post_msgs(peer, one, remote_rid, None, false)? == 1)
     }
 
     pub(crate) fn send_internal(
@@ -1281,31 +1070,13 @@ impl Photon {
         remote_rid: u64,
         local_rid: Option<u64>,
     ) -> Result<()> {
-        self.check_rank(peer)?;
-        if payload.len() > self.cfg.max_eager_payload() {
-            return Err(PhotonError::MessageTooLarge {
-                len: payload.len(),
-                max: self.cfg.max_eager_payload(),
-            });
-        }
+        let one = std::slice::from_ref(&payload);
+        self.check_msgs(peer, one)?;
         self.blocking("send credits", |s| {
             if let Some(rid) = local_rid {
                 s.obs.op_post(rid, peer, OpKind::Send, payload.len(), s.clock.now());
             }
-            let posted = s.try_send_frame(
-                peer,
-                FrameKind::Msg,
-                remote_rid,
-                FrameSrc::Bytes(payload),
-                payload.len(),
-                None,
-                local_rid,
-            )?;
-            if posted {
-                Stats::bump(&s.stats.sends);
-                s.tracer.record(s.clock.now(), TraceOp::Send, peer, remote_rid, payload.len());
-            }
-            Ok(posted.then_some(()))
+            Ok((s.post_msgs(peer, one, remote_rid, local_rid, false)? == 1).then_some(()))
         })
     }
 }
@@ -1440,7 +1211,10 @@ mod tests {
         let c = PhotonCluster::new(2, NetworkModel::ideal(), PhotonConfig::tiny());
         let (p0, p1) = (c.rank(0), c.rank(1));
         // Far more traffic than the 512-byte ring holds: exercises credits,
-        // skips and wraparound. Consumer runs concurrently.
+        // skips and wraparound. Consumer runs concurrently, but only once
+        // the producer has filled the ring and stalled: the stall is what
+        // the test asserts on, so the interleaving that produces it is
+        // forced rather than left to the scheduler.
         std::thread::scope(|s| {
             s.spawn(|| {
                 for i in 0..500u64 {
@@ -1449,6 +1223,9 @@ mod tests {
                 }
             });
             s.spawn(|| {
+                while p0.stats().credit_stalls == 0 {
+                    std::thread::yield_now();
+                }
                 for i in 0..500u64 {
                     let ev = p1.wait_completion_matching(ProbeFlags::Remote).unwrap();
                     assert_eq!(ev.rid, i, "in-order delivery");
