@@ -119,15 +119,16 @@ impl Photon {
         local_rid: u64,
         mk: impl FnOnce(MrSlice, RemoteSlice) -> WrOp,
     ) -> Result<()> {
-        self.check_rank_pub(peer)?;
+        self.check_rank(peer)?;
         local.check(loff, 8)?;
         if doff + 8 > dst.len {
             return Err(PhotonError::OutOfRange { offset: doff, len: 8, cap: dst.len });
         }
         let l = MrSlice::new(local.region(), loff, 8);
         let r = RemoteSlice::from_key(dst, doff, 8);
-        self.post_tracked(peer, mk(l, r), local_rid)?;
-        Stats::bump(&self.stats_ref().gets); // accounted with one-sided reads
+        let conn = self.gate_blocking(peer)?;
+        self.post_tracked(&conn, mk(l, r), local_rid)?;
+        Stats::bump(&self.stats.gets); // accounted with one-sided reads
         Ok(())
     }
 }

@@ -95,7 +95,7 @@ impl Photon {
     /// Binomial-tree broadcast of `data` from `root`. Non-roots overwrite
     /// `data` with the received payload (it must have the right length).
     pub fn bcast(&self, root: Rank, data: &mut Vec<u8>) -> Result<()> {
-        self.check_rank_pub(root)?;
+        self.check_rank(root)?;
         let gen = self.next_gen();
         self.bcast_internal(root, data, KIND_BCAST, gen)
     }
@@ -137,7 +137,7 @@ impl Photon {
     /// the virtual tree rooted at `root`; only `root` holds the full result
     /// on return.
     pub fn reduce_u64(&self, root: Rank, data: &mut [u64], op: ReduceOp) -> Result<()> {
-        self.check_rank_pub(root)?;
+        self.check_rank(root)?;
         let gen = self.next_gen();
         self.reduce_internal(root, data, op, gen)
     }
@@ -260,7 +260,7 @@ impl Photon {
         let rid = rid_space::collective(KIND_A2A, gen, 0);
         // Stage the send blocks into registered memory.
         self.coll_send_buf().write_at(0, send);
-        self.clock_ref().advance(self.copy_ns_pub(send.len()));
+        self.clock.advance(self.copy_ns(send.len()));
         let slot = self.coll_slot_bytes();
         for j in 0..n {
             if j == me {
@@ -298,8 +298,8 @@ impl Photon {
             let data = self.coll_recv_buf().to_vec(j * slot, block);
             recv[j * block..(j + 1) * block].copy_from_slice(&data);
         }
-        self.clock_ref().advance(self.copy_ns_pub((n - 1) * block));
-        Stats::bump(&self.stats_ref().rendezvous_ops);
+        self.clock.advance(self.copy_ns((n - 1) * block));
+        Stats::bump(&self.stats.rendezvous_ops);
         Ok(())
     }
 }
@@ -309,7 +309,7 @@ impl Photon {
     /// concatenated in rank order (`out` must be `n * block.len()` bytes;
     /// ignored on non-roots).
     pub fn gather(&self, root: Rank, block: &[u8], out: &mut [u8]) -> Result<()> {
-        self.check_rank_pub(root)?;
+        self.check_rank(root)?;
         let n = self.size();
         let gen = self.next_gen();
         let rid = rid_space::collective(KIND_GATHER, gen, 0);
@@ -337,7 +337,7 @@ impl Photon {
     /// Scatter: `root` holds `n * block_len` bytes; each rank receives its
     /// rank-indexed block into `out`.
     pub fn scatter(&self, root: Rank, data: &[u8], out: &mut [u8]) -> Result<()> {
-        self.check_rank_pub(root)?;
+        self.check_rank(root)?;
         let n = self.size();
         let gen = self.next_gen();
         let rid = rid_space::collective(KIND_SCATTER, gen, 0);

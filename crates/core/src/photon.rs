@@ -410,25 +410,6 @@ impl Photon {
         Ok(())
     }
 
-    // Crate-internal accessors for the sibling protocol modules
-    // (rendezvous, collectives).
-
-    pub(crate) fn check_rank_pub(&self, peer: Rank) -> Result<()> {
-        self.check_rank(peer)
-    }
-
-    pub(crate) fn stats_ref(&self) -> &Stats {
-        &self.stats
-    }
-
-    pub(crate) fn clock_ref(&self) -> &VClock {
-        &self.clock
-    }
-
-    pub(crate) fn copy_ns_pub(&self, bytes: usize) -> u64 {
-        self.copy_ns(bytes)
-    }
-
     pub(crate) fn copy_ns(&self, bytes: usize) -> u64 {
         (bytes as u64 * self.cfg.copy_ps_per_byte).div_ceil(1000)
     }

@@ -34,8 +34,19 @@
 use crate::buffers::{BufferDescriptor, PhotonBuffer};
 use crate::ledger::EntryKind;
 use crate::obs::Stats;
+use crate::tx::EntrySpec;
 use crate::{Photon, PhotonError, Rank, Result};
 use photon_fabric::VTime;
+
+/// Control entry announcing `d` as the landing zone for `tag`.
+fn rdv_post(tag: u64, d: &BufferDescriptor) -> EntrySpec {
+    EntrySpec { kind: EntryKind::RdvPost, rid: tag, size: d.len as u64, addr: d.addr, rkey: d.rkey }
+}
+
+/// Control entry telling the peer the transfer tagged `tag` is complete.
+fn fin(tag: u64) -> EntrySpec {
+    EntrySpec { kind: EntryKind::Fin, rid: tag, size: 0, addr: 0, rkey: 0 }
+}
 
 impl Photon {
     /// Announce `buf[off..off+len]` to `peer` as the landing zone for the
@@ -49,11 +60,10 @@ impl Photon {
         tag: u64,
     ) -> Result<()> {
         buf.check(off, len)?;
-        let d = buf.descriptor_at(off, len)?;
-        Stats::bump(&self.stats_ref().rendezvous_ops);
+        let post = rdv_post(tag, &buf.descriptor_at(off, len)?);
+        Stats::bump(&self.stats.rendezvous_ops);
         self.blocking("rendezvous post credits", |s| {
-            s.try_post_entry_pub(peer, EntryKind::RdvPost, tag, len as u64, d.addr, d.rkey)
-                .map(|p| p.then_some(()))
+            Ok((s.try_post_entry_run(peer, &[post])? == 1).then_some(()))
         })
     }
 
@@ -70,11 +80,10 @@ impl Photon {
         tag: u64,
     ) -> Result<bool> {
         buf.check(off, len)?;
-        let d = buf.descriptor_at(off, len)?;
-        let posted =
-            self.try_post_entry_pub(peer, EntryKind::RdvPost, tag, len as u64, d.addr, d.rkey)?;
+        let post = rdv_post(tag, &buf.descriptor_at(off, len)?);
+        let posted = self.try_post_entry_run(peer, &[post])? == 1;
         if posted {
-            Stats::bump(&self.stats_ref().rendezvous_ops);
+            Stats::bump(&self.stats.rendezvous_ops);
         }
         Ok(posted)
     }
@@ -85,7 +94,7 @@ impl Photon {
     /// runs the health gate, so a partitioned peer is probed with backoff
     /// and either heals or exhausts its probe budget).
     pub fn wait_send_buffer(&self, peer: Rank, tag: u64) -> Result<BufferDescriptor> {
-        self.check_rank_pub(peer)?;
+        self.check_rank(peer)?;
         let (desc, ts) = self.blocking("rendezvous buffer announce", |s| {
             if let Some(got) = s.rdv_announces.lock().remove(&(peer, tag)) {
                 return Ok(Some(got));
@@ -93,7 +102,7 @@ impl Photon {
             s.peer_gate(peer)?;
             Ok(None)
         })?;
-        self.clock_ref().advance_to(ts);
+        self.clock.advance_to(ts);
         Ok(desc)
     }
 
@@ -102,11 +111,11 @@ impl Photon {
     /// `tag`. Single-threaded steppers (the simulation-test executor) use
     /// this instead of the spinning wait.
     pub fn try_wait_send_buffer(&self, peer: Rank, tag: u64) -> Result<Option<BufferDescriptor>> {
-        self.check_rank_pub(peer)?;
+        self.check_rank(peer)?;
         self.progress()?;
         let got = self.rdv_announces.lock().remove(&(peer, tag));
         Ok(got.map(|(desc, ts)| {
-            self.clock_ref().advance_to(ts);
+            self.clock.advance_to(ts);
             desc
         }))
     }
@@ -117,23 +126,14 @@ impl Photon {
     /// (runtimes pre-posting a window of landing zones pay one doorbell
     /// for the window instead of one per buffer). Blocks on ledger credits.
     pub fn post_recv_buffers(&self, peer: Rank, posts: &[(u64, BufferDescriptor)]) -> Result<()> {
-        self.check_rank_pub(peer)?;
-        let specs: Vec<crate::tx::EntrySpec> = posts
-            .iter()
-            .map(|(tag, d)| crate::tx::EntrySpec {
-                kind: EntryKind::RdvPost,
-                rid: *tag,
-                size: d.len as u64,
-                addr: d.addr,
-                rkey: d.rkey,
-            })
-            .collect();
+        self.check_rank(peer)?;
+        let specs: Vec<EntrySpec> = posts.iter().map(|(tag, d)| rdv_post(*tag, d)).collect();
         let mut done = 0usize;
         self.blocking("rendezvous batch post credits", |s| {
             done += s.try_post_entry_run(peer, &specs[done..])?;
             Ok((done == specs.len()).then_some(()))
         })?;
-        Stats::add(&self.stats_ref().rendezvous_ops, posts.len() as u64);
+        Stats::add(&self.stats.rendezvous_ops, posts.len() as u64);
         Ok(())
     }
 
@@ -141,40 +141,31 @@ impl Photon {
     /// `tags` toward `peer`, coalescing contiguous control entries into
     /// single wire writes. Blocks on ledger credits.
     pub fn send_fins(&self, peer: Rank, tags: &[u64]) -> Result<()> {
-        self.check_rank_pub(peer)?;
-        let specs: Vec<crate::tx::EntrySpec> = tags
-            .iter()
-            .map(|&tag| crate::tx::EntrySpec {
-                kind: EntryKind::Fin,
-                rid: tag,
-                size: 0,
-                addr: 0,
-                rkey: 0,
-            })
-            .collect();
+        self.check_rank(peer)?;
+        let specs: Vec<EntrySpec> = tags.iter().map(|&tag| fin(tag)).collect();
         let mut done = 0usize;
         self.blocking("fin batch credits", |s| {
             done += s.try_post_entry_run(peer, &specs[done..])?;
             Ok((done == specs.len()).then_some(()))
         })?;
-        Stats::add(&self.stats_ref().rendezvous_ops, tags.len() as u64);
+        Stats::add(&self.stats.rendezvous_ops, tags.len() as u64);
         Ok(())
     }
 
     /// Tell `peer` the put into its announced buffer for `tag` is complete.
     pub fn send_fin(&self, peer: Rank, tag: u64) -> Result<()> {
-        Stats::bump(&self.stats_ref().rendezvous_ops);
+        Stats::bump(&self.stats.rendezvous_ops);
         self.blocking("fin credits", |s| {
-            s.try_post_entry_pub(peer, EntryKind::Fin, tag, 0, 0, 0).map(|p| p.then_some(()))
+            Ok((s.try_post_entry_run(peer, &[fin(tag)])? == 1).then_some(()))
         })
     }
 
     /// Non-blocking [`Photon::send_fin`]: `Ok(false)` when the control
     /// ledger toward `peer` is out of credits.
     pub fn try_send_fin(&self, peer: Rank, tag: u64) -> Result<bool> {
-        let posted = self.try_post_entry_pub(peer, EntryKind::Fin, tag, 0, 0, 0)?;
+        let posted = self.try_post_entry_run(peer, &[fin(tag)])? == 1;
         if posted {
-            Stats::bump(&self.stats_ref().rendezvous_ops);
+            Stats::bump(&self.stats.rendezvous_ops);
         }
         Ok(posted)
     }
@@ -183,7 +174,7 @@ impl Photon {
     /// Fails with [`PhotonError::PeerDead`] instead of hanging if `peer`
     /// crashes or is evicted mid-transfer.
     pub fn wait_fin(&self, peer: Rank, tag: u64) -> Result<VTime> {
-        self.check_rank_pub(peer)?;
+        self.check_rank(peer)?;
         let ts = self.blocking("fin", |s| {
             if let Some(ts) = s.rdv_fins.lock().remove(&(peer, tag)) {
                 return Ok(Some(ts));
@@ -191,18 +182,18 @@ impl Photon {
             s.peer_gate(peer)?;
             Ok(None)
         })?;
-        self.clock_ref().advance_to(ts);
+        self.clock.advance_to(ts);
         Ok(ts)
     }
 
     /// Non-blocking [`Photon::wait_fin`]: drives progress once and returns
     /// `Ok(None)` when `peer`'s FIN for `tag` has not yet arrived.
     pub fn try_wait_fin(&self, peer: Rank, tag: u64) -> Result<Option<VTime>> {
-        self.check_rank_pub(peer)?;
+        self.check_rank(peer)?;
         self.progress()?;
         let got = self.rdv_fins.lock().remove(&(peer, tag));
         Ok(got.inspect(|&ts| {
-            self.clock_ref().advance_to(ts);
+            self.clock.advance_to(ts);
         }))
     }
 

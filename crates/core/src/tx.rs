@@ -110,36 +110,26 @@ pub(crate) fn pool_give<T>(pool: &Mutex<Vec<Vec<T>>>, mut v: Vec<T>) {
 }
 
 impl Photon {
-    /// Post an arbitrary tracked work request on the QP to `peer`:
-    /// `local_rid` surfaces as a local completion when its CQE drains.
-    pub(crate) fn post_tracked(
-        &self,
-        peer: Rank,
-        op: photon_fabric::verbs::WrOp,
-        local_rid: u64,
-    ) -> Result<()> {
-        let conn = self.gate_blocking(peer)?;
-        let wr_id = self.wr_table.insert(local_rid, peer);
-        let wr = SendWr::new(wr_id, op);
-        if let Err(e) = self.nic.post_send(conn.qp, wr, self.clock.now()) {
+    /// Post one tracked work request (a user write, read or atomic) on
+    /// `conn`: `local_rid` surfaces as a local completion when its CQE
+    /// drains. With [`Photon::get_many`]'s run of reads, the only place a
+    /// user work request reaches the fabric. Draws no health consequence
+    /// from a failure — callers holding the TX lock apply
+    /// [`Photon::fail_post`] after releasing it.
+    fn post_tracked_raw(&self, conn: &Conn, op: WrOp, local_rid: u64) -> Result<()> {
+        let wr_id = self.wr_table.insert(local_rid, conn.peer);
+        self.nic.post_send(conn.qp, SendWr::new(wr_id, op), self.clock.now()).map_err(|e| {
             self.wr_table.remove(wr_id);
-            return self.fail_post(&conn, Err(e.into()));
-        }
-        Ok(())
+            e.into()
+        })
     }
 
-    /// Ledger-entry post without paired data (rendezvous control traffic).
-    pub(crate) fn try_post_entry_pub(
-        &self,
-        peer: Rank,
-        kind: EntryKind,
-        rid: u64,
-        size: u64,
-        addr: u64,
-        rkey: u32,
-    ) -> Result<bool> {
-        self.check_rank(peer)?;
-        self.try_post_entry(peer, kind, rid, size, addr, rkey, None)
+    /// [`Photon::post_tracked_raw`] on a connection the caller has gated
+    /// with [`Photon::gate_blocking`], evicting the peer when the post
+    /// finds it unreachable.
+    pub(crate) fn post_tracked(&self, conn: &Arc<Conn>, op: WrOp, local_rid: u64) -> Result<()> {
+        let r = self.post_tracked_raw(conn, op, local_rid);
+        self.fail_post(conn, r)
     }
 
     // ------------------------------------------------------- posting layer
@@ -330,82 +320,76 @@ impl Photon {
         Ok(k)
     }
 
-    /// Try to append a ledger entry at `peer`. Returns `Ok(false)` when the
-    /// ledger is out of credits. When `paired_data` is set, the data write
-    /// it describes is posted first, under the same reservation, so data and
-    /// completion arrive in order.
-    #[allow(clippy::too_many_arguments)]
-    fn try_post_entry(
-        &self,
-        peer: Rank,
-        kind: EntryKind,
-        rid: u64,
-        size: u64,
-        addr: u64,
-        rkey: u32,
-        paired_data: Option<(MrSlice, RemoteSlice, u64)>,
-    ) -> Result<bool> {
-        let Some(conn) = self.gated_conn(peer)? else {
-            return Ok(false);
-        };
-        let r = {
-            let mut tx = conn.tx.lock();
-            self.try_post_entry_locked(&conn, &mut tx, kind, rid, size, addr, rkey, paired_data)
-        };
-        self.fail_post(&conn, r)
-    }
-
-    /// [`Photon::try_post_entry`] with the per-peer TX lock already held.
-    #[allow(clippy::too_many_arguments)]
-    fn try_post_entry_locked(
-        &self,
-        conn: &Conn,
-        tx: &mut PeerTx,
-        kind: EntryKind,
-        rid: u64,
-        size: u64,
-        addr: u64,
-        rkey: u32,
-        paired_data: Option<(MrSlice, RemoteSlice, u64)>,
-    ) -> Result<bool> {
-        let (slot, seq) = match tx.ledger.try_produce() {
-            Some(v) => v,
-            None => {
-                let credit_ts = self.refresh_tx_credits(conn, tx);
-                match tx.ledger.try_produce() {
-                    Some(v) => {
-                        self.clock.advance_to(credit_ts);
-                        v
-                    }
-                    None => {
-                        Stats::bump(&self.stats.credit_stalls);
-                        return Ok(false);
-                    }
+    /// Claim up to `want` consecutive ledger slots toward `conn`'s peer,
+    /// reading the credit words once on exhaustion. Returns the sequence
+    /// number of the first claimed slot and how many were claimed (`0` on a
+    /// full stall).
+    fn claim_ledger_slots(&self, conn: &Conn, tx: &mut PeerTx, want: usize) -> (u64, usize) {
+        let first_seq = tx.ledger.produced() + 1;
+        let mut claimed = 0usize;
+        let mut refreshed = None;
+        let mut unblocked = None;
+        while claimed < want {
+            match tx.ledger.try_produce() {
+                Some(_) => {
+                    claimed += 1;
+                    unblocked = refreshed;
                 }
-            }
-        };
-        if let Some((local, remote, local_rid)) = paired_data {
-            let wr_id = self.wr_table.insert(local_rid, conn.peer);
-            let wr = SendWr::new(wr_id, WrOp::Write { local, remote, imm: None });
-            if let Err(e) = self.nic.post_send(conn.qp, wr, self.clock.now()) {
-                self.wr_table.remove(wr_id);
-                return Err(e.into());
+                None if refreshed.is_none() => {
+                    refreshed = Some(self.refresh_tx_credits(conn, tx));
+                }
+                None => break,
             }
         }
-        let e = Entry { seq, rid, size, addr, rkey, kind, ts: 0 };
-        conn.stage.write_at(self.sub_ledger(slot), &e.encode());
-        self.post_stage_write(conn, self.sub_ledger(slot), ENTRY_BYTES, [], [ledger::TS_OFFSET])?;
-        Ok(true)
+        if claimed == 0 {
+            Stats::bump(&self.stats.credit_stalls);
+        } else if let Some(t) = unblocked {
+            // Unblocked by the credit read: causally ordered after it.
+            self.clock.advance_to(t);
+        }
+        (first_seq, claimed)
     }
 
-    /// Post a run of control-ledger entries toward `peer` with coalesced
-    /// doorbells: contiguous ledger slots are staged together and pushed as
+    /// Stage `specs` into the ledger slots claimed from `first_seq` on and
+    /// post them with coalesced doorbells: contiguous slots go out as
     /// **one** wire write (one doorbell, one delivery-stamp run) instead of
-    /// one write per entry. The ring of ledger slots wraps, so a run may
-    /// split into several contiguous segments — still at most two writes
-    /// per wrap instead of one per entry. Returns how many of `specs` were
-    /// posted: the longest prefix the ledger credits allow (`0` on a full
-    /// stall or a gated peer).
+    /// one write per entry. The ring of slots wraps, so a run may split in
+    /// two.
+    fn post_claimed_entries(&self, conn: &Conn, first_seq: u64, specs: &[EntrySpec]) -> Result<()> {
+        let ring = self.cfg.ledger_entries;
+        let mut i = 0usize;
+        while i < specs.len() {
+            let seq = first_seq + i as u64;
+            let slot = ((seq - 1) % ring as u64) as usize;
+            let seg = (specs.len() - i).min(ring - slot);
+            for (j, sp) in specs[i..i + seg].iter().enumerate() {
+                let e = Entry {
+                    seq: seq + j as u64,
+                    rid: sp.rid,
+                    size: sp.size,
+                    addr: sp.addr,
+                    rkey: sp.rkey,
+                    kind: sp.kind,
+                    ts: 0,
+                };
+                conn.stage.write_at(self.sub_ledger(slot + j), &e.encode());
+            }
+            self.post_stage_write(
+                conn,
+                self.sub_ledger(slot),
+                seg * ENTRY_BYTES,
+                [],
+                (0..seg).map(|j| j * ENTRY_BYTES + ledger::TS_OFFSET),
+            )?;
+            i += seg;
+        }
+        Ok(())
+    }
+
+    /// Post a run of control-ledger entries (rendezvous announces, FINs,
+    /// get notifications) toward `peer`; a single entry is the one-spec
+    /// run. Returns how many of `specs` were posted: the longest prefix the
+    /// ledger credits allow (`0` on a full stall or a gated peer).
     pub(crate) fn try_post_entry_run(&self, peer: Rank, specs: &[EntrySpec]) -> Result<usize> {
         if specs.is_empty() {
             return Ok(0);
@@ -413,68 +397,13 @@ impl Photon {
         let Some(conn) = self.gated_conn(peer)? else {
             return Ok(0);
         };
-        let r = (|| {
+        // The TX guard is released before `fail_post` (eviction locks the
+        // same TX state).
+        let r = {
             let mut tx = conn.tx.lock();
-            // Claim as many ledger slots as credits allow (refreshing the
-            // credit words once on exhaustion, like the single-entry path).
-            let mut slots: Vec<(usize, u64)> = Vec::with_capacity(specs.len());
-            let mut refreshed = None;
-            let mut unblocked = false;
-            while slots.len() < specs.len() {
-                match tx.ledger.try_produce() {
-                    Some(v) => {
-                        if refreshed.is_some() {
-                            unblocked = true;
-                        }
-                        slots.push(v);
-                    }
-                    None if refreshed.is_none() => {
-                        refreshed = Some(self.refresh_tx_credits(&conn, &mut tx));
-                    }
-                    None => break,
-                }
-            }
-            if slots.is_empty() {
-                Stats::bump(&self.stats.credit_stalls);
-                return Ok(0);
-            }
-            if unblocked {
-                // Unblocked by the credit read: causally ordered after it.
-                self.clock.advance_to(refreshed.expect("unblocked implies refreshed"));
-            }
-            drop(tx);
-            // Stage and post each contiguous slot segment as one write.
-            let mut i = 0usize;
-            while i < slots.len() {
-                let mut seg = 1usize;
-                while i + seg < slots.len() && slots[i + seg].0 == slots[i].0 + seg {
-                    seg += 1;
-                }
-                for j in 0..seg {
-                    let sp = &specs[i + j];
-                    let (slot, seq) = slots[i + j];
-                    let e = Entry {
-                        seq,
-                        rid: sp.rid,
-                        size: sp.size,
-                        addr: sp.addr,
-                        rkey: sp.rkey,
-                        kind: sp.kind,
-                        ts: 0,
-                    };
-                    conn.stage.write_at(self.sub_ledger(slot), &e.encode());
-                }
-                self.post_stage_write(
-                    &conn,
-                    self.sub_ledger(slots[i].0),
-                    seg * ENTRY_BYTES,
-                    [],
-                    (0..seg).map(|j| j * ENTRY_BYTES + ledger::TS_OFFSET),
-                )?;
-                i += seg;
-            }
-            Ok(slots.len())
-        })();
+            let (first_seq, n) = self.claim_ledger_slots(&conn, &mut tx, specs.len());
+            self.post_claimed_entries(&conn, first_seq, &specs[..n]).map(|()| n)
+        };
         self.fail_post(&conn, r)
     }
 
@@ -701,38 +630,14 @@ impl Photon {
                     if n < want {
                         break; // out of ring credits
                     }
-                } else if self.cfg.imm_completions {
-                    self.obs.op_post(
-                        it.local_rid,
-                        peer,
-                        OpKind::PutDirect,
-                        it.len,
-                        self.clock.now(),
-                    );
-                    let wr_id = self.wr_table.insert(it.local_rid, peer);
-                    let wr = SendWr::new(
-                        wr_id,
-                        WrOp::Write {
-                            local: MrSlice::new(local.region(), it.loff, it.len),
-                            remote: RemoteSlice::from_key(dst, it.doff, it.len),
-                            imm: Some(it.remote_rid),
-                        },
-                    );
-                    if let Err(e) = self.nic.post_send(conn.qp, wr, self.clock.now()) {
-                        self.wr_table.remove(wr_id);
-                        return Err(e.into());
-                    }
-                    Stats::bump(&self.stats.puts_direct);
-                    Stats::add(&self.stats.bytes_put, it.len as u64);
-                    self.tracer.record(
-                        self.clock.now(),
-                        TraceOp::PutDirect,
-                        peer,
-                        it.remote_rid,
-                        it.len,
-                    );
-                    posted += 1;
                 } else {
+                    // Direct RDMA. In CQ-notification mode one
+                    // write-with-immediate carries both the data and the
+                    // remote completion id: no ledger, no credits.
+                    // Otherwise the data write is posted under the
+                    // completion entry's slot reservation, entry right
+                    // behind it, so data and completion arrive in order.
+                    let imm = self.cfg.imm_completions;
                     self.obs.op_post(
                         it.local_rid,
                         peer,
@@ -740,22 +645,29 @@ impl Photon {
                         it.len,
                         self.clock.now(),
                     );
-                    let ok = self.try_post_entry_locked(
-                        &conn,
-                        &mut tx,
-                        EntryKind::Completion,
-                        it.remote_rid,
-                        it.len as u64,
-                        0,
-                        0,
-                        Some((
-                            MrSlice::new(local.region(), it.loff, it.len),
-                            RemoteSlice::from_key(dst, it.doff, it.len),
-                            it.local_rid,
-                        )),
-                    )?;
-                    if !ok {
-                        break; // out of ledger credits
+                    let mut first_seq = 0;
+                    if !imm {
+                        let (seq, claimed) = self.claim_ledger_slots(&conn, &mut tx, 1);
+                        if claimed == 0 {
+                            break; // out of ledger credits
+                        }
+                        first_seq = seq;
+                    }
+                    let data = WrOp::Write {
+                        local: MrSlice::new(local.region(), it.loff, it.len),
+                        remote: RemoteSlice::from_key(dst, it.doff, it.len),
+                        imm: imm.then_some(it.remote_rid),
+                    };
+                    self.post_tracked_raw(&conn, data, it.local_rid)?;
+                    if !imm {
+                        let done = EntrySpec {
+                            kind: EntryKind::Completion,
+                            rid: it.remote_rid,
+                            size: it.len as u64,
+                            addr: 0,
+                            rkey: 0,
+                        };
+                        self.post_claimed_entries(&conn, first_seq, &[done])?;
                     }
                     Stats::bump(&self.stats.puts_direct);
                     Stats::add(&self.stats.bytes_put, it.len as u64);
@@ -892,19 +804,12 @@ impl Photon {
         // settle it here before consuming a work-request slot.
         let conn = self.gate_blocking(peer)?;
         self.obs.op_post(local_rid, peer, OpKind::Put, len, self.clock.now());
-        let wr_id = self.wr_table.insert(local_rid, peer);
-        let wr = SendWr::new(
-            wr_id,
-            WrOp::Write {
-                local: MrSlice::new(local.region(), loff, len),
-                remote: RemoteSlice::from_key(dst, doff, len),
-                imm: None,
-            },
-        );
-        if let Err(e) = self.nic.post_send(conn.qp, wr, self.clock.now()) {
-            self.wr_table.remove(wr_id);
-            return self.fail_post(&conn, Err(e.into()));
-        }
+        let op = WrOp::Write {
+            local: MrSlice::new(local.region(), loff, len),
+            remote: RemoteSlice::from_key(dst, doff, len),
+            imm: None,
+        };
+        self.post_tracked(&conn, op, local_rid)?;
         Stats::bump(&self.stats.puts_direct);
         Stats::add(&self.stats.bytes_put, len as u64);
         self.tracer.record(self.clock.now(), TraceOp::Put, peer, local_rid, len);
@@ -932,18 +837,11 @@ impl Photon {
         }
         let conn = self.gate_blocking(peer)?;
         self.obs.op_post(local_rid, peer, OpKind::Get, len, self.clock.now());
-        let wr_id = self.wr_table.insert(local_rid, peer);
-        let wr = SendWr::new(
-            wr_id,
-            WrOp::Read {
-                local: MrSlice::new(local.region(), loff, len),
-                remote: RemoteSlice::from_key(src, soff, len),
-            },
-        );
-        if let Err(e) = self.nic.post_send(conn.qp, wr, self.clock.now()) {
-            self.wr_table.remove(wr_id);
-            return self.fail_post(&conn, Err(e.into()));
-        }
+        let op = WrOp::Read {
+            local: MrSlice::new(local.region(), loff, len),
+            remote: RemoteSlice::from_key(src, soff, len),
+        };
+        self.post_tracked(&conn, op, local_rid)?;
         Stats::bump(&self.stats.gets);
         Stats::add(&self.stats.bytes_got, len as u64);
         self.tracer.record(self.clock.now(), TraceOp::Get, peer, local_rid, len);
@@ -1027,9 +925,15 @@ impl Photon {
         remote_rid: u64,
     ) -> Result<()> {
         self.get_with_completion(peer, local, loff, len, src, soff, local_rid)?;
+        let notify = EntrySpec {
+            kind: EntryKind::GetNotify,
+            rid: remote_rid,
+            size: len as u64,
+            addr: 0,
+            rkey: 0,
+        };
         self.blocking("gwc notify credits", |s| {
-            s.try_post_entry(peer, EntryKind::GetNotify, remote_rid, len as u64, 0, 0, None)
-                .map(|p| p.then_some(()))
+            Ok((s.try_post_entry_run(peer, &[notify])? == 1).then_some(()))
         })
     }
 
