@@ -139,7 +139,6 @@ fn drain_10k(depth: u64) -> Entry {
     Entry { name: "drain_10k", ops: depth, ns: t0.elapsed().as_nanos() }
 }
 
-#[cfg(feature = "batch-probe")]
 fn drain_10k_batch(depth: u64) -> Entry {
     let c = cluster();
     fill_local_events(&c, depth);
@@ -196,17 +195,13 @@ fn main() {
         }
     }
 
-    #[cfg_attr(not(feature = "batch-probe"), allow(unused_mut))]
-    let mut entries = vec![
+    let entries = [
         best_of(reps, || wait_local_deep(10_000)),
         best_of(reps, || st_send_probe(ops)),
         best_of(reps, || mt_post_probe(4, ops / 4)),
         best_of(reps, || drain_10k(10_000)),
+        best_of(reps, || drain_10k_batch(10_000)),
     ];
-    #[cfg(feature = "batch-probe")]
-    entries.push(best_of(reps, || drain_10k_batch(10_000)));
-    // Keep the unused import warning-free when the feature is off.
-    let _ = std::marker::PhantomData::<Completion>;
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");

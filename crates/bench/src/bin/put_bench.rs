@@ -22,7 +22,7 @@
 //!   reaps local completions in batches while the receiver drains remote
 //!   notifications (returning ring credits). This is the E3 message-rate
 //!   shape, and the scenario the zero-alloc/doorbell work targets.
-//! * `batched_put_8B_w{4,16,64}` (feature `batch-put`) — same windows, but
+//! * `batched_put_8B_w{4,16,64}` — same windows, but
 //!   each window posts through `put_many`: one TX lock acquisition and one
 //!   doorbell per window instead of one per frame.
 //!
@@ -125,7 +125,6 @@ fn windowed_put(name: String, ops: u64, window: usize) -> Entry {
 
 /// Same windows, posted through the doorbell-batch API: one `put_many` call
 /// per window.
-#[cfg(feature = "batch-put")]
 fn batched_put(name: String, ops: u64, window: usize) -> Entry {
     use photon_core::PutManyItem;
     let c = cluster();
@@ -354,14 +353,12 @@ fn main() {
         }
     }
 
-    #[cfg_attr(not(feature = "batch-put"), allow(unused_mut))]
     let mut entries = vec![
         best_of(reps, || windowed_put("single_put_8B".into(), ops / 4, 1)),
         best_of(reps, || windowed_put("windowed_put_8B_w4".into(), ops, 4)),
         best_of(reps, || windowed_put("windowed_put_8B_w16".into(), ops, 16)),
         best_of(reps, || windowed_put("windowed_put_8B_w64".into(), ops, 64)),
     ];
-    #[cfg(feature = "batch-put")]
     for w in [4usize, 16, 64] {
         entries.push(best_of(reps, || batched_put(format!("batched_put_8B_w{w}"), ops, w)));
     }

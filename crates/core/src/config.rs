@@ -46,9 +46,6 @@ pub struct PhotonConfig {
     pub eager_ring_bytes: usize,
     /// Completion-ledger slots per peer (per direction).
     pub ledger_entries: usize,
-    /// Modeled CPU copy throughput for probe-time copy-out, in picoseconds
-    /// per byte (25 ps/B = 40 GB/s memcpy).
-    pub copy_ps_per_byte: u64,
     /// Return ledger credits after consuming this many entries
     /// (0 = every entry; default = half the ledger).
     pub credit_interval: usize,
@@ -232,7 +229,6 @@ impl Default for PhotonConfig {
             eager_threshold: 8192,
             eager_ring_bytes: 256 * 1024,
             ledger_entries: 256,
-            copy_ps_per_byte: 25,
             credit_interval: 128,
             coll_slot_bytes: 64 * 1024,
             wait_timeout_secs: 30,
@@ -282,8 +278,6 @@ impl PhotonConfigBuilder {
         eager_ring_bytes: usize,
         /// See [`PhotonConfig::ledger_entries`].
         ledger_entries: usize,
-        /// See [`PhotonConfig::copy_ps_per_byte`].
-        copy_ps_per_byte: u64,
         /// See [`PhotonConfig::credit_interval`].
         credit_interval: usize,
         /// See [`PhotonConfig::coll_slot_bytes`].

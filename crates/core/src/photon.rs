@@ -43,13 +43,13 @@ use crate::{PhotonError, Rank, Result};
 use parking_lot::{Mutex, RwLock};
 use photon_fabric::api::{
     Completion as Cqe, FabricBackend, MemoryRegion, RemoteKey, RemoteSlice, VClock, VTime,
+    COPY_PS_PER_BYTE,
 };
-use photon_fabric::Cluster;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-pub use crate::cluster::{FabricHandle, PhotonCluster};
+pub use crate::cluster::PhotonCluster;
 pub use crate::conn::{ConnDirectory, PeerHealthState};
 pub use crate::tx::{GetManyItem, PutManyItem};
 
@@ -200,11 +200,6 @@ pub struct Photon {
 }
 
 impl Photon {
-    pub(crate) fn init(rank: Rank, fabric: &Cluster, cfg: PhotonConfig) -> Result<Photon> {
-        let nic: Arc<dyn FabricBackend> = Arc::clone(fabric.nic(rank)) as _;
-        Self::init_backend(rank, fabric.len(), nic, cfg)
-    }
-
     /// Build one context over any backend endpoint. The backbone of every
     /// construction path: the sim cluster, the in-process sockets cluster,
     /// and the multi-process join ([`crate::process::PhotonProcess`]).
@@ -411,7 +406,7 @@ impl Photon {
     }
 
     pub(crate) fn copy_ns(&self, bytes: usize) -> u64 {
-        (bytes as u64 * self.cfg.copy_ps_per_byte).div_ceil(1000)
+        (bytes as u64 * COPY_PS_PER_BYTE).div_ceil(1000)
     }
 
     // ------------------------------------------------------ layout helpers

@@ -149,23 +149,9 @@ impl Photon {
         for c in cqes {
             if let photon_fabric::verbs::CompletionKind::ImmDone { src, len, imm } = c.kind {
                 routed += 1;
-                Stats::bump(&self.stats.remote_completions);
-                if rid_space::is_reserved(imm) {
-                    self.coll_inbox.lock().entry(imm).or_default().push_back((
-                        src,
-                        Vec::new(),
-                        c.ts,
-                    ));
-                } else {
-                    self.obs.op_deliver(src, imm, OpKind::PutDirect, len, c.ts);
-                    self.remote_events.push(RemoteEvent {
-                        src,
-                        rid: imm,
-                        size: len,
-                        payload: None,
-                        ts: c.ts,
-                        status: WcStatus::Success,
-                    });
+                if let Some(ev) = self.deliver_remote(src, imm, OpKind::PutDirect, len, None, c.ts)
+                {
+                    self.remote_events.push(ev);
                 }
             }
         }
@@ -353,27 +339,17 @@ impl Photon {
                 mr.with_bytes_mut(|b| b.copy_within(src_off..src_off + take, off));
                 self.clock.advance_to(VTime(h.ts));
                 let done = self.clock.advance(self.copy_ns(take));
-                Stats::bump(&self.stats.remote_completions);
                 if take > 0 {
                     Stats::bump(&self.stats.stage_copies_avoided);
                 }
-                if rid_space::is_reserved(h.rid) {
-                    self.coll_inbox.lock().entry(h.rid).or_default().push_back((
-                        j,
-                        Vec::new(),
-                        done,
-                    ));
-                } else {
-                    self.obs.op_deliver(j, h.rid, OpKind::PutEager, take, done);
-                    rx.ev_scratch.push(RemoteEvent {
-                        src: j,
-                        rid: h.rid,
-                        size: take,
-                        payload: None,
-                        ts: done,
-                        status: WcStatus::Success,
-                    });
-                }
+                rx.ev_scratch.extend(self.deliver_remote(
+                    j,
+                    h.rid,
+                    OpKind::PutEager,
+                    take,
+                    None,
+                    done,
+                ));
             }
             if rx.ring.credit_due().is_some() {
                 credit = Some((rx.ledger.consumed(), rx.ring.cursor()));
@@ -429,32 +405,46 @@ impl Photon {
         Ok((mr, (addr - mr.base_addr()) as usize))
     }
 
+    /// Account one remote completion and decide where it goes: a rid in
+    /// the reserved namespace (collectives, gossip) is parked in the
+    /// internal inbox and yields nothing; a user rid is stamped for the
+    /// lifecycle spans and handed back as the event for the caller to
+    /// publish. `payload` is the message body of a `Msg` frame (owned by
+    /// the event from here on — it outlives the ring slot).
+    fn deliver_remote(
+        &self,
+        src: Rank,
+        rid: u64,
+        kind: OpKind,
+        size: usize,
+        payload: Option<&[u8]>,
+        ts: VTime,
+    ) -> Option<RemoteEvent> {
+        Stats::bump(&self.stats.remote_completions);
+        let payload = payload.map(<[u8]>::to_vec);
+        if rid_space::is_reserved(rid) {
+            let body = payload.unwrap_or_default();
+            self.coll_inbox.lock().entry(rid).or_default().push_back((src, body, ts));
+            return None;
+        }
+        self.obs.op_deliver(src, rid, kind, size, ts);
+        Some(RemoteEvent { src, rid, size, payload, ts, status: WcStatus::Success })
+    }
+
     /// Route one completion-ledger entry. Remote events go to `sink` (the
     /// drain pass's per-peer staging buffer), not straight to the event
     /// queue — the caller publishes the whole run under one peer lock.
     fn route_entry(&self, src: Rank, e: Entry, sink: &mut Vec<RemoteEvent>) {
         let ts = VTime(e.ts);
         match e.kind {
-            EntryKind::Completion | EntryKind::GetNotify => {
-                Stats::bump(&self.stats.remote_completions);
-                if rid_space::is_reserved(e.rid) {
-                    self.coll_inbox.lock().entry(e.rid).or_default().push_back((
-                        src,
-                        Vec::new(),
-                        ts,
-                    ));
-                } else {
-                    self.obs.op_deliver(src, e.rid, OpKind::PutDirect, e.size as usize, ts);
-                    sink.push(RemoteEvent {
-                        src,
-                        rid: e.rid,
-                        size: e.size as usize,
-                        payload: None,
-                        ts,
-                        status: WcStatus::Success,
-                    });
-                }
-            }
+            EntryKind::Completion | EntryKind::GetNotify => sink.extend(self.deliver_remote(
+                src,
+                e.rid,
+                OpKind::PutDirect,
+                e.size as usize,
+                None,
+                ts,
+            )),
             EntryKind::RdvPost => {
                 Stats::bump(&self.stats.rendezvous_ops);
                 self.rdv_announces.lock().insert(
@@ -487,24 +477,14 @@ impl Photon {
             FrameKind::Msg => {
                 // Msg payloads become owned event data (they outlive the
                 // ring slot); only Put frames get the in-place copy-out.
-                Stats::bump(&self.stats.remote_completions);
-                if rid_space::is_reserved(h.rid) {
-                    self.coll_inbox.lock().entry(h.rid).or_default().push_back((
-                        src,
-                        payload.to_vec(),
-                        ts,
-                    ));
-                } else {
-                    self.obs.op_deliver(src, h.rid, OpKind::Send, h.size as usize, ts);
-                    sink.push(RemoteEvent {
-                        src,
-                        rid: h.rid,
-                        size: h.size as usize,
-                        payload: Some(payload.to_vec()),
-                        ts,
-                        status: WcStatus::Success,
-                    });
-                }
+                sink.extend(self.deliver_remote(
+                    src,
+                    h.rid,
+                    OpKind::Send,
+                    h.size as usize,
+                    Some(payload),
+                    ts,
+                ));
             }
             FrameKind::Put => {
                 // Probe-time copy-out to the final destination.
@@ -513,24 +493,14 @@ impl Photon {
                 mr.write_at(off, payload);
                 self.clock.advance_to(ts);
                 let done = self.clock.advance(self.copy_ns(payload.len()));
-                Stats::bump(&self.stats.remote_completions);
-                if rid_space::is_reserved(h.rid) {
-                    self.coll_inbox.lock().entry(h.rid).or_default().push_back((
-                        src,
-                        Vec::new(),
-                        done,
-                    ));
-                } else {
-                    self.obs.op_deliver(src, h.rid, OpKind::PutEager, h.size as usize, done);
-                    sink.push(RemoteEvent {
-                        src,
-                        rid: h.rid,
-                        size: h.size as usize,
-                        payload: None,
-                        ts: done,
-                        status: WcStatus::Success,
-                    });
-                }
+                sink.extend(self.deliver_remote(
+                    src,
+                    h.rid,
+                    OpKind::PutEager,
+                    h.size as usize,
+                    None,
+                    done,
+                ));
             }
         }
         Ok(())

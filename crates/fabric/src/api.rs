@@ -12,7 +12,7 @@
 //! ```
 
 pub use crate::backend::FabricBackend;
-pub use crate::clock::{VClock, VTime};
+pub use crate::clock::{VClock, VTime, COPY_PS_PER_BYTE};
 pub use crate::error::{FabricError, Result};
 pub use crate::mr::{Access, MemoryRegion, MrTable, RemoteKey};
 pub use crate::verbs::{

@@ -77,6 +77,11 @@ impl fmt::Display for VTime {
     }
 }
 
+/// Modeled CPU copy throughput, in picoseconds per byte (25 ps/B = 40 GB/s
+/// memcpy): what every layer charges its virtual clock for a staging copy
+/// or a probe-time copy-out, so copy costs are comparable across layers.
+pub const COPY_PS_PER_BYTE: u64 = 25;
+
 /// A monotonically advancing virtual clock, safely shared between threads.
 ///
 /// Consumers call [`VClock::advance_to`] when they observe a completion and

@@ -53,7 +53,7 @@ pub mod verbs;
 pub mod wire;
 
 pub use backend::FabricBackend;
-pub use clock::{VClock, VTime};
+pub use clock::{VClock, VTime, COPY_PS_PER_BYTE};
 pub use error::{FabricError, Result};
 pub use fault::{FaultPlan, Window};
 pub use model::NetworkModel;

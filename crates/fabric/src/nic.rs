@@ -378,11 +378,7 @@ impl Nic {
     /// `now`.  Effects apply before return; completions are delivered to the
     /// relevant CQs with modeled timestamps.
     pub fn post_send(&self, qp: Qp, wr: SendWr, now: VTime) -> Result<()> {
-        let (sw, state) = self.send_path(qp)?;
-        // RC in-order floor: never depart before a predecessor on this QP.
-        let ready = (now + sw.model().send_overhead_ns)
-            .max(VTime(state.depart_floor.load(Ordering::Acquire)));
-        self.exec_send(&sw, &state, qp, &wr, ready)
+        self.post_send_many(qp, std::slice::from_ref(&wr), now)
     }
 
     /// Post a *run* of send-queue work requests through one doorbell: the
@@ -399,6 +395,7 @@ impl Nic {
         let (sw, state) = self.send_path(qp)?;
         let base = now + sw.model().send_overhead_ns;
         for wr in wrs {
+            // RC in-order floor: never depart before a predecessor on this QP.
             let ready = base.max(VTime(state.depart_floor.load(Ordering::Acquire)));
             self.exec_send(&sw, &state, qp, wr, ready)?;
         }

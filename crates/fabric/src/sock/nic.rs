@@ -408,21 +408,23 @@ impl SockNic {
         Ok(st)
     }
 
-    /// Post one work request.
-    pub fn post_send(&self, qp: Qp, wr: SendWr, _now: VTime) -> Result<()> {
-        let _st = self.qp_state(qp)?;
-        self.validate_wr(&wr)?;
-        if qp.peer == self.node {
-            return self.exec_loopback(&wr);
-        }
-        self.transmit_wr(qp.peer, &wr)
+    /// Post one work request: the one-element run.
+    pub fn post_send(&self, qp: Qp, wr: SendWr, now: VTime) -> Result<()> {
+        self.post_send_many(qp, std::slice::from_ref(&wr), now)
     }
 
-    /// Post a run of work requests. RC ordering holds because all frames
-    /// ride one in-order channel; stops at the first failing wr.
-    pub fn post_send_many(&self, qp: Qp, wrs: &[SendWr], now: VTime) -> Result<()> {
+    /// Post a run of work requests, each executed by reference. RC ordering
+    /// holds because all frames ride one in-order channel; stops at the
+    /// first failing wr.
+    pub fn post_send_many(&self, qp: Qp, wrs: &[SendWr], _now: VTime) -> Result<()> {
         for wr in wrs {
-            self.post_send(qp, wr.clone(), now)?;
+            let _st = self.qp_state(qp)?;
+            self.validate_wr(wr)?;
+            if qp.peer == self.node {
+                self.exec_loopback(wr)?;
+            } else {
+                self.transmit_wr(qp.peer, wr)?;
+            }
         }
         Ok(())
     }

@@ -6,7 +6,9 @@ use crate::{MsgConfig, MsgError, Rank, Result};
 use parking_lot::Mutex;
 use photon_fabric::mr::Access;
 use photon_fabric::verbs::{CompletionKind, MrSlice, Qp, RecvWr, RemoteSlice, SendWr, WrOp};
-use photon_fabric::{Cluster, MemoryRegion, NetworkModel, Nic, VClock, VTime, WcStatus};
+use photon_fabric::{
+    Cluster, MemoryRegion, NetworkModel, Nic, VClock, VTime, WcStatus, COPY_PS_PER_BYTE,
+};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -445,7 +447,7 @@ impl MsgEndpoint {
     }
 
     fn copy_ns(&self, bytes: usize) -> u64 {
-        (bytes as u64 * self.cfg.copy_ps_per_byte).div_ceil(1000)
+        (bytes as u64 * COPY_PS_PER_BYTE).div_ceil(1000)
     }
 
     /// Acquire an internally managed registered region of exactly `len`

@@ -132,9 +132,6 @@ pub struct MsgConfig {
     pub eager_threshold: usize,
     /// Pre-posted receive-pool slots.
     pub pool_slots: usize,
-    /// Modeled CPU copy throughput (picoseconds per byte), matching the
-    /// Photon config default so copy costs are comparable.
-    pub copy_ps_per_byte: u64,
     /// Modeled software cost of tag matching + receive-request completion
     /// per message, nanoseconds. This is the receive-path work one-sided
     /// delivery avoids; Photon's ledger poll is charged nothing by symmetry
@@ -153,7 +150,6 @@ impl Default for MsgConfig {
         MsgConfig {
             eager_threshold: 8192,
             pool_slots: 256,
-            copy_ps_per_byte: 25,
             match_overhead_ns: 150,
             wait_timeout_secs: 30,
             registration_cache: false,

@@ -7,17 +7,24 @@
 //! SIMTEST_SEED=0x… SIMTEST_CASE=… simtest show <campaign>
 //! ```
 //!
-//! Campaigns: smoke, credits, faults, quiescence, crash, rpc, ds. Exit status
-//! is 1 when any case fails, so the binary gates CI directly.
+//! The campaign names are those of [`Campaign::all`]; the usage text (run
+//! with no arguments) lists them. Exit status is 1 when any case fails, so
+//! the binary gates CI directly.
 
 use photon_simtest::campaign::{dump_span_trace, parse_u64, run_one};
 use photon_simtest::{run_campaign, Campaign, CampaignOpts, Schedule};
 
 fn usage() -> ! {
+    // Built from `Campaign::all()` so the list cannot drift from what
+    // `Campaign::from_name` accepts.
+    let names: Vec<&str> = Campaign::all().iter().map(|c| c.name()).collect();
     eprintln!(
-        "usage: simtest <smoke|credits|faults|quiescence|crash|rpc|ds|all> [--cases N] [--seed S] [--jobs N] [--no-shrink] [--progress-threads N]\n\
+        "usage: simtest <{}|all> [--cases N] [--seed S] [--jobs N] [--no-shrink] [--progress-threads N]\n\
          \x20      SIMTEST_SEED=0x.. SIMTEST_CASE=n simtest replay <campaign>\n\
-         \x20      SIMTEST_SEED=0x.. SIMTEST_CASE=n simtest show <campaign>"
+         \x20      SIMTEST_SEED=0x.. SIMTEST_CASE=n simtest show <campaign>\n\
+         Campaigns: {}",
+        names.join("|"),
+        names.join(", ")
     );
     std::process::exit(2);
 }
