@@ -45,7 +45,7 @@ fn rdv_post(tag: u64, d: &BufferDescriptor) -> EntrySpec {
 
 /// Control entry telling the peer the transfer tagged `tag` is complete.
 fn fin(tag: u64) -> EntrySpec {
-    EntrySpec { kind: EntryKind::Fin, rid: tag, size: 0, addr: 0, rkey: 0 }
+    EntrySpec::plain(EntryKind::Fin, tag, 0)
 }
 
 impl Photon {
@@ -62,9 +62,7 @@ impl Photon {
         buf.check(off, len)?;
         let post = rdv_post(tag, &buf.descriptor_at(off, len)?);
         Stats::bump(&self.stats.rendezvous_ops);
-        self.blocking("rendezvous post credits", |s| {
-            Ok((s.try_post_entry_run(peer, &[post])? == 1).then_some(()))
-        })
+        self.post_entry_run("rendezvous post credits", peer, &[post])
     }
 
     /// Non-blocking [`Photon::post_recv_buffer`]: `Ok(false)` when the
@@ -128,11 +126,7 @@ impl Photon {
     pub fn post_recv_buffers(&self, peer: Rank, posts: &[(u64, BufferDescriptor)]) -> Result<()> {
         self.check_rank(peer)?;
         let specs: Vec<EntrySpec> = posts.iter().map(|(tag, d)| rdv_post(*tag, d)).collect();
-        let mut done = 0usize;
-        self.blocking("rendezvous batch post credits", |s| {
-            done += s.try_post_entry_run(peer, &specs[done..])?;
-            Ok((done == specs.len()).then_some(()))
-        })?;
+        self.post_entry_run("rendezvous batch post credits", peer, &specs)?;
         Stats::add(&self.stats.rendezvous_ops, posts.len() as u64);
         Ok(())
     }
@@ -143,11 +137,7 @@ impl Photon {
     pub fn send_fins(&self, peer: Rank, tags: &[u64]) -> Result<()> {
         self.check_rank(peer)?;
         let specs: Vec<EntrySpec> = tags.iter().map(|&tag| fin(tag)).collect();
-        let mut done = 0usize;
-        self.blocking("fin batch credits", |s| {
-            done += s.try_post_entry_run(peer, &specs[done..])?;
-            Ok((done == specs.len()).then_some(()))
-        })?;
+        self.post_entry_run("fin batch credits", peer, &specs)?;
         Stats::add(&self.stats.rendezvous_ops, tags.len() as u64);
         Ok(())
     }
@@ -155,9 +145,7 @@ impl Photon {
     /// Tell `peer` the put into its announced buffer for `tag` is complete.
     pub fn send_fin(&self, peer: Rank, tag: u64) -> Result<()> {
         Stats::bump(&self.stats.rendezvous_ops);
-        self.blocking("fin credits", |s| {
-            Ok((s.try_post_entry_run(peer, &[fin(tag)])? == 1).then_some(()))
-        })
+        self.post_entry_run("fin credits", peer, &[fin(tag)])
     }
 
     /// Non-blocking [`Photon::send_fin`]: `Ok(false)` when the control

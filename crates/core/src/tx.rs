@@ -56,6 +56,14 @@ pub(crate) struct EntrySpec {
     pub(crate) rkey: u32,
 }
 
+impl EntrySpec {
+    /// An entry that names no remote buffer (completion, get notification,
+    /// FIN).
+    pub(crate) fn plain(kind: EntryKind, rid: u64, size: u64) -> EntrySpec {
+        EntrySpec { kind, rid, size, addr: 0, rkey: 0 }
+    }
+}
+
 /// One element of a [`Photon::get_many`] doorbell batch: a read of
 /// `src[soff..soff+len]` on the peer into `local[loff..]`, surfacing
 /// `local_rid` when the whole batch's data has landed.
@@ -407,6 +415,21 @@ impl Photon {
         self.fail_post(&conn, r)
     }
 
+    /// Blocking [`Photon::try_post_entry_run`]: spins through credit
+    /// exhaustion until every spec is posted.
+    pub(crate) fn post_entry_run(
+        &self,
+        what: &'static str,
+        peer: Rank,
+        specs: &[EntrySpec],
+    ) -> Result<()> {
+        let mut done = 0usize;
+        self.blocking(what, |s| {
+            done += s.try_post_entry_run(peer, &specs[done..])?;
+            Ok((done == specs.len()).then_some(()))
+        })
+    }
+
     /// Read the local credit words for production over `conn`; returns the
     /// virtual delivery time of the last credit write.
     fn refresh_tx_credits(&self, conn: &Conn, tx: &mut PeerTx) -> VTime {
@@ -645,29 +668,24 @@ impl Photon {
                         it.len,
                         self.clock.now(),
                     );
-                    let mut first_seq = 0;
-                    if !imm {
-                        let (seq, claimed) = self.claim_ledger_slots(&conn, &mut tx, 1);
-                        if claimed == 0 {
-                            break; // out of ledger credits
+                    let entry_seq = if imm {
+                        None
+                    } else {
+                        match self.claim_ledger_slots(&conn, &mut tx, 1) {
+                            (_, 0) => break, // out of ledger credits
+                            (seq, _) => Some(seq),
                         }
-                        first_seq = seq;
-                    }
+                    };
                     let data = WrOp::Write {
                         local: MrSlice::new(local.region(), it.loff, it.len),
                         remote: RemoteSlice::from_key(dst, it.doff, it.len),
                         imm: imm.then_some(it.remote_rid),
                     };
                     self.post_tracked_raw(&conn, data, it.local_rid)?;
-                    if !imm {
-                        let done = EntrySpec {
-                            kind: EntryKind::Completion,
-                            rid: it.remote_rid,
-                            size: it.len as u64,
-                            addr: 0,
-                            rkey: 0,
-                        };
-                        self.post_claimed_entries(&conn, first_seq, &[done])?;
+                    if let Some(seq) = entry_seq {
+                        let done =
+                            EntrySpec::plain(EntryKind::Completion, it.remote_rid, it.len as u64);
+                        self.post_claimed_entries(&conn, seq, &[done])?;
                     }
                     Stats::bump(&self.stats.puts_direct);
                     Stats::add(&self.stats.bytes_put, it.len as u64);
@@ -925,16 +943,8 @@ impl Photon {
         remote_rid: u64,
     ) -> Result<()> {
         self.get_with_completion(peer, local, loff, len, src, soff, local_rid)?;
-        let notify = EntrySpec {
-            kind: EntryKind::GetNotify,
-            rid: remote_rid,
-            size: len as u64,
-            addr: 0,
-            rkey: 0,
-        };
-        self.blocking("gwc notify credits", |s| {
-            Ok((s.try_post_entry_run(peer, &[notify])? == 1).then_some(()))
-        })
+        let notify = EntrySpec::plain(EntryKind::GetNotify, remote_rid, len as u64);
+        self.post_entry_run("gwc notify credits", peer, &[notify])
     }
 
     /// Destination-less message (`photon_send` analogue): the payload is

@@ -38,6 +38,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// The counter is process-global, so a test that arms it must not overlap
+/// another test's allocations: every test in this file holds this lock.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn serialized() -> std::sync::MutexGuard<'static, ()> {
+    // A panicking test poisons the lock; the guarded data is `()`.
+    SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Allocations of 1024 [`single_sends_and_gets`] rounds measured at the
+/// parent of the posting-path fold (commit a5a29f5), where single sends and
+/// gets still had their own posting code.
+const PARENT_SEND_GET_ALLOCS: u64 = 1_029;
+
 /// Run `ops` windowed 8-byte eager puts (window 16), sender reaping local
 /// completions while the receiver drains remote notifications.
 fn windowed_puts(c: &PhotonCluster, base_rid: u64, ops: u64) {
@@ -72,14 +86,36 @@ fn windowed_puts(c: &PhotonCluster, base_rid: u64, ops: u64) {
     }
 }
 
+/// Run `ops` rounds of one 8-byte `send` plus one 8-byte
+/// `get_with_completion`, each a single (k=1) post, waiting for the get and
+/// draining the receiver every round.
+fn single_sends_and_gets(c: &PhotonCluster, base_rid: u64, ops: u64) {
+    let p0 = c.rank(0);
+    let p1 = c.rank(1);
+    let local = p0.register_buffer(64).unwrap();
+    let remote = p1.register_buffer(64).unwrap();
+    let d = remote.descriptor();
+    let mut evs: Vec<Completion> = Vec::with_capacity(128);
+    for i in 0..ops {
+        let rid = base_rid + i;
+        p0.send(1, &[0x5A; 8], rid).unwrap();
+        p0.get_with_completion(1, &local, 0, 8, &d, 0, rid).unwrap();
+        p0.wait_local(rid).unwrap();
+        evs.clear();
+        while p1.poll_completions(ProbeFlags::Remote, &mut evs, 64).unwrap() == 0 {}
+    }
+}
+
 #[test]
 fn disabled_recording_allocates_nothing_per_op() {
+    let _serial = serialized();
     let c = PhotonCluster::new(2, NetworkModel::ideal(), PhotonConfig::default());
     assert!(!c.rank(0).obs().is_enabled());
 
     // Warm-up: fills the staging rings, completion shard vectors, probe
     // scratch, etc., so the measured window sees only steady-state work.
     windowed_puts(&c, 0, 2_048);
+    single_sends_and_gets(&c, 20_000, 1_024);
 
     ALLOCS.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
@@ -98,10 +134,30 @@ fn disabled_recording_allocates_nothing_per_op() {
         "eager put path allocated {n} times over 2048 ops with recording disabled \
          (pre-obs baseline: 133; a per-op hook allocation would show as >= 2048)"
     );
+
+    // Single sends and gets — the k=1 case of the run-based posting path.
+    // Not allocation-free at the parent either, so the parent's count is
+    // pinned rather than zero: every `Msg` delivery owns its payload (one
+    // `to_vec` per send at the receiver; the other five are the helper's
+    // two buffer registrations), while the get and both TX sides allocate
+    // nothing. A k=1 get routed through a `Vec<SendWr>`, or a k=1 send
+    // through a freshly allocated rid / stamp list, would add at least one
+    // allocation per round on top.
+    ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    single_sends_and_gets(&c, 30_000, 1_024);
+    ARMED.store(false, Ordering::SeqCst);
+    let n = ALLOCS.load(Ordering::SeqCst);
+    assert!(
+        n <= PARENT_SEND_GET_ALLOCS,
+        "1024 single send + get rounds allocated {n} times with recording disabled \
+         (parent commit: {PARENT_SEND_GET_ALLOCS}; one more allocation per op would show as +1024)"
+    );
 }
 
 #[test]
 fn recycler_caches_make_the_batched_put_loop_allocation_free() {
+    let _serial = serialized();
     // The tightened form of the bound above, for the doorbell-batched path:
     // with the CQE harvest reading into recycled scratch, the batch rid /
     // stamp vectors cycling through the context pools, and the run frames
@@ -163,6 +219,7 @@ fn recycler_caches_make_the_batched_put_loop_allocation_free() {
 
 #[test]
 fn enabled_recording_observes_the_same_traffic() {
+    let _serial = serialized();
     // Sanity inverse: with recording on, the same loop yields spans and
     // latency samples (allocation is expected and unchecked here).
     let c = PhotonCluster::new(2, NetworkModel::ideal(), PhotonConfig::default());

@@ -1496,7 +1496,7 @@ mod tests {
         // The executor's pump drains through poll_completions, the same
         // batch API the runtime progress thread uses — so every chaos
         // schedule doubles as coverage for the batch path. Pin that wiring:
-        // a clean mixed schedule must leave batch-probe counts on all ranks.
+        // a clean mixed schedule must leave probe-batch counts on all ranks.
         let sched = fixed_schedule();
         let ex = Executor::new(&sched, sched.cfg);
         let ranks: Vec<_> = ex.cluster.ranks().to_vec();
