@@ -149,10 +149,9 @@ impl Photon {
         for c in cqes {
             if let photon_fabric::verbs::CompletionKind::ImmDone { src, len, imm } = c.kind {
                 routed += 1;
-                if let Some(ev) = self.deliver_remote(src, imm, OpKind::PutDirect, len, None, c.ts)
-                {
-                    self.remote_events.push(ev);
-                }
+                self.deliver_remote(src, imm, OpKind::PutDirect, len, None, c.ts, |ev| {
+                    self.remote_events.push(ev)
+                });
             }
         }
         routed
@@ -342,14 +341,9 @@ impl Photon {
                 if take > 0 {
                     Stats::bump(&self.stats.stage_copies_avoided);
                 }
-                rx.ev_scratch.extend(self.deliver_remote(
-                    j,
-                    h.rid,
-                    OpKind::PutEager,
-                    take,
-                    None,
-                    done,
-                ));
+                self.deliver_remote(j, h.rid, OpKind::PutEager, take, None, done, |ev| {
+                    rx.ev_scratch.push(ev)
+                });
             }
             if rx.ring.credit_due().is_some() {
                 credit = Some((rx.ledger.consumed(), rx.ring.cursor()));
@@ -405,12 +399,14 @@ impl Photon {
         Ok((mr, (addr - mr.base_addr()) as usize))
     }
 
-    /// Account one remote completion and decide where it goes: a rid in
+    /// Account one remote completion and send it where it belongs: a rid in
     /// the reserved namespace (collectives, gossip) is parked in the
-    /// internal inbox and yields nothing; a user rid is stamped for the
-    /// lifecycle spans and handed back as the event for the caller to
-    /// publish. `payload` is the message body of a `Msg` frame (owned by
-    /// the event from here on — it outlives the ring slot).
+    /// internal inbox; a user rid is stamped for the lifecycle spans and
+    /// handed to `publish` as the event. `payload` is the message body of a
+    /// `Msg` frame (owned by the event from here on — it outlives the ring
+    /// slot).
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
     fn deliver_remote(
         &self,
         src: Rank,
@@ -419,16 +415,17 @@ impl Photon {
         size: usize,
         payload: Option<&[u8]>,
         ts: VTime,
-    ) -> Option<RemoteEvent> {
+        publish: impl FnOnce(RemoteEvent),
+    ) {
         Stats::bump(&self.stats.remote_completions);
         let payload = payload.map(<[u8]>::to_vec);
         if rid_space::is_reserved(rid) {
             let body = payload.unwrap_or_default();
             self.coll_inbox.lock().entry(rid).or_default().push_back((src, body, ts));
-            return None;
+        } else {
+            self.obs.op_deliver(src, rid, kind, size, ts);
+            publish(RemoteEvent { src, rid, size, payload, ts, status: WcStatus::Success });
         }
-        self.obs.op_deliver(src, rid, kind, size, ts);
-        Some(RemoteEvent { src, rid, size, payload, ts, status: WcStatus::Success })
     }
 
     /// Route one completion-ledger entry. Remote events go to `sink` (the
@@ -437,14 +434,12 @@ impl Photon {
     fn route_entry(&self, src: Rank, e: Entry, sink: &mut Vec<RemoteEvent>) {
         let ts = VTime(e.ts);
         match e.kind {
-            EntryKind::Completion | EntryKind::GetNotify => sink.extend(self.deliver_remote(
-                src,
-                e.rid,
-                OpKind::PutDirect,
-                e.size as usize,
-                None,
-                ts,
-            )),
+            EntryKind::Completion | EntryKind::GetNotify => {
+                let size = e.size as usize;
+                self.deliver_remote(src, e.rid, OpKind::PutDirect, size, None, ts, |ev| {
+                    sink.push(ev)
+                })
+            }
             EntryKind::RdvPost => {
                 Stats::bump(&self.stats.rendezvous_ops);
                 self.rdv_announces.lock().insert(
@@ -477,14 +472,10 @@ impl Photon {
             FrameKind::Msg => {
                 // Msg payloads become owned event data (they outlive the
                 // ring slot); only Put frames get the in-place copy-out.
-                sink.extend(self.deliver_remote(
-                    src,
-                    h.rid,
-                    OpKind::Send,
-                    h.size as usize,
-                    Some(payload),
-                    ts,
-                ));
+                let size = h.size as usize;
+                self.deliver_remote(src, h.rid, OpKind::Send, size, Some(payload), ts, |ev| {
+                    sink.push(ev)
+                });
             }
             FrameKind::Put => {
                 // Probe-time copy-out to the final destination.
@@ -493,14 +484,10 @@ impl Photon {
                 mr.write_at(off, payload);
                 self.clock.advance_to(ts);
                 let done = self.clock.advance(self.copy_ns(payload.len()));
-                sink.extend(self.deliver_remote(
-                    src,
-                    h.rid,
-                    OpKind::PutEager,
-                    h.size as usize,
-                    None,
-                    done,
-                ));
+                let size = h.size as usize;
+                self.deliver_remote(src, h.rid, OpKind::PutEager, size, None, done, |ev| {
+                    sink.push(ev)
+                });
             }
         }
         Ok(())
