@@ -4,18 +4,20 @@
 //! fabric. Patterns are causal chains, so the results are deterministic for
 //! a given configuration.
 
-use photon_core::{PhotonCluster, PhotonConfig, PutManyItem, StatsSnapshot};
+use photon_core::{PhotonCluster, PhotonConfig, ProbeFlags, PutManyItem, StatsSnapshot};
 use photon_fabric::NetworkModel;
 use photon_msg::{MsgCluster, MsgConfig};
 
-/// Half-round-trip (one-way) latency of a Photon PWC ping-pong at `size`
-/// bytes, averaged over `iters` round trips.
-pub fn photon_pingpong_ns(
+/// A Photon PWC ping-pong at `size` bytes for `iters` round trips, timed on
+/// both clocks: `(wall_ns, virtual_ns)` for the whole exchange. The virtual
+/// figure is the modeled fabric's (sim backend); the wall figure is what a
+/// sockets-backed `cfg` is measured by.
+pub fn photon_pingpong(
     model: NetworkModel,
     cfg: PhotonConfig,
     size: usize,
     iters: usize,
-) -> u64 {
+) -> (u64, u64) {
     let c = PhotonCluster::new(2, model, cfg);
     let (p0, p1) = (c.rank(0), c.rank(1));
     let b0 = p0.register_buffer(size.max(8)).unwrap();
@@ -23,24 +25,35 @@ pub fn photon_pingpong_ns(
     let d0 = b0.descriptor();
     let d1 = b1.descriptor();
     c.reset_time(); // exclude registration from the latency figure
+    let t0 = std::time::Instant::now();
     std::thread::scope(|s| {
         s.spawn(|| {
             for i in 0..iters as u64 {
                 p0.put_with_completion(1, &b0, 0, size, &d1, 0, i, i).unwrap();
                 p0.wait_local(i).unwrap();
-                p0.wait_completion_matching(photon_core::ProbeFlags::Remote).unwrap();
-                // the pong
+                p0.wait_completion_matching(ProbeFlags::Remote).unwrap(); // the pong
             }
         });
         s.spawn(|| {
             for i in 0..iters as u64 {
-                p1.wait_completion_matching(photon_core::ProbeFlags::Remote).unwrap(); // the ping
+                p1.wait_completion_matching(ProbeFlags::Remote).unwrap(); // the ping
                 p1.put_with_completion(0, &b1, 0, size, &d0, 0, i, i).unwrap();
                 p1.wait_local(i).unwrap();
             }
         });
     });
-    p0.now().as_nanos() / (2 * iters as u64)
+    (t0.elapsed().as_nanos() as u64, p0.now().as_nanos())
+}
+
+/// Half-round-trip (one-way) modeled latency of [`photon_pingpong`],
+/// averaged over `iters` round trips.
+pub fn photon_pingpong_ns(
+    model: NetworkModel,
+    cfg: PhotonConfig,
+    size: usize,
+    iters: usize,
+) -> u64 {
+    photon_pingpong(model, cfg, size, iters).1 / (2 * iters as u64)
 }
 
 /// Half-round-trip latency of a two-sided send/recv ping-pong.
@@ -83,7 +96,7 @@ pub fn photon_put_bw(model: NetworkModel, cfg: PhotonConfig, size: usize, count:
         });
         s.spawn(|| {
             for _ in 0..count {
-                p1.wait_completion_matching(photon_core::ProbeFlags::Remote).unwrap();
+                p1.wait_completion_matching(ProbeFlags::Remote).unwrap();
             }
         });
     });
@@ -138,39 +151,7 @@ pub fn msg_stream_bw(model: NetworkModel, cfg: MsgConfig, size: usize, count: us
 /// Acked message rate (msgs/s) for 8-byte PWC puts with `window` outstanding
 /// un-acked messages.
 pub fn photon_msg_rate(model: NetworkModel, cfg: PhotonConfig, window: usize, msgs: usize) -> f64 {
-    let c = PhotonCluster::new(2, model, cfg);
-    let (p0, p1) = (c.rank(0), c.rank(1));
-    let b0 = p0.register_buffer(8).unwrap();
-    let b1 = p1.register_buffer(8).unwrap();
-    let d1 = b1.descriptor();
-    let d0 = b0.descriptor();
-    c.reset_time();
-    std::thread::scope(|s| {
-        s.spawn(|| {
-            let mut sent = 0u64;
-            let mut acked = 0u64;
-            while sent < window.min(msgs) as u64 {
-                p0.put_with_completion(1, &b0, 0, 8, &d1, 0, sent, sent).unwrap();
-                sent += 1;
-            }
-            while acked < msgs as u64 {
-                p0.wait_completion_matching(photon_core::ProbeFlags::Remote).unwrap(); // an ack
-                acked += 1;
-                if sent < msgs as u64 {
-                    p0.put_with_completion(1, &b0, 0, 8, &d1, 0, sent, sent).unwrap();
-                    sent += 1;
-                }
-            }
-        });
-        s.spawn(|| {
-            for i in 0..msgs as u64 {
-                p1.wait_completion_matching(photon_core::ProbeFlags::Remote).unwrap();
-                // 0-byte ack riding the eager path.
-                p1.put_with_completion(0, &b1, 0, 0, &d0, 0, i, i).unwrap();
-            }
-        });
-    });
-    msgs as f64 / (p0.now().as_nanos() as f64 / 1e9)
+    acked_rate(model, cfg, window, msgs, false).0
 }
 
 /// Acked message rate for 8-byte puts posted in doorbell-batched chunks of
@@ -183,6 +164,27 @@ pub fn photon_msg_rate_batched(
     window: usize,
     msgs: usize,
 ) -> (f64, StatsSnapshot) {
+    acked_rate(model, cfg, window, msgs, true)
+}
+
+/// Both acked-rate drivers as one single-thread stepper, so every post and
+/// probe happens in a fixed order and virtual time does not depend on how
+/// the OS schedules two threads (on a multi-core host the threaded form
+/// measured the scheduler: E3's unbatched column sagged to ~1.4 Mmsg/s and
+/// moved between runs). Each rank in turn runs until it would block —
+/// rank 0 posts what the window allows and reaps acks, refilling after
+/// each; rank 1 acks each notification with a 0-byte put on the eager path
+/// — which is the interleaving a one-core host gives the threaded form, the
+/// one EXPERIMENTS.md's E3 numbers were recorded under. Unbatched refills
+/// one put per reaped ack; batched posts a whole window as one `put_many`
+/// once the previous window is fully acked.
+fn acked_rate(
+    model: NetworkModel,
+    cfg: PhotonConfig,
+    window: usize,
+    msgs: usize,
+    batched: bool,
+) -> (f64, StatsSnapshot) {
     let c = PhotonCluster::new(2, model, cfg);
     let (p0, p1) = (c.rank(0), c.rank(1));
     let b0 = p0.register_buffer(8).unwrap();
@@ -190,39 +192,50 @@ pub fn photon_msg_rate_batched(
     let d1 = b1.descriptor();
     let d0 = b0.descriptor();
     c.reset_time();
-    std::thread::scope(|s| {
-        s.spawn(|| {
-            let mut sent = 0u64;
-            let mut acked = 0u64;
-            while acked < msgs as u64 {
-                let k = (msgs as u64 - sent).min(window as u64) as usize;
-                if k > 0 {
-                    let items: Vec<PutManyItem> = (0..k as u64)
-                        .map(|j| PutManyItem {
-                            loff: 0,
-                            len: 8,
-                            doff: 0,
-                            local_rid: sent + j,
-                            remote_rid: sent + j,
-                        })
-                        .collect();
-                    p0.put_many(1, &b0, &d1, &items).unwrap();
-                    sent += k as u64;
-                }
-                for _ in 0..k.max(1) {
-                    p0.wait_completion_matching(photon_core::ProbeFlags::Remote).unwrap(); // an ack
-                    acked += 1;
+    let (window, msgs) = (window as u64, msgs as u64);
+    let (mut sent, mut acked) = (0u64, 0u64);
+    // Rank 1's side: notifications seen, acks it managed to post.
+    let (mut seen, mut ack_sent) = (0u64, 0u64);
+    while acked < msgs {
+        loop {
+            if batched && sent == acked {
+                let items: Vec<PutManyItem> = (sent..msgs.min(sent + window))
+                    .map(|rid| PutManyItem {
+                        loff: 0,
+                        len: 8,
+                        doff: 0,
+                        local_rid: rid,
+                        remote_rid: rid,
+                    })
+                    .collect();
+                sent += p0.try_put_many(1, &b0, &d1, &items).unwrap() as u64;
+            }
+            while !batched
+                && sent < msgs.min(acked + window)
+                && p0.try_put_with_completion(1, &b0, 0, 8, &d1, 0, sent, sent).unwrap()
+            {
+                sent += 1;
+            }
+            if p0.poll_completion(ProbeFlags::Remote).unwrap().is_none() {
+                break;
+            }
+            acked += 1;
+        }
+        // An ack that finds no ring credit is retried on the next turn,
+        // after rank 0 has probed.
+        loop {
+            if ack_sent == seen {
+                match p1.poll_completion(ProbeFlags::Remote).unwrap() {
+                    Some(_) => seen += 1,
+                    None => break,
                 }
             }
-        });
-        s.spawn(|| {
-            for i in 0..msgs as u64 {
-                p1.wait_completion_matching(photon_core::ProbeFlags::Remote).unwrap();
-                // 0-byte ack riding the eager path.
-                p1.put_with_completion(0, &b1, 0, 0, &d0, 0, i, i).unwrap();
+            if !p1.try_put_with_completion(0, &b1, 0, 0, &d0, 0, ack_sent, ack_sent).unwrap() {
+                break;
             }
-        });
-    });
+            ack_sent += 1;
+        }
+    }
     (msgs as f64 / (p0.now().as_nanos() as f64 / 1e9), p0.stats())
 }
 

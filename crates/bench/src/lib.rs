@@ -1,16 +1,21 @@
 //! # photon-bench — the experiment harness
 //!
-//! Regenerates every figure/table of the reconstructed Photon evaluation
+//! One binary, `photon-bench <suite>`, answers two kinds of question
 //! (see `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for
-//! paper-vs-measured notes). The `figures` binary runs experiments by id and
-//! writes both an aligned console table and a CSV under `results/`.
+//! paper-vs-measured notes):
 //!
-//! Latencies and bandwidths are **virtual-time** measurements from the
-//! LogGP-modeled fabric (deterministic for the sequential patterns used);
-//! software-path costs (probe, registration, ledger ops) are measured in
-//! wall time by the criterion benches under `benches/`.
+//! * **Modeled paper figures** — `photon-bench figures [ids]` runs the
+//!   [`experiments`] (E1–E19): **virtual-time** measurements from the
+//!   LogGP-modeled fabric, rendered as a [`Table`] and a CSV under
+//!   `results/`.
+//! * **Wall-clock cells** — every other suite in [`suites`] (`put`, `get`,
+//!   `probe`, `progress`, `sockets`, `gups`, `churn`, `micro`) returns a
+//!   [`harness::Report`], written as `results/BENCH_<suite>.json` in one
+//!   schema and comparable against a committed baseline with `--check`.
 
 pub mod experiments;
+pub mod harness;
 pub mod report;
+pub mod suites;
 
 pub use report::Table;
