@@ -995,7 +995,7 @@ mod tests {
     }
 
     #[test]
-    fn best_of_keeps_the_fastest_rep() {
+    fn the_fastest_rep_is_kept() {
         let mut times = [30u64, 10, 20].into_iter();
         let c = best_of(3, || Cell::new("x", 1, times.next().unwrap()));
         assert_eq!(c.ns_total, 10);
