@@ -18,7 +18,12 @@ pub fn photon_pingpong(
     size: usize,
     iters: usize,
 ) -> (u64, u64) {
-    let c = PhotonCluster::new(2, model, cfg);
+    photon_pingpong_on(&PhotonCluster::new(2, model, cfg), size, iters)
+}
+
+/// [`photon_pingpong`] on a cluster the caller built (and can inspect
+/// afterwards).
+pub fn photon_pingpong_on(c: &PhotonCluster, size: usize, iters: usize) -> (u64, u64) {
     let (p0, p1) = (c.rank(0), c.rank(1));
     let b0 = p0.register_buffer(size.max(8)).unwrap();
     let b1 = p1.register_buffer(size.max(8)).unwrap();

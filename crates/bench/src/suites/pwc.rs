@@ -5,7 +5,8 @@
 use crate::experiments::drivers;
 use crate::harness::{best_of, write_file, Args, Cell, Op, Pump, Report};
 use photon_core::obs::chrome_trace_json;
-use photon_core::{BackendKind, PhotonConfig, TraceExport};
+use photon_core::{BackendKind, PhotonCluster, PhotonConfig, TraceExport};
+use photon_fabric::sock::SOCK_COUNTERS;
 use photon_fabric::NetworkModel;
 use std::path::Path;
 
@@ -130,6 +131,19 @@ pub fn progress(a: &Args) -> Report {
     r
 }
 
+/// Attach the transport counters of a two-rank sockets cluster, summed over
+/// both endpoints, to the cell measured on it: `datagrams_tx / ops` is
+/// datagrams per operation, `frames_tx / trains_tx` frames per train,
+/// `datagrams_tx + datagrams_rx + caller_drain_passes +
+/// reactor_drain_passes + reactor_wakeups` the system calls made.
+fn with_sock_counters(cell: Cell, c: &PhotonCluster) -> Cell {
+    let stats = [0, 1].map(|r| c.sock_stats(r).expect("sockets cluster"));
+    SOCK_COUNTERS.iter().fold(cell, |cell, def| {
+        let total: u64 = stats.iter().filter_map(|s| s.get(def.name)).sum();
+        cell.with(def.name, total as f64)
+    })
+}
+
 /// E23: the same PWC code over the LogGP-modeled NIC (`*_modeled` cells,
 /// `ns_total` in **virtual** ns) and over real loopback UDP (`*_sock`
 /// cells, wall ns, min over reps). Absolute numbers are not comparable —
@@ -138,13 +152,15 @@ pub fn progress(a: &Args) -> Report {
 /// with window, point-wise on the deterministic modeled curve, first to
 /// last on the jittery real one.
 pub fn sockets(a: &Args) -> Report {
-    let (ops, reps) = (a.ops(500, 100), a.reps(3, 1));
+    // 5 000 ops: at the sock rates of a few hundred kops/s a cell is tens
+    // of milliseconds — long enough that reactor-thread start-up (a
+    // millisecond or two on this class of host) is not most of it.
+    let (ops, reps) = (a.ops(5_000, 100), a.reps(3, 1));
     let iters = (ops / 10).max(1) as usize;
     let mut r = Report::new(a, reps);
     let model = NetworkModel::ib_fdr();
     let sim = Pump { model, ..Pump::inline_sim() };
     let sock = Pump { backend: BackendKind::Sock, ..sim };
-    let sock_cfg = PhotonConfig { backend: BackendKind::Sock, ..PhotonConfig::default() };
     let mut curves: [Vec<f64>; 4] = Default::default(); // lat modeled/real, rate modeled/real
     for size in [8usize, 64, 512, 4096, 16384] {
         let trips = 2 * iters as u64;
@@ -152,8 +168,9 @@ pub fn sockets(a: &Args) -> Report {
         let (_, virt) = drivers::photon_pingpong(model, PhotonConfig::default(), size, iters);
         let modeled = Cell::new(format!("{name}_modeled"), trips, virt);
         let real = best_of(reps, || {
-            let (wall, _) = drivers::photon_pingpong(model, sock_cfg, size, iters);
-            Cell::new(format!("{name}_sock"), trips, wall)
+            let c = sock.cluster();
+            let (wall, _) = drivers::photon_pingpong_on(&c, size, iters);
+            with_sock_counters(Cell::new(format!("{name}_sock"), trips, wall), &c)
         });
         curves[0].push(modeled.ns_total as f64);
         curves[1].push(real.ns_total as f64);
@@ -163,7 +180,11 @@ pub fn sockets(a: &Args) -> Report {
         let name = scenario(Op::Put, false, w);
         let virt = sim.run(Op::Put, false, w, ops).virt_ns;
         let modeled = Cell::new(format!("{name}_modeled"), ops, virt);
-        let real = wall_cell(sock, &format!("{name}_sock"), Op::Put, false, w, ops, reps);
+        let real = best_of(reps, || {
+            let c = sock.cluster();
+            let wall = Pump::drive(&c, Op::Put, false, w, ops).wall_ns;
+            with_sock_counters(Cell::new(format!("{name}_sock"), ops, wall), &c)
+        });
         curves[2].push(modeled.rate());
         curves[3].push(real.rate());
         r.cells.extend([modeled, real]);

@@ -7,7 +7,7 @@ use crate::photon::Photon;
 use crate::progress::ProgressEngine;
 use crate::Rank;
 use photon_fabric::api::FabricBackend;
-use photon_fabric::sock::SockCluster;
+use photon_fabric::sock::{SockCluster, SockStatsSnapshot};
 use photon_fabric::{Cluster, NetworkModel};
 use std::sync::Arc;
 
@@ -20,7 +20,7 @@ pub struct PhotonCluster {
     /// The in-process sockets cluster the job runs over (`None` over the
     /// sim), owned so its endpoints stay up as long as the ranks using
     /// them: dropping it shuts them down.
-    _sock: Option<SockCluster>,
+    sock: Option<SockCluster>,
     ranks: Vec<Arc<Photon>>,
     /// Dedicated progress threads (see [`crate::progress`]); `None` in
     /// inline mode (`PhotonConfig::progress_threads == 0`).
@@ -31,8 +31,9 @@ impl PhotonCluster {
     /// Build an `n`-rank job over the backend `cfg.backend` selects. The
     /// sim backend models the network with `model`; the sockets backend
     /// moves real datagrams and ignores it: every rank's protocol writes
-    /// cross real UDP sockets on loopback, served by per-rank reactor
-    /// threads (the multi-process twin is `photon-launch` +
+    /// cross real UDP sockets on loopback, served by whichever thread
+    /// polls the target rank, or by its reactor thread when nobody does
+    /// (the multi-process twin is `photon-launch` +
     /// [`crate::process::PhotonProcess`]).
     pub fn new(n: usize, model: NetworkModel, cfg: PhotonConfig) -> PhotonCluster {
         match cfg.backend {
@@ -40,7 +41,7 @@ impl PhotonCluster {
             BackendKind::Sock => {
                 let sock = SockCluster::new(n).expect("sockets cluster");
                 let mut cluster = Self::build(n, cfg, |i| Arc::clone(sock.nic(i)) as _);
-                cluster._sock = Some(sock);
+                cluster.sock = Some(sock);
                 cluster
             }
         }
@@ -73,7 +74,7 @@ impl PhotonCluster {
             p.directory.set(Arc::clone(&directory)).expect("init once");
         }
         let progress = ProgressEngine::spawn(&ranks, cfg.progress_threads);
-        PhotonCluster { sim: None, _sock: None, ranks, progress }
+        PhotonCluster { sim: None, sock: None, ranks, progress }
     }
 
     /// Number of ranks.
@@ -104,6 +105,13 @@ impl PhotonCluster {
     /// sim-only concepts.
     pub fn fabric(&self) -> &Cluster {
         self.sim.as_ref().expect("fabric(): sockets-backed cluster has no simulated switch")
+    }
+
+    /// Transport counters of `rank`'s sockets endpoint (datagrams, frames,
+    /// trains, acks, retransmissions, drain turns); `None` on the sim
+    /// backend.
+    pub fn sock_stats(&self, rank: Rank) -> Option<SockStatsSnapshot> {
+        self.sock.as_ref().map(|c| c.nic(rank).stats())
     }
 
     /// Reset all virtual clocks (and, on the sim backend, the switch's

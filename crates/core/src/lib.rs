@@ -102,6 +102,10 @@ pub use pool::{BufferPool, Recycler};
 pub use probe::{Completion, CompletionClass, ProbeFlags, RemoteEvent};
 pub use process::PhotonProcess;
 
+/// The counter-declaration macro, defined in `photon-fabric` (the bottom of
+/// the dependency graph) and re-exported so every layer above keeps
+/// writing `photon_core::counter_registry!`.
+pub use photon_fabric::counter_registry;
 pub use photon_fabric::WcStatus;
 
 use photon_fabric::FabricError;

@@ -33,6 +33,7 @@ pub use hist::{
     size_class, size_class_label, KeyedLatency, KeyedSummary, LatencyHistograms, LatencySummary,
     SIZE_CLASSES,
 };
+pub use photon_fabric::counters::CounterDef;
 pub use registry::{Stats, StatsSnapshot, STATS_COUNTERS};
 pub use span::{chrome_trace_json, OpSpan, SpanDir, SpanTrace};
 pub use trace::{TraceOp, TraceRecord, Tracer};
@@ -41,17 +42,6 @@ use crate::Rank;
 use photon_fabric::{VTime, WcStatus};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
-
-/// Metadata for one declared counter: its registry name and help text.
-/// Generated tables (e.g. [`STATS_COUNTERS`]) hold one entry per field, in
-/// declaration order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterDef {
-    /// Field/registry name, e.g. `puts_eager`.
-    pub name: &'static str,
-    /// Help text (the declaration's doc comment).
-    pub help: &'static str,
-}
 
 /// The operation classes latency is attributed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -42,6 +42,7 @@
 pub mod api;
 pub mod backend;
 pub mod clock;
+pub mod counters;
 pub mod error;
 pub mod fault;
 pub mod model;

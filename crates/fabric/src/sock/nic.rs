@@ -1,21 +1,24 @@
 //! The sockets NIC: verbs-shaped endpoint over UDP datagrams.
 //!
-//! One-sided semantics are *emulated*: every process runs a reactor thread
-//! (see [`super::reactor`]) that executes incoming write/read/atomic
-//! requests against the locally registered [`MrTable`] — the standard
-//! software-RMA construction (and what Photon's original sockets backend
-//! did). Posting gathers the payload synchronously (so the source buffer is
-//! reusable immediately, strictly stronger than verbs' completion-gated
-//! reuse), hands framed packets to the per-peer reliable channel, and
-//! resolves the initiator completion when the peer acknowledges (writes,
-//! sends) or responds (reads, atomics).
+//! One-sided semantics are *emulated*: incoming write/read/atomic requests
+//! are executed against the locally registered [`MrTable`] by whichever
+//! thread holds the endpoint's drain turn (see [`super::reactor`]) — the
+//! standard software-RMA construction (and what Photon's original sockets
+//! backend did). Posting encodes the work request's frames straight from
+//! the source region into the per-peer reliable channel's retransmit
+//! storage (so the source buffer is reusable immediately, strictly stronger
+//! than verbs' completion-gated reuse), and resolves the initiator
+//! completion when the peer acknowledges (writes, sends) or responds
+//! (reads, atomics).
 //!
 //! Timestamps are wall-clock nanoseconds relative to a job-wide epoch
 //! distributed at bootstrap, clamped monotone per NIC, satisfying the
 //! [`VTime`] contract the middleware's virtual clocks assume.
 
-use super::chan::{Channel, OpDone};
-use super::wire::{AtomicKind, Body, Packet, F_HAS_IMM, F_LAST, MAX_FRAG};
+use super::chan::{Channel, Datagram, OpDone, TxWriter, Wire};
+use super::reactor::{self, Turn, ARMED_WAIT, HOT_WINDOW};
+use super::stats::{SockStats, SockStatsSnapshot};
+use super::wire::{AtomicKind, Body, F_HAS_IMM, F_LAST, MAX_FRAG};
 use crate::clock::VTime;
 use crate::error::{FabricError, Result};
 use crate::mr::{Access, MemoryRegion, MrTable};
@@ -24,11 +27,12 @@ use crate::verbs::{
 };
 use crate::NodeId;
 use parking_lot::{Mutex, RwLock};
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{SystemTime, UNIX_EPOCH};
+use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 /// Unexpected two-sided sends parked per NIC before new ones are dropped
 /// (the reliable channel will have acked them; parking beyond the cap
@@ -51,6 +55,17 @@ pub(super) struct PendingOp {
     pub local: MrSlice,
     /// True for atomics (response is one 8-byte old value).
     pub atomic: bool,
+}
+
+impl PendingOp {
+    /// The completion this op resolves as (`old` matters to atomics only).
+    pub fn kind(&self, old: u64) -> CompletionKind {
+        if self.atomic {
+            CompletionKind::AtomicDone { old }
+        } else {
+            CompletionKind::ReadDone
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -87,9 +102,12 @@ pub struct SockNic {
     mrs: MrTable,
     send_cq: Cq,
     recv_cq: Cq,
-    pub(super) sock: UdpSocket,
+    /// The receive side; only the drain-turn holder reads it.
+    pub(super) sock: Arc<UdpSocket>,
+    /// The transmit side and the counters, shared with every channel.
+    wire: Arc<Wire>,
     /// Per-peer reliable channels, indexed by node id; set by `start`.
-    pub(super) chans: OnceLock<Vec<Arc<Channel>>>,
+    pub(super) chans: OnceLock<Vec<Channel>>,
     qps: RwLock<HashMap<u32, Arc<SockQp>>>,
     next_qp: AtomicU32,
     next_op: AtomicU64,
@@ -101,6 +119,21 @@ pub struct SockNic {
     epoch_ns: AtomicU64,
     /// Monotonicity floor for issued timestamps.
     vfloor: AtomicU64,
+    /// Origin of `last_progress_ns`.
+    born: Instant,
+    /// When the owner last made a progress call (`poll_*_cq*`), in
+    /// nanoseconds since `born`; 0 = never. The one observable the reactor
+    /// decides armed-or-standby from. A statistic, not a publication:
+    /// `Relaxed`.
+    pub(super) last_progress_ns: AtomicU64,
+    /// The reactor is armed (holds the turn, blocked in its wait): posts
+    /// send at once instead of joining a train nobody would flush.
+    pub(super) armed: AtomicBool,
+    /// Some channel may hold an open train. Lets the progress call that has
+    /// nothing to flush get away with one relaxed load.
+    dirty: AtomicBool,
+    /// The single-flight receive turn.
+    pub(super) turn: Mutex<Turn>,
     pub(super) stop: AtomicBool,
     reactor: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
@@ -109,10 +142,23 @@ impl SockNic {
     /// Bind a fresh endpoint for `node` of an `n`-rank job on a loopback
     /// UDP port chosen by the OS.
     pub fn bind(node: NodeId, n: usize) -> Result<Arc<SockNic>> {
+        SockNic::bind_with(node, n, |sock| sock)
+    }
+
+    /// [`SockNic::bind`] with the transmit side chosen by `transport`,
+    /// which is handed the endpoint's socket and returns what datagrams
+    /// leave through (the socket itself, or a wrapper around it).
+    pub(super) fn bind_with(
+        node: NodeId,
+        n: usize,
+        transport: impl FnOnce(Arc<UdpSocket>) -> Arc<dyn Datagram>,
+    ) -> Result<Arc<SockNic>> {
         let sock = UdpSocket::bind("127.0.0.1:0")
             .map_err(|e| FabricError::Io { what: format!("udp bind: {e}") })?;
-        sock.set_read_timeout(Some(std::time::Duration::from_millis(1)))
+        sock.set_read_timeout(Some(ARMED_WAIT))
             .map_err(|e| FabricError::Io { what: format!("udp timeout: {e}") })?;
+        let sock = Arc::new(sock);
+        let wire = Wire { out: transport(Arc::clone(&sock)), stats: SockStats::default() };
         Ok(Arc::new(SockNic {
             node,
             n,
@@ -120,6 +166,7 @@ impl SockNic {
             send_cq: Cq::new(DEFAULT_CQ_DEPTH),
             recv_cq: Cq::new(DEFAULT_CQ_DEPTH),
             sock,
+            wire: Arc::new(wire),
             chans: OnceLock::new(),
             qps: RwLock::new(HashMap::new()),
             next_qp: AtomicU32::new(1),
@@ -129,6 +176,11 @@ impl SockNic {
             reasm: Mutex::new(HashMap::new()),
             epoch_ns: AtomicU64::new(0),
             vfloor: AtomicU64::new(0),
+            born: Instant::now(),
+            last_progress_ns: AtomicU64::new(0),
+            armed: AtomicBool::new(false),
+            dirty: AtomicBool::new(false),
+            turn: Mutex::new(Turn::new()),
             stop: AtomicBool::new(false),
             reactor: Mutex::new(None),
         }))
@@ -149,13 +201,16 @@ impl SockNic {
             });
         }
         self.epoch_ns.store(epoch_ns, Ordering::Release);
-        let chans: Vec<Arc<Channel>> =
-            peers.iter().enumerate().map(|(i, a)| Arc::new(Channel::new(i, *a))).collect();
+        let chans: Vec<Channel> = peers
+            .iter()
+            .enumerate()
+            .map(|(i, a)| Channel::new(self.node, i, *a, Arc::clone(&self.wire)))
+            .collect();
         self.chans.set(chans).map_err(|_| FabricError::Io { what: "started twice".into() })?;
         let me = Arc::clone(self);
         let handle = std::thread::Builder::new()
             .name(format!("photon-sock-{}", self.node))
-            .spawn(move || super::reactor::run(me))
+            .spawn(move || reactor::run(me))
             .map_err(|e| FabricError::Io { what: format!("reactor spawn: {e}") })?;
         *self.reactor.lock() = Some(handle);
         Ok(())
@@ -166,6 +221,11 @@ impl SockNic {
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Release);
         if let Some(h) = self.reactor.lock().take() {
+            // An armed reactor is blocked in its wait: an empty datagram to
+            // our own address ends the wait now instead of at its timeout.
+            if let Ok(addr) = self.sock.local_addr() {
+                let _ = self.sock.send_to(&[], addr);
+            }
             let _ = h.join();
         }
     }
@@ -195,8 +255,87 @@ impl SockNic {
         &self.mrs
     }
 
-    fn chan(&self, peer: NodeId) -> Result<&Arc<Channel>> {
+    /// A snapshot of this endpoint's transport counters.
+    pub fn stats(&self) -> SockStatsSnapshot {
+        self.wire.stats.snapshot()
+    }
+
+    pub(super) fn counters(&self) -> &SockStats {
+        &self.wire.stats
+    }
+
+    fn chan(&self, peer: NodeId) -> Result<&Channel> {
         self.chans.get().and_then(|c| c.get(peer)).ok_or(FabricError::NoSuchNode { node: peer })
+    }
+
+    // ------------------------------------------------------------- progress
+
+    /// A progress call by the endpoint's owner: note the time (the
+    /// reactor's one observable) and take a drain turn on this thread.
+    fn progress(&self) {
+        let now = Instant::now();
+        self.last_progress_ns.store(self.ns_since_born(now).max(1), Ordering::Relaxed);
+        reactor::caller_turn(self, now);
+    }
+
+    fn ns_since_born(&self, now: Instant) -> u64 {
+        now.duration_since(self.born).as_nanos() as u64
+    }
+
+    /// Whether the owner made a progress call within [`HOT_WINDOW`] of `now`.
+    pub(super) fn owner_is_hot(&self, now: Instant) -> bool {
+        let last = self.last_progress_ns.load(Ordering::Relaxed);
+        let idle = self.ns_since_born(now).saturating_sub(last);
+        last != 0 && idle < HOT_WINDOW.as_nanos() as u64
+    }
+
+    /// Send every open train. One relaxed load when no post has queued
+    /// anything since the last flush.
+    pub(super) fn flush_trains(&self) {
+        if self.dirty.load(Ordering::Relaxed) {
+            self.flush_trains_now();
+        }
+    }
+
+    /// [`SockNic::flush_trains`] for the reactor as it arms, where the read
+    /// of the flag must be ordered after the store that armed it. The swap
+    /// (not a load and a store) is what lets a post that sets the flag
+    /// while the walk is under way keep it set for the next flush.
+    pub(super) fn flush_trains_now(&self) {
+        if self.dirty.swap(false, Ordering::SeqCst) {
+            for ch in self.chans.get().into_iter().flatten() {
+                ch.flush();
+            }
+        }
+    }
+
+    /// Queue frames on `ch` from the posting side. They ride the channel's
+    /// open train if the owner is polling (the next progress call is the
+    /// doorbell) and leave now if it is not: a first post ever, a
+    /// post-and-forget. The reactor's `armed` flag is read as well as the
+    /// clock because the two can disagree for a moment, and the order here
+    /// is the other half of the reactor's arming sequence: the frames are
+    /// queued and the endpoint marked dirty *before* `armed` is read, the
+    /// reactor sets `armed` *before* it reads `dirty`, all four `SeqCst` —
+    /// so either this post sees the reactor armed and sends now, or the
+    /// arming reactor sees the endpoint dirty and sends for it. No frame is
+    /// left for a timer.
+    fn enqueue(&self, ch: &Channel, build: impl FnOnce(&mut TxWriter<'_>)) -> Option<bool> {
+        ch.post(build, || {
+            self.dirty.store(true, Ordering::SeqCst);
+            let now = self.armed.load(Ordering::SeqCst) || !self.owner_is_hot(Instant::now());
+            if now {
+                SockStats::bump(&self.wire.stats.immediate_sends);
+            }
+            now
+        })
+    }
+
+    /// Queue response frames generated inside a drain pass: they leave with
+    /// the trains the pass flushes when it ends.
+    pub(super) fn respond(&self, ch: &Channel, build: impl FnOnce(&mut TxWriter<'_>)) {
+        let _ = ch.post(build, || false);
+        self.dirty.store(true, Ordering::SeqCst);
     }
 
     pub(super) fn push_send_cqe(&self, c: Completion) {
@@ -207,10 +346,10 @@ impl SockNic {
         let _ = self.recv_cq.push(c);
     }
 
-    /// Resolve the completions of a batch of acked frames.
-    pub(super) fn complete_acked(&self, _peer: NodeId, acked: Vec<OpDone>) {
-        let ts = self.now_v();
-        for d in acked {
+    /// Resolve the completions of a batch of acked frames, leaving `acked`
+    /// empty for reuse.
+    pub(super) fn complete_acked(&self, acked: &mut Vec<OpDone>, ts: VTime) {
+        for d in acked.drain(..) {
             if !d.signaled {
                 continue;
             }
@@ -223,38 +362,25 @@ impl SockNic {
     /// work as `RetryExceeded` completions.
     pub(super) fn fail_peer(&self, peer: NodeId) {
         let Ok(ch) = self.chan(peer) else { return };
-        let flushed = ch.fail();
+        let mut flushed = Vec::new();
+        ch.fail(&mut flushed);
         let ts = self.now_v();
+        let status = WcStatus::RetryExceeded;
         for d in flushed {
             if d.signaled {
-                self.push_send_cqe(Completion {
-                    wr_id: d.wr_id,
-                    kind: d.kind,
-                    ts,
-                    status: WcStatus::RetryExceeded,
-                });
+                self.push_send_cqe(Completion { wr_id: d.wr_id, kind: d.kind, ts, status });
             }
         }
         let mut dead_ops = Vec::new();
-        {
-            let mut pend = self.pending.lock();
-            pend.retain(|_, p| {
-                if p.peer == peer {
-                    dead_ops.push((p.wr_id, p.signaled, p.atomic));
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        for (wr_id, signaled, atomic) in dead_ops {
+        self.pending.lock().retain(|_, p| {
+            if p.peer == peer {
+                dead_ops.push((p.wr_id, p.signaled, p.kind(0)));
+            }
+            p.peer != peer
+        });
+        for (wr_id, signaled, kind) in dead_ops {
             if signaled {
-                let kind = if atomic {
-                    CompletionKind::AtomicDone { old: 0 }
-                } else {
-                    CompletionKind::ReadDone
-                };
-                self.push_send_cqe(Completion { wr_id, kind, ts, status: WcStatus::RetryExceeded });
+                self.push_send_cqe(Completion { wr_id, kind, ts, status });
             }
         }
         for st in self.qps.read().values() {
@@ -319,23 +445,30 @@ impl SockNic {
         }
     }
 
-    /// Poll one initiator-side completion.
+    /// Poll one initiator-side completion. Like every `poll_*` call, a
+    /// progress call: it first receives and executes, on this thread,
+    /// whatever has arrived (the [`crate::sock`] module docs have the
+    /// progress model).
     pub fn poll_send_cq(&self) -> Option<Completion> {
+        self.progress();
         self.send_cq.poll()
     }
 
     /// Poll one target-side completion.
     pub fn poll_recv_cq(&self) -> Option<Completion> {
+        self.progress();
         self.recv_cq.poll()
     }
 
     /// Drain up to `n` initiator-side completions into `out`.
     pub fn poll_send_cq_into(&self, n: usize, out: &mut Vec<Completion>) -> usize {
+        self.progress();
         self.send_cq.poll_n_into(n, out)
     }
 
     /// Drain up to `n` target-side completions into `out`.
     pub fn poll_recv_cq_into(&self, n: usize, out: &mut Vec<Completion>) -> usize {
+        self.progress();
         self.recv_cq.poll_n_into(n, out)
     }
 
@@ -346,7 +479,7 @@ impl SockNic {
         let mut rq = self.rq.lock();
         if let Some(p) = rq.pending.pop_front() {
             drop(rq);
-            self.complete_recv(wr, p);
+            self.complete_recv(wr, p.src, &p.data, p.imm);
             return Ok(());
         }
         rq.posted.push_back(wr);
@@ -354,25 +487,27 @@ impl SockNic {
     }
 
     /// Match `wr` with a landed send: scatter and complete.
-    pub(super) fn complete_recv(&self, wr: RecvWr, p: ParkedSend) {
-        let n = p.data.len().min(wr.local.len);
-        wr.local.mr.write_at(wr.local.offset, &p.data[..n]);
+    fn complete_recv(&self, wr: RecvWr, src: NodeId, data: &[u8], imm: Option<u64>) {
+        let n = data.len().min(wr.local.len);
+        wr.local.mr.write_at(wr.local.offset, &data[..n]);
         self.push_recv_cqe(Completion {
             wr_id: wr.wr_id,
-            kind: CompletionKind::RecvDone { src: p.src, len: p.data.len(), imm: p.imm },
+            kind: CompletionKind::RecvDone { src, len: data.len(), imm },
             ts: self.now_v(),
             status: WcStatus::Success,
         });
     }
 
-    /// Deliver a fully reassembled two-sided send (reactor side).
-    pub(super) fn deliver_send(&self, src: NodeId, data: Vec<u8>, imm: Option<u64>) {
+    /// Deliver a whole two-sided send: into a posted receive straight from
+    /// wherever `data` lives (the datagram buffer, for an unfragmented
+    /// send), or parked — the only case that needs it owned.
+    pub(super) fn deliver_send(&self, src: NodeId, data: Cow<'_, [u8]>, imm: Option<u64>) {
         let mut rq = self.rq.lock();
         if let Some(wr) = rq.posted.pop_front() {
             drop(rq);
-            self.complete_recv(wr, ParkedSend { src, data, imm });
+            self.complete_recv(wr, src, &data, imm);
         } else if rq.pending.len() < SOCK_PENDING_SEND_CAP {
-            rq.pending.push_back(ParkedSend { src, data, imm });
+            rq.pending.push_back(ParkedSend { src, data: data.into_owned(), imm });
         }
         // Past the cap the send is dropped after ack — the bounded-memory
         // analogue of the sim's synchronous RNR error.
@@ -415,18 +550,34 @@ impl SockNic {
 
     /// Post a run of work requests, each executed by reference. RC ordering
     /// holds because all frames ride one in-order channel; stops at the
-    /// first failing wr.
+    /// first failing wr. The whole run is sequenced under one hold of the
+    /// channel's transmit lock and leaves as trains.
     pub fn post_send_many(&self, qp: Qp, wrs: &[SendWr], _now: VTime) -> Result<()> {
-        for wr in wrs {
-            let _st = self.qp_state(qp)?;
-            self.validate_wr(wr)?;
-            if qp.peer == self.node {
-                self.exec_loopback(wr)?;
-            } else {
-                self.transmit_wr(qp.peer, wr)?;
-            }
+        let _st = self.qp_state(qp)?;
+        if qp.peer == self.node {
+            return wrs.iter().try_for_each(|wr| {
+                self.validate_wr(wr)?;
+                self.exec_loopback(wr)
+            });
         }
-        Ok(())
+        let ch = self.chan(qp.peer)?;
+        let mut run = Ok(());
+        let window_full = self.enqueue(ch, |w| {
+            run = wrs.iter().try_for_each(|wr| {
+                self.validate_wr(wr)?;
+                self.encode_wr(w, qp.peer, wr);
+                Ok(())
+            });
+        });
+        match window_full {
+            None => return Err(FabricError::PeerUnreachable { node: qp.peer }),
+            // The window is full of frames nobody has acked yet: take a
+            // drain turn for the acks (not a progress call — posting says
+            // nothing about whether the owner polls).
+            Some(true) => reactor::caller_turn(self, Instant::now()),
+            Some(false) => {}
+        }
+        run
     }
 
     fn validate_wr(&self, wr: &SendWr) -> Result<()> {
@@ -461,19 +612,6 @@ impl SockNic {
         Ok(())
     }
 
-    /// Gather the local payload and stamp-offset list of a send/write wr.
-    fn gather(&self, local: &MrSlice, wr: &SendWr) -> (Vec<u8>, Vec<u32>) {
-        let payload = local.mr.to_vec(local.offset, local.len);
-        let mut stamps = Vec::new();
-        if let Some(off) = wr.stamp_deliver_at {
-            stamps.push(off as u32);
-        }
-        for &off in &wr.stamp_deliver_also {
-            stamps.push(off as u32);
-        }
-        (payload, stamps)
-    }
-
     /// Emulate the wr locally for a loopback QP (synchronous, like the
     /// sim: effects and completions land before return).
     fn exec_loopback(&self, wr: &SendWr) -> Result<()> {
@@ -481,7 +619,7 @@ impl SockNic {
         match &wr.op {
             WrOp::Send { local, imm } => {
                 let data = local.mr.to_vec(local.offset, local.len);
-                self.deliver_send(self.node, data, *imm);
+                self.deliver_send(self.node, Cow::Owned(data), *imm);
                 if wr.signaled {
                     self.push_send_cqe(Completion {
                         wr_id: wr.wr_id,
@@ -492,8 +630,12 @@ impl SockNic {
                 }
             }
             WrOp::Write { local, remote, imm } => {
-                let (mut payload, stamps) = self.gather(local, wr);
-                stamp_payload(&mut payload, &stamps, 0, ts);
+                let mut payload = local.mr.to_vec(local.offset, local.len);
+                for &s in wr.stamp_deliver_at.iter().chain(&wr.stamp_deliver_also) {
+                    if let Some(slot) = payload.get_mut(s..s + 8) {
+                        slot.copy_from_slice(&ts.0.to_le_bytes());
+                    }
+                }
                 let (mr, off) =
                     self.mrs.resolve(remote.addr, remote.rkey, remote.len, Access::REMOTE_WRITE)?;
                 mr.write_at(off, &payload);
@@ -575,236 +717,95 @@ impl SockNic {
         Ok(op(&mr, off))
     }
 
-    /// Frame and transmit a wr toward a remote peer.
-    fn transmit_wr(&self, peer: NodeId, wr: &SendWr) -> Result<()> {
-        let ch = self.chan(peer)?;
+    /// Sequence `wr` toward `peer` and encode its frames, payload copied
+    /// once: from the source region into the channel's retransmit storage.
+    fn encode_wr(&self, w: &mut TxWriter<'_>, peer: NodeId, wr: &SendWr) {
         let op = self.next_op.fetch_add(1, Ordering::Relaxed);
-        let (packets, done, pending) = match &wr.op {
+        let done =
+            |kind| OpDone { op, wr_id: wr.wr_id, signaled: wr.signaled, kind, errored: false };
+        let await_response = |local: &MrSlice, atomic| {
+            let (wr_id, signaled, local) = (wr.wr_id, wr.signaled, local.clone());
+            self.pending.lock().insert(op, PendingOp { wr_id, signaled, peer, local, atomic });
+        };
+        let last_flags = |last: bool, imm: &Option<u64>| match (last, imm) {
+            (false, _) => 0,
+            (true, None) => F_LAST,
+            (true, Some(_)) => F_LAST | F_HAS_IMM,
+        };
+        match &wr.op {
             WrOp::Send { local, imm } => {
-                let (payload, _) = self.gather(local, wr);
-                let pkts = frag_send(self.node, peer, op, payload, *imm);
-                let done = OpDone {
-                    op,
-                    wr_id: wr.wr_id,
-                    signaled: wr.signaled,
-                    kind: CompletionKind::SendDone,
-                    errored: false,
-                };
-                (pkts, Some(done), None)
+                local.mr.with_bytes(|b| {
+                    for (at, n, last) in fragments(local.len) {
+                        let body = Body::Send {
+                            total: local.len as u32,
+                            frag_off: at as u32,
+                            imm: imm.unwrap_or(0),
+                            payload: &b[local.offset + at..local.offset + at + n],
+                        };
+                        w.frame(last_flags(last, imm), op, body);
+                    }
+                });
+                w.complete_on_ack(done(CompletionKind::SendDone));
             }
             WrOp::Write { local, remote, imm } => {
-                let (payload, stamps) = self.gather(local, wr);
-                let pkts = frag_write(
-                    self.node,
-                    peer,
-                    op,
-                    remote.addr,
-                    remote.rkey,
-                    payload,
-                    stamps,
-                    *imm,
-                );
-                let done = OpDone {
-                    op,
-                    wr_id: wr.wr_id,
-                    signaled: wr.signaled,
-                    kind: CompletionKind::WriteDone,
-                    errored: false,
-                };
-                (pkts, Some(done), None)
+                local.mr.with_bytes(|b| {
+                    for (at, n, last) in fragments(local.len) {
+                        // Stamps whose 8 bytes fall inside this fragment,
+                        // re-based to it.
+                        let stamps = (wr.stamp_deliver_at.iter())
+                            .chain(&wr.stamp_deliver_also)
+                            .filter(|&&s| s >= at && s + 8 <= at + n)
+                            .map(|&s| (s - at) as u32);
+                        w.write_frame(
+                            last_flags(last, imm),
+                            op,
+                            remote.addr + at as u64,
+                            remote.rkey,
+                            local.len as u32,
+                            imm.unwrap_or(0),
+                            stamps,
+                            &b[local.offset + at..local.offset + at + n],
+                        );
+                    }
+                });
+                w.complete_on_ack(done(CompletionKind::WriteDone));
             }
             WrOp::Read { local, remote } => {
-                let pkt = Packet {
-                    flags: F_LAST,
-                    src: self.node,
-                    dst: peer,
-                    seq: 0,
-                    ack: 0,
-                    op,
-                    body: Body::ReadReq {
-                        addr: remote.addr,
-                        rkey: remote.rkey,
-                        len: remote.len as u32,
-                    },
-                };
-                let p = PendingOp {
-                    wr_id: wr.wr_id,
-                    signaled: wr.signaled,
-                    peer,
-                    local: local.clone(),
-                    atomic: false,
-                };
-                (vec![pkt], None, Some(p))
+                await_response(local, false);
+                let (addr, rkey, len) = (remote.addr, remote.rkey, remote.len as u32);
+                w.frame(F_LAST, op, Body::ReadReq { addr, rkey, len });
             }
             WrOp::FetchAdd { local, remote, add } => {
-                let pkt = atomic_req(self.node, peer, op, remote, AtomicKind::FetchAdd, *add, 0);
-                let p = PendingOp {
-                    wr_id: wr.wr_id,
-                    signaled: wr.signaled,
-                    peer,
-                    local: local.clone(),
-                    atomic: true,
-                };
-                (vec![pkt], None, Some(p))
+                await_response(local, true);
+                let akind = AtomicKind::FetchAdd;
+                let (addr, rkey) = (remote.addr, remote.rkey);
+                w.frame(F_LAST, op, Body::AtomicReq { addr, rkey, akind, arg1: *add, arg2: 0 });
             }
             WrOp::CompareSwap { local, remote, compare, swap } => {
-                let pkt = atomic_req(
-                    self.node,
-                    peer,
-                    op,
-                    remote,
-                    AtomicKind::CompareSwap,
-                    *compare,
-                    *swap,
-                );
-                let p = PendingOp {
-                    wr_id: wr.wr_id,
-                    signaled: wr.signaled,
-                    peer,
-                    local: local.clone(),
-                    atomic: true,
-                };
-                (vec![pkt], None, Some(p))
+                await_response(local, true);
+                let akind = AtomicKind::CompareSwap;
+                let (addr, rkey, arg1, arg2) = (remote.addr, remote.rkey, *compare, *swap);
+                w.frame(F_LAST, op, Body::AtomicReq { addr, rkey, akind, arg1, arg2 });
             }
-        };
-        if let Some(p) = pending {
-            self.pending.lock().insert(op, p);
         }
-        if !ch.send_run(&self.sock, packets, done) {
-            self.pending.lock().remove(&op);
-            return Err(FabricError::PeerUnreachable { node: peer });
-        }
-        Ok(())
     }
 }
 
 impl Drop for SockNic {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.reactor.get_mut().take() {
-            let _ = h.join();
-        }
+        self.shutdown();
     }
 }
 
-/// Overwrite `payload` at each stamp offset (relative to `frag_off` within
-/// the whole transfer) with the timestamp, skipping stamps outside this
-/// fragment.
-pub(super) fn stamp_payload(payload: &mut [u8], stamps: &[u32], frag_off: usize, ts: VTime) {
-    for &s in stamps {
-        let s = s as usize;
-        if s >= frag_off && s + 8 <= frag_off + payload.len() {
-            payload[s - frag_off..s - frag_off + 8].copy_from_slice(&ts.0.to_le_bytes());
-        }
-    }
-}
-
-fn frag_send(src: NodeId, dst: NodeId, op: u64, payload: Vec<u8>, imm: Option<u64>) -> Vec<Packet> {
-    let total = payload.len();
-    let mut pkts = Vec::new();
-    let mut off = 0;
-    loop {
-        let n = (total - off).min(MAX_FRAG);
-        let last = off + n == total;
-        let mut flags = 0;
-        if last {
-            flags |= F_LAST;
-            if imm.is_some() {
-                flags |= F_HAS_IMM;
-            }
-        }
-        pkts.push(Packet {
-            flags,
-            src,
-            dst,
-            seq: 0,
-            ack: 0,
-            op,
-            body: Body::Send {
-                total: total as u32,
-                frag_off: off as u32,
-                imm: imm.unwrap_or(0),
-                payload: payload[off..off + n].to_vec(),
-            },
-        });
-        off += n;
-        if last {
-            break;
-        }
-    }
-    pkts
-}
-
-#[allow(clippy::too_many_arguments)]
-fn frag_write(
-    src: NodeId,
-    dst: NodeId,
-    op: u64,
-    addr: u64,
-    rkey: u32,
-    payload: Vec<u8>,
-    stamps: Vec<u32>,
-    imm: Option<u64>,
-) -> Vec<Packet> {
-    let total = payload.len();
-    let mut pkts = Vec::new();
-    let mut off = 0;
-    loop {
-        let n = (total - off).min(MAX_FRAG);
-        let last = off + n == total;
-        let mut flags = 0;
-        if last {
-            flags |= F_LAST;
-            if imm.is_some() {
-                flags |= F_HAS_IMM;
-            }
-        }
-        // Stamps whose 8 bytes fall inside this fragment, re-based to it.
-        let frag_stamps: Vec<u32> = stamps
-            .iter()
-            .filter(|&&s| (s as usize) >= off && (s as usize) + 8 <= off + n)
-            .map(|&s| s - off as u32)
-            .collect();
-        pkts.push(Packet {
-            flags,
-            src,
-            dst,
-            seq: 0,
-            ack: 0,
-            op,
-            body: Body::Write {
-                addr: addr + off as u64,
-                rkey,
-                total: total as u32,
-                imm: imm.unwrap_or(0),
-                stamps: frag_stamps,
-                payload: payload[off..off + n].to_vec(),
-            },
-        });
-        off += n;
-        if last {
-            break;
-        }
-    }
-    pkts
-}
-
-fn atomic_req(
-    src: NodeId,
-    dst: NodeId,
-    op: u64,
-    remote: &crate::verbs::RemoteSlice,
-    akind: AtomicKind,
-    arg1: u64,
-    arg2: u64,
-) -> Packet {
-    Packet {
-        flags: F_LAST,
-        src,
-        dst,
-        seq: 0,
-        ack: 0,
-        op,
-        body: Body::AtomicReq { addr: remote.addr, rkey: remote.rkey, akind, arg1, arg2 },
-    }
+/// Cut a `total`-byte transfer into `(offset, len, is_last)` fragments of
+/// at most [`MAX_FRAG`] bytes; an empty transfer is one empty fragment.
+pub(super) fn fragments(total: usize) -> impl Iterator<Item = (usize, usize, bool)> {
+    let mut next = Some(0);
+    std::iter::from_fn(move || {
+        let at = next?;
+        let n = (total - at).min(MAX_FRAG);
+        let last = at + n == total;
+        next = (!last).then_some(at + n);
+        Some((at, n, last))
+    })
 }

@@ -1,28 +1,48 @@
 //! Datagram wire format of the sockets backend.
 //!
-//! Every UDP datagram carries one packet: a fixed header followed by a
-//! kind-specific body with a length-prefixed payload. All integers are
-//! little-endian. Packets other than [`Kind::Ack`] consume one sequence
-//! number on the per-`(src, dst)` channel and are retransmitted until
-//! cumulatively acknowledged; ACKs are unsequenced and idempotent.
+//! A UDP datagram carries a **train**: one or more frames back to back.
+//! Every frame is self-delimiting — a fixed header followed by a
+//! kind-specific body whose variable parts are length-prefixed — so a
+//! train needs no framing of its own: the receiver decodes a frame, learns
+//! how many bytes it used ([`Packet::decode_prefix`]), and continues at the
+//! next byte until the datagram ends ([`frames`]). A frame that does not
+//! decode ends the walk; the intact prefix before it still counts. All
+//! integers are little-endian.
+//!
+//! Frames other than [`Kind::Ack`] consume one sequence number on the
+//! per-`(src, dst)` channel and are retransmitted until cumulatively
+//! acknowledged; ACKs are unsequenced and idempotent. Every frame header
+//! carries the sender's cumulative ack of the reverse direction, stamped
+//! when the train is built, so a train doubles as an ack.
 //!
 //! Large transfers are fragmented at [`MAX_FRAG`] payload bytes. Write
 //! fragments are *independent* (each names its own remote address), so a
 //! receiver applies them as they arrive in channel order; send and
 //! read-response fragments carry `(total, frag_off)` and are reassembled
 //! per op id.
+//!
+//! Decoding borrows: payloads and stamp tables are slices of the datagram
+//! buffer, applied to registered memory from where the kernel put them.
+//! Decoding never allocates.
 
 use crate::NodeId;
 
-/// First two bytes of every datagram; anything else is dropped on read.
+/// First two bytes of every frame; anything else ends the walk.
 pub const MAGIC: u16 = 0x9A07;
 
 /// Fixed header size in bytes.
 pub const HDR: usize = 36;
 
+/// Byte offset of the piggybacked cumulative ack inside a frame header.
+const ACK_AT: usize = 20;
+
 /// Maximum payload bytes per fragment: comfortably under the 64 KiB UDP
 /// datagram ceiling with header + stamp-table overhead included.
 pub const MAX_FRAG: usize = 32 * 1024;
+
+/// Largest datagram a train may fill: the UDP-over-IPv4 payload ceiling
+/// (65 535 − 20 IP − 8 UDP).
+pub const MAX_DGRAM: usize = 65_507;
 
 /// Final fragment of its work request.
 pub const F_LAST: u8 = 1 << 0;
@@ -77,9 +97,29 @@ pub enum AtomicKind {
     CompareSwap,
 }
 
-/// Kind-specific packet body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Body {
+/// A write fragment's stamp table as it sits on the wire: little-endian
+/// `u32` payload offsets the receiver overwrites with its delivery
+/// timestamp.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Stamps<'a>(&'a [u8]);
+
+impl<'a> Stamps<'a> {
+    /// View `bytes` (a whole number of little-endian `u32`s; a ragged tail
+    /// is ignored) as a stamp table.
+    pub fn from_le_bytes(bytes: &'a [u8]) -> Stamps<'a> {
+        Stamps(&bytes[..bytes.len() / 4 * 4])
+    }
+
+    /// The offsets, in wire order.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + 'a {
+        self.0.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+    }
+}
+
+/// Kind-specific frame body. Payloads borrow from the buffer the frame was
+/// decoded from (or, on the transmit side, from the memory being sent).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Body<'a> {
     /// Cumulative ACK; op-level errors ride the header's `F_ERR` + `op`.
     Ack,
     /// Two-sided send fragment: reassembled per op id.
@@ -91,7 +131,7 @@ pub enum Body {
         /// Immediate data (valid if `F_HAS_IMM`).
         imm: u64,
         /// Fragment payload.
-        payload: Vec<u8>,
+        payload: &'a [u8],
     },
     /// One-sided write fragment targeting `(addr, rkey)` directly.
     Write {
@@ -104,10 +144,10 @@ pub enum Body {
         /// Immediate data (valid if `F_HAS_IMM`, on the last fragment).
         imm: u64,
         /// Payload-relative offsets (within this fragment) the receiver
-        /// overwrites with its delivery timestamp before applying.
-        stamps: Vec<u32>,
+        /// overwrites with its delivery timestamp as it applies the bytes.
+        stamps: Stamps<'a>,
         /// Fragment payload.
-        payload: Vec<u8>,
+        payload: &'a [u8],
     },
     /// RDMA-read request for `len` bytes at `(addr, rkey)`.
     ReadReq {
@@ -126,7 +166,7 @@ pub enum Body {
         /// This fragment's offset.
         frag_off: u32,
         /// Fragment payload.
-        payload: Vec<u8>,
+        payload: &'a [u8],
     },
     /// Remote-atomic request on the 8-byte word at `(addr, rkey)`.
     AtomicReq {
@@ -148,7 +188,7 @@ pub enum Body {
     },
 }
 
-impl Body {
+impl Body<'_> {
     fn kind(&self) -> Kind {
         match self {
             Body::Ack => Kind::Ack,
@@ -162,9 +202,9 @@ impl Body {
     }
 }
 
-/// A decoded (or to-be-encoded) packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Packet {
+/// One frame: decoded from a datagram, or about to be encoded into one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Packet<'a> {
     /// Flag bits (`F_LAST`, `F_HAS_IMM`, `F_ERR`).
     pub flags: u8,
     /// Sending node.
@@ -178,7 +218,7 @@ pub struct Packet {
     /// Work-request correlation id (request/response matching).
     pub op: u64,
     /// Kind-specific body.
-    pub body: Body,
+    pub body: Body<'a>,
 }
 
 fn put_u16(b: &mut Vec<u8>, v: u16) {
@@ -190,6 +230,69 @@ fn put_u32(b: &mut Vec<u8>, v: u32) {
 fn put_u64(b: &mut Vec<u8>, v: u64) {
     b.extend_from_slice(&v.to_le_bytes());
 }
+fn put_bytes(b: &mut Vec<u8>, payload: &[u8]) {
+    put_u32(b, payload.len() as u32);
+    b.extend_from_slice(payload);
+}
+
+/// Append a frame header. With [`put_write_body`], the transmit path's way
+/// to encode a write whose stamp table is still a list of offsets rather
+/// than the wire bytes [`Body::Write`] borrows; [`Packet::encode_into`] is
+/// built from the same two functions.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn put_header(
+    out: &mut Vec<u8>,
+    kind: Kind,
+    flags: u8,
+    src: NodeId,
+    dst: NodeId,
+    seq: u64,
+    ack: u64,
+    op: u64,
+) {
+    put_u16(out, MAGIC);
+    out.push(kind as u8);
+    out.push(flags);
+    put_u32(out, src as u32);
+    put_u32(out, dst as u32);
+    put_u64(out, seq);
+    put_u64(out, ack);
+    put_u64(out, op);
+}
+
+/// Append the body of a write frame (see [`put_header`]).
+pub(super) fn put_write_body(
+    out: &mut Vec<u8>,
+    addr: u64,
+    rkey: u32,
+    total: u32,
+    imm: u64,
+    stamps: impl Iterator<Item = u32>,
+    payload: &[u8],
+) {
+    put_u64(out, addr);
+    put_u32(out, rkey);
+    put_u32(out, total);
+    put_u64(out, imm);
+    // The count goes in front of a table whose length is only known once
+    // the iterator is spent: reserve it, then patch it.
+    let count_at = out.len();
+    put_u16(out, 0);
+    let mut n = 0u16;
+    for s in stamps.take(u16::MAX as usize) {
+        put_u32(out, s);
+        n += 1;
+    }
+    out[count_at..count_at + 2].copy_from_slice(&n.to_le_bytes());
+    put_bytes(out, payload);
+}
+
+/// Overwrite the piggybacked cumulative ack of the encoded frame that
+/// starts at `frame[0]` (stamped when a train is built, and again when a
+/// stored frame is retransmitted).
+pub(super) fn set_ack(frame: &mut [u8], ack: u64) {
+    frame[ACK_AT..ACK_AT + 8].copy_from_slice(&ack.to_le_bytes());
+}
 
 struct Cursor<'a> {
     b: &'a [u8],
@@ -198,7 +301,7 @@ struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let s = self.b.get(self.at..self.at + n)?;
+        let s = self.b.get(self.at..self.at.checked_add(n)?)?;
         self.at += n;
         Some(s)
     }
@@ -206,86 +309,69 @@ impl<'a> Cursor<'a> {
         self.take(1).map(|s| s[0])
     }
     fn u16(&mut self) -> Option<u16> {
-        self.take(2).map(|s| u16::from_le_bytes(s.try_into().unwrap()))
+        self.take(2).map(|s| u16::from_le_bytes(s.try_into().expect("2 bytes")))
     }
     fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|s| u32::from_le_bytes(s.try_into().unwrap()))
+        self.take(4).map(|s| u32::from_le_bytes(s.try_into().expect("4 bytes")))
     }
     fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|s| u64::from_le_bytes(s.try_into().unwrap()))
+        self.take(8).map(|s| u64::from_le_bytes(s.try_into().expect("8 bytes")))
     }
-    /// Length-prefixed byte string.
-    fn bytes(&mut self) -> Option<Vec<u8>> {
+    /// Length-prefixed byte string, borrowed.
+    fn bytes(&mut self) -> Option<&'a [u8]> {
         let n = self.u32()? as usize;
-        self.take(n).map(|s| s.to_vec())
+        self.take(n)
     }
 }
 
-impl Packet {
-    /// Serialize to a fresh datagram buffer.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(HDR + 64);
-        put_u16(&mut b, MAGIC);
-        b.push(self.body.kind() as u8);
-        b.push(self.flags);
-        put_u32(&mut b, self.src as u32);
-        put_u32(&mut b, self.dst as u32);
-        put_u64(&mut b, self.seq);
-        put_u64(&mut b, self.ack);
-        put_u64(&mut b, self.op);
-        debug_assert_eq!(b.len(), HDR);
+impl<'a> Packet<'a> {
+    /// Append this frame's encoding to `out` (a train under construction,
+    /// or a channel's retransmit storage).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let kind = self.body.kind();
+        put_header(out, kind, self.flags, self.src, self.dst, self.seq, self.ack, self.op);
         match &self.body {
             Body::Ack => {}
             Body::Send { total, frag_off, imm, payload } => {
-                put_u32(&mut b, *total);
-                put_u32(&mut b, *frag_off);
-                put_u64(&mut b, *imm);
-                put_u32(&mut b, payload.len() as u32);
-                b.extend_from_slice(payload);
+                put_u32(out, *total);
+                put_u32(out, *frag_off);
+                put_u64(out, *imm);
+                put_bytes(out, payload);
             }
             Body::Write { addr, rkey, total, imm, stamps, payload } => {
-                put_u64(&mut b, *addr);
-                put_u32(&mut b, *rkey);
-                put_u32(&mut b, *total);
-                put_u64(&mut b, *imm);
-                put_u16(&mut b, stamps.len() as u16);
-                for s in stamps {
-                    put_u32(&mut b, *s);
-                }
-                put_u32(&mut b, payload.len() as u32);
-                b.extend_from_slice(payload);
+                put_write_body(out, *addr, *rkey, *total, *imm, stamps.iter(), payload);
             }
             Body::ReadReq { addr, rkey, len } => {
-                put_u64(&mut b, *addr);
-                put_u32(&mut b, *rkey);
-                put_u32(&mut b, *len);
+                put_u64(out, *addr);
+                put_u32(out, *rkey);
+                put_u32(out, *len);
             }
             Body::ReadResp { total, frag_off, payload } => {
-                put_u32(&mut b, *total);
-                put_u32(&mut b, *frag_off);
-                put_u32(&mut b, payload.len() as u32);
-                b.extend_from_slice(payload);
+                put_u32(out, *total);
+                put_u32(out, *frag_off);
+                put_bytes(out, payload);
             }
             Body::AtomicReq { addr, rkey, akind, arg1, arg2 } => {
-                put_u64(&mut b, *addr);
-                put_u32(&mut b, *rkey);
-                b.push(match akind {
+                put_u64(out, *addr);
+                put_u32(out, *rkey);
+                out.push(match akind {
                     AtomicKind::FetchAdd => 0,
                     AtomicKind::CompareSwap => 1,
                 });
-                put_u64(&mut b, *arg1);
-                put_u64(&mut b, *arg2);
+                put_u64(out, *arg1);
+                put_u64(out, *arg2);
             }
             Body::AtomicResp { old } => {
-                put_u64(&mut b, *old);
+                put_u64(out, *old);
             }
         }
-        b
     }
 
-    /// Parse a datagram; `None` for anything malformed (dropped silently,
-    /// like line noise).
-    pub fn decode(b: &[u8]) -> Option<Packet> {
+    /// Parse the frame at the start of `b`, returning it and the number of
+    /// bytes it occupied; the rest of `b` is the rest of the train. `None`
+    /// for anything malformed or cut short (dropped silently, like line
+    /// noise).
+    pub fn decode_prefix(b: &'a [u8]) -> Option<(Packet<'a>, usize)> {
         let mut c = Cursor { b, at: 0 };
         if c.u16()? != MAGIC {
             return None;
@@ -311,10 +397,7 @@ impl Packet {
                 let total = c.u32()?;
                 let imm = c.u64()?;
                 let nstamp = c.u16()? as usize;
-                let mut stamps = Vec::with_capacity(nstamp);
-                for _ in 0..nstamp {
-                    stamps.push(c.u32()?);
-                }
+                let stamps = Stamps(c.take(nstamp * 4)?);
                 Body::Write { addr, rkey, total, imm, stamps, payload: c.bytes()? }
             }
             Kind::ReadReq => Body::ReadReq { addr: c.u64()?, rkey: c.u32()?, len: c.u32()? },
@@ -335,123 +418,209 @@ impl Packet {
             }
             Kind::AtomicResp => Body::AtomicResp { old: c.u64()? },
         };
-        Some(Packet { flags, src, dst, seq, ack, op, body })
+        Some((Packet { flags, src, dst, seq, ack, op, body }, c.at))
     }
+}
+
+/// Walk a received datagram frame by frame. Stops at the end of the
+/// datagram or at the first frame that does not decode (a truncated last
+/// frame, trailing garbage): everything before it is delivered, nothing
+/// after it is guessed at.
+pub fn frames(mut dgram: &[u8]) -> impl Iterator<Item = Packet<'_>> {
+    std::iter::from_fn(move || {
+        let (p, used) = Packet::decode_prefix(dgram)?;
+        dgram = &dgram[used..];
+        Some(p)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn roundtrip(p: Packet) {
-        let enc = p.encode();
-        assert_eq!(Packet::decode(&enc).expect("decodes"), p);
+    const STAMP_TABLE: [u8; 8] = [0, 0, 0, 0, 24, 0, 0, 0];
+
+    /// One frame of every [`Kind`], payloads included.
+    fn one_of_each() -> Vec<Packet<'static>> {
+        vec![
+            Packet { flags: 0, src: 1, dst: 2, seq: 0, ack: 41, op: 0, body: Body::Ack },
+            Packet {
+                flags: F_LAST | F_HAS_IMM,
+                src: 0,
+                dst: 3,
+                seq: 9,
+                ack: 2,
+                op: 77,
+                body: Body::Send { total: 12, frag_off: 0, imm: 0xfeed, payload: b"hello photon" },
+            },
+            Packet {
+                flags: F_LAST,
+                src: 2,
+                dst: 0,
+                seq: 10,
+                ack: 0,
+                op: 78,
+                body: Body::Write {
+                    addr: 0x1000_0040,
+                    rkey: 7,
+                    total: 64,
+                    imm: 0,
+                    stamps: Stamps::from_le_bytes(&STAMP_TABLE),
+                    payload: &[0xab; 64],
+                },
+            },
+            Packet {
+                flags: 0,
+                src: 1,
+                dst: 0,
+                seq: 11,
+                ack: 5,
+                op: 80,
+                body: Body::ReadReq { addr: 0x2000, rkey: 3, len: 4096 },
+            },
+            Packet {
+                flags: F_LAST,
+                src: 0,
+                dst: 1,
+                seq: 4,
+                ack: 11,
+                op: 80,
+                body: Body::ReadResp { total: 4096, frag_off: 2048, payload: &[1; 2048] },
+            },
+            Packet {
+                flags: F_LAST,
+                src: 0,
+                dst: 1,
+                seq: 5,
+                ack: 0,
+                op: 81,
+                body: Body::AtomicReq {
+                    addr: 0x3000,
+                    rkey: 9,
+                    akind: AtomicKind::CompareSwap,
+                    arg1: 17,
+                    arg2: 18,
+                },
+            },
+            Packet {
+                flags: F_LAST,
+                src: 1,
+                dst: 0,
+                seq: 6,
+                ack: 5,
+                op: 81,
+                body: Body::AtomicResp { old: 17 },
+            },
+        ]
+    }
+
+    fn train_of(pkts: &[Packet<'_>]) -> Vec<u8> {
+        let mut b = Vec::new();
+        for p in pkts {
+            p.encode_into(&mut b);
+        }
+        b
     }
 
     #[test]
-    fn all_kinds_roundtrip() {
-        roundtrip(Packet { flags: 0, src: 1, dst: 2, seq: 0, ack: 41, op: 0, body: Body::Ack });
-        roundtrip(Packet {
-            flags: F_LAST | F_HAS_IMM,
-            src: 0,
-            dst: 3,
-            seq: 9,
-            ack: 2,
-            op: 77,
-            body: Body::Send {
-                total: 12,
-                frag_off: 0,
-                imm: 0xfeed,
-                payload: b"hello photon".to_vec(),
-            },
-        });
-        roundtrip(Packet {
-            flags: F_LAST,
-            src: 2,
-            dst: 0,
-            seq: 10,
-            ack: 0,
-            op: 78,
-            body: Body::Write {
-                addr: 0x1000_0040,
-                rkey: 7,
-                total: 64,
-                imm: 0,
-                stamps: vec![0, 24],
-                payload: vec![0xab; 64],
-            },
-        });
-        roundtrip(Packet {
-            flags: 0,
-            src: 1,
-            dst: 0,
-            seq: 11,
-            ack: 5,
-            op: 80,
-            body: Body::ReadReq { addr: 0x2000, rkey: 3, len: 4096 },
-        });
-        roundtrip(Packet {
-            flags: F_LAST,
-            src: 0,
-            dst: 1,
-            seq: 4,
-            ack: 11,
-            op: 80,
-            body: Body::ReadResp { total: 4096, frag_off: 2048, payload: vec![1; 2048] },
-        });
-        roundtrip(Packet {
-            flags: F_LAST,
-            src: 0,
-            dst: 1,
-            seq: 5,
-            ack: 0,
-            op: 81,
-            body: Body::AtomicReq {
-                addr: 0x3000,
-                rkey: 9,
-                akind: AtomicKind::CompareSwap,
-                arg1: 17,
-                arg2: 18,
-            },
-        });
-        roundtrip(Packet {
-            flags: F_LAST,
-            src: 1,
-            dst: 0,
-            seq: 6,
-            ack: 5,
-            op: 81,
-            body: Body::AtomicResp { old: 17 },
-        });
+    fn all_kinds_roundtrip_alone_and_as_one_train() {
+        let pkts = one_of_each();
+        for p in &pkts {
+            let enc = train_of(std::slice::from_ref(p));
+            assert_eq!(Packet::decode_prefix(&enc), Some((*p, enc.len())));
+        }
+        let train = train_of(&pkts);
+        assert!(train.len() <= MAX_DGRAM);
+        assert_eq!(frames(&train).collect::<Vec<_>>(), pkts);
+        let stamps: Vec<u32> = match pkts[2].body {
+            Body::Write { stamps, .. } => stamps.iter().collect(),
+            _ => unreachable!(),
+        };
+        assert_eq!(stamps, [0, 24]);
+    }
+
+    #[test]
+    fn damaged_tail_yields_the_intact_prefix() {
+        let pkts = one_of_each();
+        let whole = train_of(&pkts);
+        let last_len = train_of(&pkts[pkts.len() - 1..]).len();
+        // Cut anywhere inside the last frame: the six before it survive.
+        for cut in 1..last_len {
+            let got: Vec<_> = frames(&whole[..whole.len() - cut]).collect();
+            assert_eq!(got, pkts[..pkts.len() - 1], "cut {cut} bytes off the tail");
+        }
+        // Trailing garbage after an intact train: the walk stops at it.
+        let mut noisy = whole.clone();
+        noisy.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef, 0, 1, 2, 3]);
+        assert_eq!(frames(&noisy).collect::<Vec<_>>(), pkts);
+        // A frame whose payload length field overshoots the datagram.
+        let mut lying = train_of(&pkts[..2]);
+        let len_at = lying.len() - 12 - 4;
+        lying[len_at..len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(frames(&lying).collect::<Vec<_>>(), pkts[..1]);
     }
 
     #[test]
     fn garbage_is_rejected() {
-        assert!(Packet::decode(&[]).is_none());
-        assert!(Packet::decode(&[0u8; 10]).is_none());
-        let mut ok = Packet {
-            flags: 0,
-            src: 0,
-            dst: 1,
-            seq: 1,
-            ack: 0,
-            op: 1,
-            body: Body::ReadReq { addr: 0, rkey: 0, len: 8 },
-        }
-        .encode();
+        assert!(Packet::decode_prefix(&[]).is_none());
+        assert!(Packet::decode_prefix(&[0u8; 10]).is_none());
+        let mut ok = train_of(&one_of_each()[3..4]);
         ok[0] ^= 0xff; // clobber the magic
-        assert!(Packet::decode(&ok).is_none());
-        // Truncated body.
-        let enc = Packet {
-            flags: 0,
-            src: 0,
-            dst: 1,
-            seq: 2,
-            ack: 0,
-            op: 2,
-            body: Body::Send { total: 4, frag_off: 0, imm: 0, payload: vec![1, 2, 3, 4] },
+        assert!(Packet::decode_prefix(&ok).is_none());
+    }
+
+    #[test]
+    fn set_ack_restamps_a_stored_frame() {
+        let p = one_of_each()[3];
+        let mut enc = train_of(&[p]);
+        set_ack(&mut enc, 99);
+        assert_eq!(Packet::decode_prefix(&enc).unwrap().0, Packet { ack: 99, ..p });
+    }
+
+    /// Bytes of `input` that `p`'s borrowed fields cover; `None` if any of
+    /// them lies outside `input` (the type system already says they cannot).
+    fn borrowed_inside(p: &Packet<'_>, input: &[u8]) -> Option<usize> {
+        let inside = |s: &[u8]| {
+            let (lo, hi) = (input.as_ptr() as usize, input.as_ptr() as usize + input.len());
+            let at = s.as_ptr() as usize;
+            (s.is_empty() || (at >= lo && at + s.len() <= hi)).then_some(s.len())
+        };
+        match p.body {
+            Body::Send { payload, .. } | Body::ReadResp { payload, .. } => inside(payload),
+            Body::Write { stamps, payload, .. } => Some(inside(stamps.0)? + inside(payload)?),
+            _ => Some(0),
         }
-        .encode();
-        assert!(Packet::decode(&enc[..enc.len() - 2]).is_none());
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes never panic the decoder, a decoded frame never
+        /// claims more bytes than it was given, and everything it hands
+        /// back is a view into the input: decoding allocates nothing, so
+        /// no length field can make it allocate.
+        #[test]
+        fn decode_prefix_is_total_and_bounded(
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..160),
+            frame in 0usize..7,
+            splice_at in 0usize..200,
+        ) {
+            // Raw noise, and noise spliced into a valid frame so the
+            // decoder gets past the magic and into the length fields.
+            let mut spliced = train_of(&one_of_each()[frame..frame + 1]);
+            let at = splice_at % spliced.len();
+            let n = noise.len().min(spliced.len() - at);
+            spliced[at..at + n].copy_from_slice(&noise[..n]);
+            for input in [&noise[..], &spliced[..]] {
+                if let Some((p, used)) = Packet::decode_prefix(input) {
+                    proptest::prop_assert!(used >= HDR && used <= input.len());
+                    let held = borrowed_inside(&p, input);
+                    proptest::prop_assert!(held.is_some_and(|h| h <= used));
+                }
+                let mut total = 0usize;
+                for p in frames(input) {
+                    total += HDR + borrowed_inside(&p, input).unwrap_or(usize::MAX / 2);
+                }
+                proptest::prop_assert!(total <= input.len());
+            }
+        }
     }
 }
