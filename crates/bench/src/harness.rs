@@ -26,20 +26,12 @@ pub struct Cell {
     pub ns_total: u64,
     /// Suite-specific numeric side data (`clients`, `net_us_per_op`, ...).
     pub extra: Vec<(String, f64)>,
-    /// Why the cell was not measured on this host (e.g. `oversubscribed`);
-    /// a skipped cell carries `ns_total == 0` and is never compared.
-    pub skipped: Option<String>,
 }
 
 impl Cell {
     /// A measured cell.
     pub fn new(name: impl Into<String>, ops: u64, ns_total: u64) -> Cell {
-        Cell { name: name.into(), ops, ns_total, extra: Vec::new(), skipped: None }
-    }
-
-    /// A cell this host cannot measure meaningfully.
-    pub fn skipped(name: impl Into<String>, ops: u64, why: &str) -> Cell {
-        Cell { skipped: Some(why.to_string()), ..Cell::new(name, ops, 0) }
+        Cell { name: name.into(), ops, ns_total, extra: Vec::new() }
     }
 
     /// Attach one `extra` value.
@@ -142,7 +134,7 @@ impl Report {
         self.cells.iter().find(|c| c.name == name)
     }
 
-    /// Throughput of the cell called `name` (0 when absent or skipped).
+    /// Throughput of the cell called `name` (0 when absent).
     pub fn rate_of(&self, name: &str) -> f64 {
         self.cell(name).map_or(0.0, Cell::rate)
     }
@@ -175,9 +167,6 @@ impl Report {
                     c.ns_total,
                     c.rate()
                 );
-                if let Some(why) = &c.skipped {
-                    let _ = write!(line, ", \"skipped\": {}", quote(why));
-                }
                 if !c.extra.is_empty() {
                     let kv: Vec<String> =
                         c.extra.iter().map(|(k, v)| format!("{}: {}", quote(k), num(*v))).collect();
@@ -219,7 +208,6 @@ impl Report {
                             .collect::<Result<_, String>>()?,
                         _ => Vec::new(),
                     },
-                    skipped: c.field("skipped").and_then(Json::str).ok().map(String::from),
                 })
             })
             .collect::<Result<Vec<Cell>, String>>()?;
@@ -262,17 +250,14 @@ impl Report {
             // Extras at display precision; the JSON keeps every digit.
             let extras: String =
                 c.extra.iter().map(|(k, v)| format!(" {k}={}", (v * 1e3).round() / 1e3)).collect();
-            match &c.skipped {
-                Some(why) => println!("{:>36}  skipped: {why}", c.name),
-                None => println!(
-                    "{:>36}  {:>9} ops  {:>12} ns  {:>8.3} Mops/s  {:>10.1} ns/op {extras}",
-                    c.name,
-                    c.ops,
-                    c.ns_total,
-                    c.rate(),
-                    c.ns_total as f64 / c.ops.max(1) as f64
-                ),
-            }
+            println!(
+                "{:>36}  {:>9} ops  {:>12} ns  {:>8.3} Mops/s  {:>10.1} ns/op {extras}",
+                c.name,
+                c.ops,
+                c.ns_total,
+                c.rate(),
+                c.ns_total as f64 / c.ops.max(1) as f64
+            );
         }
         for line in self.verdicts.iter().chain(&self.notes) {
             println!("  # {line}");
@@ -484,9 +469,8 @@ impl Parser<'_> {
 /// directions: a measured cell missing from the baseline, a baseline cell
 /// not measured, and a cell whose `ops` differ (throughput at one op count
 /// says nothing about another) are failures, exactly like a throughput
-/// drop beyond `max_pct` percent. Cells skipped on either side are
-/// reported and not compared. Returns the verdict lines (ending with the
-/// worst regression) and whether the check failed.
+/// drop beyond `max_pct` percent. Returns the verdict lines (ending with
+/// the worst regression) and whether the check failed.
 pub fn check(measured: &Report, baseline: &Report, max_pct: f64) -> (Vec<String>, bool) {
     let mut lines = Vec::new();
     let mut failed = false;
@@ -504,10 +488,6 @@ pub fn check(measured: &Report, baseline: &Report, max_pct: f64) -> (Vec<String>
             lines.push(format!("{name:>36}  MISSING from baseline — re-record it"));
             continue;
         };
-        if let Some(why) = c.skipped.as_ref().or(base.skipped.as_ref()) {
-            lines.push(format!("{name:>36}  skipped ({why}), not compared"));
-            continue;
-        }
         if c.ops != base.ops {
             failed = true;
             lines.push(format!(
@@ -584,27 +564,21 @@ pub struct Elapsed {
 pub struct Pump {
     /// Simulated fabric or real loopback sockets.
     pub backend: BackendKind,
-    /// Dedicated completion threads (0 = inline progress).
-    pub progress_threads: usize,
     /// Network model (the sockets backend ignores it).
     pub model: NetworkModel,
 }
 
 impl Pump {
-    /// Inline progress on the `ideal` sim model: wall-clock time is then
+    /// The sim backend on the `ideal` model: wall-clock time is then
     /// dominated by the posting path's own locking and bookkeeping, not
     /// modeled wire latency.
-    pub fn inline_sim() -> Pump {
-        Pump { backend: BackendKind::Sim, progress_threads: 0, model: NetworkModel::ideal() }
+    pub fn ideal_sim() -> Pump {
+        Pump { backend: BackendKind::Sim, model: NetworkModel::ideal() }
     }
 
     /// A two-rank cluster on this pump's axes.
     pub fn cluster(&self) -> PhotonCluster {
-        let cfg = PhotonConfig {
-            backend: self.backend,
-            progress_threads: self.progress_threads,
-            ..PhotonConfig::default()
-        };
+        let cfg = PhotonConfig { backend: self.backend, ..PhotonConfig::default() };
         PhotonCluster::new(2, self.model, cfg)
     }
 
@@ -842,15 +816,14 @@ mod tests {
         let r = report(vec![
             cell("a", 2.0).with("clients", 4.0).with("net_us_per_op", 3.046_449_999_999_999_7),
             Cell::new("big", u32::MAX as u64 * 1000, 1 << 52),
-            Cell::skipped("c_pt4", 100_000, "oversubscribed"),
             cell("nan", 1.0).with("conv_rounds_mean", f64::NAN),
         ]);
         let back = Report::from_json(&r.to_json()).expect("parses");
-        let nan = back.cells[3].get("conv_rounds_mean").unwrap();
+        let nan = back.cells[2].get("conv_rounds_mean").unwrap();
         assert!(nan.is_nan(), "non-finite extras read back as NaN, got {nan}");
         // NaN != NaN, so compare that cell by its other fields.
-        assert_eq!(back.cells[3].name, "nan");
-        assert_eq!(back.cells[..3], r.cells[..3]);
+        assert_eq!(back.cells[2].name, "nan");
+        assert_eq!(back.cells[..2], r.cells[..2]);
         assert_eq!(
             (&back.bench, &back.label, &back.host, back.reps, &back.stat),
             (&r.bench, &r.label, &r.host, r.reps, &r.stat)
@@ -918,14 +891,13 @@ mod tests {
     }
 
     #[test]
-    fn check_skips_oversubscribed_cells_and_warns_on_cpu_mismatch() {
-        let mut base = report(vec![cell("a", 1.0), cell("pt4", 5.0)]);
+    fn check_warns_on_cpu_mismatch() {
+        let mut base = report(vec![cell("a", 1.0)]);
         base.host.cpus = 8;
-        let now = report(vec![cell("a", 1.0), Cell::skipped("pt4", 1000, "oversubscribed")]);
+        let now = report(vec![cell("a", 1.0)]);
         let (lines, failed) = check(&now, &base, 5.0);
         assert!(!failed, "{lines:?}");
         assert!(lines[0].starts_with("warning:") && lines[0].contains("8 cpus"), "{lines:?}");
-        assert!(lines.iter().any(|l| l.contains("pt4") && l.contains("skipped (oversubscribed)")));
     }
 
     #[test]
@@ -937,7 +909,7 @@ mod tests {
             &["put", "--ops", "many"],
             &["put", "--ops", "0"],
             &["put", "--label"],
-            &["put", "--progress-threads", "2"],
+            &["put", "--backend", "sock"],
             &["put", "stray"],
             &["get", "--trace"],
             &["figures", "--smoke"],
@@ -1003,7 +975,7 @@ mod tests {
 
     #[test]
     fn pump_completes_every_mode_and_the_modeled_clock_moves() {
-        let pump = Pump { model: NetworkModel::ib_fdr(), ..Pump::inline_sim() };
+        let pump = Pump { model: NetworkModel::ib_fdr(), ..Pump::ideal_sim() };
         for op in [Op::Put, Op::Get] {
             for batched in [false, true] {
                 for window in [1usize, 16] {

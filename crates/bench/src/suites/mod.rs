@@ -21,7 +21,6 @@ pub const SUITES: &[(&str, Suite)] = &[
     ("put", pwc::put),
     ("get", pwc::get),
     ("probe", probe::run),
-    ("progress", pwc::progress),
     ("sockets", pwc::sockets),
     ("gups", gups::run),
     ("churn", churn::run),

@@ -28,7 +28,7 @@ fn fill_local_events(c: &PhotonCluster, depth: u64) {
 
 /// Time `consume` draining a `BACKLOG`-deep local-completion queue.
 fn backlog_cell(name: &str, consume: impl Fn(&PhotonCluster)) -> Cell {
-    let c = Pump::inline_sim().cluster();
+    let c = Pump::ideal_sim().cluster();
     fill_local_events(&c, BACKLOG);
     let t0 = Instant::now();
     consume(&c);
@@ -71,7 +71,7 @@ fn drain_batch() -> Cell {
 /// Single-threaded post+probe ping: batches of 16 eager sends drained by
 /// the consumer's probe loop.
 fn st_send_probe(ops: u64) -> Cell {
-    let c = Pump::inline_sim().cluster();
+    let c = Pump::ideal_sim().cluster();
     let (p0, p1) = (c.rank(0), c.rank(1));
     let payload = [7u8; 64];
     let t0 = Instant::now();
@@ -93,7 +93,7 @@ fn st_send_probe(ops: u64) -> Cell {
 /// `threads` producers hammering `put` + `wait_local` on one shared
 /// context: the many-workers-one-NIC pattern the sharded engine exists for.
 fn mt_post_probe(threads: u64, per_thread: u64) -> Cell {
-    let c = Pump::inline_sim().cluster();
+    let c = Pump::ideal_sim().cluster();
     let p0 = c.rank(0);
     let dst = c.rank(1).register_buffer(64).unwrap();
     let d = dst.descriptor();

@@ -1,6 +1,6 @@
 //! The suites that are the two-rank [`Pump`] swept along one axis each:
-//! `put` / `get` (window × posting mode), `progress` (× progress threads)
-//! and `sockets` (× backend, beside the modeled run).
+//! `put` / `get` (window × posting mode) and `sockets` (× backend, beside
+//! the modeled run).
 
 use crate::experiments::drivers;
 use crate::harness::{best_of, write_file, Args, Cell, Op, Pump, Report};
@@ -36,7 +36,7 @@ fn wall_cell(
 fn window_sweep(op: Op, a: &Args) -> Report {
     let (ops, reps) = (a.ops(100_000, 10_000), a.reps(5, 2));
     let mut r = Report::new(a, reps);
-    let pump = Pump::inline_sim();
+    let pump = Pump::ideal_sim();
     let single = format!("single_{}_8B", op.name());
     r.cells.push(wall_cell(pump, &single, op, false, 1, (ops / 4).max(1), reps));
     for batched in [false, true] {
@@ -63,7 +63,7 @@ fn window_sweep(op: Op, a: &Args) -> Report {
 pub fn put(a: &Args) -> Report {
     let mut r = window_sweep(Op::Put, a);
     if a.trace {
-        let c = Pump::inline_sim().cluster();
+        let c = Pump::ideal_sim().cluster();
         for p in c.ranks() {
             p.obs().enable();
             p.tracer().enable();
@@ -104,33 +104,6 @@ pub fn get(a: &Args) -> Report {
     window_sweep(Op::Get, a)
 }
 
-/// E21: the batched put/get cells swept over dedicated progress threads
-/// (0 = caller-driven inline progress). A cell whose driver thread plus
-/// progress threads outnumber the host's cpus measures the scheduler, not
-/// the engine, so it is recorded as skipped instead.
-pub fn progress(a: &Args) -> Report {
-    let (ops, reps) = (a.ops(100_000, 10_000), a.reps(5, 2));
-    let mut r = Report::new(a, reps);
-    let cpus = r.host.cpus.max(1);
-    for progress_threads in [0usize, 1, 2, 4] {
-        let pump = Pump { progress_threads, ..Pump::inline_sim() };
-        for op in [Op::Put, Op::Get] {
-            for w in WINDOWS {
-                let name = format!("{}_pt{progress_threads}", scenario(op, true, w));
-                r.cells.push(if 1 + progress_threads > cpus {
-                    Cell::skipped(name, ops, "oversubscribed")
-                } else {
-                    wall_cell(pump, &name, op, true, w, ops, reps)
-                });
-            }
-        }
-    }
-    r.notes.push(format!(
-        "cells with 1 driver + pt progress threads > {cpus} cpus are skipped as oversubscribed"
-    ));
-    r
-}
-
 /// Attach the transport counters of a two-rank sockets cluster, summed over
 /// both endpoints, to the cell measured on it: `datagrams_tx / ops` is
 /// datagrams per operation, `frames_tx / trains_tx` frames per train,
@@ -159,7 +132,7 @@ pub fn sockets(a: &Args) -> Report {
     let iters = (ops / 10).max(1) as usize;
     let mut r = Report::new(a, reps);
     let model = NetworkModel::ib_fdr();
-    let sim = Pump { model, ..Pump::inline_sim() };
+    let sim = Pump { model, ..Pump::ideal_sim() };
     let sock = Pump { backend: BackendKind::Sock, ..sim };
     let mut curves: [Vec<f64>; 4] = Default::default(); // lat modeled/real, rate modeled/real
     for size in [8usize, 64, 512, 4096, 16384] {

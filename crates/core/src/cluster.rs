@@ -1,10 +1,10 @@
 //! Cluster construction: `n` [`Photon`] contexts over one fabric, wired to
-//! a shared connection directory and (optionally) the progress engine.
+//! a shared connection directory. A sim cluster spawns no threads: every
+//! rank progresses only inside its callers' probe and wait calls.
 
 use crate::config::{BackendKind, PhotonConfig};
 use crate::conn::ConnDirectory;
 use crate::photon::Photon;
-use crate::progress::ProgressEngine;
 use crate::Rank;
 use photon_fabric::api::FabricBackend;
 use photon_fabric::sock::{SockCluster, SockStatsSnapshot};
@@ -22,9 +22,6 @@ pub struct PhotonCluster {
     /// them: dropping it shuts them down.
     sock: Option<SockCluster>,
     ranks: Vec<Arc<Photon>>,
-    /// Dedicated progress threads (see [`crate::progress`]); `None` in
-    /// inline mode (`PhotonConfig::progress_threads == 0`).
-    progress: Option<ProgressEngine>,
 }
 
 impl PhotonCluster {
@@ -58,8 +55,8 @@ impl PhotonCluster {
     /// The one constructor: a context per rank over the endpoint `nic`
     /// hands out for it, out-of-band connection-manager wiring (PMI
     /// stand-in — no descriptors are exchanged here; connections and their
-    /// service blocks are established lazily on first contact), and the
-    /// progress engine. A backend is a closure here, not a code path.
+    /// service blocks are established lazily on first contact). A backend
+    /// is a closure here, not a code path.
     fn build(
         n: usize,
         cfg: PhotonConfig,
@@ -73,8 +70,7 @@ impl PhotonCluster {
         for p in &ranks {
             p.directory.set(Arc::clone(&directory)).expect("init once");
         }
-        let progress = ProgressEngine::spawn(&ranks, cfg.progress_threads);
-        PhotonCluster { sim: None, sock: None, ranks, progress }
+        PhotonCluster { sim: None, sock: None, ranks }
     }
 
     /// Number of ranks.
@@ -126,17 +122,6 @@ impl PhotonCluster {
         }
         for p in &self.ranks {
             p.clock.reset();
-        }
-    }
-}
-
-impl Drop for PhotonCluster {
-    fn drop(&mut self) {
-        // Stop and join the progress threads before any context state is
-        // torn down; each thread holds an `Arc<Photon>`, so joining here
-        // (not just dropping handles) is what bounds their lifetime.
-        if let Some(mut engine) = self.progress.take() {
-            engine.stop();
         }
     }
 }

@@ -81,17 +81,6 @@ pub struct PhotonConfig {
     /// and evicted (pending rids flushed as error completions, eager/ledger
     /// credits reclaimed).
     pub suspect_death_probes: u32,
-    /// Dedicated progress threads per rank. `0` (the default) keeps the
-    /// classic inline model: callers drive completion processing from their
-    /// own `wait_*`/`poll_*` calls, which is what the deterministic
-    /// simulation-test executor and single-threaded steppers require.
-    /// With `N >= 1`, the cluster spawns `N` background threads per rank
-    /// that shard the peer set between them (peer → thread by the same
-    /// Fibonacci-hash scheme the completion queues use) and own CQE harvest
-    /// plus event fan-out for their peers; caller paths become consumers of
-    /// the sharded queues and only help-pump when they would otherwise
-    /// block (so a thread-starved host cannot livelock). Capped at 64.
-    pub progress_threads: usize,
     /// Maximum live connections a rank keeps in its lazy connection cache
     /// (`0` = unbounded, the default). When a connect would exceed the cap,
     /// the least-recently-used idle connection is evicted: its pending work
@@ -176,13 +165,6 @@ impl PhotonConfig {
         if self.wait_timeout_secs == 0 {
             faults.push("wait_timeout_secs must be nonzero (it is the deadlock guard)".to_string());
         }
-        if self.progress_threads > 64 {
-            faults.push(format!(
-                "progress_threads {} exceeds the cap of 64 (threads shard peers; \
-                 more threads than cores is never useful)",
-                self.progress_threads
-            ));
-        }
         if self.conn_cache_cap == 1 {
             faults.push(
                 "conn_cache_cap 1 cannot hold both halves of a transfer \
@@ -238,7 +220,6 @@ impl Default for PhotonConfig {
             backoff_base_ns: 20_000,
             backoff_max_ns: 1_000_000,
             suspect_death_probes: 12,
-            progress_threads: 0,
             conn_cache_cap: 0,
             connect_cost_ns: 0,
             backend: BackendKind::Sim,
@@ -294,8 +275,6 @@ impl PhotonConfigBuilder {
         backoff_max_ns: u64,
         /// See [`PhotonConfig::suspect_death_probes`].
         suspect_death_probes: u32,
-        /// See [`PhotonConfig::progress_threads`].
-        progress_threads: usize,
         /// See [`PhotonConfig::conn_cache_cap`].
         conn_cache_cap: usize,
         /// See [`PhotonConfig::connect_cost_ns`].
@@ -374,16 +353,6 @@ mod tests {
         assert!(msg.contains("backoff_base_ns"), "{msg}");
         assert!(msg.contains("eager_ring_bytes"), "{msg}");
         assert!(msg.contains("suspect_death_probes"), "{msg}");
-    }
-
-    #[test]
-    fn progress_threads_knob_validates() {
-        let cfg = PhotonConfig::builder().progress_threads(4).build().unwrap();
-        assert_eq!(cfg.progress_threads, 4);
-        assert_eq!(PhotonConfig::default().progress_threads, 0, "inline mode is the default");
-        let err = PhotonConfig::builder().progress_threads(65).build().unwrap_err();
-        let crate::PhotonError::Config(msg) = err else { panic!("want Config, got {err:?}") };
-        assert!(msg.contains("progress_threads"), "{msg}");
     }
 
     #[test]

@@ -83,7 +83,6 @@ pub mod photon;
 pub mod pool;
 pub mod probe;
 pub mod process;
-pub(crate) mod progress;
 pub mod rendezvous;
 mod rx;
 mod tx;

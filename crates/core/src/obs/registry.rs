@@ -83,8 +83,9 @@ crate::counter_registry! {
         /// Times the bounded skip budget ran out and a probe blocked on a
         /// contended receive lock to guarantee the peer gets service.
         rx_lock_waits,
-        /// Errors swallowed by dedicated progress threads (the op that hit
-        /// the error still resolves via timeout or peer eviction).
+        /// Always 0: its only writer left with the dedicated progress
+        /// engine. Kept because `StatsSnapshot`'s `Debug` output is hashed
+        /// into every simtest digest; it retires with the next re-record.
         progress_thread_errors,
         /// Connections established (lazily, on first traffic toward a peer —
         /// includes reconnects after eviction or peer rejoin).

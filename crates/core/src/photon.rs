@@ -30,7 +30,8 @@
 //! reading; completion events advance it (Lamport-style), and protocol
 //! writes carry fabric-stamped delivery timestamps so remote completions
 //! advance the consumer's clock correctly.  Probe costs are *not* charged to
-//! virtual time (they are measured in wall time by the criterion benches).
+//! virtual time (they are measured in wall time by the `photon-bench probe`
+//! suite).
 
 use crate::buffers::PhotonBuffer;
 use crate::completion::{LocalQueue, RemoteQueue, RidMap, WrTable};
@@ -157,10 +158,6 @@ pub struct Photon {
     /// Probe counter driving the amortized progress schedule (see
     /// [`Photon::progress_for_probe`]).
     pub(crate) probe_ticks: AtomicU64,
-    /// Set while dedicated progress threads are running for this context:
-    /// probe paths then consume queued events without pumping (the threads
-    /// pump), falling back to an inline pass only on an empty queue.
-    pub(crate) threads_active: AtomicBool,
     /// Recycled snapshot of the connection table for progress passes:
     /// sorted by peer rank so pass order (and thus virtual-time evolution)
     /// is deterministic regardless of hash-map iteration order.
@@ -176,7 +173,7 @@ pub struct Photon {
     /// doorbell-batched work requests.
     pub(crate) stamp_vec_pool: Mutex<Vec<Vec<usize>>>,
     /// Recycled CQE harvest buffer (the allocation-free twin of polling
-    /// into a fresh `Vec` per pass). Progress threads carry their own.
+    /// into a fresh `Vec` per pass).
     pub(crate) cq_scratch: Mutex<Vec<Cqe>>,
     /// Peers declared dead by [`Photon::mark_dead`] and not yet collected
     /// via [`Photon::take_dead_peers`]. Runtime layers drain this to tear
@@ -235,7 +232,6 @@ impl Photon {
             any_toggle: AtomicU64::new(0),
             progress_gate: AtomicBool::new(false),
             probe_ticks: AtomicU64::new(0),
-            threads_active: AtomicBool::new(false),
             conn_scratch: Mutex::new(Vec::new()),
             batch_rids: Mutex::new(RidMap::default()),
             rid_vec_pool: Mutex::new(Vec::new()),

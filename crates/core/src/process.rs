@@ -45,13 +45,11 @@ fn decode_key(b: &[u8]) -> Result<RemoteKey> {
 }
 
 /// One rank of a multi-process Photon job, joined over the sockets
-/// backend. Owns this process's context plus its progress engine; dropping
-/// it stops the engine (the underlying reactor stops when the last
-/// [`Arc<Photon>`] goes away).
+/// backend. Owns this process's context; the underlying reactor stops when
+/// the last [`Arc<Photon>`] goes away.
 #[derive(Debug)]
 pub struct PhotonProcess {
     photon: Arc<Photon>,
-    progress: Option<crate::progress::ProgressEngine>,
 }
 
 impl PhotonProcess {
@@ -95,12 +93,7 @@ impl PhotonProcess {
         let coll =
             bs.allgather(&mine)?.iter().map(|b| decode_key(b)).collect::<Result<Vec<_>>>()?;
         photon.set_coll_keys(coll);
-
-        let progress = crate::progress::ProgressEngine::spawn(
-            std::slice::from_ref(&photon),
-            cfg.progress_threads,
-        );
-        Ok(PhotonProcess { photon, progress })
+        Ok(PhotonProcess { photon })
     }
 
     /// [`PhotonProcess::join`] with rank and rendezvous address taken from
@@ -139,14 +132,6 @@ impl PhotonProcess {
     /// Job size.
     pub fn n(&self) -> usize {
         self.photon.size()
-    }
-}
-
-impl Drop for PhotonProcess {
-    fn drop(&mut self) {
-        if let Some(engine) = self.progress.as_mut() {
-            engine.stop();
-        }
     }
 }
 

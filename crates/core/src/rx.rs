@@ -1,4 +1,4 @@
-//! The RX path and progress engine entry points: CQE harvest and retire,
+//! The RX path and the progress entry point: CQE harvest and retire,
 //! per-peer ledger / eager-ring polling, and routing of what is found into
 //! the completion queues.
 
@@ -37,59 +37,7 @@ impl Photon {
         }
         let res = self.progress_pass();
         self.progress_gate.store(false, Ordering::Release);
-        res.map(|_| ())
-    }
-
-    // --------------------------------------------------- progress threads
-
-    /// Mark this context as served by dedicated progress threads; while
-    /// set, probe paths with events already queued become pure consumers
-    /// (see [`Photon::progress_for_probe`]). Set and cleared by the
-    /// [`crate::progress::ProgressEngine`].
-    pub(crate) fn set_threads_active(&self, active: bool) {
-        self.threads_active.store(active, Ordering::Release);
-    }
-
-    /// One sharded progress pass, run by dedicated progress thread `shard`
-    /// of `nshards`: thread 0 additionally harvests the completion queues,
-    /// and every thread polls the peers hashed to it (Fibonacci multiply,
-    /// like the completion engine's rid sharding — so the peer→thread map
-    /// is stable and disjoint). Returns the amount of work moved, the
-    /// thread's idle-backoff signal. Errors are swallowed into the
-    /// `progress_thread_errors` counter: the op that hit the error still
-    /// resolves through the health machine and its caller's own wait, and
-    /// a progress thread must keep serving the surviving peers.
-    pub(crate) fn progress_shard(
-        &self,
-        shard: usize,
-        nshards: usize,
-        scratch: &mut Vec<Cqe>,
-        conns: &mut Vec<Arc<Conn>>,
-    ) -> usize {
-        let mut work = 0usize;
-        if shard == 0 {
-            scratch.clear();
-            if self.nic.poll_send_cq_into(CQ_HARVEST_BATCH, scratch) > 0 {
-                work += self.retire_send_cqes(scratch);
-            }
-            if self.cfg.imm_completions {
-                scratch.clear();
-                if self.nic.poll_recv_cq_into(CQ_HARVEST_BATCH, scratch) > 0 {
-                    work += self.retire_recv_cqes(scratch);
-                }
-            }
-        }
-        self.snapshot_conns(conns);
-        for conn in conns.iter() {
-            if Self::peer_shard(conn.peer, nshards) != shard {
-                continue;
-            }
-            match self.poll_peer(conn) {
-                Ok(n) => work += n,
-                Err(_) => Stats::bump(&self.stats.progress_thread_errors),
-            }
-        }
-        work
+        res
     }
 
     /// Fill `out` with a snapshot of the live connections, sorted by peer
@@ -102,22 +50,14 @@ impl Photon {
         out.sort_unstable_by_key(|c| c.peer);
     }
 
-    /// Peer → progress-thread assignment.
-    pub(crate) fn peer_shard(peer: Rank, nshards: usize) -> usize {
-        (((peer as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % nshards
-    }
-
     /// Retire a harvested slice of send CQEs into local events. Retiring a
     /// CQE is one sharded-slab lookup; a stale or unsignaled wr_id simply
     /// misses. Exactly-once is guaranteed by the table's generation check,
-    /// not by a global lock pairing, so inline callers and dedicated
-    /// progress threads can retire concurrently. Returns how many CQEs
-    /// matched a tracked work request.
-    fn retire_send_cqes(&self, cqes: &[Cqe]) -> usize {
-        let mut retired = 0usize;
+    /// not by a global lock pairing, so the gated progress pass and an
+    /// eviction flush can retire concurrently.
+    fn retire_send_cqes(&self, cqes: &[Cqe]) {
         for c in cqes {
             if let Some((rid, peer)) = self.wr_table.remove(c.wr_id) {
-                retired += 1;
                 if rid == BATCH_RID {
                     // One CQE for a doorbell batch: every frame's source
                     // became reusable when the run was staged, so all
@@ -139,75 +79,65 @@ impl Photon {
                 }
             }
         }
-        retired
     }
 
     /// Route a harvested slice of recv CQEs (immediate-data completions)
-    /// into remote events. Returns how many were routed.
-    fn retire_recv_cqes(&self, cqes: &[Cqe]) -> usize {
-        let mut routed = 0usize;
+    /// into remote events.
+    fn retire_recv_cqes(&self, cqes: &[Cqe]) {
         for c in cqes {
             if let photon_fabric::verbs::CompletionKind::ImmDone { src, len, imm } = c.kind {
-                routed += 1;
                 self.deliver_remote(src, imm, OpKind::PutDirect, len, None, c.ts, |ev| {
                     self.remote_events.push(ev)
                 });
             }
         }
-        routed
     }
 
     /// Retire every send CQE currently in the queue into local events,
     /// harvesting through the recycled scratch buffer (no per-pass heap
-    /// allocation). Returns how many CQEs matched a tracked work request.
-    pub(crate) fn harvest_send_cq(&self) -> usize {
+    /// allocation).
+    pub(crate) fn harvest_send_cq(&self) {
         let mut buf = self.cq_scratch.lock();
         buf.clear();
-        if self.nic.poll_send_cq_into(CQ_HARVEST_BATCH, &mut buf) == 0 {
-            return 0;
+        if self.nic.poll_send_cq_into(CQ_HARVEST_BATCH, &mut buf) > 0 {
+            self.retire_send_cqes(&buf);
         }
-        self.retire_send_cqes(&buf)
     }
 
-    fn progress_pass(&self) -> Result<usize> {
-        let mut work = self.harvest_send_cq();
+    fn progress_pass(&self) -> Result<()> {
+        self.harvest_send_cq();
         if self.cfg.imm_completions {
-            let routed = {
-                let mut buf = self.cq_scratch.lock();
-                buf.clear();
-                if self.nic.poll_recv_cq_into(CQ_HARVEST_BATCH, &mut buf) > 0 {
-                    self.retire_recv_cqes(&buf)
-                } else {
-                    0
-                }
-            };
-            work += routed;
+            let mut buf = self.cq_scratch.lock();
+            buf.clear();
+            if self.nic.poll_recv_cq_into(CQ_HARVEST_BATCH, &mut buf) > 0 {
+                self.retire_recv_cqes(&buf);
+            }
         }
         // The scratch mutex is uncontended here: progress_pass is
-        // single-flight behind progress_gate, and the dedicated progress
-        // threads carry their own per-thread snapshot buffers.
+        // single-flight behind progress_gate.
         let mut conns = self.conn_scratch.lock();
         self.snapshot_conns(&mut conns);
         for conn in conns.iter() {
-            work += self.poll_peer(conn)?;
+            self.poll_peer(conn)?;
         }
-        Ok(work)
+        Ok(())
     }
 
     /// Scan one peer's completion ledger and eager ring, routing everything
-    /// pending. Returns the number of entries/frames routed (the progress
-    /// threads' idle-backoff signal).
-    pub(crate) fn poll_peer(&self, conn: &Arc<Conn>) -> Result<usize> {
+    /// pending.
+    pub(crate) fn poll_peer(&self, conn: &Arc<Conn>) -> Result<()> {
         let j = conn.peer;
         // If another thread is already polling this peer, usually skip: the
         // holder harvests everything pending, and every caller of progress()
         // either re-polls on its next spin (blocking loops) or is a polling
-        // API the caller retries by contract. Waiting here would convoy all
-        // progress threads behind one receive lock. The skip is *bounded*,
-        // though: under dedicated progress threads a persistently contended
-        // lock could otherwise starve the peer's service entirely, so after
-        // `RX_SKIP_LIMIT` consecutive skips the caller blocks and takes a
-        // turn (pinned by `bounded_rx_skip_forces_a_blocking_lock`).
+        // API the caller retries by contract. Waiting here would convoy
+        // every spinning waiter behind one receive lock. The skip is
+        // *bounded*, though: the gated pass is not the only poller — an
+        // eviction (`disconnect_locked`) drains both halves of a pair
+        // outside the gate — so a persistently contended lock could
+        // otherwise starve the peer's service, and after `RX_SKIP_LIMIT`
+        // consecutive skips the caller blocks and takes a turn (pinned by
+        // `bounded_rx_skip_forces_a_blocking_lock`).
         let mut rx = match conn.rx.try_lock() {
             Some(g) => {
                 conn.rx_skips.store(0, Ordering::Relaxed);
@@ -216,14 +146,13 @@ impl Photon {
             None => {
                 if conn.rx_skips.fetch_add(1, Ordering::Relaxed) + 1 < RX_SKIP_LIMIT {
                     Stats::bump(&self.stats.rx_lock_skips);
-                    return Ok(0);
+                    return Ok(());
                 }
                 conn.rx_skips.store(0, Ordering::Relaxed);
                 Stats::bump(&self.stats.rx_lock_waits);
                 conn.rx.lock()
             }
         };
-        let mut routed = 0usize;
         // Credit returns are *coalesced* across the whole pass: every time
         // an interval fires we capture the latest `(consumed, cursor)` pair,
         // but only the final capture is written. The end state the producer
@@ -251,7 +180,6 @@ impl Photon {
             if n == 0 {
                 break;
             }
-            routed += n;
             // `credit_due` is a stateful threshold check against the total
             // consumed count, so one check per drained batch fires iff a
             // per-entry check would have fired somewhere inside it — and
@@ -320,7 +248,6 @@ impl Photon {
             if got == 0 {
                 break;
             }
-            routed += got;
             if let Some(e) = err {
                 // Publish whatever routed cleanly before surfacing the
                 // error; staged events must not sit in the scratch while
@@ -354,10 +281,10 @@ impl Photon {
         // per peer instead of one lock per event.
         self.remote_events.push_drain(j, &mut rx.ev_scratch);
         // The credit write happens while the receive lock is still held:
-        // the words are *absolute* counters, so two writers racing (a
-        // progress thread and an inline help-pumper) could publish a stale
-        // pair after a newer one, silently re-crediting consumed slots to
-        // the producer. Serializing through the rx guard makes each peer's
+        // the words are *absolute* counters, so two writers racing (the
+        // gated pass and an eviction drain) could publish a stale pair
+        // after a newer one, silently re-crediting consumed slots to the
+        // producer. Serializing through the rx guard makes each peer's
         // credit stream monotone. Lock order stays acyclic: the write path
         // takes only the stage/MR locks, which are never held around an rx
         // acquisition.
@@ -365,7 +292,7 @@ impl Photon {
             self.return_credits(conn, lc, rc)?;
         }
         drop(rx);
-        Ok(routed)
+        Ok(())
     }
 
     /// [`MrTable::resolve`] for `REMOTE_WRITE`, memoized through a one-entry

@@ -896,7 +896,7 @@ impl Photon {
         let mut rids = pool_take(&self.rid_vec_pool);
         rids.extend(items.iter().map(|it| it.local_rid));
         // Register the fan-out side table *before* posting: once the
-        // doorbell rings, a progress thread may harvest the CQE immediately.
+        // doorbell rings, another thread's progress pass may harvest the CQE.
         let wr_id = self.wr_table.insert(BATCH_RID, peer);
         self.batch_rids.lock().insert(wr_id, rids);
         let mut wrs = Vec::with_capacity(items.len());

@@ -60,11 +60,6 @@ impl Photon {
             ProbeFlags::Remote => self.remote_events.len() > 0,
             ProbeFlags::Any => self.local_events.len() > 0 || self.remote_events.len() > 0,
         };
-        if queued && self.threads_active.load(Ordering::Relaxed) {
-            // Dedicated progress threads are pumping: a probe with events
-            // already queued is a pure consumer and pays nothing at all.
-            return Ok(());
-        }
         if !queued || self.probe_ticks.fetch_add(1, Ordering::Relaxed) & 7 == 0 {
             self.progress()?;
         }
@@ -88,8 +83,8 @@ impl Photon {
     }
 
     fn wait_local_inner(&self, rid: u64, timeout: Duration) -> Result<VTime> {
-        // Consumer-first fast path: a completion already harvested — by a
-        // dedicated progress thread or an earlier pass — is taken with no
+        // Consumer-first fast path: a completion already harvested — by an
+        // earlier pass, ours or another thread's — is taken with no
         // progress work at all.
         if let Some((ts, status)) = self.local_events.take_rid(rid) {
             return self.finish_local(rid, ts, status);

@@ -341,6 +341,8 @@ pub(crate) fn decode_reply(buf: &[u8]) -> Result<(u64, u8, &[u8]), WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
 
     fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(v: T) {
         assert_eq!(T::from_bytes(&v.to_bytes().unwrap()).unwrap(), v);
@@ -442,5 +444,105 @@ mod tests {
         let enc = encode_reply(7, ST_OK, b"body");
         assert_eq!(decode_reply(&enc).unwrap(), (7, ST_OK, &b"body"[..]));
         assert_eq!(decode_reply(&enc[..5]), Err(WireError::Malformed));
+    }
+
+    /// Counts this thread's heap allocations, so a decoder can be shown to
+    /// reject a huge length prefix *before* allocating for it. Per thread:
+    /// the other tests in this binary allocate concurrently.
+    struct CountingAlloc;
+
+    thread_local! {
+        static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    // SAFETY: every call forwards to `System` unchanged; the counter is a
+    // const-initialised thread local without a destructor, so touching it
+    // neither allocates nor fails.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            ALLOCS.with(|n| n.set(n.get() + 1));
+            System.alloc(layout)
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+    /// Fixed header bytes of a request / reply envelope.
+    const REQ_HDR: usize = 8 + 4 + 8 + 8 + 1 + 8;
+    const REP_HDR: usize = 8 + 1;
+
+    /// `part` lies inside `input`, by pointer range.
+    fn within(part: &[u8], input: &[u8]) -> bool {
+        let (lo, at) = (input.as_ptr() as usize, part.as_ptr() as usize);
+        at >= lo && at + part.len() <= lo + input.len()
+    }
+
+    /// `v` round-trips, and every strict prefix of its encoding is
+    /// `Malformed` (every byte of a [`Wire`] encoding is load-bearing).
+    fn prefixes_fail<T: Wire + PartialEq + std::fmt::Debug>(
+        v: T,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let enc = v.to_bytes().unwrap();
+        proptest::prop_assert_eq!(T::from_bytes(&enc), Ok(v));
+        for cut in 0..enc.len() {
+            proptest::prop_assert_eq!(T::from_bytes(&enc[..cut]), Err(WireError::Malformed));
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes never panic a decoder; the envelope decoders
+        /// hand back views into the input rather than copies; strict
+        /// prefixes of valid encodings are `Malformed`; and a `u32::MAX`
+        /// length prefix is refused before anything is allocated for it.
+        #[test]
+        fn decoders_are_total_and_bounded(
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
+            body in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..24),
+            corr in proptest::prelude::any::<u64>(),
+        ) {
+            if let Ok(env) = decode_request(&noise) {
+                proptest::prop_assert_eq!(env.req.len(), noise.len() - REQ_HDR);
+                proptest::prop_assert!(within(env.req, &noise));
+            }
+            if let Ok((_, _, rest)) = decode_reply(&noise) {
+                proptest::prop_assert_eq!(rest.len(), noise.len() - REP_HDR);
+                proptest::prop_assert!(within(rest, &noise));
+            }
+            let _ = Vec::<u8>::from_bytes(&noise);
+            let _ = String::from_bytes(&noise);
+            let _ = Option::<Vec<u8>>::from_bytes(&noise);
+            let _ = <(u64, Vec<u8>, String)>::from_bytes(&noise);
+            let _ = <(u8, u32, u64, Option<bool>)>::from_bytes(&noise);
+            let _ = <(Option<String>, Vec<u8>)>::from_bytes(&noise);
+
+            let text: String = body.iter().map(|b| char::from(b'a' + b % 26)).collect();
+            prefixes_fail(body.clone())?;
+            prefixes_fail(text.clone())?;
+            prefixes_fail(Some(body.clone()))?;
+            prefixes_fail(Option::<String>::None)?;
+            prefixes_fail((corr, body.clone(), text.clone()))?;
+            prefixes_fail((Some(text), body.clone()))?;
+            let req = encode_request(corr, 1, 2, 3, 4, 5, &body);
+            let rep = encode_reply(corr, ST_OK, &body);
+            for cut in 0..REQ_HDR {
+                proptest::prop_assert_eq!(decode_request(&req[..cut]), Err(WireError::Malformed));
+            }
+            for cut in 0..REP_HDR {
+                proptest::prop_assert_eq!(decode_reply(&rep[..cut]), Err(WireError::Malformed));
+            }
+
+            let mut huge = u32::MAX.to_le_bytes().to_vec();
+            huge.extend_from_slice(&noise);
+            let before = ALLOCS.with(Cell::get);
+            let (v, s) = (Vec::<u8>::from_bytes(&huge), String::from_bytes(&huge));
+            let allocs = ALLOCS.with(Cell::get) - before;
+            proptest::prop_assert_eq!((v, s), (Err(WireError::Malformed), Err(WireError::Malformed)));
+            proptest::prop_assert_eq!(allocs, 0);
+        }
     }
 }

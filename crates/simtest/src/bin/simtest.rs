@@ -19,7 +19,7 @@ fn usage() -> ! {
     // `Campaign::from_name` accepts.
     let names: Vec<&str> = Campaign::all().iter().map(|c| c.name()).collect();
     eprintln!(
-        "usage: simtest <{}|all> [--cases N] [--seed S] [--jobs N] [--no-shrink] [--progress-threads N]\n\
+        "usage: simtest <{}|all> [--cases N] [--seed S] [--jobs N] [--no-shrink]\n\
          \x20      SIMTEST_SEED=0x.. SIMTEST_CASE=n simtest replay <campaign>\n\
          \x20      SIMTEST_SEED=0x.. SIMTEST_CASE=n simtest show <campaign>\n\
          Campaigns: {}",
@@ -65,9 +65,6 @@ fn parse_opts(args: &[String]) -> CampaignOpts {
             "--seed" => opts.seed = num("--seed"),
             "--jobs" => opts.jobs = num("--jobs") as usize,
             "--no-shrink" => opts.shrink = false,
-            "--progress-threads" => {
-                opts.progress_threads = num("--progress-threads") as usize;
-            }
             other => {
                 eprintln!("unknown flag '{other}'");
                 usage();

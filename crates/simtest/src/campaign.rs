@@ -123,26 +123,11 @@ pub struct CampaignOpts {
     /// Regression corpus path; `None` uses the committed default and
     /// silently skips a missing file.
     pub corpus: Option<PathBuf>,
-    /// Dedicated progress threads per simulated cluster
-    /// (`PhotonConfig::progress_threads`). Applies to schedule-based cases
-    /// only — the rpc/ds/msg/runtime drivers keep their own configs. With
-    /// threads enabled, completion fan-out timing is real-thread timing, so
-    /// case digests are not run-to-run stable; invariants and verdicts are
-    /// what threaded campaigns gate on. `0` (the default) keeps the fully
-    /// deterministic inline executor.
-    pub progress_threads: usize,
 }
 
 impl Default for CampaignOpts {
     fn default() -> Self {
-        CampaignOpts {
-            cases: 50,
-            seed: 0x5EED,
-            jobs: 4,
-            shrink: true,
-            corpus: None,
-            progress_threads: 0,
-        }
+        CampaignOpts { cases: 50, seed: 0x5EED, jobs: 4, shrink: true, corpus: None }
     }
 }
 
@@ -256,18 +241,6 @@ pub fn is_schedule_case(campaign: Campaign, case_id: u64) -> bool {
 /// runtime-layer driver cases into the stream, and every other id (and
 /// every other campaign) runs the schedule executor.
 pub fn run_one(campaign: Campaign, seed: u64, case_id: u64) -> CaseReport {
-    run_one_opts(campaign, seed, case_id, 0)
-}
-
-/// [`run_one`] with the campaign's progress-thread override. Only
-/// schedule-based cases take the override (the rpc/ds/msg/runtime drivers
-/// construct their own configurations); `0` means inline progress.
-pub fn run_one_opts(
-    campaign: Campaign,
-    seed: u64,
-    case_id: u64,
-    progress_threads: usize,
-) -> CaseReport {
     if campaign == Campaign::Rpc {
         run_rpc_case(seed, case_id, &campaign.params())
     } else if campaign == Campaign::Ds {
@@ -275,9 +248,7 @@ pub fn run_one_opts(
     } else if campaign == Campaign::Churn {
         run_churn_case(seed, case_id, &campaign.params())
     } else if is_schedule_case(campaign, case_id) {
-        crate::exec::run_case_cfg(seed, case_id, &campaign.params(), |cfg| {
-            cfg.progress_threads = progress_threads
-        })
+        crate::exec::run_case(seed, case_id, &campaign.params())
     } else if case_id % 8 == 3 {
         run_msg_case(seed, case_id)
     } else {
@@ -369,7 +340,7 @@ pub fn run_campaign(campaign: Campaign, opts: &CampaignOpts) -> CampaignResult {
         .map(|(_, s, c)| (s, c))
         .collect();
     for &(seed, case_id) in &corpus {
-        let rep = run_one_opts(campaign, seed, case_id, opts.progress_threads);
+        let rep = run_one(campaign, seed, case_id);
         if !rep.passed() {
             failures.push(failure_from(campaign, &rep, opts.shrink));
         }
@@ -388,7 +359,7 @@ pub fn run_campaign(campaign: Campaign, opts: &CampaignOpts) -> CampaignResult {
                 if id >= total {
                     break;
                 }
-                let rep = run_one_opts(campaign, opts.seed, id, opts.progress_threads);
+                let rep = run_one(campaign, opts.seed, id);
                 *slots[id as usize].lock().expect("slot lock") = Some(rep);
             });
         }
@@ -462,7 +433,6 @@ mod tests {
             jobs,
             shrink: false,
             corpus: Some(PathBuf::from("/nonexistent")),
-            progress_threads: 0,
         };
         let a = run_campaign(Campaign::Smoke, &mk(1));
         let b = run_campaign(Campaign::Smoke, &mk(3));
@@ -500,33 +470,11 @@ mod tests {
             jobs: 2,
             shrink: false,
             corpus: Some(PathBuf::from("/nonexistent")),
-            progress_threads: 0,
         };
         let r = run_campaign(Campaign::Quiescence, &opts);
         assert!(r.passed(), "{}", r.summary());
         assert!(!is_schedule_case(Campaign::Quiescence, 3));
         assert!(!is_schedule_case(Campaign::Quiescence, 6));
         assert!(is_schedule_case(Campaign::Smoke, 3));
-    }
-
-    #[test]
-    fn threaded_campaigns_uphold_invariants() {
-        // Smoke and crash campaigns with the dedicated progress engine on:
-        // every case's invariant checkers (integrity, quiescence, credits,
-        // all-ops-resolve) must hold with background harvest threads racing
-        // the executor sweep. Digests are not compared against inline runs —
-        // threaded fan-out timing is real-thread timing.
-        let opts = CampaignOpts {
-            cases: 6,
-            seed: 0x7EAD,
-            jobs: 2,
-            shrink: false,
-            corpus: Some(PathBuf::from("/nonexistent")),
-            progress_threads: 2,
-        };
-        for c in [Campaign::Smoke, Campaign::Crash] {
-            let r = run_campaign(c, &opts);
-            assert!(r.passed(), "{}", r.summary());
-        }
     }
 }

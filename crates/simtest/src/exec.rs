@@ -90,21 +90,6 @@ pub fn run_case(seed: u64, case_id: u64, params: &SimParams) -> CaseReport {
     run_schedule(&Schedule::generate(seed, case_id, params))
 }
 
-/// Generate and execute the case `(seed, case_id)` with a configuration
-/// override on top of the schedule's own config — e.g. enabling the
-/// dedicated progress engine (`cfg.progress_threads = 2`). With progress
-/// threads active, completion fan-out timing is no longer pinned by the
-/// round-robin sweep, so the report's digest is not run-to-run stable;
-/// invariants and verdicts still hold and are what threaded runs assert.
-pub fn run_case_cfg(
-    seed: u64,
-    case_id: u64,
-    params: &SimParams,
-    mutate: impl FnOnce(&mut PhotonConfig),
-) -> CaseReport {
-    run_schedule_cfg(&Schedule::generate(seed, case_id, params), mutate)
-}
-
 /// Execute an explicit schedule (shrinker entry point). Tracing on.
 pub fn run_schedule(sched: &Schedule) -> CaseReport {
     run_schedule_cfg(sched, |_| {})
@@ -1694,38 +1679,6 @@ mod tests {
             "ops across the dead link must resolve as errors; got {}",
             rep.resolved_err
         );
-    }
-
-    #[test]
-    fn progress_threads_uphold_invariants_on_smoke_schedules() {
-        // Same generated smoke cases as above, but with the dedicated
-        // progress engine harvesting CQEs from two background threads. The
-        // executor's sweep becomes a pure consumer of the sharded queues;
-        // every integrity/quiescence/credit checker must still pass. Digests
-        // are deliberately NOT compared — fan-out timing is now real-thread
-        // timing.
-        let p = SimParams::smoke();
-        for case in 0..4 {
-            let s = Schedule::generate(0xABCD, case, &p);
-            let rep = run_schedule_cfg(&s, |cfg| cfg.progress_threads = 2);
-            assert!(rep.passed(), "threaded case {case}: {:?}\n{s}", rep.violations);
-        }
-    }
-
-    #[test]
-    fn progress_threads_uphold_invariants_under_crash_chaos() {
-        // Kill/partition chaos with background harvest threads racing the
-        // sweep: all-ops-resolve and the error-completion contract must hold
-        // exactly as in inline mode.
-        let p = SimParams::crash();
-        for case in 0..4 {
-            let s = Schedule::generate(0xC1C5, case, &p);
-            let rep = run_schedule_cfg(&s, |cfg| cfg.progress_threads = 2);
-            assert!(rep.passed(), "threaded crash case {case}: {:?}\n{s}", rep.violations);
-        }
-        let rep = run_schedule_cfg(&kill_schedule(), |cfg| cfg.progress_threads = 2);
-        assert!(rep.passed(), "violations: {:?}", rep.violations);
-        assert!(rep.resolved_err >= 3, "got {} error resolutions", rep.resolved_err);
     }
 
     #[test]

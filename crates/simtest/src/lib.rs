@@ -49,7 +49,7 @@ pub mod shrink;
 pub use campaign::{run_campaign, Campaign, CampaignOpts, CampaignResult, CaseFailure};
 pub use checkers::Violations;
 pub use churn_driver::{run_churn_case, run_churn_case_metrics, ChurnMetrics};
-pub use exec::{run_case, run_case_cfg, run_schedule, run_schedule_cfg, CaseReport};
+pub use exec::{run_case, run_schedule, run_schedule_cfg, CaseReport};
 pub use schedule::{FaultSpec, Op, Schedule, SimParams};
 pub use shrink::{shrink_schedule, shrink_schedule_cfg, Shrunk};
 

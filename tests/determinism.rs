@@ -115,14 +115,7 @@ fn simtest_campaign_digest_is_thread_count_independent() {
     let run = |jobs| {
         run_campaign(
             Campaign::Smoke,
-            &CampaignOpts {
-                cases: 10,
-                seed: 0x0DE7_E122,
-                jobs,
-                shrink: false,
-                corpus: None,
-                progress_threads: 0,
-            },
+            &CampaignOpts { cases: 10, seed: 0x0DE7_E122, jobs, shrink: false, corpus: None },
         )
     };
     let a = run(1);
@@ -155,14 +148,7 @@ fn campaign_digests_match_recorded() {
     for (campaign, want) in recorded {
         let r = run_campaign(
             campaign,
-            &CampaignOpts {
-                cases: 20,
-                seed: 0xC1C1,
-                jobs: 2,
-                shrink: false,
-                corpus: None,
-                progress_threads: 0,
-            },
+            &CampaignOpts { cases: 20, seed: 0xC1C1, jobs: 2, shrink: false, corpus: None },
         );
         assert!(r.passed(), "{}", r.summary());
         assert_eq!(

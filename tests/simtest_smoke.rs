@@ -22,7 +22,6 @@ fn smoke_campaign_two_hundred_cases() {
         jobs: 8,
         shrink: true,
         corpus: None, // replay the committed corpus first
-        progress_threads: 0,
     };
     let r = run_campaign(Campaign::Smoke, &opts);
     assert_eq!(r.cases_run, 200);
@@ -32,14 +31,7 @@ fn smoke_campaign_two_hundred_cases() {
 #[test]
 fn credits_campaign_under_tiny_windows() {
     // Every case on the tiny config: ledger/ring backpressure on each op.
-    let opts = CampaignOpts {
-        cases: 40,
-        seed: 0x0707_0E58,
-        jobs: 8,
-        shrink: true,
-        corpus: None,
-        progress_threads: 0,
-    };
+    let opts = CampaignOpts { cases: 40, seed: 0x0707_0E58, jobs: 8, shrink: true, corpus: None };
     let r = run_campaign(Campaign::Credits, &opts);
     assert!(r.passed(), "{}", r.summary());
 }
@@ -50,14 +42,7 @@ fn crash_campaign_every_op_resolves() {
     // mid-traffic. The all-ops-resolve checker turns any hang into a named
     // violation; pending ops on a dead peer must surface as error
     // completions and survivors keep exactly-once + payload integrity.
-    let opts = CampaignOpts {
-        cases: 100,
-        seed: 0xC1C5,
-        jobs: 8,
-        shrink: true,
-        corpus: None,
-        progress_threads: 0,
-    };
+    let opts = CampaignOpts { cases: 100, seed: 0xC1C5, jobs: 8, shrink: true, corpus: None };
     let r = run_campaign(Campaign::Crash, &opts);
     assert!(r.passed(), "{}", r.summary());
 }
