@@ -8,11 +8,13 @@
 //! ```
 //!
 //! The campaign names are those of [`Campaign::all`]; the usage text (run
-//! with no arguments) lists them. Exit status is 1 when any case fails, so
+//! with no arguments) lists them. `replay` and `show` name the case's
+//! [`Driver`]; `show` prints the generated schedule only for the drivers
+//! that run one. Exit status is 1 when any case fails, so
 //! the binary gates CI directly.
 
 use photon_simtest::campaign::{dump_span_trace, parse_u64, run_one};
-use photon_simtest::{run_campaign, Campaign, CampaignOpts, Schedule};
+use photon_simtest::{run_campaign, Campaign, CampaignOpts, Driver, Schedule};
 
 fn usage() -> ! {
     // Built from `Campaign::all()` so the list cannot drift from what
@@ -82,17 +84,22 @@ fn main() {
         "replay" => {
             let campaign = campaign_arg(&args[1..]);
             let (seed, case_id) = env_case();
+            let driver = campaign.driver(case_id);
             let rep = run_one(campaign, seed, case_id);
+            let case =
+                format!("case ({seed:#x}, {case_id}) of {} ({driver:?} driver)", campaign.name());
             if rep.passed() {
+                // Only the executor and the churn stepper count sweeps.
+                let sweeps = match driver {
+                    Driver::Executor | Driver::Churn => format!("{} sweeps, ", rep.sweeps),
+                    _ => String::new(),
+                };
                 println!(
-                    "case ({seed:#x}, {case_id}) of {} PASSED (digest {:#018x}, {} sweeps, {} resolved-as-error)",
-                    campaign.name(),
-                    rep.digest,
-                    rep.sweeps,
-                    rep.resolved_err
+                    "{case} PASSED (digest {:#018x}, {sweeps}{} resolved-as-error)",
+                    rep.digest, rep.resolved_err
                 );
             } else {
-                println!("case ({seed:#x}, {case_id}) of {} FAILED:", campaign.name());
+                println!("{case} FAILED:");
                 for v in &rep.violations {
                     println!("  - {v}");
                 }
@@ -105,7 +112,15 @@ fn main() {
         "show" => {
             let campaign = campaign_arg(&args[1..]);
             let (seed, case_id) = env_case();
-            println!("{}", Schedule::generate(seed, case_id, &campaign.params()));
+            let driver = campaign.driver(case_id);
+            if driver.reads_schedule() {
+                println!("{}", Schedule::generate(seed, case_id, &campaign.params()));
+            } else {
+                println!(
+                    "case ({seed:#x}, {case_id}) of {} runs the {driver:?} driver, which reads no schedule",
+                    campaign.name()
+                );
+            }
         }
         "all" => {
             let opts = parse_opts(&args[1..]);

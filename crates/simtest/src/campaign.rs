@@ -5,8 +5,9 @@
 //! shared counter but results are collected in id order, so the campaign
 //! digest is independent of `--jobs`. Failures carry a one-line reproducer
 //! (`SIMTEST_SEED=… SIMTEST_CASE=… cargo run -q -p photon-simtest --bin
-//! simtest -- replay <campaign>`) and, for schedule-based cases, a shrunk
-//! schedule.
+//! simtest -- replay <campaign>`) and, for executor cases, a shrunk
+//! schedule. [`Campaign::driver`] is the one place that decides which
+//! driver runs a case.
 //!
 //! Before generated cases run, known-bad seeds from the committed corpus
 //! (`proptest-regressions/simtest.txt`) for this campaign are replayed, so
@@ -14,7 +15,7 @@
 
 use crate::churn_driver::run_churn_case;
 use crate::ds_driver::run_ds_case;
-use crate::exec::CaseReport;
+use crate::exec::{run_case, CaseReport};
 use crate::fnv1a;
 use crate::msg_driver::run_msg_case;
 use crate::rpc_driver::run_rpc_case;
@@ -75,18 +76,24 @@ impl Campaign {
         ]
     }
 
+    /// The routing table: CLI name, generator preset and driver of every
+    /// campaign, written once.
+    fn row(self) -> (&'static str, fn() -> SimParams, Driver) {
+        match self {
+            Campaign::Smoke => ("smoke", SimParams::smoke, Driver::Executor),
+            Campaign::Credits => ("credits", SimParams::credits, Driver::Executor),
+            Campaign::Faults => ("faults", SimParams::faults, Driver::Executor),
+            Campaign::Quiescence => ("quiescence", SimParams::quiescence, Driver::Executor),
+            Campaign::Crash => ("crash", SimParams::crash, Driver::Executor),
+            Campaign::Rpc => ("rpc", SimParams::rpc, Driver::Rpc),
+            Campaign::Ds => ("ds", SimParams::ds, Driver::Ds),
+            Campaign::Churn => ("churn", SimParams::churn, Driver::Churn),
+        }
+    }
+
     /// The CLI name.
     pub fn name(self) -> &'static str {
-        match self {
-            Campaign::Smoke => "smoke",
-            Campaign::Credits => "credits",
-            Campaign::Faults => "faults",
-            Campaign::Quiescence => "quiescence",
-            Campaign::Crash => "crash",
-            Campaign::Rpc => "rpc",
-            Campaign::Ds => "ds",
-            Campaign::Churn => "churn",
-        }
+        self.row().0
     }
 
     /// Parse a CLI name.
@@ -94,18 +101,46 @@ impl Campaign {
         Campaign::all().into_iter().find(|c| c.name() == s)
     }
 
-    /// Generator bounds for this campaign's schedule-based cases.
+    /// Generator bounds for this campaign's cases.
     pub fn params(self) -> SimParams {
-        match self {
-            Campaign::Smoke => SimParams::smoke(),
-            Campaign::Credits => SimParams::credits(),
-            Campaign::Faults => SimParams::faults(),
-            Campaign::Quiescence => SimParams::quiescence(),
-            Campaign::Crash => SimParams::crash(),
-            Campaign::Rpc => SimParams::rpc(),
-            Campaign::Ds => SimParams::ds(),
-            Campaign::Churn => SimParams::churn(),
+        (self.row().1)()
+    }
+
+    /// The driver that runs case `case_id`. The quiescence stream
+    /// interleaves msg-layer and runtime-layer cases into its executor
+    /// cases.
+    pub fn driver(self, case_id: u64) -> Driver {
+        match (self, case_id % 8) {
+            (Campaign::Quiescence, 3) => Driver::Msg,
+            (Campaign::Quiescence, 6) => Driver::Runtime,
+            _ => self.row().2,
         }
+    }
+}
+
+/// The code that runs one case.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Driver {
+    /// The deterministic schedule executor over Photon core ([`crate::exec`]);
+    /// the only driver whose failures shrink.
+    Executor,
+    /// The deterministic two-sided stepper ([`crate::msg_driver`]).
+    Msg,
+    /// The threaded parcel-cascade driver ([`crate::rt_driver`]).
+    Runtime,
+    /// The threaded KV-over-RPC driver ([`crate::rpc_driver`]).
+    Rpc,
+    /// The threaded DHT/queue driver ([`crate::ds_driver`]).
+    Ds,
+    /// The single-threaded membership-churn stepper ([`crate::churn_driver`]).
+    Churn,
+}
+
+impl Driver {
+    /// True when the driver runs the case's generated [`Schedule`]; the
+    /// others derive their own workload from `(seed, case_id)`.
+    pub fn reads_schedule(self) -> bool {
+        matches!(self, Driver::Executor | Driver::Rpc | Driver::Ds)
     }
 }
 
@@ -225,34 +260,17 @@ impl CampaignResult {
     }
 }
 
-/// True when `(campaign, case_id)` dispatches to the schedule-based
-/// Photon-core executor (and is therefore shrinkable). Rpc cases always
-/// run the threaded rpc driver instead.
-pub fn is_schedule_case(campaign: Campaign, case_id: u64) -> bool {
-    match campaign {
-        Campaign::Rpc | Campaign::Ds | Campaign::Churn => false,
-        Campaign::Quiescence => !(case_id % 8 == 3 || case_id % 8 == 6),
-        _ => true,
-    }
-}
-
-/// Run one case exactly as a campaign would: rpc campaigns dispatch to the
-/// threaded rpc driver, the quiescence campaign interleaves msg-layer and
-/// runtime-layer driver cases into the stream, and every other id (and
-/// every other campaign) runs the schedule executor.
+/// Run one case exactly as a campaign would, on the driver
+/// [`Campaign::driver`] picks.
 pub fn run_one(campaign: Campaign, seed: u64, case_id: u64) -> CaseReport {
-    if campaign == Campaign::Rpc {
-        run_rpc_case(seed, case_id, &campaign.params())
-    } else if campaign == Campaign::Ds {
-        run_ds_case(seed, case_id, &campaign.params())
-    } else if campaign == Campaign::Churn {
-        run_churn_case(seed, case_id, &campaign.params())
-    } else if is_schedule_case(campaign, case_id) {
-        crate::exec::run_case(seed, case_id, &campaign.params())
-    } else if case_id % 8 == 3 {
-        run_msg_case(seed, case_id)
-    } else {
-        run_runtime_case(seed, case_id)
+    let params = campaign.params();
+    match campaign.driver(case_id) {
+        Driver::Executor => run_case(seed, case_id, &params),
+        Driver::Msg => run_msg_case(seed, case_id),
+        Driver::Runtime => run_runtime_case(seed, case_id),
+        Driver::Rpc => run_rpc_case(seed, case_id, &params),
+        Driver::Ds => run_ds_case(seed, case_id, &params),
+        Driver::Churn => run_churn_case(seed, case_id, &params),
     }
 }
 
@@ -308,7 +326,7 @@ pub fn dump_span_trace(campaign: &str, rep: &CaseReport) -> Option<PathBuf> {
 }
 
 fn failure_from(campaign: Campaign, rep: &CaseReport, shrink: bool) -> CaseFailure {
-    let shrunk = if shrink && is_schedule_case(campaign, rep.case_id) {
+    let shrunk = if shrink && campaign.driver(rep.case_id) == Driver::Executor {
         let sched = Schedule::generate(rep.seed, rep.case_id, &campaign.params());
         shrink_schedule(&sched, 128).map(|s| {
             format!("{} (shrunk from {} ops in {} runs)", s.schedule, sched.ops.len(), s.runs_used)
@@ -473,8 +491,43 @@ mod tests {
         };
         let r = run_campaign(Campaign::Quiescence, &opts);
         assert!(r.passed(), "{}", r.summary());
-        assert!(!is_schedule_case(Campaign::Quiescence, 3));
-        assert!(!is_schedule_case(Campaign::Quiescence, 6));
-        assert!(is_schedule_case(Campaign::Smoke, 3));
+    }
+
+    #[test]
+    fn routing_table_picks_each_cases_driver() {
+        use Driver::*;
+        let expected = [
+            (Campaign::Smoke, Executor),
+            (Campaign::Credits, Executor),
+            (Campaign::Faults, Executor),
+            (Campaign::Quiescence, Executor),
+            (Campaign::Crash, Executor),
+            (Campaign::Rpc, Rpc),
+            (Campaign::Ds, Ds),
+            (Campaign::Churn, Churn),
+        ];
+        assert_eq!(expected.map(|(c, _)| c), Campaign::all());
+        for (campaign, driver) in expected {
+            for id in 0..16 {
+                let want = match (campaign, id % 8) {
+                    (Campaign::Quiescence, 3) => Msg,
+                    (Campaign::Quiescence, 6) => Runtime,
+                    _ => driver,
+                };
+                assert_eq!(campaign.driver(id), want, "{} case {id}", campaign.name());
+            }
+        }
+        // The shrinker re-runs edited schedules through the executor, which
+        // cannot run an rpc or ds schedule at all: a failure of any other
+        // driver must come back unshrunk, without a re-run.
+        for (campaign, id) in [(Campaign::Quiescence, 3), (Campaign::Quiescence, 6)]
+            .into_iter()
+            .chain([Campaign::Rpc, Campaign::Ds, Campaign::Churn].map(|c| (c, 0)))
+        {
+            let mut v = crate::Violations::default();
+            v.push("synthetic".into());
+            let rep = CaseReport::verdict(0x5EED, id, v, "");
+            assert!(failure_from(campaign, &rep, true).shrunk.is_none());
+        }
     }
 }

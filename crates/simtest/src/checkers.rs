@@ -48,12 +48,11 @@ pub struct RankTally {
     pub sends: u64,
     /// Successful eager-path PWC posts.
     pub puts_eager: u64,
-    /// Successful direct-path PWC posts.
+    /// Successful direct-path PWC posts, plus the plain puts that move
+    /// rendezvous data (core counts both as `puts_direct`).
     pub puts_direct: u64,
     /// Gets posted.
     pub gets: u64,
-    /// Plain puts posted (rendezvous data movement).
-    pub puts_plain: u64,
     /// Local completion events surfaced to the harness.
     pub local_events: u64,
     /// Remote completion events surfaced to the harness.

@@ -34,7 +34,7 @@
 use crate::checkers::Violations;
 use crate::exec::CaseReport;
 use crate::schedule::SimParams;
-use crate::{fnv1a, splitmix64};
+use crate::splitmix64;
 use photon_core::{
     Completion, CompletionClass, MemberStatus, Membership, MembershipConfig, PhotonCluster,
     PhotonConfig, PhotonError, ProbeFlags,
@@ -447,21 +447,10 @@ pub fn run_churn_case_metrics(
         let _ = write!(digest_src, "{r}:{h:x};");
     }
 
-    let resolved_err = m.resolved_err;
-    (
-        CaseReport {
-            seed,
-            case_id,
-            violations: violations.into_items(),
-            digest: fnv1a(digest_src.as_bytes()),
-            sweeps: steps as u64,
-            resolved_err,
-            stats: Vec::new(),
-            trace_csv: Vec::new(),
-            span_json: String::new(),
-        },
-        m,
-    )
+    let mut rep = CaseReport::verdict(seed, case_id, violations, &digest_src);
+    rep.sweeps = steps as u64;
+    rep.resolved_err = m.resolved_err;
+    (rep, m)
 }
 
 /// Wait for the put's remote completion at `dst` and verify the payload

@@ -30,12 +30,11 @@
 //! asserted — a crashed owner takes undrained elements with it.
 
 use crate::checkers::Violations;
+use crate::clients::{self, token_of, with_clients};
 use crate::exec::CaseReport;
-use crate::fnv1a;
-use crate::schedule::{FaultSpec, Op, Schedule, SimParams};
+use crate::schedule::{Op, Schedule, SimParams};
 use photon_ds::{AccessPath, DQueue, DQueueConfig, Dht, DhtConfig, DsError};
-use photon_fabric::{NetworkModel, VTime, Window};
-use photon_runtime::{ActionRegistry, RtConfig, RtError, RuntimeCluster};
+use photon_runtime::{RtError, RuntimeCluster};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -178,12 +177,6 @@ fn classify(err: &DsError) -> Resolution {
     }
 }
 
-/// The unique mutation value for op `idx` (never 0; doubles as the queue
-/// payload token).
-fn token_of(idx: usize) -> u64 {
-    1 + idx as u64
-}
-
 /// The access path for a schedule op: the at-most-once policy band maps to
 /// one-sided RDMA so roughly half of all traffic exercises each path.
 fn path_of(policy: u8) -> AccessPath {
@@ -209,130 +202,25 @@ struct Recorded {
 /// only stable facts (shape + verdicts), like the rpc driver's.
 pub fn run_ds_case(seed: u64, case_id: u64, params: &SimParams) -> CaseReport {
     let sched = Schedule::generate(seed, case_id, params);
-    let n = sched.nodes;
-    let model = match sched.model {
-        0 => NetworkModel::ideal(),
-        1 => NetworkModel::ib_fdr(),
-        _ => NetworkModel::ethernet_10g(),
-    };
-    let cluster = RuntimeCluster::new(
-        n,
-        model,
-        RtConfig { photon: sched.cfg, ..RtConfig::default() },
-        ActionRegistry::new(),
-    );
-
-    // Fault plan + chaos ops install before any traffic, as everywhere.
-    {
-        let faults = cluster.photon().fabric().switch().faults();
-        faults.set_jitter_seed(seed ^ case_id);
-        for f in &sched.faults {
-            match *f {
-                FaultSpec::DegradeLink { src, dst, extra_ns, from_ns, until_ns } => {
-                    faults.degrade_link_during(
-                        src,
-                        dst,
-                        extra_ns,
-                        Window::new(VTime(from_ns), VTime(until_ns)),
-                    );
-                }
-                FaultSpec::StraggleNode { node, extra_ns, from_ns, until_ns } => {
-                    faults.straggle_node_during(
-                        node,
-                        extra_ns,
-                        Window::new(VTime(from_ns), VTime(until_ns)),
-                    );
-                }
-                FaultSpec::Jitter { bound_ns, seed, from_ns, until_ns } => {
-                    faults.set_jitter_seed(seed);
-                    faults
-                        .set_jitter_during(bound_ns, Window::new(VTime(from_ns), VTime(until_ns)));
-                }
-            }
-        }
-        for op in &sched.ops {
-            match *op {
-                Op::CrashNode { node, at_ns } => faults.kill_node_at(node, VTime(at_ns)),
-                Op::Partition { a, b, from_ns, until_ns } => {
-                    faults.partition_during(a, b, Window::new(VTime(from_ns), VTime(until_ns)));
-                }
-                _ => {}
-            }
-        }
-    }
-
-    let mut per_client: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, op) in sched.ops.iter().enumerate() {
-        if let Op::RpcCall { client, .. } = *op {
-            per_client[client].push(i);
-        }
-    }
-
+    let cluster = clients::boot(&sched);
     // Every fourth case drives the queue; the rest drive the DHT.
-    let violations = if case_id % 4 == 3 {
-        run_queue_case(&cluster, &sched, &per_client)
+    let (flavor, violations) = if case_id % 4 == 3 {
+        ("dq", run_queue_case(&cluster, &sched))
     } else {
-        run_dht_case(&cluster, &sched, &per_client)
+        ("dht", run_dht_case(&cluster, &sched))
     };
     cluster.shutdown();
 
-    let flavor = if case_id % 4 == 3 { "dq" } else { "dht" };
-    let digest_src =
-        format!("ds n={n} flavor={flavor} ops={} v={:?}", sched.ops.len(), violations.items());
-    CaseReport {
-        seed,
-        case_id,
-        violations: violations.into_items(),
-        digest: fnv1a(digest_src.as_bytes()),
-        sweeps: 0,
-        resolved_err: 0,
-        stats: Vec::new(),
-        trace_csv: Vec::new(),
-        span_json: String::new(),
-    }
+    let digest_src = format!(
+        "ds n={} flavor={flavor} ops={} v={:?}",
+        sched.nodes,
+        sched.ops.len(),
+        violations.items()
+    );
+    CaseReport::verdict(seed, case_id, violations, &digest_src)
 }
 
-/// Spawn the clock nudger + one worker per client rank, then run the
-/// workload body. Mirrors the rpc driver's threading shape.
-fn with_clients<F>(cluster: &RuntimeCluster, per_client: &[Vec<usize>], body: F)
-where
-    F: Fn(usize, usize) + Sync,
-{
-    let n = cluster.len();
-    let done = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        s.spawn(|| {
-            while !done.load(Ordering::Acquire) {
-                for r in 0..n {
-                    cluster.node(r).photon().elapse(20_000);
-                }
-                std::thread::sleep(Duration::from_micros(500));
-            }
-        });
-        let workers: Vec<_> = (0..n)
-            .filter(|r| !per_client[*r].is_empty())
-            .map(|r| {
-                let (per_client, body) = (&per_client, &body);
-                s.spawn(move || {
-                    for &idx in &per_client[r] {
-                        cluster.node(r).photon().elapse(20_000);
-                        body(r, idx);
-                    }
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().expect("ds client worker");
-        }
-        done.store(true, Ordering::Release);
-    });
-}
-
-fn run_dht_case(
-    cluster: &RuntimeCluster,
-    sched: &Schedule,
-    per_client: &[Vec<usize>],
-) -> Violations {
+fn run_dht_case(cluster: &RuntimeCluster, sched: &Schedule) -> Violations {
     let dht = Dht::new(
         cluster,
         DhtConfig { buckets_per_rank: 64, key_max: 8, val_max: 16, ..DhtConfig::default() },
@@ -344,9 +232,9 @@ fn run_dht_case(
         sched.ops.iter().map(|_| Mutex::new(None)).collect();
     let mut violations = Violations::default();
 
-    with_clients(cluster, per_client, |rank, idx| {
+    with_clients(cluster, sched, |rank, idx| {
         let Op::RpcCall { method, key, policy, .. } = sched.ops[idx] else {
-            unreachable!("per_client holds only call ops");
+            unreachable!("with_clients yields only call ops");
         };
         let node = cluster.node(rank);
         let k = [key];
@@ -420,11 +308,7 @@ fn decode_val(v: Vec<u8>) -> Val {
     u64::from_le_bytes(v.as_slice().try_into().expect("ds values are token u64s"))
 }
 
-fn run_queue_case(
-    cluster: &RuntimeCluster,
-    sched: &Schedule,
-    per_client: &[Vec<usize>],
-) -> Violations {
+fn run_queue_case(cluster: &RuntimeCluster, sched: &Schedule) -> Violations {
     let owner = sched.rpc_server.expect("ds schedules carry an owner rank");
     let q = DQueue::new(
         cluster,
@@ -467,9 +351,9 @@ fn run_queue_case(
             }
         });
 
-        with_clients(cluster, per_client, |rank, idx| {
+        with_clients(cluster, sched, |rank, idx| {
             let Op::RpcCall { policy, .. } = sched.ops[idx] else {
-                unreachable!("per_client holds only call ops");
+                unreachable!("with_clients yields only call ops");
             };
             let node = cluster.node(rank);
             let val = token_of(idx).to_le_bytes();

@@ -18,13 +18,13 @@
 //! are the classic cause of protocol livelock.
 
 use crate::checkers::{self, RankTally, Violations};
-use crate::schedule::{FaultSpec, Op, Schedule, SimParams};
+use crate::schedule::{Op, Schedule, SimParams};
 use crate::{fnv1a, splitmix64};
 use photon_core::{
     Completion, CompletionClass, PeerHealthState, Photon, PhotonBuffer, PhotonCluster,
     PhotonConfig, PhotonError, ProbeFlags, PutManyItem, StatsSnapshot,
 };
-use photon_fabric::{Cluster, FabricError, NetworkModel, NicConfig, VTime, Window};
+use photon_fabric::{Cluster, FabricError, NicConfig, VTime};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
@@ -79,6 +79,23 @@ pub struct CaseReport {
 }
 
 impl CaseReport {
+    /// The report of a driver that keeps no traces, stats or spans: its
+    /// verdict plus the FNV-1a digest of `digest_src`, the stable facts the
+    /// driver chose to pin. `sweeps` and `resolved_err` start at zero.
+    pub fn verdict(seed: u64, case_id: u64, violations: Violations, digest_src: &str) -> Self {
+        CaseReport {
+            seed,
+            case_id,
+            violations: violations.into_items(),
+            digest: fnv1a(digest_src.as_bytes()),
+            sweeps: 0,
+            resolved_err: 0,
+            stats: Vec::new(),
+            trace_csv: Vec::new(),
+            span_json: String::new(),
+        }
+    }
+
     /// Did every invariant hold?
     pub fn passed(&self) -> bool {
         self.violations.is_empty()
@@ -280,18 +297,13 @@ struct Executor<'a> {
 impl<'a> Executor<'a> {
     fn new(sched: &'a Schedule, cfg: PhotonConfig) -> Executor<'a> {
         let n = sched.nodes;
-        let model = match sched.model {
-            0 => NetworkModel::ideal(),
-            1 => NetworkModel::ib_fdr(),
-            _ => NetworkModel::ethernet_10g(),
-        };
         let fabric = Cluster::with_config(
             n,
-            model,
+            sched.network_model(),
             NicConfig { cq_depth: sched.cq_depth, ..NicConfig::default() },
         );
         let cluster = PhotonCluster::with_fabric(fabric, cfg);
-        install_faults(&cluster, sched);
+        sched.install_faults(cluster.fabric().switch().faults());
         for p in cluster.ranks() {
             p.tracer().enable();
             p.obs().enable();
@@ -390,8 +402,8 @@ impl<'a> Executor<'a> {
                     }
                 }
                 Op::CrashNode { node, at_ns } => {
-                    // Installed into the fault plan below; earliest kill
-                    // wins if the generator names a node twice.
+                    // The fault plan has it already; a node is dead from its
+                    // earliest kill if the generator names it twice.
                     crashed[node] = Some(crashed[node].map_or(at_ns, |t| t.min(at_ns)));
                 }
                 Op::Partition { a, b, from_ns, until_ns } => {
@@ -415,19 +427,6 @@ impl<'a> Executor<'a> {
             ops.push(run);
         }
 
-        // Chaos ops go into the fault plan like every other disruption —
-        // but they live in the op list so the shrinker can delete them.
-        {
-            let faults = cluster.fabric().switch().faults();
-            for (node, t) in crashed.iter().enumerate() {
-                if let Some(t) = *t {
-                    faults.kill_node_at(node, VTime(t));
-                }
-            }
-            for &(a, b, from_ns, until_ns) in &partitions {
-                faults.partition_during(a, b, Window::new(VTime(from_ns), VTime(until_ns)));
-            }
-        }
         let mut edges: Vec<u64> = crashed.iter().flatten().copied().collect();
         for &(_, _, from_ns, until_ns) in &partitions {
             edges.push(from_ns);
@@ -1403,38 +1402,10 @@ impl<'a> Executor<'a> {
     }
 }
 
-fn install_faults(cluster: &PhotonCluster, sched: &Schedule) {
-    let faults = cluster.fabric().switch().faults();
-    faults.set_jitter_seed(sched.seed ^ sched.case_id);
-    for f in &sched.faults {
-        match *f {
-            FaultSpec::DegradeLink { src, dst, extra_ns, from_ns, until_ns } => {
-                faults.degrade_link_during(
-                    src,
-                    dst,
-                    extra_ns,
-                    Window::new(VTime(from_ns), VTime(until_ns)),
-                );
-            }
-            FaultSpec::StraggleNode { node, extra_ns, from_ns, until_ns } => {
-                faults.straggle_node_during(
-                    node,
-                    extra_ns,
-                    Window::new(VTime(from_ns), VTime(until_ns)),
-                );
-            }
-            FaultSpec::Jitter { bound_ns, seed, from_ns, until_ns } => {
-                faults.set_jitter_seed(seed);
-                faults.set_jitter_during(bound_ns, Window::new(VTime(from_ns), VTime(until_ns)));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::SimParams;
+    use crate::schedule::FaultSpec;
 
     fn fixed_schedule() -> Schedule {
         Schedule {

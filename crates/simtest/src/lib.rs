@@ -11,7 +11,8 @@
 //! fixes the interleaving, a case is a pure function of `(seed, case_id)`:
 //! same inputs, byte-identical traces, stats and verdicts, on any machine
 //! and any `--jobs` level (campaign parallelism is *across* cases, never
-//! within one).
+//! within one). The executor is one of six drivers; [`Campaign::driver`]
+//! is the one table that routes each campaign case to its driver.
 //!
 //! While a case runs, cross-layer invariants are checked continuously and at
 //! quiescence ([`checkers`]): exactly-once completion per rid, payload
@@ -38,6 +39,7 @@
 pub mod campaign;
 pub mod checkers;
 pub mod churn_driver;
+mod clients;
 pub mod ds_driver;
 pub mod exec;
 pub mod msg_driver;
@@ -46,7 +48,7 @@ pub mod rt_driver;
 pub mod schedule;
 pub mod shrink;
 
-pub use campaign::{run_campaign, Campaign, CampaignOpts, CampaignResult, CaseFailure};
+pub use campaign::{run_campaign, Campaign, CampaignOpts, CampaignResult, CaseFailure, Driver};
 pub use checkers::Violations;
 pub use churn_driver::{run_churn_case, run_churn_case_metrics, ChurnMetrics};
 pub use exec::{run_case, run_schedule, run_schedule_cfg, CaseReport};

@@ -180,17 +180,7 @@ pub fn run_msg_case(seed: u64, case_id: u64) -> CaseReport {
     for v in violations.items() {
         digest_src.push_str(v);
     }
-    CaseReport {
-        seed,
-        case_id,
-        violations: violations.into_items(),
-        digest: fnv1a(digest_src.as_bytes()),
-        sweeps: 0,
-        resolved_err: 0,
-        stats: Vec::new(),
-        trace_csv: Vec::new(),
-        span_json: String::new(),
-    }
+    CaseReport::verdict(seed, case_id, violations, &digest_src)
 }
 
 #[cfg(test)]

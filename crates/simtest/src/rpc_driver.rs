@@ -29,13 +29,11 @@
 //! [`PhotonError::RpcFailed`]: photon_core::PhotonError::RpcFailed
 
 use crate::checkers::Violations;
+use crate::clients::{self, token_of, with_clients};
 use crate::exec::CaseReport;
-use crate::fnv1a;
-use crate::schedule::{FaultSpec, Op, Schedule, SimParams};
-use photon_fabric::{NetworkModel, VTime, Window};
+use crate::schedule::{Op, Schedule, SimParams};
 use photon_runtime::rpc::kv::{serve_kv, KvCas, KvGet, KvPut};
-use photon_runtime::{ActionRegistry, RpcOptions, RtConfig, RtError, RuntimeCluster};
-use std::sync::atomic::{AtomicBool, Ordering};
+use photon_runtime::{RpcClient, RpcOptions, RtError};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -63,12 +61,6 @@ fn classify(err: RtError) -> Resolution {
         RtError::Photon(PhotonError::RpcFailed { .. }) => Resolution::Failed,
         other => Resolution::Unexpected(format!("{other:?}")),
     }
-}
-
-/// The mutation token for op `idx`: unique per op, never 0 (token 0 is
-/// untracked by the store's audit).
-fn token_of(idx: usize) -> u64 {
-    1 + idx as u64
 }
 
 /// The delivery-contract audit for one mutating call: given how the call
@@ -128,145 +120,58 @@ pub fn run_rpc_case(seed: u64, case_id: u64, params: &SimParams) -> CaseReport {
     let sched = Schedule::generate(seed, case_id, params);
     let n = sched.nodes;
     let server = sched.rpc_server.expect("rpc schedules carry a server rank");
-    let model = match sched.model {
-        0 => NetworkModel::ideal(),
-        1 => NetworkModel::ib_fdr(),
-        _ => NetworkModel::ethernet_10g(),
-    };
-    let cluster = RuntimeCluster::new(
-        n,
-        model,
-        RtConfig { photon: sched.cfg, ..RtConfig::default() },
-        ActionRegistry::new(),
-    );
-
-    // Fault plan and chaos ops install before any traffic flows, exactly
-    // like the deterministic executor does.
-    {
-        let faults = cluster.photon().fabric().switch().faults();
-        faults.set_jitter_seed(seed ^ case_id);
-        for f in &sched.faults {
-            match *f {
-                FaultSpec::DegradeLink { src, dst, extra_ns, from_ns, until_ns } => {
-                    faults.degrade_link_during(
-                        src,
-                        dst,
-                        extra_ns,
-                        Window::new(VTime(from_ns), VTime(until_ns)),
-                    );
-                }
-                FaultSpec::StraggleNode { node, extra_ns, from_ns, until_ns } => {
-                    faults.straggle_node_during(
-                        node,
-                        extra_ns,
-                        Window::new(VTime(from_ns), VTime(until_ns)),
-                    );
-                }
-                FaultSpec::Jitter { bound_ns, seed, from_ns, until_ns } => {
-                    faults.set_jitter_seed(seed);
-                    faults
-                        .set_jitter_during(bound_ns, Window::new(VTime(from_ns), VTime(until_ns)));
-                }
-            }
-        }
-        for op in &sched.ops {
-            match *op {
-                Op::CrashNode { node, at_ns } => faults.kill_node_at(node, VTime(at_ns)),
-                Op::Partition { a, b, from_ns, until_ns } => {
-                    faults.partition_during(a, b, Window::new(VTime(from_ns), VTime(until_ns)));
-                }
-                _ => {}
-            }
-        }
-    }
-
+    let cluster = clients::boot(&sched);
     let store = serve_kv(cluster.node(server));
-
-    // Each client rank runs its calls in schedule order; ranks run
-    // concurrently (the many-clients-one-server shape).
-    let mut per_client: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, op) in sched.ops.iter().enumerate() {
-        if let Op::RpcCall { client, .. } = *op {
-            per_client[client].push(i);
-        }
-    }
+    // One client per calling rank, made before any worker starts so each is
+    // its node's first (client ids are per node).
+    let rpc_clients: Vec<Option<RpcClient>> = (0..n)
+        .map(|r| {
+            sched
+                .ops
+                .iter()
+                .any(|op| op.src() == Some(r))
+                .then(|| cluster.node(r).rpc_client(server))
+        })
+        .collect();
     let outcomes: Vec<Mutex<Option<Resolution>>> =
         sched.ops.iter().map(|_| Mutex::new(None)).collect();
 
-    let done = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        // Clock nudger: idle ranks must still cross crash times and
-        // partition windows, and heal points must stay reachable within the
-        // clients' wall-clock retry budgets.
-        s.spawn(|| {
-            while !done.load(Ordering::Acquire) {
-                for r in 0..n {
-                    cluster.node(r).photon().elapse(20_000);
-                }
-                std::thread::sleep(Duration::from_micros(500));
-            }
-        });
-
-        let workers: Vec<_> = (0..n)
-            .filter(|r| !per_client[*r].is_empty())
-            .map(|r| {
-                let (cluster, sched, outcomes, per_client, store) =
-                    (&cluster, &sched, &outcomes, &per_client, &store);
-                s.spawn(move || {
-                    let client = cluster.node(r).rpc_client(server);
-                    for &idx in &per_client[r] {
-                        // Advance this rank's virtual clock between calls:
-                        // chaos times are virtual, and without this a whole
-                        // schedule completes in a few µs of virtual time,
-                        // landing every late crash *after* the traffic it
-                        // was meant to disrupt.
-                        cluster.node(r).photon().elapse(20_000);
-                        let Op::RpcCall { method, key, policy, .. } = sched.ops[idx] else {
-                            unreachable!("per_client holds only rpc ops");
-                        };
-                        let opts = match policy {
-                            0 => RpcOptions::maybe(),
-                            1 => RpcOptions::at_least_once(),
-                            _ => RpcOptions::at_most_once(),
-                        }
-                        .with_timeout(Duration::from_millis(10))
-                        .with_attempts(3);
-                        let token = token_of(idx);
-                        let res = match method {
-                            0 => client
-                                .call::<KvGet>(&vec![key], opts)
-                                .map(|_| Resolution::Ok)
-                                .unwrap_or_else(classify),
-                            1 => client
-                                .call::<KvPut>(
-                                    &(vec![key], token.to_le_bytes().to_vec(), token),
-                                    opts,
-                                )
-                                .map(|()| Resolution::Ok)
-                                .unwrap_or_else(classify),
-                            _ => {
-                                // Expected value sampled racily from the
-                                // store: contention decides whether the swap
-                                // lands, which is exactly the point.
-                                let expected = store.get(&[key]);
-                                client
-                                    .call::<KvCas>(
-                                        &(vec![key], expected, token.to_le_bytes().to_vec(), token),
-                                        opts,
-                                    )
-                                    .map(Resolution::OkCas)
-                                    .unwrap_or_else(classify)
-                            }
-                        };
-                        *outcomes[idx].lock().expect("outcome lock") = Some(res);
-                    }
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().expect("client worker");
+    with_clients(&cluster, &sched, |r, idx| {
+        let client = rpc_clients[r].as_ref().expect("calling ranks have a client");
+        let Op::RpcCall { method, key, policy, .. } = sched.ops[idx] else {
+            unreachable!("with_clients yields only call ops");
+        };
+        let opts = match policy {
+            0 => RpcOptions::maybe(),
+            1 => RpcOptions::at_least_once(),
+            _ => RpcOptions::at_most_once(),
         }
-        done.store(true, Ordering::Release);
+        .with_timeout(Duration::from_millis(10))
+        .with_attempts(3);
+        let token = token_of(idx);
+        let res = match method {
+            0 => client
+                .call::<KvGet>(&vec![key], opts)
+                .map(|_| Resolution::Ok)
+                .unwrap_or_else(classify),
+            1 => client
+                .call::<KvPut>(&(vec![key], token.to_le_bytes().to_vec(), token), opts)
+                .map(|()| Resolution::Ok)
+                .unwrap_or_else(classify),
+            _ => {
+                // Expected value sampled racily from the store: contention
+                // decides whether the swap lands, which is exactly the point.
+                let expected = store.get(&[key]);
+                client
+                    .call::<KvCas>(
+                        &(vec![key], expected, token.to_le_bytes().to_vec(), token),
+                        opts,
+                    )
+                    .map(Resolution::OkCas)
+                    .unwrap_or_else(classify)
+            }
+        };
+        *outcomes[idx].lock().expect("outcome lock") = Some(res);
     });
 
     // The audit: read the server-side token counts against each call's
@@ -304,17 +209,9 @@ pub fn run_rpc_case(seed: u64, case_id: u64, params: &SimParams) -> CaseReport {
         sched.ops.len(),
         violations.items()
     );
-    CaseReport {
-        seed,
-        case_id,
-        violations: violations.into_items(),
-        digest: fnv1a(digest_src.as_bytes()),
-        sweeps: 0,
-        resolved_err,
-        stats: Vec::new(),
-        trace_csv: Vec::new(),
-        span_json: String::new(),
-    }
+    let mut rep = CaseReport::verdict(seed, case_id, violations, &digest_src);
+    rep.resolved_err = resolved_err;
+    rep
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 
 use crate::checkers::Violations;
 use crate::exec::CaseReport;
-use crate::{fnv1a, splitmix64};
+use crate::splitmix64;
 use photon_core::PhotonConfig;
 use photon_fabric::NetworkModel;
 use photon_runtime::{ActionRegistry, RtConfig, RuntimeCluster};
@@ -152,17 +152,7 @@ pub fn run_runtime_case(seed: u64, case_id: u64) -> CaseReport {
 
     let digest_src =
         format!("n={n} fanout={fanout} ttl={ttl} expected={expected} v={:?}", violations.items());
-    CaseReport {
-        seed,
-        case_id,
-        violations: violations.into_items(),
-        digest: fnv1a(digest_src.as_bytes()),
-        sweeps: 0,
-        resolved_err: 0,
-        stats: Vec::new(),
-        trace_csv: Vec::new(),
-        span_json: String::new(),
-    }
+    CaseReport::verdict(seed, case_id, violations, &digest_src)
 }
 
 #[cfg(test)]

@@ -162,6 +162,31 @@ fn campaign_digests_match_recorded() {
 }
 
 #[test]
+fn documented_replays_match_recorded() {
+    // Two single-case replays, pinned through the same routing `simtest
+    // replay` uses: the quiescence corpus entry that once caught the
+    // eager-ring deferred-skip bug, and a crash case with both a kill and
+    // a partition in its chaos plan.
+    use photon_simtest::campaign::run_one;
+    use photon_simtest::Campaign;
+    let pins = [
+        (Campaign::Quiescence, 0x0ab5_ce55, 2, 0xe334_c01c_770a_686d),
+        (Campaign::Crash, 0xc1c5, 10, 0x8267_5e73_4497_d043),
+    ];
+    for (campaign, seed, case_id, want) in pins {
+        let rep = run_one(campaign, seed, case_id);
+        assert!(rep.passed(), "{} {seed:#x} {case_id}: {:?}", campaign.name(), rep.violations);
+        assert_eq!(
+            rep.digest,
+            want,
+            "{} {seed:#x} {case_id} replay digest moved: got {:#018x}",
+            campaign.name(),
+            rep.digest
+        );
+    }
+}
+
+#[test]
 fn reset_time_restores_origin() {
     let c = PhotonCluster::new(2, NetworkModel::ib_fdr(), PhotonConfig::default());
     let (p0, p1) = (c.rank(0), c.rank(1));
