@@ -16,8 +16,9 @@
 //! * **Parcels** ([`parcel`]) — `(action, payload, optional continuation)`
 //!   tuples. Small parcels travel as single eager PWC messages; large ones
 //!   use the Photon rendezvous protocol with a control parcel upfront.
-//! * **Scheduler** ([`scheduler`]) — per-node work-stealing worker pool
-//!   (crossbeam deques) executing parcel handlers.
+//! * **Scheduler** ([`scheduler`]) — per-node worker pool over one shared
+//!   run queue, executing parcel handlers; idle workers take turns polling
+//!   the network, so a rank runs no thread besides its workers.
 //! * **LCOs** ([`lco`]) — local control objects: futures, countdown
 //!   latches, reductions; parcels can carry a continuation that sets a
 //!   future on the spawning rank when the remote action returns a value.

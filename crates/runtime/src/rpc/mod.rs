@@ -33,7 +33,7 @@
 //!   [`RtNode::rpc_stats`](crate::RtNode::rpc_stats) and
 //!   [`RtNode::rpc_latency`](crate::RtNode::rpc_latency).
 //!
-//! Server handlers run on the node's work-stealing scheduler like any other
+//! Server handlers run on the node's scheduler workers like any other
 //! parcel handler (requests and replies are internal-action parcels, so they
 //! share the eager/rendezvous transport, coalescing, and the quiescence
 //! accounting of ordinary parcel traffic).

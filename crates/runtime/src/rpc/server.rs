@@ -1,9 +1,9 @@
 //! Server side: method registration and request dispatch.
 //!
 //! Requests arrive as internal-action parcels, so handlers already run on
-//! the node's work-stealing scheduler (the progress thread submits the
-//! parcel, a worker executes it) — RPC needs no scheduler machinery of its
-//! own. Dispatch is: decode envelope → look up method → (at-most-once only)
+//! the node's scheduler (an idle worker's poll turn harvests the parcel, a
+//! worker executes it) — RPC needs no scheduler machinery of its own.
+//! Dispatch is: decode envelope → look up method → (at-most-once only)
 //! consult the dedup window → run the handler → reply with a parcel back to
 //! the caller's rank.
 //!

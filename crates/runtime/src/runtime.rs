@@ -6,21 +6,22 @@ use crate::coalesce::Coalescer;
 use crate::lco::{FutureBytes, LcoRef};
 use crate::parcel::Parcel;
 use crate::rpc::RpcCounters;
-use crate::scheduler::Scheduler;
+use crate::scheduler::{Scheduler, Task};
 use crate::{Rank, Result, RtError};
 use parking_lot::Mutex;
 use photon_core::{Completion, Photon, PhotonCluster, PhotonConfig, ProbeFlags, Recycler};
 use photon_fabric::NetworkModel;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Completion id of eager parcel messages on the runtime's Photon context.
 const RID_PARCEL: u64 = 1;
 /// Completion id of large-parcel rendezvous control messages.
 const RID_RDV_CTRL: u64 = 2;
+/// Remote completions one poll turn harvests at most.
+const POLL_BATCH: usize = 64;
 
 /// Internal action: set an LCO with the payload.
 const ACTION_SET_LCO: ActionId = 0;
@@ -32,21 +33,22 @@ pub(crate) const ACTION_RPC_REP: ActionId = 2;
 /// Runtime configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct RtConfig {
-    /// Worker threads per node.
+    /// Worker threads per node (at least 1): they run parcel handlers and,
+    /// when idle, poll the network.
     pub workers: usize,
     /// Parcels with encodings at or below this size travel as one eager PWC
     /// message; larger ones rendezvous.
     pub parcel_eager_max: usize,
     /// Coalesce up to this many small parcels per destination into one
     /// doorbell-batched eager post (0 disables coalescing). Batches also
-    /// flush when full for the wire, when the progress thread idles, or on
-    /// [`RtNode::flush_parcels`].
+    /// flush when full for the wire, when a worker's poll turn comes up
+    /// empty, or on [`RtNode::flush_parcels`].
     pub coalesce_max: usize,
     /// RPC-layer knobs (dedup-window sizing; see [`crate::rpc`]).
     pub rpc: crate::rpc::RpcConfig,
     /// Gossip membership: when set, every node runs the epidemic
-    /// membership protocol ([`photon_core::Membership`]) off its progress
-    /// thread, so deaths, joins and departures disseminate cluster-wide
+    /// membership protocol ([`photon_core::Membership`]) off its workers'
+    /// poll turns, so deaths, joins and departures disseminate cluster-wide
     /// without any rank polling all N peers. `None` (the default) keeps
     /// membership knowledge purely local, as before.
     pub membership: Option<photon_core::MembershipConfig>,
@@ -104,7 +106,6 @@ pub struct RtNode {
     lcos: Mutex<HashMap<u64, Arc<FutureBytes>>>,
     next_lco: AtomicU64,
     next_tag: AtomicU64,
-    shutdown: AtomicBool,
     stats: RtCounters,
     coalescer: Mutex<Coalescer>,
     rpc: crate::rpc::RpcState,
@@ -112,8 +113,8 @@ pub struct RtNode {
     self_ref: Mutex<Option<Arc<RtNode>>>,
 }
 
-/// A whole runtime job: `n` nodes over one Photon cluster, with worker and
-/// progress threads running until [`RuntimeCluster::shutdown`].
+/// A whole runtime job: `n` nodes over one Photon cluster, each with
+/// `workers` scheduler threads running until [`RuntimeCluster::shutdown`].
 #[derive(Debug)]
 pub struct RuntimeCluster {
     photon: PhotonCluster,
@@ -124,29 +125,36 @@ pub struct RuntimeCluster {
 impl RuntimeCluster {
     /// Boot an `n`-node runtime over `model` with the given action registry
     /// (must contain every action any rank will invoke).
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.workers` is 0: idle workers are the only threads that poll a
+    /// rank's network.
     pub fn new(
         n: usize,
         model: NetworkModel,
         cfg: RtConfig,
         registry: ActionRegistry,
     ) -> RuntimeCluster {
+        assert!(
+            cfg.workers >= 1,
+            "RtConfig::workers must be at least 1: idle workers are the only threads that poll the network"
+        );
         let photon = PhotonCluster::new(n, model, cfg.photon);
         let registry = Arc::new(registry);
         let mut nodes = Vec::with_capacity(n);
         let mut handles = Vec::new();
         for i in 0..n {
-            let (sched, mut worker_handles) = Scheduler::start(cfg.workers, &format!("rt{i}"));
             let node = Arc::new(RtNode {
                 rank: i,
                 n,
                 cfg,
                 photon: Arc::clone(photon.rank(i)),
-                sched,
+                sched: Scheduler::new(),
                 registry: Arc::clone(&registry),
                 lcos: Mutex::new(HashMap::new()),
                 next_lco: AtomicU64::new(1),
                 next_tag: AtomicU64::new(1),
-                shutdown: AtomicBool::new(false),
                 stats: RtCounters::default(),
                 coalescer: Mutex::new(Coalescer::new(n)),
                 rpc: crate::rpc::RpcState::new(cfg.rpc),
@@ -160,14 +168,11 @@ impl RuntimeCluster {
                 self_ref: Mutex::new(None),
             });
             *node.self_ref.lock() = Some(Arc::clone(&node));
-            let progress_node = Arc::clone(&node);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("rt{i}-progress"))
-                    .spawn(move || progress_node.progress_loop())
-                    .expect("spawn progress thread"),
-            );
-            handles.append(&mut worker_handles);
+            handles.extend(node.sched.start_workers(cfg.workers, &format!("rt{i}"), || {
+                let node = Arc::clone(&node);
+                let mut events = Vec::with_capacity(POLL_BATCH);
+                move |out: &mut Vec<Task>| node.poll_turn(&mut events, out)
+            }));
             nodes.push(node);
         }
         RuntimeCluster { photon, nodes, handles: Mutex::new(handles) }
@@ -198,10 +203,9 @@ impl RuntimeCluster {
         &self.photon
     }
 
-    /// Stop progress threads and schedulers; joins all threads. Idempotent.
+    /// Stop every node's scheduler and join its workers. Idempotent.
     pub fn shutdown(&self) {
         for node in &self.nodes {
-            node.shutdown.store(true, Ordering::Release);
             node.sched.stop();
         }
         let handles: Vec<_> = self.handles.lock().drain(..).collect();
@@ -317,7 +321,7 @@ impl RtNode {
         if target >= self.n {
             return Err(RtError::InvalidRank(target));
         }
-        if self.shutdown.load(Ordering::Acquire) {
+        if self.sched.stopping() {
             return Err(RtError::ShuttingDown);
         }
         RtCounters::bump(&self.stats.parcels_sent);
@@ -420,78 +424,70 @@ impl RtNode {
         Ok(())
     }
 
-    // ------------------------------------------------------ progress side
+    // ------------------------------------------------------- network side
 
-    fn progress_loop(self: Arc<RtNode>) {
-        // Batch drain: one progress pass harvests up to a whole batch of
-        // remote events instead of paying probe overhead per event. Only
-        // Remote events are drained here — parcel sends and rendezvous wait
-        // on their local completions from the posting threads.
-        const BATCH: usize = 64;
-        let mut idle: u32 = 0;
-        let mut events: Vec<Completion> = Vec::with_capacity(BATCH);
-        while !self.shutdown.load(Ordering::Acquire) {
-            // Reap per-peer runtime state for ranks the health machine has
-            // just evicted (one atomic load when nothing died): dead
-            // clients' at-most-once dedup windows must not leak, and a
-            // restarted rank reusing a client id must not collide with its
-            // dead predecessor's sequence state.
-            for peer in self.photon.take_dead_peers() {
-                let forgotten = self.rpc.dedup.lock().forget_rank(peer as u32);
-                if forgotten > 0 {
-                    RpcCounters::add(&self.rpc.counters.srv_clients_forgotten, forgotten as u64);
-                }
-                if let Some(m) = &self.membership {
-                    m.note_dead(peer);
-                }
+    /// One poll turn, run by whichever idle worker holds the scheduler's
+    /// turn: reap dead peers, run a gossip round, and harvest up to
+    /// [`POLL_BATCH`] remote completions into tasks in `out`, which the
+    /// scheduler queues and runs after the turn is released. Returns whether
+    /// the network showed any activity.
+    fn poll_turn(self: &Arc<RtNode>, events: &mut Vec<Completion>, out: &mut Vec<Task>) -> bool {
+        // Reap per-peer runtime state for ranks the health machine has just
+        // evicted (one atomic load when nothing died): dead clients'
+        // at-most-once dedup windows must not leak, and a restarted rank
+        // reusing a client id must not collide with its dead predecessor's
+        // sequence state.
+        for peer in self.photon.take_dead_peers() {
+            let forgotten = self.rpc.dedup.lock().forget_rank(peer as u32);
+            if forgotten > 0 {
+                RpcCounters::add(&self.rpc.counters.srv_clients_forgotten, forgotten as u64);
             }
-            // Gossip rounds ride the progress thread, interval-gated in
-            // virtual time inside tick().
             if let Some(m) = &self.membership {
-                m.tick();
+                m.note_dead(peer);
             }
-            match self.photon.poll_completions(ProbeFlags::Remote, &mut events, BATCH) {
-                Ok(0) => {
-                    idle = idle.saturating_add(1);
-                    if idle == 16 {
-                        // Idle: push out any half-full coalescing batches so
-                        // batching never strands the tail of a burst.
-                        let _ = self.flush_parcels();
-                    }
-                    if idle > 256 {
-                        std::thread::sleep(Duration::from_micros(50));
-                    } else {
-                        std::thread::yield_now();
-                    }
+        }
+        // Gossip rounds are interval-gated in virtual time inside tick().
+        if let Some(m) = &self.membership {
+            m.tick();
+        }
+        // Only Remote events are drained here: parcel sends and rendezvous
+        // wait on their local completions from the posting threads.
+        match self.photon.poll_completions(ProbeFlags::Remote, events, POLL_BATCH) {
+            Ok(0) => {
+                if self.cfg.coalesce_max > 1 {
+                    // Nothing arrived: push out half-full coalescing batches
+                    // so batching never strands the tail of a burst, even on
+                    // a rank that only sends.
+                    let _ = self.flush_parcels();
                 }
-                Ok(_) => {
-                    idle = 0;
-                    for c in events.drain(..) {
-                        if c.is_remote() {
-                            self.handle_remote(c);
-                        }
-                    }
-                }
-                Err(_) if self.shutdown.load(Ordering::Acquire) => return,
-                // Peer failure is survivable: the middleware has evicted the
-                // peer and resolved its pending state; keep serving the
-                // survivors. Anything else is a runtime bug and stays fatal.
-                Err(e) if matches!(RtError::from(e.clone()), RtError::PeerDead(_)) => {
-                    idle = 0;
-                }
-                Err(e) => panic!("runtime progress failed on rank {}: {e}", self.rank),
+                false
             }
+            Ok(_) => {
+                for c in events.drain(..) {
+                    if c.is_remote() {
+                        self.task_for(c, out);
+                    }
+                }
+                true
+            }
+            Err(_) if self.sched.stopping() => false,
+            // Peer failure is survivable: the middleware has evicted the
+            // peer and resolved its pending state; keep serving the
+            // survivors. Anything else is a runtime bug and stays fatal.
+            Err(e) if matches!(RtError::from(e.clone()), RtError::PeerDead(_)) => true,
+            Err(e) => panic!("runtime progress failed on rank {}: {e}", self.rank),
         }
     }
 
-    fn handle_remote(self: &Arc<RtNode>, ev: Completion) {
+    /// Turn one remote completion into the task that handles it.
+    fn task_for(self: &Arc<RtNode>, ev: Completion, out: &mut Vec<Task>) {
         match ev.rid {
             RID_PARCEL => {
                 let Some(bytes) = ev.payload else { return };
                 match Parcel::decode(&bytes) {
                     Ok(p) => {
                         let node = Arc::clone(self);
-                        self.sched.submit(Box::new(move || node.run_parcel(p)));
+                        out.push(Box::new(move || node.run_parcel(p)));
                     }
                     Err(_) => { /* malformed parcel: drop, counted nowhere */ }
                 }
@@ -506,9 +502,9 @@ impl RtNode {
                 let Ok(hdr) = Parcel::decode(&bytes[16..]) else { return };
                 let node = Arc::clone(self);
                 let src = ev.peer;
-                // The pull runs on a worker so the progress thread keeps
-                // probing (the rendezvous needs it to deliver the announce).
-                self.sched.submit(Box::new(move || {
+                // The pull runs as a task, off the turn, so other workers
+                // keep polling while it waits for the payload.
+                out.push(Box::new(move || {
                     let run = || -> Result<()> {
                         let buf = node.photon.register_buffer(size)?;
                         node.photon.post_recv_buffer(src, &buf, 0, size, tag)?;
@@ -621,7 +617,7 @@ impl RtNode {
     }
 
     /// Barrier across all nodes' *application* threads (delegates to the
-    /// Photon collective; the progress thread keeps running).
+    /// Photon collective; idle workers keep polling the network).
     pub fn barrier(&self) -> Result<()> {
         self.photon.barrier()?;
         Ok(())
@@ -632,6 +628,7 @@ impl RtNode {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     fn boot(n: usize, reg: ActionRegistry) -> RuntimeCluster {
         RuntimeCluster::new(n, NetworkModel::ib_fdr(), RtConfig::default(), reg)
@@ -850,8 +847,10 @@ mod tests {
         c.shutdown();
     }
 
-    #[test]
-    fn idle_progress_thread_flushes_partial_batches() {
+    /// Boot two ranks with `coalesce_max: 64`, optionally let them go idle,
+    /// then send 3 parcels that never fill a batch: the idle flush must
+    /// deliver them without an explicit `flush_parcels` call.
+    fn partial_batch_arrives(settle: Duration, within: Duration) {
         let mut reg = ActionRegistry::new();
         let seen = std::sync::Arc::new(AtomicUsize::new(0));
         let seen2 = std::sync::Arc::clone(&seen);
@@ -861,17 +860,67 @@ mod tests {
         });
         let cfg = RtConfig { coalesce_max: 64, ..RtConfig::default() };
         let c = RuntimeCluster::new(2, NetworkModel::ib_fdr(), cfg, reg);
-        // 3 parcels never fill a 64-batch; the idle flush must deliver them
-        // without an explicit flush_parcels call.
+        std::thread::sleep(settle);
         for _ in 0..3 {
             c.node(0).send_parcel(1, sink, &[1]).unwrap();
         }
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let deadline = std::time::Instant::now() + within;
         while seen.load(Ordering::Relaxed) < 3 {
             assert!(std::time::Instant::now() < deadline, "idle flush never fired");
             std::thread::yield_now();
         }
         c.shutdown();
+    }
+
+    #[test]
+    fn idle_worker_flushes_partial_batches() {
+        partial_batch_arrives(Duration::ZERO, Duration::from_secs(10));
+    }
+
+    #[test]
+    fn late_partial_batch_is_flushed_when_idle() {
+        // The sender's workers have long been idle (and asleep between
+        // turns) when the batch is posted.
+        partial_batch_arrives(Duration::from_millis(20), Duration::from_secs(3));
+    }
+
+    #[test]
+    fn blocked_handler_does_not_stall_the_rank() {
+        // Parcel A blocks on a latch that only parcel B opens. Coalesced into
+        // one post, both land in the same poll turn: B must still run, on
+        // the other worker, while A holds the first.
+        let latch = crate::lco::CountdownLatch::new(1);
+        let ran = std::sync::Arc::new(AtomicUsize::new(0));
+        let mut reg = ActionRegistry::new();
+        let (l, r) = (std::sync::Arc::clone(&latch), std::sync::Arc::clone(&ran));
+        let gate = reg.register("gate", move |_ctx, payload| {
+            if payload == b"A" {
+                l.wait();
+            } else {
+                l.count_down();
+            }
+            r.fetch_add(1, Ordering::Relaxed);
+            None
+        });
+        let cfg = RtConfig { workers: 2, coalesce_max: 2, ..RtConfig::default() };
+        let c = RuntimeCluster::new(2, NetworkModel::ib_fdr(), cfg, reg);
+        c.node(0).send_parcel(1, gate, b"A").unwrap();
+        c.node(0).send_parcel(1, gate, b"B").unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while ran.load(Ordering::Relaxed) < 2 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Open the latch either way so a failure cannot hang the shutdown.
+        latch.count_down();
+        assert_eq!(ran.load(Ordering::Relaxed), 2, "a blocked handler stalled its rank");
+        c.shutdown();
+    }
+
+    #[test]
+    #[should_panic(expected = "workers must be at least 1")]
+    fn zero_workers_is_rejected() {
+        let cfg = RtConfig { workers: 0, ..RtConfig::default() };
+        let _ = RuntimeCluster::new(1, NetworkModel::ib_fdr(), cfg, ActionRegistry::new());
     }
 
     #[test]
@@ -947,7 +996,7 @@ mod tests {
                 break;
             }
             assert!(std::time::Instant::now() < deadline, "death rumor never spread");
-            // Progress threads gate rounds on virtual time; nudge it along.
+            // Poll turns gate rounds on virtual time; nudge it along.
             for i in 0..3 {
                 c.node(i).photon().elapse(1_000);
             }

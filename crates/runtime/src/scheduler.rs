@@ -1,14 +1,24 @@
-//! Per-node work-stealing scheduler.
+//! Per-node task scheduler whose idle workers own the network.
 //!
-//! A compact version of the HPX-5 worker model: each node owns `w` worker
-//! threads with local LIFO deques, a shared FIFO injector for externally
-//! submitted work (parcels arriving off the network), and random stealing
-//! between workers. Idle workers park on a condvar with a timeout so parcel
-//! arrival latency stays bounded without spinning.
+//! HPX-5's worker model, abridged: a node runs `w` worker threads over one
+//! shared FIFO run queue (parcels harvested off the network, local spawns),
+//! and a worker that finds no task polls the network itself — there is no
+//! separate progress thread. One worker at a time holds the **poll turn**:
+//! it runs its poll hook, appends every task the poll harvested to the run
+//! queue in one locked append, and releases the turn *before* running any
+//! of them. A handler that blocks therefore never holds the turn, and every
+//! harvested task stays runnable by any other worker.
+//!
+//! The idle policy, stated once: a worker whose turn comes up empty yields
+//! [`SPIN_TURNS`] times, then sleeps [`TURN_SLEEP`] between turns; a worker
+//! that finds no task and cannot take the turn parks on the condvar for at
+//! most [`PARK`]. [`Scheduler::submit`] wakes a parked worker only when one
+//! is parked — a sleeper count, read after the push, rules out a lost
+//! wakeup without a `futex_wake` per task.
 
-use crossbeam::deque::{Injector, Stealer, Worker as Deque};
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -16,16 +26,27 @@ use std::time::Duration;
 /// A unit of work.
 pub type Task = Box<dyn FnOnce() + Send + 'static>;
 
+/// Consecutive empty turns a worker follows with a `yield_now`; past this
+/// it sleeps [`TURN_SLEEP`] after each one.
+pub const SPIN_TURNS: u32 = 256;
+/// Sleep after an empty turn once a worker has spun [`SPIN_TURNS`] of them.
+pub const TURN_SLEEP: Duration = Duration::from_micros(50);
+/// Longest park of a worker that found no task while another held the turn.
+pub const PARK: Duration = Duration::from_millis(1);
+
 #[derive(Default)]
 struct Parking {
     lock: Mutex<()>,
     cv: Condvar,
+    /// Workers parked, or about to park, on `cv`.
+    sleepers: AtomicUsize,
 }
 
 /// The shared half of a node scheduler.
 pub struct Scheduler {
-    injector: Injector<Task>,
-    stealers: Vec<Stealer<Task>>,
+    queue: Mutex<VecDeque<Task>>,
+    /// Set while one worker runs its poll hook.
+    turn: AtomicBool,
     parking: Parking,
     shutdown: AtomicBool,
     executed: AtomicU64,
@@ -34,48 +55,60 @@ pub struct Scheduler {
 impl std::fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scheduler")
-            .field("workers", &self.stealers.len())
+            .field("queued", &self.queue.lock().len())
             .field("executed", &self.executed.load(Ordering::Relaxed))
             .finish()
     }
 }
 
 impl Scheduler {
-    /// Start a scheduler with `workers` threads. Returns the shared handle
-    /// and the join handles (joined by the owner at shutdown).
-    pub fn start(workers: usize, name: &str) -> (Arc<Scheduler>, Vec<JoinHandle<()>>) {
-        let deques: Vec<Deque<Task>> = (0..workers).map(|_| Deque::new_lifo()).collect();
-        let stealers = deques.iter().map(|d| d.stealer()).collect();
-        let sched = Arc::new(Scheduler {
-            injector: Injector::new(),
-            stealers,
+    /// A scheduler with no workers yet (see [`Scheduler::start_workers`]).
+    pub fn new() -> Arc<Scheduler> {
+        Arc::new(Scheduler {
+            queue: Mutex::new(VecDeque::new()),
+            turn: AtomicBool::new(false),
             parking: Parking::default(),
             shutdown: AtomicBool::new(false),
             executed: AtomicU64::new(0),
-        });
-        let handles = deques
-            .into_iter()
-            .enumerate()
-            .map(|(i, dq)| {
-                let s = Arc::clone(&sched);
+        })
+    }
+
+    /// Start `workers` threads named `{name}-w{i}`. Each gets its own poll
+    /// hook from `make_poll`, built before its thread starts: run under the
+    /// turn, the hook appends the tasks it harvested to its argument and
+    /// returns whether it saw any activity. Returns the join handles
+    /// (joined by the owner after [`Scheduler::stop`]).
+    pub fn start_workers<P>(
+        self: &Arc<Self>,
+        workers: usize,
+        name: &str,
+        mut make_poll: impl FnMut() -> P,
+    ) -> Vec<JoinHandle<()>>
+    where
+        P: FnMut(&mut Vec<Task>) -> bool + Send + 'static,
+    {
+        (0..workers)
+            .map(|i| {
+                let s = Arc::clone(self);
+                let poll = make_poll();
                 std::thread::Builder::new()
                     .name(format!("{name}-w{i}"))
-                    .spawn(move || s.worker_loop(i, dq))
+                    .spawn(move || s.worker_loop(poll))
                     .expect("spawn worker")
             })
-            .collect();
-        (sched, handles)
+            .collect()
     }
 
-    /// Submit a task from outside the pool (network progress, application).
+    /// Submit a task from outside the pool (application, handlers).
     pub fn submit(&self, t: Task) {
-        self.injector.push(t);
-        self.parking.cv.notify_one();
+        self.queue.lock().push_back(t);
+        self.wake_one();
     }
 
-    /// Request shutdown; workers exit once their queues drain.
+    /// Request shutdown; workers exit once the run queue drains.
     pub fn stop(&self) {
         self.shutdown.store(true, Ordering::Release);
+        let _g = self.parking.lock.lock();
         self.parking.cv.notify_all();
     }
 
@@ -89,54 +122,67 @@ impl Scheduler {
         self.executed.load(Ordering::Relaxed)
     }
 
-    fn find_task(&self, local: &Deque<Task>, me: usize) -> Option<Task> {
-        if let Some(t) = local.pop() {
-            return Some(t);
+    fn wake_one(&self) {
+        // Pairs with the increment in `park`: either this load sees the
+        // sleeper, or the sleeper's re-check sees the pushed task. Taking
+        // the lock keeps the notify from landing between a parker's re-check
+        // and its wait.
+        if self.parking.sleepers.load(Ordering::SeqCst) > 0 {
+            let _g = self.parking.lock.lock();
+            self.parking.cv.notify_one();
         }
-        loop {
-            let s = self.injector.steal_batch_and_pop(local);
-            if s.is_retry() {
-                continue;
-            }
-            if let Some(t) = s.success() {
-                return Some(t);
-            }
-            break;
-        }
-        // Steal from siblings, starting after ourselves.
-        let n = self.stealers.len();
-        for k in 1..n {
-            let victim = (me + k) % n;
-            loop {
-                let s = self.stealers[victim].steal();
-                if s.is_retry() {
-                    continue;
-                }
-                if let Some(t) = s.success() {
-                    return Some(t);
-                }
-                break;
-            }
-        }
-        None
     }
 
-    fn worker_loop(&self, me: usize, local: Deque<Task>) {
+    fn park(&self) {
+        let mut g = self.parking.lock.lock();
+        self.parking.sleepers.fetch_add(1, Ordering::SeqCst);
+        // Re-check under the lock: a task queued, the turn freed or a stop
+        // requested since the caller looked means there is work to do now.
+        let idle =
+            self.queue.lock().is_empty() && self.turn.load(Ordering::Acquire) && !self.stopping();
+        if idle {
+            self.parking.cv.wait_for(&mut g, PARK);
+        }
+        self.parking.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    fn worker_loop(&self, mut poll: impl FnMut(&mut Vec<Task>) -> bool) {
+        let mut harvested = Vec::new();
+        let mut empty_turns: u32 = 0;
         loop {
-            match self.find_task(&local, me) {
-                Some(t) => {
-                    t();
-                    self.executed.fetch_add(1, Ordering::Relaxed);
-                }
-                None => {
-                    if self.stopping() {
-                        return;
-                    }
-                    let mut g = self.parking.lock.lock();
-                    // Re-check under the lock to avoid a lost wakeup.
-                    if self.injector.is_empty() && !self.stopping() {
-                        self.parking.cv.wait_for(&mut g, Duration::from_millis(1));
-                    }
+            let next = self.queue.lock().pop_front();
+            if let Some(t) = next {
+                t();
+                self.executed.fetch_add(1, Ordering::Relaxed);
+                empty_turns = 0;
+                continue;
+            }
+            if self.stopping() {
+                return;
+            }
+            if self.turn.swap(true, Ordering::Acquire) {
+                self.park();
+                continue;
+            }
+            let busy = poll(&mut harvested);
+            let got = !harvested.is_empty();
+            if got {
+                self.queue.lock().extend(harvested.drain(..));
+            }
+            self.turn.store(false, Ordering::Release);
+            if got {
+                // A parked sibling can share the batch, or take the turn
+                // while this worker runs it.
+                self.wake_one();
+            }
+            if busy {
+                empty_turns = 0;
+            } else {
+                empty_turns = empty_turns.saturating_add(1);
+                if empty_turns > SPIN_TURNS {
+                    std::thread::sleep(TURN_SLEEP);
+                } else {
+                    std::thread::yield_now();
                 }
             }
         }
@@ -146,11 +192,17 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+
+    /// A scheduler whose workers have no network to poll.
+    fn start(workers: usize, name: &str) -> (Arc<Scheduler>, Vec<JoinHandle<()>>) {
+        let s = Scheduler::new();
+        let handles = s.start_workers(workers, name, || |_: &mut Vec<Task>| false);
+        (s, handles)
+    }
 
     #[test]
     fn executes_submitted_tasks() {
-        let (s, handles) = Scheduler::start(4, "test");
+        let (s, handles) = start(4, "test");
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..1000 {
             let c = Arc::clone(&counter);
@@ -161,17 +213,17 @@ mod tests {
         while counter.load(Ordering::Relaxed) < 1000 {
             std::thread::yield_now();
         }
-        assert_eq!(s.executed(), 1000);
         s.stop();
         for h in handles {
             h.join().unwrap();
         }
+        assert_eq!(s.executed(), 1000);
     }
 
     #[test]
     fn tasks_can_spawn_tasks() {
         // Recursive fan-out: 1 task spawns 2, depth 8 => 2^9 - 1 tasks.
-        let (s, handles) = Scheduler::start(3, "fanout");
+        let (s, handles) = start(3, "fanout");
         let counter = Arc::new(AtomicUsize::new(0));
         fn fan(s: &Arc<Scheduler>, c: &Arc<AtomicUsize>, depth: u32) {
             c.fetch_add(1, Ordering::Relaxed);
@@ -199,12 +251,46 @@ mod tests {
 
     #[test]
     fn stop_terminates_idle_workers() {
-        let (s, handles) = Scheduler::start(2, "idle");
+        let (s, handles) = start(2, "idle");
         std::thread::sleep(Duration::from_millis(5));
         s.stop();
         for h in handles {
             h.join().unwrap();
         }
         assert_eq!(s.executed(), 0);
+    }
+
+    #[test]
+    fn harvested_batch_runs_beside_a_blocked_task() {
+        // One poll harvests two tasks: the first blocks until the second
+        // runs, so the second must be picked up by the other worker.
+        let s = Scheduler::new();
+        let released = Arc::new(AtomicBool::new(false));
+        let delivered = Arc::new(AtomicBool::new(false));
+        let handles = s.start_workers(2, "batch", || {
+            let (released, delivered) = (Arc::clone(&released), Arc::clone(&delivered));
+            move |out: &mut Vec<Task>| {
+                if delivered.swap(true, Ordering::AcqRel) {
+                    return false;
+                }
+                let (wait, open) = (Arc::clone(&released), Arc::clone(&released));
+                out.push(Box::new(move || {
+                    while !wait.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                }));
+                out.push(Box::new(move || open.store(true, Ordering::Release)));
+                true
+            }
+        });
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while s.executed() < 2 {
+            assert!(std::time::Instant::now() < deadline, "the batch's second task never ran");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        s.stop();
+        for h in handles {
+            h.join().unwrap();
+        }
     }
 }

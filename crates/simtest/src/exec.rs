@@ -978,8 +978,8 @@ impl<'a> Executor<'a> {
     // ------------------------------------------------------------- routing
 
     fn pump(&mut self, r: usize, max: usize) {
-        // Batch drain through the same poll_completions API the runtime
-        // progress thread uses, so chaos schedules exercise the batch path;
+        // Batch drain through the same poll_completions API the runtime's
+        // poll turn uses, so chaos schedules exercise the batch path;
         // each event still routes through the invariant checkers
         // individually.
         let p = self.cluster.rank(r).clone();
@@ -1450,7 +1450,7 @@ mod tests {
     #[test]
     fn schedules_exercise_the_batch_probe_path() {
         // The executor's pump drains through poll_completions, the same
-        // batch API the runtime progress thread uses — so every chaos
+        // batch API the runtime's poll turn uses — so every chaos
         // schedule doubles as coverage for the batch path. Pin that wiring:
         // a clean mixed schedule must leave probe-batch counts on all ranks.
         let sched = fixed_schedule();

@@ -1,9 +1,10 @@
 //! Runtime-layer (parcel/active-message) workload driver.
 //!
 //! Unlike the Photon-core and msg drivers, [`photon_runtime::RuntimeCluster`]
-//! boots real progress and scheduler threads per node, so a runtime case is
-//! **not** byte-deterministic — thread interleavings vary. What *is*
-//! invariant, and what this driver checks after collective quiescence:
+//! boots real scheduler threads per node (which also poll the network), so
+//! a runtime case is **not** byte-deterministic — thread interleavings
+//! vary. What *is* invariant, and what this driver checks after collective
+//! quiescence:
 //!
 //! * exactly-once parcel execution — a seeded fan-out cascade's execution
 //!   count equals the closed-form tree size, never more, never fewer;

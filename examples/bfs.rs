@@ -70,9 +70,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         reg,
     );
 
-    // Seed: global vertex 0 at level 0.
+    // Seed: global vertex 0 at level 0 (rank 0's first frontier, below).
     states[0].dist.lock()[0] = 0;
-    states[0].next_frontier.lock().push(0);
 
     let levels = std::thread::scope(|scope| -> usize {
         let handles: Vec<_> = (0..RANKS)
@@ -83,10 +82,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     let node = cluster.node(i);
                     let photon = node.photon();
                     let mut level = 0u32;
+                    // Not read from `next_frontier`: rank 0's first
+                    // relaxations may already be landing there.
+                    let mut frontier: Vec<u32> = if i == 0 { vec![0] } else { Vec::new() };
                     loop {
-                        // Take this level's frontier.
-                        let frontier: Vec<u32> =
-                            std::mem::take(&mut *states[i].next_frontier.lock());
                         // Relax every out-edge with a parcel to the owner.
                         for &lv in &frontier {
                             let gv = i * VERTS_PER_RANK + lv as usize;
@@ -102,8 +101,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         // Level synchronization: global quiescence means
                         // every relaxation (including coalesced tails) ran.
                         node.quiescence().unwrap();
+                        // Take the next frontier before the allreduce: no
+                        // rank sends the next level's relaxations until every
+                        // rank has entered it, so levels never mix.
+                        frontier = std::mem::take(&mut *states[i].next_frontier.lock());
                         // Anything discovered anywhere?
-                        let mut found = [states[i].next_frontier.lock().len() as u64];
+                        let mut found = [frontier.len() as u64];
                         photon.allreduce_u64(&mut found, ReduceOp::Sum).unwrap();
                         level += 1;
                         if found[0] == 0 {
