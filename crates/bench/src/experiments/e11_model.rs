@@ -4,7 +4,7 @@
 use crate::report::{size_label, Table};
 use photon_fabric::mr::Access;
 use photon_fabric::verbs::{MrSlice, RemoteSlice, SendWr, WrOp};
-use photon_fabric::{Cluster, NetworkModel, VTime};
+use photon_fabric::{Cluster, FabricBackend, NetworkModel, VTime};
 
 fn measured_oneway_ns(model: NetworkModel, size: usize) -> u64 {
     let c = Cluster::new(2, model);

@@ -1,10 +1,11 @@
 //! Completion events and probing types.
 //!
-//! Photon surfaces progress through *probing*: the application (or the
-//! runtime's progress thread) repeatedly asks the context for the next
-//! completion event.  Local events answer "may I reuse / free this buffer?";
-//! remote events answer "what just landed in my memory, and what does it
-//! mean?" — the identifier is the meaning, assigned by the initiator.
+//! Photon surfaces progress through *probing*: the application (or an idle
+//! runtime worker holding the poll turn) repeatedly asks the context for
+//! the next completion event.  Local events answer "may I reuse / free this
+//! buffer?"; remote events answer "what just landed in my memory, and what
+//! does it mean?" — the identifier is the meaning, assigned by the
+//! initiator.
 
 use crate::Rank;
 use photon_fabric::{VTime, WcStatus};

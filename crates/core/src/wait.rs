@@ -141,7 +141,7 @@ impl Photon {
     /// caller's buffer is not cleared). Returns how many were delivered.
     ///
     /// One progress pass and a handful of shard-lock acquisitions amortize
-    /// across the whole batch, which is what a runtime progress thread
+    /// across the whole batch, which is what a runtime worker's poll turn
     /// wants under load; `Any` interleaves local and remote events fairly
     /// within the batch.
     pub fn poll_completions(

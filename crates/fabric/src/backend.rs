@@ -5,8 +5,20 @@
 //! [`FabricBackend`] captures exactly the surface the middleware consumes —
 //! memory registration yielding `(addr, rkey)`, QP-style endpoints carrying
 //! Send/Write(+imm)/Read/FetchAdd/CompareSwap work requests, and polled
-//! completion queues — so the simulated [`Nic`] and the real-sockets
+//! completion queues — so the simulated [`crate::Nic`] and the real-sockets
 //! [`crate::sock::SockNic`] are interchangeable above this line.
+//!
+//! ## Endpoint and transport
+//!
+//! Every backend owns one [`Endpoint`]: the registration table, both CQs,
+//! the QP table, receive matching, post-time validation and target-side
+//! execution, written once. Registration, QPs, receives and CQ polls are
+//! therefore *provided* methods here, over [`FabricBackend::endpoint`]. A
+//! backend implements only what its transport decides: job size, how a run
+//! of work requests is carried out ([`FabricBackend::post_send_many`]),
+//! reachability, and — for a transport that executes work only when its
+//! owner polls — the [`FabricBackend::progress`] hook every CQ poll runs
+//! first.
 //!
 //! ## What stays behind the seam
 //!
@@ -26,9 +38,9 @@
 //! nanoseconds against a job-wide epoch, clamped monotone.
 
 use crate::clock::VTime;
-use crate::error::Result;
+use crate::endpoint::Endpoint;
+use crate::error::{FabricError, Result};
 use crate::mr::{Access, MemoryRegion, MrTable};
-use crate::nic::Nic;
 use crate::verbs::{Completion, Qp, RecvWr, SendWr, WcStatus};
 use crate::NodeId;
 use std::fmt::Debug;
@@ -40,17 +52,43 @@ use std::fmt::Debug;
 /// and the cost of dynamic dispatch is noise next to a post's real work
 /// (locking, memcpy, or a syscall).
 pub trait FabricBackend: Send + Sync + Debug {
-    /// This endpoint's node id (dense, 0-based).
-    fn node(&self) -> NodeId;
+    /// The verbs state this backend carries work requests for.
+    fn endpoint(&self) -> &Endpoint;
 
     /// Number of nodes in the job this endpoint belongs to.
     fn num_nodes(&self) -> usize;
 
+    /// Post a run of work requests through one doorbell with the
+    /// initiator's clock at `now`. RC ordering holds across the run; stops
+    /// at the first failing wr, whose error is returned (wrs before it keep
+    /// their effects). Every wr passes [`Endpoint`]'s post-time validation
+    /// first.
+    fn post_send_many(&self, qp: Qp, wrs: &[SendWr], now: VTime) -> Result<()>;
+
+    /// Reachability pre-check for `peer` without a QP (connection-manager
+    /// analogue of [`FabricBackend::peer_status`]): `None` when the path is
+    /// healthy, otherwise the status a post would fail with.
+    fn node_status(&self, peer: NodeId, now: VTime) -> Option<WcStatus>;
+
+    /// Run by every CQ poll before it reads the queue. A transport that
+    /// executes inbound work only when its owner polls receives here; one
+    /// that executes at post time has nothing to do.
+    fn progress(&self) {}
+
+    /// This endpoint's node id (dense, 0-based).
+    fn node(&self) -> NodeId {
+        self.endpoint().node()
+    }
+
     /// The local registration table (resolve, deregister, accounting).
-    fn mrs(&self) -> &MrTable;
+    fn mrs(&self) -> &MrTable {
+        self.endpoint().mrs()
+    }
 
     /// Register a zeroed region of `len` bytes.
-    fn register(&self, len: usize, flags: Access) -> Result<MemoryRegion>;
+    fn register(&self, len: usize, flags: Access) -> Result<MemoryRegion> {
+        self.mrs().register(len, flags)
+    }
 
     /// Modeled virtual-time cost of registering `len` bytes. Real
     /// transports charge nothing to virtual time (the wall clock *is* the
@@ -60,65 +98,76 @@ pub trait FabricBackend: Send + Sync + Debug {
     }
 
     /// Create a reliable-connected QP to `peer`.
-    fn create_qp(&self, peer: NodeId) -> Result<Qp>;
+    fn create_qp(&self, peer: NodeId) -> Result<Qp> {
+        if peer >= self.num_nodes() {
+            return Err(FabricError::NoSuchNode { node: peer });
+        }
+        Ok(self.endpoint().create_qp(peer))
+    }
 
     /// Destroy a QP; subsequent posts on it fail.
-    fn destroy_qp(&self, qp: Qp) -> Result<()>;
+    fn destroy_qp(&self, qp: Qp) -> Result<()> {
+        self.endpoint().destroy_qp(qp)
+    }
 
-    /// Clear a QP's error state after the path to the peer has healed.
-    fn reset_qp(&self, qp: Qp) -> Result<()>;
+    /// Clear a QP's error state after the path to the peer has healed
+    /// (reconnection). What the transport knows about the path is kept: a
+    /// modeled flow keeps its ordering floors, and a sockets channel that
+    /// ran out of retries stays failed.
+    fn reset_qp(&self, qp: Qp) -> Result<()> {
+        self.endpoint().reset_qp(qp)
+    }
 
     /// True when `qp` is in the error state (posts are rejected).
-    fn qp_errored(&self, qp: Qp) -> bool;
+    fn qp_errored(&self, qp: Qp) -> bool {
+        self.endpoint().qp_errored(qp)
+    }
 
-    /// Post one send-queue work request with the initiator's clock at
-    /// `now`.
-    fn post_send(&self, qp: Qp, wr: SendWr, now: VTime) -> Result<()>;
+    /// Post one send-queue work request: the one-element run.
+    fn post_send(&self, qp: Qp, wr: SendWr, now: VTime) -> Result<()> {
+        self.post_send_many(qp, std::slice::from_ref(&wr), now)
+    }
 
-    /// Post a run of work requests through one doorbell. RC ordering holds
-    /// across the run; stops at the first failing wr.
-    fn post_send_many(&self, qp: Qp, wrs: &[SendWr], now: VTime) -> Result<()>;
-
-    /// Post a receive for the next matching two-sided send.
-    fn post_recv(&self, wr: RecvWr) -> Result<()>;
+    /// Post a receive for the next two-sided send; if unexpected sends are
+    /// parked, the oldest one matches it at once.
+    fn post_recv(&self, wr: RecvWr) -> Result<()> {
+        self.endpoint().post_recv(wr)
+    }
 
     /// Drain up to `n` initiator-side completions into `out` (appended);
     /// returns the number drained.
-    fn poll_send_cq_into(&self, n: usize, out: &mut Vec<Completion>) -> usize;
+    fn poll_send_cq_into(&self, n: usize, out: &mut Vec<Completion>) -> usize {
+        self.progress();
+        self.endpoint().send_cq().poll_n_into(n, out)
+    }
 
     /// Drain up to `n` target-side completions into `out` (appended);
     /// returns the number drained.
-    fn poll_recv_cq_into(&self, n: usize, out: &mut Vec<Completion>) -> usize;
+    fn poll_recv_cq_into(&self, n: usize, out: &mut Vec<Completion>) -> usize {
+        self.progress();
+        self.endpoint().recv_cq().poll_n_into(n, out)
+    }
 
     /// Poll one initiator-side completion.
     fn poll_send_cq(&self) -> Option<Completion> {
-        let mut out = Vec::with_capacity(1);
-        if self.poll_send_cq_into(1, &mut out) == 1 {
-            out.pop()
-        } else {
-            None
-        }
+        self.progress();
+        self.endpoint().send_cq().poll()
     }
 
-    /// Poll one target-side completion.
+    /// Poll one target-side completion (receives and imm events).
     fn poll_recv_cq(&self) -> Option<Completion> {
-        let mut out = Vec::with_capacity(1);
-        if self.poll_recv_cq_into(1, &mut out) == 1 {
-            out.pop()
-        } else {
-            None
-        }
+        self.progress();
+        self.endpoint().recv_cq().poll()
     }
 
     /// Reachability pre-check for `qp`'s peer at `now`: `None` when the
     /// path is healthy, otherwise the status a post would fail with.
+    /// Consults only reachability, never the QP error flag, so callers can
+    /// use it to decide when a reconnection probe
+    /// ([`FabricBackend::reset_qp`]) may succeed.
     fn peer_status(&self, qp: Qp, now: VTime) -> Option<WcStatus> {
         self.node_status(qp.peer, now)
     }
-
-    /// Reachability pre-check for `peer` without a QP (connection-manager
-    /// analogue of [`FabricBackend::peer_status`]).
-    fn node_status(&self, peer: NodeId, now: VTime) -> Option<WcStatus>;
 
     /// Whether this endpoint's *own* node is dead at `now` (sim fault
     /// plans only; a real process that can ask is alive).
@@ -131,88 +180,6 @@ pub trait FabricBackend: Send + Sync + Debug {
     /// generation per job.
     fn node_incarnation(&self, _peer: NodeId, _now: VTime) -> u64 {
         0
-    }
-}
-
-impl FabricBackend for crate::nic::Nic {
-    fn node(&self) -> NodeId {
-        Nic::node(self)
-    }
-
-    fn num_nodes(&self) -> usize {
-        Nic::num_nodes(self)
-    }
-
-    fn mrs(&self) -> &MrTable {
-        Nic::mrs(self)
-    }
-
-    fn register(&self, len: usize, flags: Access) -> Result<MemoryRegion> {
-        Nic::register(self, len, flags)
-    }
-
-    fn registration_cost_ns(&self, len: usize) -> u64 {
-        Nic::registration_cost_ns(self, len)
-    }
-
-    fn create_qp(&self, peer: NodeId) -> Result<Qp> {
-        Nic::create_qp(self, peer)
-    }
-
-    fn destroy_qp(&self, qp: Qp) -> Result<()> {
-        Nic::destroy_qp(self, qp)
-    }
-
-    fn reset_qp(&self, qp: Qp) -> Result<()> {
-        Nic::reset_qp(self, qp)
-    }
-
-    fn qp_errored(&self, qp: Qp) -> bool {
-        Nic::qp_errored(self, qp)
-    }
-
-    fn post_send(&self, qp: Qp, wr: SendWr, now: VTime) -> Result<()> {
-        Nic::post_send(self, qp, wr, now)
-    }
-
-    fn post_send_many(&self, qp: Qp, wrs: &[SendWr], now: VTime) -> Result<()> {
-        Nic::post_send_many(self, qp, wrs, now)
-    }
-
-    fn post_recv(&self, wr: RecvWr) -> Result<()> {
-        Nic::post_recv(self, wr)
-    }
-
-    fn poll_send_cq_into(&self, n: usize, out: &mut Vec<Completion>) -> usize {
-        Nic::poll_send_cq_into(self, n, out)
-    }
-
-    fn poll_recv_cq_into(&self, n: usize, out: &mut Vec<Completion>) -> usize {
-        Nic::poll_recv_cq_into(self, n, out)
-    }
-
-    fn poll_send_cq(&self) -> Option<Completion> {
-        Nic::poll_send_cq(self)
-    }
-
-    fn poll_recv_cq(&self) -> Option<Completion> {
-        Nic::poll_recv_cq(self)
-    }
-
-    fn peer_status(&self, qp: Qp, now: VTime) -> Option<WcStatus> {
-        Nic::peer_status(self, qp, now)
-    }
-
-    fn node_status(&self, peer: NodeId, now: VTime) -> Option<WcStatus> {
-        Nic::node_status(self, peer, now)
-    }
-
-    fn self_dead_at(&self, now: VTime) -> bool {
-        Nic::self_dead_at(self, now)
-    }
-
-    fn node_incarnation(&self, peer: NodeId, now: VTime) -> u64 {
-        Nic::node_incarnation(self, peer, now)
     }
 }
 

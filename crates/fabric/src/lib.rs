@@ -21,6 +21,10 @@
 //!   serialization, so latency/bandwidth/message-rate *shapes* match what the
 //!   protocols above would exhibit on the modeled hardware.
 //!
+//! The first three are one [`endpoint::Endpoint`], shared by the simulated
+//! [`Nic`] and the real-UDP [`sock::SockNic`]; each backend adds only how its
+//! wire moves bytes, behind the [`FabricBackend`] trait.
+//!
 //! ## Execution model
 //!
 //! Operations take effect *synchronously* at post time (the posting thread
@@ -43,6 +47,7 @@ pub mod api;
 pub mod backend;
 pub mod clock;
 pub mod counters;
+pub mod endpoint;
 pub mod error;
 pub mod fault;
 pub mod model;
@@ -55,14 +60,16 @@ pub mod wire;
 
 pub use backend::FabricBackend;
 pub use clock::{VClock, VTime, COPY_PS_PER_BYTE};
+pub use endpoint::{Endpoint, NicConfig};
 pub use error::{FabricError, Result};
 pub use fault::{FaultPlan, Window};
 pub use model::NetworkModel;
 pub use mr::{Access, MemoryRegion, MrTable, RemoteKey};
-pub use nic::{Nic, NicConfig};
+pub use nic::Nic;
 pub use topology::Cluster;
 pub use verbs::{
-    Completion, CompletionKind, Cq, MrSlice, Qp, RecvWr, RemoteSlice, SendWr, WcStatus, WrOp,
+    Atomic, Completion, CompletionKind, Cq, MrSlice, Qp, RecvWr, RemoteSlice, SendWr, WcStatus,
+    WrOp,
 };
 pub use wire::{PodTopology, Switch};
 

@@ -363,11 +363,6 @@ impl MrTable {
         self.generation.load(Ordering::Relaxed)
     }
 
-    /// Look up a region by lkey (local gather/scatter validation).
-    pub fn lookup_lkey(&self, lkey: u32) -> Result<MemoryRegion> {
-        self.by_rkey.read().get(&lkey).cloned().ok_or(FabricError::InvalidLkey { lkey })
-    }
-
     /// Bytes currently pinned.
     pub fn registered_bytes(&self) -> usize {
         self.registered_bytes.load(Ordering::Relaxed)

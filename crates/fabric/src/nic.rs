@@ -1,34 +1,33 @@
-//! The simulated NIC: work-request execution engine.
+//! The simulated NIC: LogGP timing, per-QP ordering floors and fault
+//! gating over the shared verbs [`Endpoint`].
 //!
 //! Operations execute synchronously on the posting thread (the "NIC DMA" is
-//! a locked memcpy into the target's registered region), while completion
-//! *timestamps* come from the switch's LogGP accounting.  Per-QP ordering is
-//! inherited from program order on the posting thread, matching the in-order
-//! delivery guarantee of a reliable-connected QP.
+//! a locked memcpy into the target's registered region, through the
+//! target's endpoint), while completion *timestamps* come from the switch's
+//! LogGP accounting. Per-QP ordering is inherited from program order on the
+//! posting thread, matching the in-order delivery guarantee of a
+//! reliable-connected QP, and held in virtual time by each QP's floors: a
+//! later small message must not book an earlier calendar hole than its
+//! predecessor.
 //!
-//! Target-side behaviour follows verbs semantics with one documented
-//! divergence: a two-sided `Send` arriving before any receive is posted is
-//! parked in a bounded pending queue (equivalent to an infinite-retry
-//! RNR-NAK policy) instead of tearing down the connection; overflowing that
-//! queue surfaces `ReceiverNotReady` to the sender.
+//! A transfer the switch's fault plan rejects (dead node, partition) fails
+//! the verbs way: the QP enters the error state, the work request flushes
+//! as an error CQE, and the poster gets `PeerUnreachable`.
 
+use crate::backend::FabricBackend;
 use crate::clock::VTime;
+use crate::endpoint::{Endpoint, NicConfig, QpState};
 use crate::error::{FabricError, Result};
-use crate::mr::{Access, MemoryRegion, MrTable};
+use crate::mr::MemoryRegion;
 use crate::verbs::{
-    Completion, CompletionKind, Cq, MrSlice, Qp, RecvWr, RemoteSlice, SendWr, WcStatus, WrOp,
-    DEFAULT_CQ_DEPTH,
+    Atomic, Completion, CompletionKind, MrSlice, Qp, RemoteSlice, SendWr, WcStatus, WrOp,
 };
 use crate::wire::{Switch, Transfer, REQUEST_BYTES};
 use crate::NodeId;
-use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use parking_lot::Mutex;
+use std::borrow::Cow;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
-
-/// Default maximum number of unexpected two-sided sends parked per NIC
-/// before the fabric reports `ReceiverNotReady`.
-pub const PENDING_SEND_CAP: usize = 8192;
 
 /// Message buffers kept in a NIC's free list for reuse.
 const BUF_POOL_CAP: usize = 64;
@@ -52,113 +51,11 @@ std::thread_local! {
 /// megabytes in the pool.
 const BUF_POOL_MAX_BYTES: usize = 256 * 1024;
 
-/// Per-NIC resource limits (fault-injection and sizing hooks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NicConfig {
-    /// Bytes of memory the node may register (pin).
-    pub reg_limit_bytes: usize,
-    /// Completion-queue depth (send and recv CQs).
-    pub cq_depth: usize,
-    /// Unexpected-send backlog before `ReceiverNotReady`.
-    pub pending_send_cap: usize,
-}
-
-impl Default for NicConfig {
-    fn default() -> Self {
-        NicConfig {
-            reg_limit_bytes: crate::mr::DEFAULT_REG_LIMIT,
-            cq_depth: DEFAULT_CQ_DEPTH,
-            pending_send_cap: PENDING_SEND_CAP,
-        }
-    }
-}
-
-#[derive(Debug)]
-struct PendingSend {
-    src: NodeId,
-    data: Vec<u8>,
-    imm: Option<u64>,
-    ts: VTime,
-}
-
-#[derive(Debug, Default)]
-struct RecvState {
-    posted: VecDeque<RecvWr>,
-    pending: VecDeque<PendingSend>,
-}
-
-/// Per-QP bookkeeping: the handle plus virtual-time ordering floors that
-/// keep a reliable-connected flow in-order *in virtual time* (a later small
-/// message must not book an earlier calendar hole than its predecessor).
-#[derive(Debug)]
-struct QpState {
-    qp: Qp,
-    /// No later op on this QP may depart before this instant.
-    depart_floor: AtomicU64,
-    /// No later op on this QP may deliver before this instant.
-    deliver_floor: AtomicU64,
-    /// Verbs error state: set when a transfer fails against a dead or
-    /// partitioned peer; new posts are rejected until [`Nic::reset_qp`].
-    error: AtomicBool,
-}
-
-/// Operation counters, updated relaxed; snapshot with [`Nic::counters`].
-#[derive(Debug, Default)]
-pub struct NicCounters {
-    sends: AtomicU64,
-    writes: AtomicU64,
-    reads: AtomicU64,
-    atomics: AtomicU64,
-    recvs_matched: AtomicU64,
-    bytes_tx: AtomicU64,
-    bytes_rx: AtomicU64,
-}
-
-/// A point-in-time copy of a NIC's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CounterSnapshot {
-    /// Two-sided sends initiated.
-    pub sends: u64,
-    /// RDMA writes initiated.
-    pub writes: u64,
-    /// RDMA reads initiated.
-    pub reads: u64,
-    /// Remote atomics initiated.
-    pub atomics: u64,
-    /// Receives matched with an incoming send.
-    pub recvs_matched: u64,
-    /// Payload bytes transmitted.
-    pub bytes_tx: u64,
-    /// Payload bytes received (one-sided writes landing here included).
-    pub bytes_rx: u64,
-}
-
-impl QpState {
-    /// Clamp a computed delivery time to this flow's in-order floor.
-    fn order_deliver(&self, deliver: VTime) -> VTime {
-        VTime(deliver.0.max(self.deliver_floor.load(Ordering::Acquire)))
-    }
-
-    /// Record this op's injection end and delivery as floors for successors.
-    fn advance_floors(&self, injected: VTime, deliver: VTime) {
-        self.depart_floor.fetch_max(injected.0, Ordering::AcqRel);
-        self.deliver_floor.fetch_max(deliver.0, Ordering::AcqRel);
-    }
-}
-
 /// A simulated RDMA NIC attached to one node of the cluster.
 #[derive(Debug)]
 pub struct Nic {
-    node: NodeId,
+    ep: Endpoint,
     switch: Weak<Switch>,
-    mrs: MrTable,
-    send_cq: Cq,
-    recv_cq: Cq,
-    rq: Mutex<RecvState>,
-    qps: RwLock<HashMap<u32, Arc<QpState>>>,
-    next_qp: AtomicU32,
-    pending_send_cap: usize,
-    counters: NicCounters,
     /// Free list of message buffers: payload movement recycles `Vec`s here
     /// instead of allocating one per send/write/read-response.
     buf_pool: Mutex<Vec<Vec<u8>>>,
@@ -175,508 +72,109 @@ impl Nic {
     pub fn attach_with_config(switch: &Arc<Switch>, cfg: NicConfig) -> Arc<Nic> {
         switch.attach_with(|node| {
             Arc::new(Nic {
-                node,
+                ep: Endpoint::new(node, cfg),
                 switch: Arc::downgrade(switch),
-                mrs: MrTable::with_limit(node, cfg.reg_limit_bytes),
-                send_cq: Cq::new(cfg.cq_depth),
-                recv_cq: Cq::new(cfg.cq_depth),
-                rq: Mutex::new(RecvState::default()),
-                qps: RwLock::new(HashMap::new()),
-                next_qp: AtomicU32::new(1),
-                pending_send_cap: cfg.pending_send_cap,
-                counters: NicCounters::default(),
                 buf_pool: Mutex::new(Vec::new()),
             })
         })
     }
 
-    /// This NIC's node id.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// Number of nodes attached to this NIC's switch (job size).
-    pub fn num_nodes(&self) -> usize {
-        self.switch.upgrade().map_or(0, |sw| sw.len())
-    }
-
-    /// The registration table.
-    pub fn mrs(&self) -> &MrTable {
-        &self.mrs
-    }
-
-    /// Register a region of `len` bytes (convenience for `mrs().register`).
-    pub fn register(&self, len: usize, flags: Access) -> Result<MemoryRegion> {
-        self.mrs.register(len, flags)
-    }
-
-    /// Modeled virtual-time cost of registering `len` bytes.
-    pub fn registration_cost_ns(&self, len: usize) -> u64 {
-        self.switch.upgrade().map(|sw| sw.model().registration_ns(len)).unwrap_or(0)
-    }
-
-    /// Create a reliable-connected QP to `peer`.
-    pub fn create_qp(&self, peer: NodeId) -> Result<Qp> {
-        let sw = self.switch.upgrade().ok_or(FabricError::Down)?;
-        if peer >= sw.len() {
-            return Err(FabricError::NoSuchNode { node: peer });
-        }
-        let num = self.next_qp.fetch_add(1, Ordering::Relaxed);
-        let qp = Qp { num, node: self.node, peer };
-        self.qps.write().insert(
-            num,
-            Arc::new(QpState {
-                qp,
-                depart_floor: AtomicU64::new(0),
-                deliver_floor: AtomicU64::new(0),
-                error: AtomicBool::new(false),
-            }),
-        );
-        Ok(qp)
-    }
-
-    /// Clear a QP's error state after the path to the peer has healed
-    /// (reconnection). Ordering floors are preserved: the reconnected flow
-    /// continues forward in virtual time.
-    pub fn reset_qp(&self, qp: Qp) -> Result<()> {
-        let st = self
-            .qps
-            .read()
-            .get(&qp.num)
-            .filter(|st| st.qp == qp)
-            .cloned()
-            .ok_or(FabricError::NoSuchQp { qp: qp.num })?;
-        st.error.store(false, Ordering::Release);
-        Ok(())
-    }
-
-    /// True when `qp` is in the error state (posts are rejected).
-    pub fn qp_errored(&self, qp: Qp) -> bool {
-        self.qps
-            .read()
-            .get(&qp.num)
-            .is_some_and(|st| st.qp == qp && st.error.load(Ordering::Acquire))
-    }
-
-    /// Whether this NIC's *own* node is dead at `now` — i.e. the caller's
-    /// virtual clock has crossed the node's scheduled kill time (probe
-    /// rides and partition waits advance clocks past arbitrary fault
-    /// boundaries). [`Nic::peer_status`] reports [`WcStatus::RemoteDead`]
-    /// when *either* end of the wire is down; this read lets the layer
-    /// above tell "the peer died" from "I died" so it never records a
-    /// live peer dead on the strength of its own crash.
-    pub fn self_dead_at(&self, now: VTime) -> bool {
-        self.switch.upgrade().is_some_and(|sw| sw.faults().node_dead_at(self.node, now))
-    }
-
-    /// Reachability pre-check for `qp`'s peer at virtual time `now`:
-    /// `None` when the path is healthy, otherwise the status a post at
-    /// `now` would fail with ([`WcStatus::RemoteDead`] for a crashed node,
-    /// [`WcStatus::RetryExceeded`] for an active partition). Consults only
-    /// the fault plan, never the QP error flag, so callers can use it to
-    /// decide when a reconnection probe ([`Nic::reset_qp`]) may succeed.
-    pub fn peer_status(&self, qp: Qp, now: VTime) -> Option<WcStatus> {
-        let sw = self.switch.upgrade()?;
-        let f = sw.faults();
-        if !f.has_disruptions() {
-            return None;
-        }
-        if f.node_dead_at(qp.peer, now) || f.node_dead_at(self.node, now) {
-            Some(WcStatus::RemoteDead)
-        } else if f.partitioned_at(self.node, qp.peer, now) {
-            Some(WcStatus::RetryExceeded)
-        } else {
-            None
-        }
-    }
-
-    /// Reachability pre-check for `peer` without a QP — the connection-
-    /// manager analogue of [`Nic::peer_status`], usable before any QP to
-    /// the peer exists. Same status mapping: `RemoteDead` for a crashed
-    /// node (or when this node itself is dead), `RetryExceeded` for an
-    /// active partition, `None` for a healthy path.
-    pub fn node_status(&self, peer: NodeId, now: VTime) -> Option<WcStatus> {
-        let sw = self.switch.upgrade()?;
-        let f = sw.faults();
-        if !f.has_disruptions() {
-            return None;
-        }
-        if f.node_dead_at(peer, now) || f.node_dead_at(self.node, now) {
-            Some(WcStatus::RemoteDead)
-        } else if f.partitioned_at(self.node, peer, now) {
-            Some(WcStatus::RetryExceeded)
-        } else {
-            None
-        }
-    }
-
-    /// The incarnation of `peer` at virtual time `now` (0 = original
-    /// generation, +1 per [`crate::FaultPlan::revive_node_at`]). A
-    /// connection established against one incarnation must not be reused
-    /// against a later one.
-    pub fn node_incarnation(&self, peer: NodeId, now: VTime) -> u64 {
-        self.switch.upgrade().map_or(0, |sw| sw.faults().incarnation_at(peer, now))
-    }
-
-    /// Destroy a QP; subsequent posts on it fail.
-    pub fn destroy_qp(&self, qp: Qp) -> Result<()> {
-        self.qps.write().remove(&qp.num).map(|_| ()).ok_or(FabricError::NoSuchQp { qp: qp.num })
-    }
-
-    /// Poll the initiator-side completion queue.
-    pub fn poll_send_cq(&self) -> Option<Completion> {
-        self.send_cq.poll()
-    }
-
-    /// Poll the target-side completion queue (receives and imm events).
-    pub fn poll_recv_cq(&self) -> Option<Completion> {
-        self.recv_cq.poll()
-    }
-
-    /// Drain up to `n` initiator-side completions.
-    pub fn poll_send_cq_n(&self, n: usize) -> Vec<Completion> {
-        self.send_cq.poll_n(n)
-    }
-
-    /// Drain up to `n` target-side completions.
-    pub fn poll_recv_cq_n(&self, n: usize) -> Vec<Completion> {
-        self.recv_cq.poll_n(n)
-    }
-
-    /// Drain up to `n` initiator-side completions into `out` (appended),
-    /// allocation-free; returns the number drained.
-    pub fn poll_send_cq_into(&self, n: usize, out: &mut Vec<Completion>) -> usize {
-        self.send_cq.poll_n_into(n, out)
-    }
-
-    /// Drain up to `n` target-side completions into `out` (appended),
-    /// allocation-free; returns the number drained.
-    pub fn poll_recv_cq_into(&self, n: usize, out: &mut Vec<Completion>) -> usize {
-        self.recv_cq.poll_n_into(n, out)
-    }
-
-    /// Post a receive. If unexpected sends are parked, the oldest one
-    /// matches immediately.
-    pub fn post_recv(&self, wr: RecvWr) -> Result<()> {
-        wr.local.check()?;
-        self.check_local(&wr.local)?;
-        let mut rq = self.rq.lock();
-        if let Some(p) = rq.pending.pop_front() {
-            drop(rq);
-            return self.complete_recv(wr, p);
-        }
-        rq.posted.push_back(wr);
-        Ok(())
-    }
-
-    /// Number of posted-but-unmatched receives.
-    pub fn posted_recvs(&self) -> usize {
-        self.rq.lock().posted.len()
-    }
-
-    /// Post a send-queue work request with the initiator's virtual clock at
-    /// `now`.  Effects apply before return; completions are delivered to the
-    /// relevant CQs with modeled timestamps.
-    pub fn post_send(&self, qp: Qp, wr: SendWr, now: VTime) -> Result<()> {
-        self.post_send_many(qp, std::slice::from_ref(&wr), now)
-    }
-
-    /// Post a *run* of send-queue work requests through one doorbell: the
-    /// per-post overhead (`send_overhead_ns`) and the QP/switch lookup are
-    /// charged once for the whole run instead of once per work request. The
-    /// wrs execute in order on the same QP, so RC ordering holds across the
-    /// run and a signaled *last* wr implies every earlier one has completed
-    /// — the contract the middleware's one-CQE batch fan-out relies on.
-    ///
-    /// Stops at the first failing wr and returns its error; wrs executed
-    /// before the failure keep their effects (as on hardware, where one
-    /// doorbell covers already-fetched WQEs).
-    pub fn post_send_many(&self, qp: Qp, wrs: &[SendWr], now: VTime) -> Result<()> {
-        let (sw, state) = self.send_path(qp)?;
-        let base = now + sw.model().send_overhead_ns;
-        for wr in wrs {
-            // RC in-order floor: never depart before a predecessor on this QP.
-            let ready = base.max(VTime(state.depart_floor.load(Ordering::Acquire)));
-            self.exec_send(&sw, &state, qp, wr, ready)?;
-        }
-        Ok(())
-    }
-
-    /// Shared post-path prologue: switch + QP state lookup, error-state
-    /// rejection.
-    fn send_path(&self, qp: Qp) -> Result<(Arc<Switch>, Arc<QpState>)> {
-        let sw = self.switch.upgrade().ok_or(FabricError::Down)?;
-        let state = self
-            .qps
-            .read()
-            .get(&qp.num)
-            .filter(|st| st.qp == qp)
-            .cloned()
-            .ok_or(FabricError::NoSuchQp { qp: qp.num })?;
-        // A QP in the error state rejects every post until reset_qp.
-        if state.error.load(Ordering::Acquire) {
-            return Err(FabricError::PeerUnreachable { node: qp.peer });
-        }
-        Ok((sw, state))
-    }
-
-    /// Execute one work request whose departure is gated at `ready`.
-    fn exec_send(
-        &self,
-        sw: &Arc<Switch>,
-        state: &QpState,
-        qp: Qp,
-        wr: &SendWr,
-        ready: VTime,
-    ) -> Result<()> {
-        match wr.op {
-            WrOp::Send { ref local, imm } => {
-                local.check()?;
-                self.check_local(local)?;
-                let mut data = self.take_buf(local.len);
-                local.mr.read_at(local.offset, &mut data);
-                let t = self.transfer_checked(
-                    sw,
-                    state,
-                    self.node,
-                    qp.peer,
-                    local.len,
-                    ready,
-                    wr.wr_id,
-                    CompletionKind::SendDone,
-                )?;
-                let deliver = state.order_deliver(t.deliver);
-                state.advance_floors(t.injected, deliver);
-                stamp_all(&mut data, wr, deliver)?;
-                sw.nic(qp.peer)?.deliver_send(self.node, data, imm, deliver)?;
-                self.counters.sends.fetch_add(1, Ordering::Relaxed);
-                self.counters.bytes_tx.fetch_add(local.len as u64, Ordering::Relaxed);
-                if wr.signaled {
-                    self.send_cq.push(Completion {
-                        wr_id: wr.wr_id,
-                        kind: CompletionKind::SendDone,
-                        ts: t.injected,
-                        status: WcStatus::Success,
-                    })?;
-                }
-            }
-            WrOp::Write { ref local, remote, imm } => {
-                local.check()?;
-                self.check_local(local)?;
-                if local.len != remote.len {
-                    return Err(FabricError::LengthMismatch {
-                        local: local.len,
-                        remote: remote.len,
-                    });
-                }
-                let mut data = self.take_buf(local.len);
-                local.mr.read_at(local.offset, &mut data);
-                let t = self.transfer_checked(
-                    sw,
-                    state,
-                    self.node,
-                    qp.peer,
-                    local.len,
-                    ready,
-                    wr.wr_id,
-                    CompletionKind::WriteDone,
-                )?;
-                let deliver = state.order_deliver(t.deliver);
-                state.advance_floors(t.injected, deliver);
-                stamp_all(&mut data, wr, deliver)?;
-                sw.nic(qp.peer)?.apply_write(self.node, &data, remote, imm, deliver)?;
-                self.give_buf(data);
-                self.counters.writes.fetch_add(1, Ordering::Relaxed);
-                self.counters.bytes_tx.fetch_add(local.len as u64, Ordering::Relaxed);
-                if wr.signaled {
-                    self.send_cq.push(Completion {
-                        wr_id: wr.wr_id,
-                        kind: CompletionKind::WriteDone,
-                        ts: t.injected,
-                        status: WcStatus::Success,
-                    })?;
-                }
-            }
-            WrOp::Read { ref local, remote } => {
-                local.check()?;
-                self.check_local(local)?;
-                if local.len != remote.len {
-                    return Err(FabricError::LengthMismatch {
-                        local: local.len,
-                        remote: remote.len,
-                    });
-                }
-                // Header-only request travels out; data travels back.
-                let req = self.transfer_checked(
-                    sw,
-                    state,
-                    self.node,
-                    qp.peer,
-                    REQUEST_BYTES,
-                    ready,
-                    wr.wr_id,
-                    CompletionKind::ReadDone,
-                )?;
-                let req_deliver = state.order_deliver(req.deliver);
-                state.advance_floors(req.injected, req_deliver);
-                let data = sw.nic(qp.peer)?.serve_read(remote)?;
-                let resp = self.transfer_checked(
-                    sw,
-                    state,
-                    qp.peer,
-                    self.node,
-                    remote.len,
-                    req_deliver,
-                    wr.wr_id,
-                    CompletionKind::ReadDone,
-                )?;
-                local.mr.write_at(local.offset, &data);
-                self.give_buf(data);
-                self.counters.reads.fetch_add(1, Ordering::Relaxed);
-                self.counters.bytes_rx.fetch_add(remote.len as u64, Ordering::Relaxed);
-                if wr.signaled {
-                    self.send_cq.push(Completion {
-                        wr_id: wr.wr_id,
-                        kind: CompletionKind::ReadDone,
-                        ts: resp.deliver,
-                        status: WcStatus::Success,
-                    })?;
-                }
-            }
-            WrOp::FetchAdd { ref local, remote, add } => {
-                self.atomic_common(
-                    sw,
-                    state,
-                    local,
-                    remote,
-                    ready,
-                    wr.wr_id,
-                    wr.signaled,
-                    |nic| nic.serve_atomic(remote, |mr, off| mr.fetch_add_u64(off, add)),
-                )?;
-            }
-            WrOp::CompareSwap { ref local, remote, compare, swap } => {
-                self.atomic_common(
-                    sw,
-                    state,
-                    local,
-                    remote,
-                    ready,
-                    wr.wr_id,
-                    wr.signaled,
-                    |nic| {
-                        nic.serve_atomic(remote, |mr, off| mr.compare_swap_u64(off, compare, swap))
-                    },
-                )?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Shared path for both remote atomics.
-    #[allow(clippy::too_many_arguments)]
-    #[allow(clippy::too_many_arguments)]
-    fn atomic_common(
-        &self,
-        sw: &Arc<Switch>,
-        state: &QpState,
-        local: &MrSlice,
-        remote: RemoteSlice,
-        ready: VTime,
-        wr_id: u64,
-        signaled: bool,
-        serve: impl FnOnce(&Nic) -> Result<u64>,
-    ) -> Result<u64> {
-        let qp = state.qp;
-        if local.len != 8 {
-            return Err(FabricError::BadAtomicTarget { addr: remote.addr, len: local.len });
-        }
-        local.check()?;
-        self.check_local(local)?;
-        let req = self.transfer_checked(
-            sw,
-            state,
-            self.node,
-            qp.peer,
-            REQUEST_BYTES,
-            ready,
-            wr_id,
-            CompletionKind::AtomicDone { old: 0 },
-        )?;
-        let req_deliver = state.order_deliver(req.deliver);
-        state.advance_floors(req.injected, req_deliver);
-        let target = sw.nic(qp.peer)?;
-        let old = serve(&target)?;
-        let resp = self.transfer_checked(
-            sw,
-            state,
-            qp.peer,
-            self.node,
-            8,
-            req_deliver,
-            wr_id,
-            CompletionKind::AtomicDone { old: 0 },
-        )?;
-        local.mr.write_u64(local.offset, old);
-        self.counters.atomics.fetch_add(1, Ordering::Relaxed);
-        if signaled {
-            self.send_cq.push(Completion {
-                wr_id,
-                kind: CompletionKind::AtomicDone { old },
-                ts: resp.deliver,
-                status: WcStatus::Success,
-            })?;
-        }
-        Ok(old)
-    }
-
-    /// Wire reservation with the verbs failure model: when the transfer is
-    /// rejected because the peer is dead or the path partitioned, transition
-    /// the QP to the error state, flush the failing work request as an error
-    /// CQE carrying its [`WcStatus`] ([`WcStatus::RemoteDead`] for a crashed
-    /// node, [`WcStatus::RetryExceeded`] for an active partition), and
-    /// surface [`FabricError::PeerUnreachable`] to the poster.  The error
-    /// CQE is pushed even for unsignaled work requests (flush semantics);
-    /// its `kind` metadata is unspecified, as on real hardware.
-    #[allow(clippy::too_many_arguments)]
-    fn transfer_checked(
-        &self,
-        sw: &Arc<Switch>,
-        state: &QpState,
-        src: NodeId,
-        dst: NodeId,
-        bytes: usize,
-        ready: VTime,
-        wr_id: u64,
-        kind: CompletionKind,
-    ) -> Result<Transfer> {
-        match sw.transfer(src, dst, bytes, ready) {
+    /// Execute one work request whose departure is gated at `ready`: the
+    /// model books each wire leg, the target's endpoint applies the effect
+    /// at the leg's ordered delivery time.
+    fn exec(&self, sw: &Switch, st: &QpState, wr: &SendWr, ready: VTime) -> Result<()> {
+        self.ep.admit(wr)?;
+        let (me, peer) = (st.qp.node, st.qp.peer);
+        // One wire leg under the verbs failure model: when the fault plan
+        // rejects the transfer, the QP enters the error state and the work
+        // request flushes as an error CQE carrying `RemoteDead` (either end
+        // crashed) or `RetryExceeded` (partition) — pushed even for an
+        // unsignaled wr, its `kind` unspecified, as on real hardware.
+        let leg = |src, dst, bytes, at: VTime, kind| match sw.transfer(src, dst, bytes, at) {
             Err(FabricError::PeerUnreachable { node }) => {
-                state.error.store(true, Ordering::Release);
+                st.error.store(true, Ordering::Release);
                 let f = sw.faults();
-                let peer = state.qp.peer;
-                let status = if f.node_dead_at(peer, ready) || f.node_dead_at(self.node, ready) {
+                let status = if f.node_dead_at(peer, at) || f.node_dead_at(me, at) {
                     WcStatus::RemoteDead
                 } else {
                     WcStatus::RetryExceeded
                 };
                 // Best effort: a full CQ must not mask the post error.
-                let _ = self.send_cq.push(Completion { wr_id, kind, ts: ready, status });
+                let _ =
+                    self.ep.send_cq().push(Completion { wr_id: wr.wr_id, kind, ts: at, status });
                 Err(FabricError::PeerUnreachable { node })
             }
             other => other,
+        };
+        let target = || sw.nic(peer);
+        // A header-only request travels out, 8 bytes of old value back.
+        let atomic = |local: &MrSlice, remote: &RemoteSlice, op: Atomic| {
+            let kind = CompletionKind::AtomicDone { old: 0 };
+            let at = ordered(st, leg(me, peer, REQUEST_BYTES, ready, kind.clone())?);
+            let old = target()?.ep.apply_atomic(remote.addr, remote.rkey, op)?;
+            let resp = leg(peer, me, 8, at, kind)?;
+            local.mr.write_u64(local.offset, old);
+            Ok::<_, FabricError>((CompletionKind::AtomicDone { old }, resp.deliver))
+        };
+        let (kind, ts) = match &wr.op {
+            WrOp::Send { local, imm } => {
+                let data = self.gather(&local.mr, local.offset, local.len);
+                let t = leg(me, peer, local.len, ready, CompletionKind::SendDone)?;
+                let res = target()?.ep.deliver_send(me, Cow::Borrowed(&data), *imm, ordered(st, t));
+                self.give_buf(data);
+                res?;
+                (CompletionKind::SendDone, t.injected)
+            }
+            WrOp::Write { local, remote, imm } => {
+                let data = self.gather(&local.mr, local.offset, local.len);
+                let t = leg(me, peer, local.len, ready, CompletionKind::WriteDone)?;
+                let deliver = ordered(st, t);
+                let target = target()?;
+                let res =
+                    target.ep.apply_write(remote.addr, remote.rkey, &data, wr.stamps(), deliver);
+                self.give_buf(data);
+                res?;
+                if let Some(imm) = *imm {
+                    target.ep.push_imm(me, local.len, imm, deliver)?;
+                }
+                (CompletionKind::WriteDone, t.injected)
+            }
+            WrOp::Read { local, remote } => {
+                // Header-only request travels out; data travels back.
+                let at =
+                    ordered(st, leg(me, peer, REQUEST_BYTES, ready, CompletionKind::ReadDone)?);
+                let (mr, off) = target()?.ep.read_source(remote.addr, remote.rkey, remote.len)?;
+                let data = self.gather(&mr, off, remote.len);
+                let resp = leg(peer, me, remote.len, at, CompletionKind::ReadDone)?;
+                local.mr.write_at(local.offset, &data);
+                self.give_buf(data);
+                (CompletionKind::ReadDone, resp.deliver)
+            }
+            WrOp::FetchAdd { local, remote, add } => atomic(local, remote, Atomic::FetchAdd(*add))?,
+            WrOp::CompareSwap { local, remote, compare, swap } => {
+                atomic(local, remote, Atomic::CompareSwap { compare: *compare, swap: *swap })?
+            }
+        };
+        if wr.signaled {
+            self.ep.send_cq().push(Completion {
+                wr_id: wr.wr_id,
+                kind,
+                ts,
+                status: WcStatus::Success,
+            })?;
         }
+        Ok(())
     }
 
-    /// Take a message buffer of exactly `len` bytes — first from this
-    /// thread's lock-free front cache, then from the shared free list
-    /// (allocating only when both are empty). Contents are unspecified;
-    /// callers overwrite the whole buffer.
-    fn take_buf(&self, len: usize) -> Vec<u8> {
+    /// A message buffer holding a copy of `len` bytes of `mr` at `off`:
+    /// taken first from this thread's lock-free front cache, then from the
+    /// shared free list, allocated only when both are empty.
+    fn gather(&self, mr: &MemoryRegion, off: usize, len: usize) -> Vec<u8> {
         let mut v = BUF_FRONT
             .with(|c| c.borrow_mut().pop())
             .unwrap_or_else(|| self.buf_pool.lock().pop().unwrap_or_default());
         v.resize(len, 0);
+        mr.read_at(off, &mut v);
         v
     }
 
@@ -707,148 +205,100 @@ impl Nic {
         }
     }
 
-    /// A local slice must name memory registered on *this* node.
-    fn check_local(&self, s: &MrSlice) -> Result<()> {
-        if s.mr.node() != self.node {
-            return Err(FabricError::InvalidLkey { lkey: s.mr.lkey() });
-        }
-        Ok(())
-    }
-
-    // ---- target-side entry points (called by the initiating thread) ----
-
-    fn deliver_send(&self, src: NodeId, data: Vec<u8>, imm: Option<u64>, ts: VTime) -> Result<()> {
-        let mut rq = self.rq.lock();
-        if let Some(recv) = rq.posted.pop_front() {
-            drop(rq);
-            self.complete_recv(recv, PendingSend { src, data, imm, ts })
-        } else {
-            if rq.pending.len() >= self.pending_send_cap {
-                return Err(FabricError::ReceiverNotReady { node: self.node });
-            }
-            rq.pending.push_back(PendingSend { src, data, imm, ts });
-            Ok(())
-        }
-    }
-
-    fn complete_recv(&self, recv: RecvWr, p: PendingSend) -> Result<()> {
-        if recv.local.len < p.data.len() {
-            return Err(FabricError::LengthMismatch {
-                local: recv.local.len,
-                remote: p.data.len(),
-            });
-        }
-        recv.local.mr.write_at(recv.local.offset, &p.data);
-        self.counters.recvs_matched.fetch_add(1, Ordering::Relaxed);
-        self.counters.bytes_rx.fetch_add(p.data.len() as u64, Ordering::Relaxed);
-        let len = p.data.len();
-        self.give_buf(p.data);
-        self.recv_cq.push(Completion {
-            wr_id: recv.wr_id,
-            kind: CompletionKind::RecvDone { src: p.src, len, imm: p.imm },
-            ts: p.ts,
-            status: WcStatus::Success,
-        })
-    }
-
-    fn apply_write(
-        &self,
-        src: NodeId,
-        data: &[u8],
-        remote: RemoteSlice,
-        imm: Option<u64>,
-        ts: VTime,
-    ) -> Result<()> {
-        let (mr, off) =
-            self.mrs.resolve(remote.addr, remote.rkey, remote.len, Access::REMOTE_WRITE)?;
-        mr.write_at(off, data);
-        self.counters.bytes_rx.fetch_add(data.len() as u64, Ordering::Relaxed);
-        if let Some(imm) = imm {
-            self.recv_cq.push(Completion {
-                wr_id: 0,
-                kind: CompletionKind::ImmDone { src, len: data.len(), imm },
-                ts,
-                status: WcStatus::Success,
-            })?;
-        }
-        Ok(())
-    }
-
-    fn serve_read(&self, remote: RemoteSlice) -> Result<Vec<u8>> {
-        let (mr, off) =
-            self.mrs.resolve(remote.addr, remote.rkey, remote.len, Access::REMOTE_READ)?;
-        let mut data = self.take_buf(remote.len);
-        mr.read_at(off, &mut data);
-        Ok(data)
-    }
-
-    fn serve_atomic(
-        &self,
-        remote: RemoteSlice,
-        op: impl FnOnce(&MemoryRegion, usize) -> u64,
-    ) -> Result<u64> {
-        if remote.len != 8 || !remote.addr.is_multiple_of(8) {
-            return Err(FabricError::BadAtomicTarget { addr: remote.addr, len: remote.len });
-        }
-        let (mr, off) = self.mrs.resolve(remote.addr, remote.rkey, 8, Access::REMOTE_ATOMIC)?;
-        Ok(op(&mr, off))
-    }
-
     /// Zero all per-QP virtual-time ordering floors (benchmark repetitions;
     /// called by [`crate::Switch::reset_time`]).
     pub(crate) fn reset_flow_floors(&self) {
-        for st in self.qps.read().values() {
+        self.ep.each_qp(|st| {
             st.depart_floor.store(0, Ordering::Release);
             st.deliver_floor.store(0, Ordering::Release);
-        }
-    }
-
-    /// Snapshot of the operation counters.
-    pub fn counters(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            sends: self.counters.sends.load(Ordering::Relaxed),
-            writes: self.counters.writes.load(Ordering::Relaxed),
-            reads: self.counters.reads.load(Ordering::Relaxed),
-            atomics: self.counters.atomics.load(Ordering::Relaxed),
-            recvs_matched: self.counters.recvs_matched.load(Ordering::Relaxed),
-            bytes_tx: self.counters.bytes_tx.load(Ordering::Relaxed),
-            bytes_rx: self.counters.bytes_rx.load(Ordering::Relaxed),
-        }
+        });
     }
 }
 
-/// Apply a delivery-time stamp to an outgoing payload (see
-/// [`SendWr::stamp_deliver_at`]).
-fn stamp(data: &mut [u8], at: Option<usize>, deliver: VTime) -> Result<()> {
-    if let Some(off) = at {
-        if off + 8 > data.len() {
-            return Err(FabricError::OutOfBounds {
-                addr: off as u64,
-                len: 8,
-                region_base: 0,
-                region_len: data.len(),
-            });
-        }
-        data[off..off + 8].copy_from_slice(&deliver.as_nanos().to_le_bytes());
-    }
-    Ok(())
+/// Clamp a leg's delivery to its flow's in-order floor and record the leg
+/// as the floors its successors on the QP must respect; returns the ordered
+/// delivery time.
+fn ordered(st: &QpState, t: Transfer) -> VTime {
+    let deliver = VTime(t.deliver.0.max(st.deliver_floor.load(Ordering::Acquire)));
+    st.depart_floor.fetch_max(t.injected.0, Ordering::AcqRel);
+    st.deliver_floor.fetch_max(deliver.0, Ordering::AcqRel);
+    deliver
 }
 
-/// Apply every stamp a work request carries: the primary offset plus the
-/// per-frame offsets of a doorbell-batched post.
-fn stamp_all(data: &mut [u8], wr: &SendWr, deliver: VTime) -> Result<()> {
-    stamp(data, wr.stamp_deliver_at, deliver)?;
-    for &off in &wr.stamp_deliver_also {
-        stamp(data, Some(off), deliver)?;
+impl FabricBackend for Nic {
+    fn endpoint(&self) -> &Endpoint {
+        &self.ep
     }
-    Ok(())
+
+    /// Number of nodes attached to this NIC's switch.
+    fn num_nodes(&self) -> usize {
+        self.switch.upgrade().map_or(0, |sw| sw.len())
+    }
+
+    /// The per-post overhead (`send_overhead_ns`) and the QP lookup are
+    /// charged once for the whole run. The wrs execute in order on the
+    /// same QP, so a signaled *last* wr implies every earlier one has
+    /// completed — the contract the middleware's one-CQE batch fan-out
+    /// relies on. Effects apply before return; completions carry modeled
+    /// timestamps.
+    fn post_send_many(&self, qp: Qp, wrs: &[SendWr], now: VTime) -> Result<()> {
+        let sw = self.switch.upgrade().ok_or(FabricError::Down)?;
+        let st = self.ep.live_qp(qp)?;
+        let base = now + sw.model().send_overhead_ns;
+        for wr in wrs {
+            // RC in-order floor: never depart before a predecessor on this QP.
+            let ready = base.max(VTime(st.depart_floor.load(Ordering::Acquire)));
+            self.exec(&sw, &st, wr, ready)?;
+        }
+        Ok(())
+    }
+
+    /// From the fault plan: [`WcStatus::RemoteDead`] when `peer` or this
+    /// node itself is dead at `now`, [`WcStatus::RetryExceeded`] inside a
+    /// partition window, `None` for a healthy path.
+    fn node_status(&self, peer: NodeId, now: VTime) -> Option<WcStatus> {
+        let sw = self.switch.upgrade()?;
+        let f = sw.faults();
+        if !f.has_disruptions() {
+            return None;
+        }
+        if f.node_dead_at(peer, now) || f.node_dead_at(self.ep.node(), now) {
+            Some(WcStatus::RemoteDead)
+        } else if f.partitioned_at(self.ep.node(), peer, now) {
+            Some(WcStatus::RetryExceeded)
+        } else {
+            None
+        }
+    }
+
+    fn registration_cost_ns(&self, len: usize) -> u64 {
+        self.switch.upgrade().map(|sw| sw.model().registration_ns(len)).unwrap_or(0)
+    }
+
+    /// Whether the caller's virtual clock has crossed this node's scheduled
+    /// kill time (probe rides and partition waits advance clocks past
+    /// arbitrary fault boundaries). [`FabricBackend::node_status`] reports
+    /// `RemoteDead` when *either* end of the wire is down; this read lets
+    /// the layer above tell "the peer died" from "I died" so it never
+    /// records a live peer dead on the strength of its own crash.
+    fn self_dead_at(&self, now: VTime) -> bool {
+        self.switch.upgrade().is_some_and(|sw| sw.faults().node_dead_at(self.ep.node(), now))
+    }
+
+    /// The incarnation of `peer` at virtual time `now` (+1 per
+    /// [`crate::FaultPlan::revive_node_at`]). A connection established
+    /// against one incarnation must not be reused against a later one.
+    fn node_incarnation(&self, peer: NodeId, now: VTime) -> u64 {
+        self.switch.upgrade().map_or(0, |sw| sw.faults().incarnation_at(peer, now))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::NetworkModel;
-    use crate::mr::DEFAULT_REG_LIMIT;
+    use crate::mr::{Access, DEFAULT_REG_LIMIT};
+    use crate::verbs::RecvWr;
 
     fn two_nodes(model: NetworkModel) -> (Arc<Switch>, Arc<Nic>, Arc<Nic>) {
         let sw = Arc::new(Switch::new(model));
@@ -880,8 +330,8 @@ mod tests {
         assert!(c.ts > VTime(0));
         // One-sided: the target CQ saw nothing.
         assert!(b.poll_recv_cq().is_none());
-        assert_eq!(a.counters().writes, 1);
-        assert_eq!(b.counters().bytes_rx, 16);
+        assert_eq!(a.endpoint().stats().writes, 1);
+        assert_eq!(b.endpoint().stats().bytes_rx, 16);
     }
 
     #[test]
@@ -956,7 +406,7 @@ mod tests {
         let c = a.poll_send_cq().expect("tail CQE");
         assert_eq!(c.wr_id, 99);
         assert!(a.poll_send_cq().is_none());
-        assert_eq!(a.counters().reads, 8);
+        assert_eq!(a.endpoint().stats().reads, 8);
 
         // Same 8 reads posted individually: the batched tail completes no
         // later in virtual time (back-to-back posts absorb the overhead in
@@ -1201,24 +651,19 @@ mod tests {
 
     #[test]
     fn pending_send_cap_surfaces_rnr() {
-        let sw = Arc::new(Switch::new(NetworkModel::ideal()));
-        let a = Nic::attach_with_config(&sw, NicConfig::default());
-        let b =
-            Nic::attach_with_config(&sw, NicConfig { pending_send_cap: 4, ..NicConfig::default() });
-        let _ = &b;
+        let (_sw, a, _b) = two_nodes(NetworkModel::ideal());
         let src = a.register(8, Access::ALL).unwrap();
         let qp = a.create_qp(1).unwrap();
-        let send = |id| {
-            a.post_send(
-                qp,
-                SendWr::new(id, WrOp::Send { local: MrSlice::whole(&src), imm: None }),
-                VTime(0),
-            )
+        // Unsignaled, so the send CQ cannot fill before the receiver's
+        // unexpected-send queue does.
+        let send = || {
+            let op = WrOp::Send { local: MrSlice::whole(&src), imm: None };
+            a.post_send(qp, SendWr::unsignaled(op), VTime(0))
         };
-        for i in 0..4 {
-            send(i).unwrap();
+        for _ in 0..crate::endpoint::PENDING_SEND_CAP {
+            send().unwrap();
         }
-        assert!(matches!(send(5), Err(FabricError::ReceiverNotReady { node: 1 })));
+        assert!(matches!(send(), Err(FabricError::ReceiverNotReady { node: 1 })));
     }
 
     #[test]
@@ -1399,7 +844,7 @@ mod tests {
         assert!(matches!(put(3, VTime(30_000)), Err(FabricError::PeerUnreachable { node: 1 })));
         assert!(a.poll_send_cq().is_none());
         // The destination region never saw the failed writes.
-        assert_eq!(sw.nic(1).unwrap().counters().bytes_rx, 16);
+        assert_eq!(sw.nic(1).unwrap().endpoint().stats().bytes_rx, 16);
     }
 
     #[test]

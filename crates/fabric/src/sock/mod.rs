@@ -1,5 +1,5 @@
 //! The sockets fabric backend: real OS transport behind the
-//! [`FabricBackend`] seam.
+//! [`crate::FabricBackend`] seam.
 //!
 //! Where the simulated NIC models an RDMA fabric in virtual time, this
 //! backend moves bytes over UDP datagrams on a real network path (loopback
@@ -41,83 +41,13 @@ mod sys;
 pub mod wire;
 
 pub use bootstrap::{Bootstrap, BootstrapServer};
-pub use nic::{SockNic, SOCK_PENDING_SEND_CAP};
+pub use nic::SockNic;
 pub use stats::{SockStats, SockStatsSnapshot, SOCK_COUNTERS};
 
-use crate::backend::FabricBackend;
-use crate::clock::VTime;
 use crate::error::{FabricError, Result};
-use crate::mr::{Access, MemoryRegion, MrTable};
-use crate::verbs::{Completion, Qp, RecvWr, SendWr, WcStatus};
 use crate::NodeId;
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
-
-impl FabricBackend for SockNic {
-    fn node(&self) -> NodeId {
-        SockNic::node(self)
-    }
-
-    fn num_nodes(&self) -> usize {
-        SockNic::num_nodes(self)
-    }
-
-    fn mrs(&self) -> &MrTable {
-        SockNic::mrs(self)
-    }
-
-    fn register(&self, len: usize, flags: Access) -> Result<MemoryRegion> {
-        SockNic::register(self, len, flags)
-    }
-
-    fn create_qp(&self, peer: NodeId) -> Result<Qp> {
-        SockNic::create_qp(self, peer)
-    }
-
-    fn destroy_qp(&self, qp: Qp) -> Result<()> {
-        SockNic::destroy_qp(self, qp)
-    }
-
-    fn reset_qp(&self, qp: Qp) -> Result<()> {
-        SockNic::reset_qp(self, qp)
-    }
-
-    fn qp_errored(&self, qp: Qp) -> bool {
-        SockNic::qp_errored(self, qp)
-    }
-
-    fn post_send(&self, qp: Qp, wr: SendWr, now: VTime) -> Result<()> {
-        SockNic::post_send(self, qp, wr, now)
-    }
-
-    fn post_send_many(&self, qp: Qp, wrs: &[SendWr], now: VTime) -> Result<()> {
-        SockNic::post_send_many(self, qp, wrs, now)
-    }
-
-    fn post_recv(&self, wr: RecvWr) -> Result<()> {
-        SockNic::post_recv(self, wr)
-    }
-
-    fn poll_send_cq_into(&self, n: usize, out: &mut Vec<Completion>) -> usize {
-        SockNic::poll_send_cq_into(self, n, out)
-    }
-
-    fn poll_recv_cq_into(&self, n: usize, out: &mut Vec<Completion>) -> usize {
-        SockNic::poll_recv_cq_into(self, n, out)
-    }
-
-    fn poll_send_cq(&self) -> Option<Completion> {
-        SockNic::poll_send_cq(self)
-    }
-
-    fn poll_recv_cq(&self) -> Option<Completion> {
-        SockNic::poll_recv_cq(self)
-    }
-
-    fn node_status(&self, peer: NodeId, _now: VTime) -> Option<WcStatus> {
-        SockNic::node_status(self, peer)
-    }
-}
 
 /// An `n`-endpoint sockets cluster in one process: every rank gets its own
 /// UDP socket and reactor thread, and the data path crosses the loopback
@@ -198,7 +128,12 @@ pub fn join_job(bootstrap_addr: &str, rank: NodeId) -> Result<(Arc<SockNic>, Boo
 mod tests {
     use super::chan::Datagram;
     use super::*;
-    use crate::verbs::{CompletionKind, MrSlice, RemoteSlice, WrOp};
+    use crate::backend::FabricBackend;
+    use crate::clock::VTime;
+    use crate::mr::{Access, MemoryRegion};
+    use crate::verbs::{
+        Completion, CompletionKind, MrSlice, RecvWr, RemoteSlice, SendWr, WcStatus, WrOp,
+    };
     use parking_lot::Mutex;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -737,7 +672,8 @@ mod tests {
             assert_eq!(remote.read_u64((round % 64) as usize * 8), round);
         }
         for i in 0..2 {
-            assert_eq!(c.nic(i).node_status(1 - i), None, "no channel ran out of retries");
+            let status = c.nic(i).node_status(1 - i, VTime(0));
+            assert_eq!(status, None, "no channel ran out of retries");
         }
         let (a, b) = (c.nic(0).stats(), c.nic(1).stats());
         assert!(a.retransmits + b.retransmits > 0, "loss was injected: {a:?} {b:?}");

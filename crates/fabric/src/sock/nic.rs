@@ -1,15 +1,19 @@
-//! The sockets NIC: verbs-shaped endpoint over UDP datagrams.
+//! The sockets NIC: the shared verbs [`Endpoint`] carried over UDP
+//! datagrams.
 //!
-//! One-sided semantics are *emulated*: incoming write/read/atomic requests
-//! are executed against the locally registered [`MrTable`] by whichever
-//! thread holds the endpoint's drain turn (see [`super::reactor`]) — the
-//! standard software-RMA construction (and what Photon's original sockets
-//! backend did). Posting encodes the work request's frames straight from
-//! the source region into the per-peer reliable channel's retransmit
-//! storage (so the source buffer is reusable immediately, strictly stronger
-//! than verbs' completion-gated reuse), and resolves the initiator
-//! completion when the peer acknowledges (writes, sends) or responds
-//! (reads, atomics).
+//! What is particular to this backend is the transport: per-peer reliable
+//! channels, datagram trains, and the drain turn its reactor and its
+//! pollers share (see [`super::reactor`]). One-sided semantics are
+//! *emulated*: incoming write/read/atomic requests are executed by the
+//! endpoint's target-side code on whichever thread holds the drain turn —
+//! the standard software-RMA construction (and what Photon's original
+//! sockets backend did). Posting encodes the work request's frames straight
+//! from the source region into the channel's retransmit storage (so the
+//! source buffer is reusable immediately, strictly stronger than verbs'
+//! completion-gated reuse), and resolves the initiator completion when the
+//! peer acknowledges (writes, sends) or responds (reads, atomics). A QP to
+//! this node itself skips the wire: [`SockNic`] runs the same target-side
+//! code inside the post.
 //!
 //! Timestamps are wall-clock nanoseconds relative to a job-wide epoch
 //! distributed at bootstrap, clamped monotone per NIC, satisfying the
@@ -18,32 +22,20 @@
 use super::chan::{Channel, Datagram, OpDone, TxWriter, Wire};
 use super::reactor::{self, Turn, ARMED_WAIT, HOT_WINDOW};
 use super::stats::{SockStats, SockStatsSnapshot};
-use super::wire::{AtomicKind, Body, F_HAS_IMM, F_LAST, MAX_FRAG};
+use super::wire::{Body, F_HAS_IMM, F_LAST, MAX_FRAG};
+use crate::backend::FabricBackend;
 use crate::clock::VTime;
+use crate::endpoint::{Endpoint, NicConfig};
 use crate::error::{FabricError, Result};
-use crate::mr::{Access, MemoryRegion, MrTable};
-use crate::verbs::{
-    Completion, CompletionKind, Cq, MrSlice, Qp, RecvWr, SendWr, WcStatus, WrOp, DEFAULT_CQ_DEPTH,
-};
+use crate::verbs::{Atomic, Completion, CompletionKind, MrSlice, Qp, SendWr, WcStatus, WrOp};
 use crate::NodeId;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
-
-/// Unexpected two-sided sends parked per NIC before new ones are dropped
-/// (the reliable channel will have acked them; parking beyond the cap
-/// trades the sim's synchronous RNR error for bounded memory).
-pub const SOCK_PENDING_SEND_CAP: usize = 8192;
-
-#[derive(Debug)]
-struct SockQp {
-    qp: Qp,
-    error: AtomicBool,
-}
 
 /// A read or atomic in flight, awaiting its response packet.
 #[derive(Debug)]
@@ -68,19 +60,6 @@ impl PendingOp {
     }
 }
 
-#[derive(Debug)]
-pub(super) struct ParkedSend {
-    pub src: NodeId,
-    pub data: Vec<u8>,
-    pub imm: Option<u64>,
-}
-
-#[derive(Debug, Default)]
-pub(super) struct SockRecvState {
-    pub posted: VecDeque<RecvWr>,
-    pub pending: VecDeque<ParkedSend>,
-}
-
 /// In-progress reassembly of a fragmented two-sided send.
 #[derive(Debug)]
 pub(super) struct SendReasm {
@@ -97,22 +76,16 @@ pub(super) struct SendReasm {
 /// NIC.
 #[derive(Debug)]
 pub struct SockNic {
-    node: NodeId,
+    pub(super) ep: Endpoint,
     n: usize,
-    mrs: MrTable,
-    send_cq: Cq,
-    recv_cq: Cq,
     /// The receive side; only the drain-turn holder reads it.
     pub(super) sock: Arc<UdpSocket>,
     /// The transmit side and the counters, shared with every channel.
     wire: Arc<Wire>,
     /// Per-peer reliable channels, indexed by node id; set by `start`.
     pub(super) chans: OnceLock<Vec<Channel>>,
-    qps: RwLock<HashMap<u32, Arc<SockQp>>>,
-    next_qp: AtomicU32,
     next_op: AtomicU64,
     pub(super) pending: Mutex<HashMap<u64, PendingOp>>,
-    pub(super) rq: Mutex<SockRecvState>,
     pub(super) reasm: Mutex<HashMap<(NodeId, u64), SendReasm>>,
     /// Job-wide wall-clock epoch (unix nanoseconds); timestamps are
     /// relative to it.
@@ -160,19 +133,13 @@ impl SockNic {
         let sock = Arc::new(sock);
         let wire = Wire { out: transport(Arc::clone(&sock)), stats: SockStats::default() };
         Ok(Arc::new(SockNic {
-            node,
+            ep: Endpoint::new(node, NicConfig::default()),
             n,
-            mrs: MrTable::new(node),
-            send_cq: Cq::new(DEFAULT_CQ_DEPTH),
-            recv_cq: Cq::new(DEFAULT_CQ_DEPTH),
             sock,
             wire: Arc::new(wire),
             chans: OnceLock::new(),
-            qps: RwLock::new(HashMap::new()),
-            next_qp: AtomicU32::new(1),
             next_op: AtomicU64::new(1),
             pending: Mutex::new(HashMap::new()),
-            rq: Mutex::new(SockRecvState::default()),
             reasm: Mutex::new(HashMap::new()),
             epoch_ns: AtomicU64::new(0),
             vfloor: AtomicU64::new(0),
@@ -204,12 +171,12 @@ impl SockNic {
         let chans: Vec<Channel> = peers
             .iter()
             .enumerate()
-            .map(|(i, a)| Channel::new(self.node, i, *a, Arc::clone(&self.wire)))
+            .map(|(i, a)| Channel::new(self.node(), i, *a, Arc::clone(&self.wire)))
             .collect();
         self.chans.set(chans).map_err(|_| FabricError::Io { what: "started twice".into() })?;
         let me = Arc::clone(self);
         let handle = std::thread::Builder::new()
-            .name(format!("photon-sock-{}", self.node))
+            .name(format!("photon-sock-{}", self.node()))
             .spawn(move || reactor::run(me))
             .map_err(|e| FabricError::Io { what: format!("reactor spawn: {e}") })?;
         *self.reactor.lock() = Some(handle);
@@ -240,21 +207,6 @@ impl SockNic {
         VTime(raw.max(prev))
     }
 
-    /// This NIC's node id.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// Job size.
-    pub fn num_nodes(&self) -> usize {
-        self.n
-    }
-
-    /// The registration table.
-    pub fn mrs(&self) -> &MrTable {
-        &self.mrs
-    }
-
     /// A snapshot of this endpoint's transport counters.
     pub fn stats(&self) -> SockStatsSnapshot {
         self.wire.stats.snapshot()
@@ -269,14 +221,6 @@ impl SockNic {
     }
 
     // ------------------------------------------------------------- progress
-
-    /// A progress call by the endpoint's owner: note the time (the
-    /// reactor's one observable) and take a drain turn on this thread.
-    fn progress(&self) {
-        let now = Instant::now();
-        self.last_progress_ns.store(self.ns_since_born(now).max(1), Ordering::Relaxed);
-        reactor::caller_turn(self, now);
-    }
 
     fn ns_since_born(&self, now: Instant) -> u64 {
         now.duration_since(self.born).as_nanos() as u64
@@ -338,12 +282,10 @@ impl SockNic {
         self.dirty.store(true, Ordering::SeqCst);
     }
 
+    /// An initiator-side completion. Resolved by an ack or a response, with
+    /// nobody to refuse it to, so a full CQ drops it.
     pub(super) fn push_send_cqe(&self, c: Completion) {
-        let _ = self.send_cq.push(c);
-    }
-
-    pub(super) fn push_recv_cqe(&self, c: Completion) {
-        let _ = self.recv_cq.push(c);
+        let _ = self.ep.send_cq().push(c);
     }
 
     /// Resolve the completions of a batch of acked frames, leaving `acked`
@@ -383,338 +325,73 @@ impl SockNic {
                 self.push_send_cqe(Completion { wr_id, kind, ts, status });
             }
         }
-        for st in self.qps.read().values() {
+        self.ep.each_qp(|st| {
             if st.qp.peer == peer {
                 st.error.store(true, Ordering::Release);
             }
-        }
-    }
-
-    // ------------------------------------------------------------ verbs API
-
-    /// Register a zeroed region of `len` bytes.
-    pub fn register(&self, len: usize, flags: Access) -> Result<MemoryRegion> {
-        self.mrs.register(len, flags)
-    }
-
-    /// Create a reliable-connected QP to `peer`.
-    pub fn create_qp(&self, peer: NodeId) -> Result<Qp> {
-        if peer >= self.n {
-            return Err(FabricError::NoSuchNode { node: peer });
-        }
-        let num = self.next_qp.fetch_add(1, Ordering::Relaxed);
-        let qp = Qp { num, node: self.node, peer };
-        self.qps.write().insert(num, Arc::new(SockQp { qp, error: AtomicBool::new(false) }));
-        Ok(qp)
-    }
-
-    /// Destroy a QP; subsequent posts on it fail.
-    pub fn destroy_qp(&self, qp: Qp) -> Result<()> {
-        self.qps.write().remove(&qp.num).map(|_| ()).ok_or(FabricError::NoSuchQp { qp: qp.num })
-    }
-
-    /// Clear a QP's error state (the channel itself stays failed once its
-    /// retry budget is gone — reset only helps transient QP-level errors).
-    pub fn reset_qp(&self, qp: Qp) -> Result<()> {
-        let st = self
-            .qps
-            .read()
-            .get(&qp.num)
-            .filter(|st| st.qp == qp)
-            .cloned()
-            .ok_or(FabricError::NoSuchQp { qp: qp.num })?;
-        st.error.store(false, Ordering::Release);
-        Ok(())
-    }
-
-    /// True when `qp` is in the error state.
-    pub fn qp_errored(&self, qp: Qp) -> bool {
-        self.qps
-            .read()
-            .get(&qp.num)
-            .is_some_and(|st| st.qp == qp && st.error.load(Ordering::Acquire))
-    }
-
-    /// Reachability verdict for `peer`: a failed channel reports
-    /// `RetryExceeded` (the sockets transport cannot distinguish a dead
-    /// process from a broken path).
-    pub fn node_status(&self, peer: NodeId) -> Option<WcStatus> {
-        match self.chans.get().and_then(|c| c.get(peer)) {
-            Some(ch) if ch.is_failed() => Some(WcStatus::RetryExceeded),
-            _ => None,
-        }
-    }
-
-    /// Poll one initiator-side completion. Like every `poll_*` call, a
-    /// progress call: it first receives and executes, on this thread,
-    /// whatever has arrived (the [`crate::sock`] module docs have the
-    /// progress model).
-    pub fn poll_send_cq(&self) -> Option<Completion> {
-        self.progress();
-        self.send_cq.poll()
-    }
-
-    /// Poll one target-side completion.
-    pub fn poll_recv_cq(&self) -> Option<Completion> {
-        self.progress();
-        self.recv_cq.poll()
-    }
-
-    /// Drain up to `n` initiator-side completions into `out`.
-    pub fn poll_send_cq_into(&self, n: usize, out: &mut Vec<Completion>) -> usize {
-        self.progress();
-        self.send_cq.poll_n_into(n, out)
-    }
-
-    /// Drain up to `n` target-side completions into `out`.
-    pub fn poll_recv_cq_into(&self, n: usize, out: &mut Vec<Completion>) -> usize {
-        self.progress();
-        self.recv_cq.poll_n_into(n, out)
-    }
-
-    /// Post a receive for the next matching two-sided send.
-    pub fn post_recv(&self, wr: RecvWr) -> Result<()> {
-        wr.local.check()?;
-        self.check_local(&wr.local)?;
-        let mut rq = self.rq.lock();
-        if let Some(p) = rq.pending.pop_front() {
-            drop(rq);
-            self.complete_recv(wr, p.src, &p.data, p.imm);
-            return Ok(());
-        }
-        rq.posted.push_back(wr);
-        Ok(())
-    }
-
-    /// Match `wr` with a landed send: scatter and complete.
-    fn complete_recv(&self, wr: RecvWr, src: NodeId, data: &[u8], imm: Option<u64>) {
-        let n = data.len().min(wr.local.len);
-        wr.local.mr.write_at(wr.local.offset, &data[..n]);
-        self.push_recv_cqe(Completion {
-            wr_id: wr.wr_id,
-            kind: CompletionKind::RecvDone { src, len: data.len(), imm },
-            ts: self.now_v(),
-            status: WcStatus::Success,
         });
     }
 
-    /// Deliver a whole two-sided send: into a posted receive straight from
-    /// wherever `data` lives (the datagram buffer, for an unfragmented
-    /// send), or parked — the only case that needs it owned.
-    pub(super) fn deliver_send(&self, src: NodeId, data: Cow<'_, [u8]>, imm: Option<u64>) {
-        let mut rq = self.rq.lock();
-        if let Some(wr) = rq.posted.pop_front() {
-            drop(rq);
-            self.complete_recv(wr, src, &data, imm);
-        } else if rq.pending.len() < SOCK_PENDING_SEND_CAP {
-            rq.pending.push_back(ParkedSend { src, data: data.into_owned(), imm });
-        }
-        // Past the cap the send is dropped after ack — the bounded-memory
-        // analogue of the sim's synchronous RNR error.
-    }
+    // ------------------------------------------------------------ posting
 
-    fn check_local(&self, s: &MrSlice) -> Result<()> {
-        if s.mr.node() != self.node {
-            return Err(FabricError::InvalidLkey { lkey: s.mr.lkey() });
-        }
-        self.mrs.lookup_lkey(s.mr.lkey())?;
-        Ok(())
-    }
-
-    fn qp_state(&self, qp: Qp) -> Result<Arc<SockQp>> {
-        let st = self
-            .qps
-            .read()
-            .get(&qp.num)
-            .filter(|st| st.qp == qp)
-            .cloned()
-            .ok_or(FabricError::NoSuchQp { qp: qp.num })?;
-        if st.error.load(Ordering::Acquire) {
+    /// Refuse a post on an errored QP, or on one whose channel ran out of
+    /// retries (which errors the QP).
+    fn check_qp(&self, qp: Qp) -> Result<()> {
+        let st = self.ep.live_qp(qp)?;
+        if qp.peer != self.node() && self.chan(qp.peer).is_ok_and(Channel::is_failed) {
+            st.error.store(true, Ordering::Release);
             return Err(FabricError::PeerUnreachable { node: qp.peer });
         }
-        if qp.peer != self.node {
-            if let Some(ch) = self.chans.get().and_then(|c| c.get(qp.peer)) {
-                if ch.is_failed() {
-                    st.error.store(true, Ordering::Release);
-                    return Err(FabricError::PeerUnreachable { node: qp.peer });
-                }
-            }
-        }
-        Ok(st)
-    }
-
-    /// Post one work request: the one-element run.
-    pub fn post_send(&self, qp: Qp, wr: SendWr, now: VTime) -> Result<()> {
-        self.post_send_many(qp, std::slice::from_ref(&wr), now)
-    }
-
-    /// Post a run of work requests, each executed by reference. RC ordering
-    /// holds because all frames ride one in-order channel; stops at the
-    /// first failing wr. The whole run is sequenced under one hold of the
-    /// channel's transmit lock and leaves as trains.
-    pub fn post_send_many(&self, qp: Qp, wrs: &[SendWr], _now: VTime) -> Result<()> {
-        let _st = self.qp_state(qp)?;
-        if qp.peer == self.node {
-            return wrs.iter().try_for_each(|wr| {
-                self.validate_wr(wr)?;
-                self.exec_loopback(wr)
-            });
-        }
-        let ch = self.chan(qp.peer)?;
-        let mut run = Ok(());
-        let window_full = self.enqueue(ch, |w| {
-            run = wrs.iter().try_for_each(|wr| {
-                self.validate_wr(wr)?;
-                self.encode_wr(w, qp.peer, wr);
-                Ok(())
-            });
-        });
-        match window_full {
-            None => return Err(FabricError::PeerUnreachable { node: qp.peer }),
-            // The window is full of frames nobody has acked yet: take a
-            // drain turn for the acks (not a progress call — posting says
-            // nothing about whether the owner polls).
-            Some(true) => reactor::caller_turn(self, Instant::now()),
-            Some(false) => {}
-        }
-        run
-    }
-
-    fn validate_wr(&self, wr: &SendWr) -> Result<()> {
-        let local = match &wr.op {
-            WrOp::Send { local, .. }
-            | WrOp::Write { local, .. }
-            | WrOp::Read { local, .. }
-            | WrOp::FetchAdd { local, .. }
-            | WrOp::CompareSwap { local, .. } => local,
-        };
-        local.check()?;
-        self.check_local(local)?;
-        match &wr.op {
-            WrOp::Write { local, remote, .. } | WrOp::Read { local, remote } => {
-                if local.len != remote.len {
-                    return Err(FabricError::LengthMismatch {
-                        local: local.len,
-                        remote: remote.len,
-                    });
-                }
-            }
-            WrOp::FetchAdd { local, remote, .. } | WrOp::CompareSwap { local, remote, .. } => {
-                if local.len != 8 || remote.len != 8 {
-                    return Err(FabricError::BadAtomicTarget {
-                        addr: remote.addr,
-                        len: remote.len,
-                    });
-                }
-            }
-            WrOp::Send { .. } => {}
-        }
         Ok(())
     }
 
-    /// Emulate the wr locally for a loopback QP (synchronous, like the
-    /// sim: effects and completions land before return).
+    /// Execute `wr` on a QP to this node itself, synchronously, like the
+    /// sim: the endpoint's target-side code runs inside the post, and
+    /// effects and completions land before return (a refused send is
+    /// refused to the poster).
     fn exec_loopback(&self, wr: &SendWr) -> Result<()> {
-        let ts = self.now_v();
-        match &wr.op {
+        let (ep, me, ts) = (&self.ep, self.node(), self.now_v());
+        let atomic = |local: &MrSlice, addr, rkey, op| {
+            let old = ep.apply_atomic(addr, rkey, op)?;
+            local.mr.write_u64(local.offset, old);
+            Ok::<_, FabricError>(CompletionKind::AtomicDone { old })
+        };
+        let kind = match &wr.op {
             WrOp::Send { local, imm } => {
                 let data = local.mr.to_vec(local.offset, local.len);
-                self.deliver_send(self.node, Cow::Owned(data), *imm);
-                if wr.signaled {
-                    self.push_send_cqe(Completion {
-                        wr_id: wr.wr_id,
-                        kind: CompletionKind::SendDone,
-                        ts,
-                        status: WcStatus::Success,
-                    });
-                }
+                ep.deliver_send(me, Cow::Owned(data), *imm, ts)?;
+                CompletionKind::SendDone
             }
             WrOp::Write { local, remote, imm } => {
-                let mut payload = local.mr.to_vec(local.offset, local.len);
-                for &s in wr.stamp_deliver_at.iter().chain(&wr.stamp_deliver_also) {
-                    if let Some(slot) = payload.get_mut(s..s + 8) {
-                        slot.copy_from_slice(&ts.0.to_le_bytes());
-                    }
+                let payload = local.mr.to_vec(local.offset, local.len);
+                ep.apply_write(remote.addr, remote.rkey, &payload, wr.stamps(), ts)?;
+                if let Some(imm) = *imm {
+                    ep.push_imm(me, local.len, imm, ts)?;
                 }
-                let (mr, off) =
-                    self.mrs.resolve(remote.addr, remote.rkey, remote.len, Access::REMOTE_WRITE)?;
-                mr.write_at(off, &payload);
-                if let Some(imm) = imm {
-                    self.push_recv_cqe(Completion {
-                        wr_id: 0,
-                        kind: CompletionKind::ImmDone { src: self.node, len: local.len, imm: *imm },
-                        ts,
-                        status: WcStatus::Success,
-                    });
-                }
-                if wr.signaled {
-                    self.push_send_cqe(Completion {
-                        wr_id: wr.wr_id,
-                        kind: CompletionKind::WriteDone,
-                        ts,
-                        status: WcStatus::Success,
-                    });
-                }
+                CompletionKind::WriteDone
             }
             WrOp::Read { local, remote } => {
-                let (mr, off) =
-                    self.mrs.resolve(remote.addr, remote.rkey, remote.len, Access::REMOTE_READ)?;
-                let data = mr.to_vec(off, remote.len);
-                local.mr.write_at(local.offset, &data);
-                if wr.signaled {
-                    self.push_send_cqe(Completion {
-                        wr_id: wr.wr_id,
-                        kind: CompletionKind::ReadDone,
-                        ts,
-                        status: WcStatus::Success,
-                    });
-                }
+                let (mr, off) = ep.read_source(remote.addr, remote.rkey, remote.len)?;
+                local.mr.write_at(local.offset, &mr.to_vec(off, remote.len));
+                CompletionKind::ReadDone
             }
             WrOp::FetchAdd { local, remote, add } => {
-                let old = self.serve_atomic_local(remote.addr, remote.rkey, |mr, off| {
-                    mr.fetch_add_u64(off, *add)
-                })?;
-                local.mr.write_u64(local.offset, old);
-                if wr.signaled {
-                    self.push_send_cqe(Completion {
-                        wr_id: wr.wr_id,
-                        kind: CompletionKind::AtomicDone { old },
-                        ts,
-                        status: WcStatus::Success,
-                    });
-                }
+                atomic(local, remote.addr, remote.rkey, Atomic::FetchAdd(*add))?
             }
             WrOp::CompareSwap { local, remote, compare, swap } => {
-                let old = self.serve_atomic_local(remote.addr, remote.rkey, |mr, off| {
-                    mr.compare_swap_u64(off, *compare, *swap)
-                })?;
-                local.mr.write_u64(local.offset, old);
-                if wr.signaled {
-                    self.push_send_cqe(Completion {
-                        wr_id: wr.wr_id,
-                        kind: CompletionKind::AtomicDone { old },
-                        ts,
-                        status: WcStatus::Success,
-                    });
-                }
+                let op = Atomic::CompareSwap { compare: *compare, swap: *swap };
+                atomic(local, remote.addr, remote.rkey, op)?
             }
+        };
+        if wr.signaled {
+            ep.send_cq().push(Completion {
+                wr_id: wr.wr_id,
+                kind,
+                ts,
+                status: WcStatus::Success,
+            })?;
         }
         Ok(())
-    }
-
-    /// Resolve + execute an atomic against local memory (loopback and
-    /// reactor service path share this).
-    pub(super) fn serve_atomic_local(
-        &self,
-        addr: u64,
-        rkey: u32,
-        op: impl FnOnce(&MemoryRegion, usize) -> u64,
-    ) -> Result<u64> {
-        let (mr, off) = self.mrs.resolve(addr, rkey, 8, Access::REMOTE_ATOMIC)?;
-        if off % 8 != 0 {
-            return Err(FabricError::BadAtomicTarget { addr, len: 8 });
-        }
-        Ok(op(&mr, off))
     }
 
     /// Sequence `wr` toward `peer` and encode its frames, payload copied
@@ -752,10 +429,10 @@ impl SockNic {
                     for (at, n, last) in fragments(local.len) {
                         // Stamps whose 8 bytes fall inside this fragment,
                         // re-based to it.
-                        let stamps = (wr.stamp_deliver_at.iter())
-                            .chain(&wr.stamp_deliver_also)
-                            .filter(|&&s| s >= at && s + 8 <= at + n)
-                            .map(|&s| (s - at) as u32);
+                        let stamps = wr
+                            .stamps()
+                            .filter(|&s| s >= at && s + 8 <= at + n)
+                            .map(|s| (s - at) as u32);
                         w.write_frame(
                             last_flags(last, imm),
                             op,
@@ -777,17 +454,77 @@ impl SockNic {
             }
             WrOp::FetchAdd { local, remote, add } => {
                 await_response(local, true);
-                let akind = AtomicKind::FetchAdd;
-                let (addr, rkey) = (remote.addr, remote.rkey);
-                w.frame(F_LAST, op, Body::AtomicReq { addr, rkey, akind, arg1: *add, arg2: 0 });
+                let (addr, rkey, atomic) = (remote.addr, remote.rkey, Atomic::FetchAdd(*add));
+                w.frame(F_LAST, op, Body::AtomicReq { addr, rkey, atomic });
             }
             WrOp::CompareSwap { local, remote, compare, swap } => {
                 await_response(local, true);
-                let akind = AtomicKind::CompareSwap;
-                let (addr, rkey, arg1, arg2) = (remote.addr, remote.rkey, *compare, *swap);
-                w.frame(F_LAST, op, Body::AtomicReq { addr, rkey, akind, arg1, arg2 });
+                let (addr, rkey) = (remote.addr, remote.rkey);
+                let atomic = Atomic::CompareSwap { compare: *compare, swap: *swap };
+                w.frame(F_LAST, op, Body::AtomicReq { addr, rkey, atomic });
             }
         }
+    }
+}
+
+impl FabricBackend for SockNic {
+    fn endpoint(&self) -> &Endpoint {
+        &self.ep
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.n
+    }
+
+    /// Each wr is executed by reference. RC ordering holds because all
+    /// frames ride one in-order channel. The whole run is sequenced under
+    /// one hold of the channel's transmit lock and leaves as trains.
+    fn post_send_many(&self, qp: Qp, wrs: &[SendWr], _now: VTime) -> Result<()> {
+        self.check_qp(qp)?;
+        if qp.peer == self.node() {
+            return wrs.iter().try_for_each(|wr| {
+                self.ep.admit(wr)?;
+                self.exec_loopback(wr)
+            });
+        }
+        let ch = self.chan(qp.peer)?;
+        let mut run = Ok(());
+        let window_full = self.enqueue(ch, |w| {
+            run = wrs.iter().try_for_each(|wr| {
+                self.ep.admit(wr)?;
+                self.encode_wr(w, qp.peer, wr);
+                Ok(())
+            });
+        });
+        match window_full {
+            None => return Err(FabricError::PeerUnreachable { node: qp.peer }),
+            // The window is full of frames nobody has acked yet: take a
+            // drain turn for the acks (not a progress call — posting says
+            // nothing about whether the owner polls).
+            Some(true) => reactor::caller_turn(self, Instant::now()),
+            Some(false) => {}
+        }
+        run
+    }
+
+    /// A failed channel reports `RetryExceeded` (the sockets transport
+    /// cannot distinguish a dead process from a broken path).
+    fn node_status(&self, peer: NodeId, _now: VTime) -> Option<WcStatus> {
+        match self.chan(peer) {
+            Ok(ch) if ch.is_failed() => Some(WcStatus::RetryExceeded),
+            _ => None,
+        }
+    }
+
+    /// A progress call by the endpoint's owner: note the time (the
+    /// reactor's one observable) and take a drain turn on this thread,
+    /// which receives and executes whatever has arrived before the poll
+    /// reads its CQ (the [`crate::sock`] module docs have the progress
+    /// model).
+    fn progress(&self) {
+        let now = Instant::now();
+        self.last_progress_ns.store(self.ns_since_born(now).max(1), Ordering::Relaxed);
+        reactor::caller_turn(self, now);
     }
 }
 

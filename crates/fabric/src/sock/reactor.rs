@@ -51,9 +51,9 @@ use super::chan::{Channel, OpDone};
 use super::nic::{fragments, PendingOp, SendReasm, SockNic};
 use super::stats::SockStats;
 use super::sys;
-use super::wire::{self, AtomicKind, Body, Packet, F_ERR, F_HAS_IMM, F_LAST, MAX_DGRAM};
+use super::wire::{self, Body, Packet, F_ERR, F_HAS_IMM, F_LAST, MAX_DGRAM};
+use crate::backend::FabricBackend;
 use crate::clock::VTime;
-use crate::mr::Access;
 use crate::verbs::{Completion, CompletionKind, WcStatus};
 use crate::NodeId;
 use std::borrow::Cow;
@@ -271,37 +271,24 @@ impl Rx<'_> {
         match p.body {
             Body::Ack => unreachable!("handled above"),
             Body::Write { addr, rkey, total, imm, stamps, payload } => {
-                let Ok((mr, off)) =
-                    nic.mrs().resolve(addr, rkey, payload.len(), Access::REMOTE_WRITE)
-                else {
+                // Applied straight from the datagram. Stamp offsets come off
+                // the wire: only those that fit the fragment are applied.
+                let stamps = stamps.iter().map(|s| s as usize).filter(|s| s + 8 <= payload.len());
+                if nic.ep.apply_write(addr, rkey, payload, stamps, self.ts).is_err() {
                     return self.refuse(ch, p.op);
-                };
-                // Applied straight from the datagram, stamps included, in
-                // one critical section: a reader never sees the payload
-                // without its delivery stamps.
-                mr.with_bytes_mut(|b| {
-                    let dst = &mut b[off..off + payload.len()];
-                    dst.copy_from_slice(payload);
-                    for s in stamps.iter().map(|s| s as usize) {
-                        if let Some(slot) = dst.get_mut(s..s + 8) {
-                            slot.copy_from_slice(&self.ts.0.to_le_bytes());
-                        }
-                    }
-                });
+                }
                 if p.flags & F_LAST != 0 && p.flags & F_HAS_IMM != 0 {
-                    nic.push_recv_cqe(Completion {
-                        wr_id: 0,
-                        kind: CompletionKind::ImmDone { src: p.src, len: total as usize, imm },
-                        ts: self.ts,
-                        status: WcStatus::Success,
-                    });
+                    let _ = nic.ep.push_imm(p.src, total as usize, imm, self.ts);
                 }
             }
+            // The endpoint refuses a send past its unexpected-send cap or
+            // into a receive too small for it; the frames are acked already,
+            // so such a send is dropped.
             Body::Send { total, frag_off, imm, payload } => {
                 let imm = (p.flags & F_HAS_IMM != 0).then_some(imm);
                 let total = total as usize;
                 if frag_off == 0 && payload.len() == total {
-                    nic.deliver_send(p.src, Cow::Borrowed(payload), imm);
+                    let _ = nic.ep.deliver_send(p.src, Cow::Borrowed(payload), imm, self.ts);
                 } else {
                     let key = (p.src, p.op);
                     let mut reasm = nic.reasm.lock();
@@ -323,15 +310,14 @@ impl Rx<'_> {
                         let whole = reasm.remove(&key);
                         drop(reasm);
                         if let Some(whole) = whole {
-                            nic.deliver_send(p.src, Cow::Owned(whole.buf), whole.imm);
+                            let data = Cow::Owned(whole.buf);
+                            let _ = nic.ep.deliver_send(p.src, data, whole.imm, self.ts);
                         }
                     }
                 }
             }
             Body::ReadReq { addr, rkey, len } => {
-                let Ok((mr, off)) =
-                    nic.mrs().resolve(addr, rkey, len as usize, Access::REMOTE_READ)
-                else {
+                let Ok((mr, off)) = nic.ep.read_source(addr, rkey, len as usize) else {
                     return self.refuse(ch, p.op);
                 };
                 // The response is encoded from the region into the
@@ -363,12 +349,10 @@ impl Rx<'_> {
                     }
                 }
             }
-            Body::AtomicReq { addr, rkey, akind, arg1, arg2 } => {
-                let served = nic.serve_atomic_local(addr, rkey, |mr, off| match akind {
-                    AtomicKind::FetchAdd => mr.fetch_add_u64(off, arg1),
-                    AtomicKind::CompareSwap => mr.compare_swap_u64(off, arg1, arg2),
-                });
-                let Ok(old) = served else { return self.refuse(ch, p.op) };
+            Body::AtomicReq { addr, rkey, atomic } => {
+                let Ok(old) = nic.ep.apply_atomic(addr, rkey, atomic) else {
+                    return self.refuse(ch, p.op);
+                };
                 nic.respond(ch, |w| w.frame(F_LAST, p.op, Body::AtomicResp { old }));
             }
             Body::AtomicResp { old } => {

@@ -25,6 +25,7 @@
 //! buffer, applied to registered memory from where the kernel put them.
 //! Decoding never allocates.
 
+use crate::verbs::Atomic;
 use crate::NodeId;
 
 /// First two bytes of every frame; anything else ends the walk.
@@ -85,16 +86,6 @@ impl Kind {
             _ => return None,
         })
     }
-}
-
-/// Atomic sub-operation inside [`Body::AtomicReq`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AtomicKind {
-    /// 64-bit fetch-and-add; `arg1` is the addend.
-    FetchAdd,
-    /// 64-bit compare-and-swap; `arg1` is the expected value, `arg2` the
-    /// replacement.
-    CompareSwap,
 }
 
 /// A write fragment's stamp table as it sits on the wire: little-endian
@@ -168,18 +159,16 @@ pub enum Body<'a> {
         /// Fragment payload.
         payload: &'a [u8],
     },
-    /// Remote-atomic request on the 8-byte word at `(addr, rkey)`.
+    /// Remote-atomic request on the 8-byte word at `(addr, rkey)`. On the
+    /// wire: a kind byte (0 fetch-add, 1 compare-swap) and two `u64`
+    /// arguments (addend and 0, or expected and replacement value).
     AtomicReq {
         /// Remote target address (8-aligned within its region).
         addr: u64,
         /// Remote key naming the target region.
         rkey: u32,
-        /// Which atomic.
-        akind: AtomicKind,
-        /// Addend (FAA) or expected value (CAS).
-        arg1: u64,
-        /// Replacement value (CAS only).
-        arg2: u64,
+        /// The atomic to execute.
+        atomic: Atomic,
     },
     /// Remote-atomic response carrying the prior value.
     AtomicResp {
@@ -351,15 +340,16 @@ impl<'a> Packet<'a> {
                 put_u32(out, *frag_off);
                 put_bytes(out, payload);
             }
-            Body::AtomicReq { addr, rkey, akind, arg1, arg2 } => {
+            Body::AtomicReq { addr, rkey, atomic } => {
                 put_u64(out, *addr);
                 put_u32(out, *rkey);
-                out.push(match akind {
-                    AtomicKind::FetchAdd => 0,
-                    AtomicKind::CompareSwap => 1,
-                });
-                put_u64(out, *arg1);
-                put_u64(out, *arg2);
+                let (kind, arg1, arg2) = match *atomic {
+                    Atomic::FetchAdd(add) => (0, add, 0),
+                    Atomic::CompareSwap { compare, swap } => (1, compare, swap),
+                };
+                out.push(kind);
+                put_u64(out, arg1);
+                put_u64(out, arg2);
             }
             Body::AtomicResp { old } => {
                 put_u64(out, *old);
@@ -409,12 +399,13 @@ impl<'a> Packet<'a> {
             Kind::AtomicReq => {
                 let addr = c.u64()?;
                 let rkey = c.u32()?;
-                let akind = match c.u8()? {
-                    0 => AtomicKind::FetchAdd,
-                    1 => AtomicKind::CompareSwap,
+                let (kind, arg1, arg2) = (c.u8()?, c.u64()?, c.u64()?);
+                let atomic = match kind {
+                    0 => Atomic::FetchAdd(arg1),
+                    1 => Atomic::CompareSwap { compare: arg1, swap: arg2 },
                     _ => return None,
                 };
-                Body::AtomicReq { addr, rkey, akind, arg1: c.u64()?, arg2: c.u64()? }
+                Body::AtomicReq { addr, rkey, atomic }
             }
             Kind::AtomicResp => Body::AtomicResp { old: c.u64()? },
         };
@@ -497,9 +488,7 @@ mod tests {
                 body: Body::AtomicReq {
                     addr: 0x3000,
                     rkey: 9,
-                    akind: AtomicKind::CompareSwap,
-                    arg1: 17,
-                    arg2: 18,
+                    atomic: Atomic::CompareSwap { compare: 17, swap: 18 },
                 },
             },
             Packet {

@@ -1,7 +1,9 @@
 //! Cluster construction: N simulated nodes on one switch.
 
+use crate::backend::FabricBackend;
+use crate::endpoint::NicConfig;
 use crate::mr::DEFAULT_REG_LIMIT;
-use crate::nic::{Nic, NicConfig};
+use crate::nic::Nic;
 use crate::verbs::Qp;
 use crate::wire::Switch;
 use crate::{NetworkModel, NodeId, Result};

@@ -111,6 +111,20 @@ pub enum WrOp {
     },
 }
 
+/// A remote 64-bit atomic as the target executes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Atomic {
+    /// Add the addend to the word.
+    FetchAdd(u64),
+    /// Store `swap` if the word equals `compare`.
+    CompareSwap {
+        /// Expected value.
+        compare: u64,
+        /// Replacement value stored on match.
+        swap: u64,
+    },
+}
+
 impl WrOp {
     /// Number of payload bytes this op moves on the wire (requests for
     /// reads/atomics are accounted separately by the engine).
@@ -133,12 +147,13 @@ pub struct SendWr {
     /// If false, no initiator-side completion is generated (verbs
     /// "unsignaled"); used for piggybacked protocol writes.
     pub signaled: bool,
-    /// If set (for `Send`/`Write` ops), the simulated NIC overwrites payload
-    /// bytes `[off, off+8)` with the virtual delivery time (LE nanoseconds)
-    /// before the payload lands.  This is the simulation's stand-in for
-    /// hardware delivery timestamping and is how middleware propagates
-    /// virtual time through one-sided protocol writes that generate no
-    /// target-side completion.
+    /// If set (`Write` ops only), the target overwrites payload bytes
+    /// `[off, off+8)` with the delivery time (LE nanoseconds) as the payload
+    /// lands. This is the fabric's stand-in for hardware delivery
+    /// timestamping and is how middleware propagates virtual time through
+    /// one-sided protocol writes that generate no target-side completion. A
+    /// stamp that does not fit the payload fails the post with
+    /// `OutOfBounds`.
     pub stamp_deliver_at: Option<usize>,
     /// Additional payload offsets stamped exactly like `stamp_deliver_at`.
     /// A doorbell-batched post carries several protocol frames in one
@@ -168,6 +183,11 @@ impl SendWr {
     pub fn with_stamp(mut self, off: usize) -> SendWr {
         self.stamp_deliver_at = Some(off);
         self
+    }
+
+    /// Every payload offset this work request stamps.
+    pub fn stamps(&self) -> impl Iterator<Item = usize> + '_ {
+        self.stamp_deliver_at.iter().chain(&self.stamp_deliver_also).copied()
     }
 }
 
@@ -301,17 +321,9 @@ impl Cq {
         self.q.lock().pop_front()
     }
 
-    /// Pop up to `n` events.
-    pub fn poll_n(&self, n: usize) -> Vec<Completion> {
-        let mut q = self.q.lock();
-        let take = n.min(q.len());
-        q.drain(..take).collect()
-    }
-
     /// Pop up to `n` events into `out` (appended), returning how many were
-    /// drained. The allocation-free twin of [`Cq::poll_n`]: steady-state
-    /// pollers keep one scratch vector alive instead of collecting a fresh
-    /// one per harvest.
+    /// drained. Allocation-free: steady-state pollers keep one scratch
+    /// vector alive instead of collecting a fresh one per harvest.
     pub fn poll_n_into(&self, n: usize, out: &mut Vec<Completion>) -> usize {
         let mut q = self.q.lock();
         let take = n.min(q.len());
@@ -378,11 +390,11 @@ mod tests {
             })
             .unwrap();
         }
-        let got = cq.poll_n(3);
+        let mut got = Vec::new();
+        assert_eq!(cq.poll_n_into(3, &mut got), 3);
         assert_eq!(got.iter().map(|c| c.wr_id).collect::<Vec<_>>(), vec![0, 1, 2]);
         assert_eq!(cq.len(), 2);
-        let rest = cq.poll_n(10);
-        assert_eq!(rest.len(), 2);
+        assert_eq!(cq.poll_n_into(10, &mut got), 2);
     }
 
     #[test]

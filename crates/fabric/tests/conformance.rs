@@ -11,8 +11,8 @@
 //! trait object, never a concrete type.
 
 use photon_fabric::api::{
-    Access, Completion, CompletionKind, FabricBackend, MrSlice, RecvWr, RemoteSlice, SendWr, VTime,
-    WcStatus, WrOp,
+    Access, Completion, CompletionKind, FabricBackend, FabricError, MrSlice, RecvWr, RemoteSlice,
+    SendWr, VTime, WcStatus, WrOp,
 };
 use photon_fabric::sock::SockCluster;
 use photon_fabric::{Cluster, NetworkModel};
@@ -444,4 +444,145 @@ fn remote_violation_surfaces_as_error() {
         let ev = wait_send_cqes(a, 1).remove(0);
         assert_eq!((ev.wr_id, ev.status), (52, WcStatus::Success), "{}", f.name);
     }
+}
+
+/// Post-time validation is the endpoint's, one rule for every backend: a
+/// one-sided length mismatch, a 4-byte atomic, a local slice registered on
+/// another node and a delivery stamp that runs past the payload are each
+/// refused synchronously with the same error, push no completion, and
+/// leave the QP usable.
+#[test]
+fn malformed_work_requests_fail_at_post() {
+    let mut refusals = Vec::new();
+    for f in backends() {
+        let a = f.nics[0].as_ref();
+        let b = f.nics[1].as_ref();
+        let src = a.register(16, Access::ALL).unwrap();
+        let dst = b.register(16, Access::ALL).unwrap();
+        let remote = |len| RemoteSlice::from_key(&dst.remote_key(), 0, len);
+        let write = |local: MrSlice, len| WrOp::Write { local, remote: remote(len), imm: None };
+        let qp = a.create_qp(1).unwrap();
+        let bad = [
+            SendWr::new(1, write(MrSlice::new(&src, 0, 8), 16)),
+            SendWr::new(
+                2,
+                WrOp::FetchAdd { local: MrSlice::new(&src, 0, 4), remote: remote(4), add: 1 },
+            ),
+            SendWr::new(3, write(MrSlice::new(&dst, 0, 8), 8)),
+            SendWr::new(4, write(MrSlice::new(&src, 0, 8), 8)).with_stamp(4),
+        ];
+        let errs: Vec<FabricError> =
+            bad.into_iter().map(|wr| a.post_send(qp, wr, VTime(0)).expect_err(f.name)).collect();
+        assert!(
+            matches!(errs[0], FabricError::LengthMismatch { local: 8, remote: 16 }),
+            "{}",
+            f.name
+        );
+        assert!(matches!(errs[1], FabricError::BadAtomicTarget { len: 4, .. }), "{}", f.name);
+        assert!(matches!(errs[2], FabricError::InvalidLkey { .. }), "{}", f.name);
+        assert!(matches!(errs[3], FabricError::OutOfBounds { addr: 4, len: 8, .. }), "{}", f.name);
+        assert!(!a.qp_errored(qp), "{}", f.name);
+
+        // A well-formed write on the same QP still works, and its CQE is
+        // the only one: the refused posts left nothing behind.
+        src.write_u64(0, 0x600d);
+        a.post_send(qp, SendWr::new(5, write(MrSlice::new(&src, 0, 8), 8)), VTime(0)).unwrap();
+        let cq = wait_send_cqes(a, 1);
+        assert_eq!((cq[0].wr_id, cq[0].status), (5, WcStatus::Success), "{}", f.name);
+        wait_remote_u64(&dst, 0, 0x600d);
+        assert!(a.poll_send_cq().is_none(), "{}", f.name);
+        refusals.push(errs);
+    }
+    assert_eq!(refusals[0], refusals[1], "both backends refuse with identical errors");
+}
+
+/// A QP to the node itself: send/recv, write-with-immediate carrying a
+/// delivery stamp, read, fetch-add and compare-swap, all executed by the
+/// endpoint's target-side code inside the post. Both backends must leave
+/// the same bytes (stamp aside: its value is each backend's clock) and
+/// report the same completion kinds and statuses.
+#[test]
+fn loopback_qp_round_trips() {
+    let mut seen = Vec::new();
+    for f in backends() {
+        let a = f.nics[0].as_ref();
+        let src = a.register(64, Access::ALL).unwrap();
+        let dst = a.register(64, Access::ALL).unwrap();
+        let rcv = a.register(64, Access::ALL).unwrap();
+        let key = dst.remote_key();
+        let qp = a.create_qp(0).unwrap();
+        src.write_at(0, b"loopback send!..write-payload...");
+        dst.write_u64(48, 40);
+
+        a.post_recv(RecvWr { wr_id: 100, local: MrSlice::new(&rcv, 0, 64) }).unwrap();
+        let wrs = [
+            SendWr::new(1, WrOp::Send { local: MrSlice::new(&src, 0, 16), imm: Some(7) }),
+            SendWr::new(
+                2,
+                WrOp::Write {
+                    local: MrSlice::new(&src, 16, 16),
+                    remote: RemoteSlice::from_key(&key, 0, 16),
+                    imm: Some(8),
+                },
+            )
+            .with_stamp(8),
+            SendWr::new(
+                3,
+                WrOp::Read {
+                    local: MrSlice::new(&src, 32, 8),
+                    remote: RemoteSlice::from_key(&key, 0, 8),
+                },
+            ),
+            SendWr::new(
+                4,
+                WrOp::FetchAdd {
+                    local: MrSlice::new(&src, 40, 8),
+                    remote: RemoteSlice::from_key(&key, 48, 8),
+                    add: 2,
+                },
+            ),
+            SendWr::new(
+                5,
+                WrOp::CompareSwap {
+                    local: MrSlice::new(&src, 48, 8),
+                    remote: RemoteSlice::from_key(&key, 48, 8),
+                    compare: 42,
+                    swap: 99,
+                },
+            ),
+        ];
+        for wr in wrs {
+            a.post_send(qp, wr, VTime(0)).unwrap();
+        }
+        let outcome = |c: &Completion| (c.wr_id, c.kind.clone(), c.status);
+        let sent: Vec<_> = wait_send_cqes(a, 5).iter().map(outcome).collect();
+        let landed: Vec<_> = wait_recv_cqes(a, 2).iter().map(outcome).collect();
+        assert_ne!(dst.read_u64(8), 0, "{}: the write carried a delivery stamp", f.name);
+        dst.write_u64(8, 0);
+        seen.push((sent, landed, rcv.to_vec(0, 64), dst.to_vec(0, 64), src.to_vec(0, 64)));
+    }
+    let (sent, landed, rcv, dst, src) = &seen[0];
+    assert_eq!(
+        sent.iter().map(|(id, kind, _)| (*id, kind.clone())).collect::<Vec<_>>(),
+        vec![
+            (1, CompletionKind::SendDone),
+            (2, CompletionKind::WriteDone),
+            (3, CompletionKind::ReadDone),
+            (4, CompletionKind::AtomicDone { old: 40 }),
+            (5, CompletionKind::AtomicDone { old: 42 }),
+        ]
+    );
+    assert_eq!(
+        landed.iter().map(|(id, kind, _)| (*id, kind.clone())).collect::<Vec<_>>(),
+        vec![
+            (100, CompletionKind::RecvDone { src: 0, len: 16, imm: Some(7) }),
+            (0, CompletionKind::ImmDone { src: 0, len: 16, imm: 8 }),
+        ]
+    );
+    assert!(sent.iter().chain(landed).all(|(_, _, status)| status.is_ok()));
+    assert_eq!(&rcv[..16], b"loopback send!..");
+    assert_eq!(&dst[..8], b"write-pa");
+    assert_eq!(u64::from_le_bytes(dst[48..56].try_into().unwrap()), 99);
+    assert_eq!(&src[32..40], b"write-pa", "read back the landed write");
+    assert_eq!(seen[0], seen[1], "both backends agree");
 }

@@ -2,7 +2,7 @@
 
 use crate::{MsgError, Result};
 use photon_fabric::mr::Access;
-use photon_fabric::{MemoryRegion, Nic};
+use photon_fabric::{FabricBackend, MemoryRegion, Nic};
 use std::sync::Arc;
 
 /// A registered buffer usable with [`crate::MsgEndpoint::send_from`] and

@@ -7,7 +7,8 @@ use parking_lot::Mutex;
 use photon_fabric::mr::Access;
 use photon_fabric::verbs::{CompletionKind, MrSlice, Qp, RecvWr, RemoteSlice, SendWr, WrOp};
 use photon_fabric::{
-    Cluster, MemoryRegion, NetworkModel, Nic, VClock, VTime, WcStatus, COPY_PS_PER_BYTE,
+    Cluster, FabricBackend, MemoryRegion, NetworkModel, Nic, VClock, VTime, WcStatus,
+    COPY_PS_PER_BYTE,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -820,12 +821,12 @@ impl MsgEndpoint {
     /// state machines, and resolve operations stranded by peer death.
     pub fn progress(&self) -> Result<()> {
         self.scan_dead_peers();
+        let mut comps = Vec::new();
         loop {
-            let comps = self.nic.poll_recv_cq_n(64);
-            if comps.is_empty() {
+            if self.nic.poll_recv_cq_into(64, &mut comps) == 0 {
                 return Ok(());
             }
-            for c in comps {
+            for c in comps.drain(..) {
                 let CompletionKind::RecvDone { src, len, .. } = c.kind else {
                     continue;
                 };
