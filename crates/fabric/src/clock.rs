@@ -125,6 +125,15 @@ impl VClock {
     }
 }
 
+/// Raise `a` to at least `v`: a `fetch_max` that is only a load when `a`
+/// is there already (a steady stream's floors and horizons usually are).
+#[inline]
+pub(crate) fn raise_to(a: &AtomicU64, v: u64) {
+    if a.load(Ordering::Acquire) < v {
+        a.fetch_max(v, Ordering::AcqRel);
+    }
+}
+
 /// Per-resource serialization calendar: tracks the virtual-time intervals
 /// during which a shared resource (a NIC port) is busy, and books
 /// non-overlapping intervals for new transfers.
@@ -157,36 +166,38 @@ impl BusyUntil {
     /// `earliest`, in the first free gap. Returns `(start, end)` of the
     /// granted interval.
     pub fn reserve(&self, earliest: VTime, dur: u64) -> (VTime, VTime) {
+        if dur == 0 {
+            // An empty interval fits any gap: it starts at `earliest` and
+            // books nothing, so it needs no lock.
+            raise_to(&self.horizon, earliest.0);
+            return (earliest, earliest);
+        }
         let mut iv = self.intervals.lock();
+        // Bookings are disjoint and sorted, so every one before the last
+        // starting at or before `earliest` ends by `earliest`: search from it.
+        let from = iv.range(..=earliest.0).next_back().map_or(0, |(&s, _)| s);
         let mut start = earliest.0;
-        for (&s, &e) in iv.iter() {
+        for (&s, &e) in iv.range(from..) {
             if e <= start {
                 continue; // entirely before us
             }
-            if dur == 0 || s >= start + dur {
+            if s >= start + dur {
                 break; // found a gap
             }
             start = e; // collision: try right after this booking
         }
         let end = start + dur;
-        if dur > 0 {
-            // Merge with a predecessor ending exactly at `start`.
-            let mut new_start = start;
-            if let Some((&ps, &pe)) = iv.range(..=start).next_back() {
-                if pe == start {
-                    new_start = ps;
-                    iv.remove(&ps);
-                }
+        // Merge with a successor starting exactly at `end`, then with a
+        // predecessor ending exactly at `start` by extending it in place
+        // (the steady-stream case: a booking at the end of the last one).
+        let new_end = iv.remove(&end).unwrap_or(end);
+        match iv.range_mut(..=start).next_back() {
+            Some((_, pe)) if *pe == start => *pe = new_end,
+            _ => {
+                iv.insert(start, new_end);
             }
-            // Merge with a successor starting exactly at `end`.
-            let mut new_end = end;
-            if let Some(&se) = iv.get(&end) {
-                new_end = se;
-                iv.remove(&end);
-            }
-            iv.insert(new_start, new_end);
         }
-        self.horizon.fetch_max(end, Ordering::AcqRel);
+        raise_to(&self.horizon, end);
         self.booked.fetch_add(dur, Ordering::Relaxed);
         (VTime(start), VTime(end))
     }
@@ -381,6 +392,85 @@ mod tests {
                     prop_assert_eq!(w[0].1, w[1].0, "hole or overlap: {:?}", w);
                 }
                 prop_assert_eq!(granted.last().unwrap().1, total);
+                Ok(())
+            })
+            .unwrap();
+    }
+
+    /// The first-free-gap calendar as it was written before zero-length
+    /// bookings skipped the lock and a booking adjoining its predecessor
+    /// extended it in place: a full scan from the first interval, and a
+    /// remove-plus-insert merge.
+    #[derive(Default)]
+    struct ScanCalendar {
+        iv: std::collections::BTreeMap<u64, u64>,
+        horizon: u64,
+        booked: u64,
+    }
+
+    impl ScanCalendar {
+        fn reserve(&mut self, earliest: u64, dur: u64) -> (u64, u64) {
+            let iv = &mut self.iv;
+            let mut start = earliest;
+            for (&s, &e) in iv.iter() {
+                if e <= start {
+                    continue;
+                }
+                if dur == 0 || s >= start + dur {
+                    break;
+                }
+                start = e;
+            }
+            let end = start + dur;
+            if dur > 0 {
+                let mut new_start = start;
+                if let Some((&ps, &pe)) = iv.range(..=start).next_back() {
+                    if pe == start {
+                        new_start = ps;
+                        iv.remove(&ps);
+                    }
+                }
+                let mut new_end = end;
+                if let Some(&se) = iv.get(&end) {
+                    new_end = se;
+                    iv.remove(&end);
+                }
+                iv.insert(new_start, new_end);
+            }
+            self.horizon = self.horizon.max(end);
+            self.booked += dur;
+            (start, end)
+        }
+    }
+
+    #[test]
+    fn calendar_matches_the_full_scan_it_replaced() {
+        use proptest::prelude::*;
+        use proptest::test_runner::{Config, TestRunner};
+        // Each step is (kind, earliest, dur): kind 0 books exactly at the
+        // previous grant's end, kind 1 books zero nanoseconds, anything else
+        // is a free booking. Times are on a 10 ns grid so edges coincide.
+        let mut runner = TestRunner::new(Config { cases: 256, ..Config::default() });
+        runner
+            .run(&proptest::collection::vec((0u8..4, 0u64..200, 0u64..8), 1..160), |steps| {
+                let (b, mut scan) = (BusyUntil::new(), ScanCalendar::default());
+                let mut last_end = 0;
+                for (kind, at, dur) in steps {
+                    let (earliest, dur) = match kind {
+                        0 => (last_end, dur * 10),
+                        1 => (at * 10, 0),
+                        _ => (at * 10, dur * 10),
+                    };
+                    let (s, e) = b.reserve(VTime(earliest), dur);
+                    prop_assert_eq!((s.0, e.0), scan.reserve(earliest, dur), "at {}", earliest);
+                    prop_assert_eq!(b.horizon().0, scan.horizon);
+                    prop_assert_eq!(b.booked_ns(), scan.booked);
+                    last_end = e.0;
+                }
+                let booked: Vec<(u64, u64)> =
+                    b.intervals.lock().iter().map(|(&s, &e)| (s, e)).collect();
+                let scanned: Vec<(u64, u64)> = scan.iv.iter().map(|(&s, &e)| (s, e)).collect();
+                prop_assert_eq!(booked, scanned);
                 Ok(())
             })
             .unwrap();

@@ -31,7 +31,6 @@ use parking_lot::{Mutex, RwLock};
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Unexpected two-sided sends an endpoint parks before it refuses the next
 /// with [`FabricError::ReceiverNotReady`] (an infinite-retry RNR policy with
@@ -113,7 +112,7 @@ pub struct Endpoint {
     mrs: MrTable,
     send_cq: Cq,
     recv_cq: Cq,
-    qps: RwLock<HashMap<u32, Arc<QpState>>>,
+    qps: RwLock<HashMap<u32, QpState>>,
     next_qp: AtomicU32,
     rq: Mutex<RecvQueue>,
     stats: EndpointStats,
@@ -168,7 +167,7 @@ impl Endpoint {
             depart_floor: AtomicU64::new(0),
             deliver_floor: AtomicU64::new(0),
         };
-        self.qps.write().insert(num, Arc::new(st));
+        self.qps.write().insert(num, st);
         qp
     }
 
@@ -176,32 +175,42 @@ impl Endpoint {
         self.qps.write().remove(&qp.num).map(|_| ()).ok_or(FabricError::NoSuchQp { qp: qp.num })
     }
 
-    fn qp_state(&self, qp: Qp) -> Result<Arc<QpState>> {
-        let st = self.qps.read().get(&qp.num).filter(|st| st.qp == qp).cloned();
-        st.ok_or(FabricError::NoSuchQp { qp: qp.num })
+    /// Run `f` on the state of `qp` under the QP table's read lock.
+    fn with_qp<R>(&self, qp: Qp, f: impl FnOnce(&QpState) -> R) -> Result<R> {
+        let qps = self.qps.read();
+        let st = qps.get(&qp.num).filter(|st| st.qp == qp);
+        Ok(f(st.ok_or(FabricError::NoSuchQp { qp: qp.num })?))
     }
 
-    /// The state of `qp` for a post: refused while the QP is errored.
-    pub(crate) fn live_qp(&self, qp: Qp) -> Result<Arc<QpState>> {
-        let st = self.qp_state(qp)?;
-        if st.error.load(Ordering::Acquire) {
-            return Err(FabricError::PeerUnreachable { node: qp.peer });
-        }
-        Ok(st)
+    /// Run a post on `qp`: `f` gets the QP's state, borrowed under the QP
+    /// table's read lock for the whole run, which is refused while the QP
+    /// is errored. The lock is the first a post takes; `f` must not create,
+    /// destroy or look up a QP of this endpoint (a waiting writer would
+    /// block the nested read).
+    pub(crate) fn with_live_qp<R>(
+        &self,
+        qp: Qp,
+        f: impl FnOnce(&QpState) -> Result<R>,
+    ) -> Result<R> {
+        self.with_qp(qp, |st| {
+            if st.error.load(Ordering::Acquire) {
+                return Err(FabricError::PeerUnreachable { node: qp.peer });
+            }
+            f(st)
+        })?
     }
 
     pub(crate) fn reset_qp(&self, qp: Qp) -> Result<()> {
-        self.qp_state(qp)?.error.store(false, Ordering::Release);
-        Ok(())
+        self.with_qp(qp, |st| st.error.store(false, Ordering::Release))
     }
 
     pub(crate) fn qp_errored(&self, qp: Qp) -> bool {
-        self.qp_state(qp).is_ok_and(|st| st.error.load(Ordering::Acquire))
+        self.with_qp(qp, |st| st.error.load(Ordering::Acquire)).unwrap_or(false)
     }
 
     /// Run `f` on every QP.
-    pub(crate) fn each_qp(&self, mut f: impl FnMut(&QpState)) {
-        self.qps.read().values().for_each(|st| f(st));
+    pub(crate) fn each_qp(&self, f: impl FnMut(&QpState)) {
+        self.qps.read().values().for_each(f);
     }
 
     // ------------------------------------------------------------ admission
@@ -335,14 +344,15 @@ impl Endpoint {
         stamps: impl Iterator<Item = usize>,
         ts: VTime,
     ) -> Result<()> {
-        let (mr, off) = self.mrs.resolve(addr, rkey, payload.len(), Access::REMOTE_WRITE)?;
-        mr.with_bytes_mut(|b| {
-            let dst = &mut b[off..off + payload.len()];
-            dst.copy_from_slice(payload);
-            for s in stamps {
-                dst[s..s + 8].copy_from_slice(&ts.as_nanos().to_le_bytes());
-            }
-        });
+        self.mrs.with_resolved(addr, rkey, payload.len(), Access::REMOTE_WRITE, |mr, off| {
+            mr.with_bytes_mut(|b| {
+                let dst = &mut b[off..off + payload.len()];
+                dst.copy_from_slice(payload);
+                for s in stamps {
+                    dst[s..s + 8].copy_from_slice(&ts.as_nanos().to_le_bytes());
+                }
+            })
+        })?;
         EndpointStats::add(&self.stats.bytes_rx, payload.len() as u64);
         Ok(())
     }
@@ -358,8 +368,16 @@ impl Endpoint {
         })
     }
 
-    /// Resolve the source of a `len`-byte read at `(addr, rkey)`: the
-    /// caller gathers from the returned region at the returned offset.
+    /// Copy the source of a read at `(addr, rkey)` into `dst` (its length
+    /// is the read's).
+    pub(crate) fn read_into(&self, addr: u64, rkey: u32, dst: &mut [u8]) -> Result<()> {
+        let len = dst.len();
+        self.mrs.with_resolved(addr, rkey, len, Access::REMOTE_READ, |mr, off| mr.read_at(off, dst))
+    }
+
+    /// Resolve the source of a `len`-byte read at `(addr, rkey)` to an
+    /// owned handle, for a caller that gathers from the region after the
+    /// MR table's lock is gone.
     pub(crate) fn read_source(
         &self,
         addr: u64,
@@ -376,8 +394,7 @@ impl Endpoint {
         if !addr.is_multiple_of(8) {
             return Err(FabricError::BadAtomicTarget { addr, len: 8 });
         }
-        let (mr, off) = self.mrs.resolve(addr, rkey, 8, Access::REMOTE_ATOMIC)?;
-        Ok(match op {
+        self.mrs.with_resolved(addr, rkey, 8, Access::REMOTE_ATOMIC, |mr, off| match op {
             Atomic::FetchAdd(add) => mr.fetch_add_u64(off, add),
             Atomic::CompareSwap { compare, swap } => mr.compare_swap_u64(off, compare, swap),
         })

@@ -111,6 +111,9 @@ pub struct FaultPlan {
     /// Cheap fast-path gate: true once any kill/partition has been
     /// installed, so healthy-path transfers pay one relaxed atomic load.
     disruptions: AtomicBool,
+    /// The same gate for every kind of fault: true once anything that can
+    /// add latency or refuse a packet has been installed.
+    perturbed: AtomicBool,
 }
 
 impl FaultPlan {
@@ -129,6 +132,7 @@ impl FaultPlan {
     /// during `window`. Entries accumulate: overlapping windows sum.
     pub fn degrade_link_during(&self, src: NodeId, dst: NodeId, extra_ns: u64, window: Window) {
         self.link_extra_ns.write().entry((src, dst)).or_default().push((extra_ns, window));
+        self.perturbed.store(true, Ordering::Release);
     }
 
     /// Remove every degradation (windowed or not) on `src -> dst`.
@@ -145,6 +149,7 @@ impl FaultPlan {
     /// Straggle `node` during `window` only. Entries accumulate.
     pub fn straggle_node_during(&self, node: NodeId, extra_ns: u64, window: Window) {
         self.node_extra_ns.write().entry(node).or_default().push((extra_ns, window));
+        self.perturbed.store(true, Ordering::Release);
     }
 
     /// Remove every straggler entry for `node`.
@@ -170,6 +175,9 @@ impl FaultPlan {
     pub fn set_jitter_during(&self, bound_ns: u64, window: Window) {
         *self.jitter_window.write() = window;
         self.jitter_ns.store(bound_ns, Ordering::Relaxed);
+        if bound_ns > 0 {
+            self.perturbed.store(true, Ordering::Release);
+        }
     }
 
     /// Seed the jitter stream. Same seed + same packet sequence ⇒ identical
@@ -213,12 +221,21 @@ impl FaultPlan {
         extra
     }
 
-    /// True when the plan perturbs nothing (fast-path check).
+    /// True while nothing has ever been installed in the plan: one atomic
+    /// load, for the transfer fast path. Pessimistic, like
+    /// [`FaultPlan::has_disruptions`]: healing does not clear it, so a
+    /// healed plan answers `false` and its (now empty) lookups run. They
+    /// add nothing, and draw no jitter unless jitter is still on.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.jitter_ns.load(Ordering::Relaxed) == 0
-            && !self.has_disruptions()
-            && self.link_extra_ns.read().is_empty()
-            && self.node_extra_ns.read().is_empty()
+        !self.perturbed.load(Ordering::Acquire)
+    }
+
+    /// Note a kill, revive or partition: the availability gate and the
+    /// general one both open.
+    fn disrupt(&self) {
+        self.disruptions.store(true, Ordering::Release);
+        self.perturbed.store(true, Ordering::Release);
     }
 
     /// Crash-stop `node` at virtual time `at`: every packet departing at or
@@ -231,7 +248,7 @@ impl FaultPlan {
         let life = lives.entry(node).or_default();
         life.kills.push(at);
         life.kills.sort_unstable();
-        self.disruptions.store(true, Ordering::Release);
+        self.disrupt();
     }
 
     /// Bring `node` back up at virtual time `at` as a **new incarnation**:
@@ -244,7 +261,7 @@ impl FaultPlan {
         let life = lives.entry(node).or_default();
         life.revives.push(at);
         life.revives.sort_unstable();
-        self.disruptions.store(true, Ordering::Release);
+        self.disrupt();
     }
 
     /// The incarnation of `node` at virtual time `t`: 0 for the original
@@ -264,7 +281,7 @@ impl FaultPlan {
     pub fn partition_during(&self, a: NodeId, b: NodeId, window: Window) {
         let key = (a.min(b), a.max(b));
         self.partitions.write().entry(key).or_default().push(window);
-        self.disruptions.store(true, Ordering::Release);
+        self.disrupt();
     }
 
     /// Remove every partition window for the pair `a <-> b`.
@@ -545,6 +562,73 @@ mod tests {
         // Degenerate empty window [t, t) never applies.
         p.degrade_link_during(0, 1, 1_000, Window::new(VTime(50), VTime(50)));
         assert_eq!(p.extra_latency_at(0, 1, VTime(50)), 10);
+    }
+
+    #[test]
+    fn healed_plan_charges_what_an_untouched_one_does() {
+        let probe = |p: &FaultPlan| -> Vec<u64> {
+            let mut out = Vec::new();
+            for (src, dst) in [(0, 1), (1, 0), (1, 2), (2, 2)] {
+                for t in [0, 99, 1_000, u64::MAX - 1] {
+                    out.push(p.extra_latency_at(src, dst, VTime(t)));
+                }
+            }
+            out
+        };
+        let p = FaultPlan::none();
+        let before = probe(&p);
+        assert!(p.is_empty());
+        p.degrade_link(0, 1, 500);
+        p.heal_link(0, 1);
+        p.straggle_node(1, 100);
+        p.heal_node(1);
+        p.set_jitter(1_000);
+        p.set_jitter(0);
+        p.partition_during(0, 1, Window::ALWAYS);
+        p.heal_partition(0, 1);
+        assert!(!p.is_empty(), "the gate is pessimistic: healing leaves it open");
+        assert_eq!(probe(&p), before, "a healed plan adds no latency");
+        assert_eq!(p.unreachable_between(0, 1, VTime(0)), None);
+    }
+
+    #[test]
+    fn opening_the_gate_draws_no_jitter() {
+        use crate::mr::DEFAULT_REG_LIMIT;
+        use crate::wire::Switch;
+        use crate::{NetworkModel, Nic};
+        use std::sync::Arc;
+        // The same seeded packet sequence through two switches; on the
+        // second a degrade/heal pair on an unused link opens the gate before
+        // jitter is on and again while it is. Every delivery time must match.
+        let run = |interleave: bool| {
+            let sw = Arc::new(Switch::new(NetworkModel::ib_fdr()));
+            for _ in 0..3 {
+                Nic::attach_new(&sw, DEFAULT_REG_LIMIT);
+            }
+            let f = sw.faults();
+            f.set_jitter_seed(11);
+            let mut delivered = Vec::new();
+            let mut send = |n: u64| {
+                for i in 0..n {
+                    let t = sw.transfer((i % 2) as usize, 1 - (i % 2) as usize, 8, VTime(i * 50));
+                    delivered.push(t.unwrap().deliver);
+                }
+            };
+            if interleave {
+                f.degrade_link(2, 0, 9_000);
+                f.heal_link(2, 0);
+            }
+            send(16);
+            f.set_jitter(400);
+            send(16);
+            if interleave {
+                f.straggle_node(2, 9_000);
+                f.heal_node(2);
+            }
+            send(16);
+            delivered
+        };
+        assert_eq!(run(true), run(false));
     }
 
     proptest::proptest! {

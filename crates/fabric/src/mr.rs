@@ -326,7 +326,8 @@ impl MrTable {
     }
 
     /// Resolve a one-sided access `(addr, rkey, len)` to a region and offset,
-    /// verifying bounds and that the region allows `needed` access.
+    /// verifying bounds and that the region allows `needed` access. The
+    /// returned handle is a clone, for a caller that keeps it.
     pub fn resolve(
         &self,
         addr: u64,
@@ -334,12 +335,22 @@ impl MrTable {
         len: usize,
         needed: Access,
     ) -> Result<(MemoryRegion, usize)> {
-        let mr = self
-            .by_rkey
-            .read()
-            .get(&rkey)
-            .cloned()
-            .ok_or(FabricError::InvalidRkey { node: self.node, rkey })?;
+        self.with_resolved(addr, rkey, len, needed, |mr, off| (mr.clone(), off))
+    }
+
+    /// [`MrTable::resolve`] without the clone: run `f` on the region and
+    /// offset under the table's read lock. Registrations wait for `f`, so
+    /// `f` must not use this table (a waiting writer blocks a nested read).
+    pub(crate) fn with_resolved<R>(
+        &self,
+        addr: u64,
+        rkey: u32,
+        len: usize,
+        needed: Access,
+        f: impl FnOnce(&MemoryRegion, usize) -> R,
+    ) -> Result<R> {
+        let table = self.by_rkey.read();
+        let mr = table.get(&rkey).ok_or(FabricError::InvalidRkey { node: self.node, rkey })?;
         if !mr.flags().allows(needed) {
             return Err(FabricError::AccessDenied { rkey, needed: access_name(needed) });
         }
@@ -354,7 +365,7 @@ impl MrTable {
         }
         let offset = (addr - base) as usize;
         mr.check_bounds(offset, len)?;
-        Ok((mr, offset))
+        Ok(f(mr, offset))
     }
 
     /// Resolve-cache validity token: unchanged generation means every rkey

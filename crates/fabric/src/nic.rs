@@ -13,21 +13,31 @@
 //! A transfer the switch's fault plan rejects (dead node, partition) fails
 //! the verbs way: the QP enters the error state, the work request flushes
 //! as an error CQE, and the poster gets `PeerUnreachable`.
+//!
+//! A post finds everything it touches once and borrows it: the QP's state
+//! under the QP table's read lock, both NICs (and their ports) under one
+//! read of the switch's attach table, the target region under the target's
+//! MR table read lock. Those locks nest in that order, then the region's
+//! own lock, then a CQ's.
 
 use crate::backend::FabricBackend;
-use crate::clock::VTime;
+use crate::clock::{raise_to, VTime};
 use crate::endpoint::{Endpoint, NicConfig, QpState};
 use crate::error::{FabricError, Result};
-use crate::mr::MemoryRegion;
+use crate::fault::FaultPlan;
 use crate::verbs::{
     Atomic, Completion, CompletionKind, MrSlice, Qp, RemoteSlice, SendWr, WcStatus, WrOp,
 };
-use crate::wire::{Switch, Transfer, REQUEST_BYTES};
+use crate::wire::{Port, Switch, Transfer, REQUEST_BYTES};
 use crate::NodeId;
 use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
+
+/// Payloads up to this size are staged in a stack buffer; larger ones in a
+/// pooled message buffer.
+const INLINE_BYTES: usize = 64;
 
 /// Message buffers kept in a NIC's free list for reuse.
 const BUF_POOL_CAP: usize = 64;
@@ -56,6 +66,10 @@ const BUF_POOL_MAX_BYTES: usize = 256 * 1024;
 pub struct Nic {
     ep: Endpoint,
     switch: Weak<Switch>,
+    /// This node's switch port (its egress and ingress calendars).
+    pub(crate) port: Port,
+    /// The switch's fault plan, shared so reachability reads need no switch.
+    faults: Arc<FaultPlan>,
     /// Free list of message buffers: payload movement recycles `Vec`s here
     /// instead of allocating one per send/write/read-response.
     buf_pool: Mutex<Vec<Vec<u8>>>,
@@ -70,85 +84,82 @@ impl Nic {
 
     /// Create a NIC with explicit resource limits.
     pub fn attach_with_config(switch: &Arc<Switch>, cfg: NicConfig) -> Arc<Nic> {
-        switch.attach_with(|node| {
+        switch.attach_with(|node, faults| {
             Arc::new(Nic {
                 ep: Endpoint::new(node, cfg),
                 switch: Arc::downgrade(switch),
+                port: Port::default(),
+                faults,
                 buf_pool: Mutex::new(Vec::new()),
             })
         })
     }
 
-    /// Execute one work request whose departure is gated at `ready`: the
-    /// model books each wire leg, the target's endpoint applies the effect
-    /// at the leg's ordered delivery time.
-    fn exec(&self, sw: &Switch, st: &QpState, wr: &SendWr, ready: VTime) -> Result<()> {
+    /// Execute one work request on the QP to `peer`, its departure gated at
+    /// `ready`: the model books each wire leg, the target's endpoint applies
+    /// the effect at the leg's ordered delivery time.
+    fn exec(&self, sw: &Switch, peer: &Nic, st: &QpState, wr: &SendWr, ready: VTime) -> Result<()> {
         self.ep.admit(wr)?;
-        let (me, peer) = (st.qp.node, st.qp.peer);
+        let (me, target) = (self.ep.node(), &peer.ep);
         // One wire leg under the verbs failure model: when the fault plan
         // rejects the transfer, the QP enters the error state and the work
         // request flushes as an error CQE carrying `RemoteDead` (either end
         // crashed) or `RetryExceeded` (partition) — pushed even for an
         // unsignaled wr, its `kind` unspecified, as on real hardware.
-        let leg = |src, dst, bytes, at: VTime, kind| match sw.transfer(src, dst, bytes, at) {
-            Err(FabricError::PeerUnreachable { node }) => {
-                st.error.store(true, Ordering::Release);
-                let f = sw.faults();
-                let status = if f.node_dead_at(peer, at) || f.node_dead_at(me, at) {
-                    WcStatus::RemoteDead
-                } else {
-                    WcStatus::RetryExceeded
-                };
-                // Best effort: a full CQ must not mask the post error.
-                let _ =
-                    self.ep.send_cq().push(Completion { wr_id: wr.wr_id, kind, ts: at, status });
-                Err(FabricError::PeerUnreachable { node })
+        let leg = |outbound: bool, bytes, at: VTime, kind| {
+            let (src, dst) = if outbound { (self, peer) } else { (peer, self) };
+            match sw.leg(src, dst, bytes, at) {
+                Err(FabricError::PeerUnreachable { node }) => {
+                    st.error.store(true, Ordering::Release);
+                    let f = &self.faults;
+                    let status = if f.node_dead_at(peer.ep.node(), at) || f.node_dead_at(me, at) {
+                        WcStatus::RemoteDead
+                    } else {
+                        WcStatus::RetryExceeded
+                    };
+                    // Best effort: a full CQ must not mask the post error.
+                    let c = Completion { wr_id: wr.wr_id, kind, ts: at, status };
+                    let _ = self.ep.send_cq().push(c);
+                    Err(FabricError::PeerUnreachable { node })
+                }
+                other => other,
             }
-            other => other,
         };
-        let target = || sw.nic(peer);
         // A header-only request travels out, 8 bytes of old value back.
         let atomic = |local: &MrSlice, remote: &RemoteSlice, op: Atomic| {
             let kind = CompletionKind::AtomicDone { old: 0 };
-            let at = ordered(st, leg(me, peer, REQUEST_BYTES, ready, kind.clone())?);
-            let old = target()?.ep.apply_atomic(remote.addr, remote.rkey, op)?;
-            let resp = leg(peer, me, 8, at, kind)?;
+            let at = ordered(st, leg(true, REQUEST_BYTES, ready, kind.clone())?);
+            let old = target.apply_atomic(remote.addr, remote.rkey, op)?;
+            let resp = leg(false, 8, at, kind)?;
             local.mr.write_u64(local.offset, old);
             Ok::<_, FabricError>((CompletionKind::AtomicDone { old }, resp.deliver))
         };
         let (kind, ts) = match &wr.op {
-            WrOp::Send { local, imm } => {
-                let data = self.gather(&local.mr, local.offset, local.len);
-                let t = leg(me, peer, local.len, ready, CompletionKind::SendDone)?;
-                let res = target()?.ep.deliver_send(me, Cow::Borrowed(&data), *imm, ordered(st, t));
-                self.give_buf(data);
-                res?;
-                (CompletionKind::SendDone, t.injected)
-            }
+            WrOp::Send { local, imm } => self.staged(local.len, gather(local), |data| {
+                let t = leg(true, local.len, ready, CompletionKind::SendDone)?;
+                target.deliver_send(me, Cow::Borrowed(data), *imm, ordered(st, t))?;
+                Ok((CompletionKind::SendDone, t.injected))
+            })?,
             WrOp::Write { local, remote, imm } => {
-                let data = self.gather(&local.mr, local.offset, local.len);
-                let t = leg(me, peer, local.len, ready, CompletionKind::WriteDone)?;
-                let deliver = ordered(st, t);
-                let target = target()?;
-                let res =
-                    target.ep.apply_write(remote.addr, remote.rkey, &data, wr.stamps(), deliver);
-                self.give_buf(data);
-                res?;
-                if let Some(imm) = *imm {
-                    target.ep.push_imm(me, local.len, imm, deliver)?;
-                }
-                (CompletionKind::WriteDone, t.injected)
+                self.staged(local.len, gather(local), |data| {
+                    let t = leg(true, local.len, ready, CompletionKind::WriteDone)?;
+                    let deliver = ordered(st, t);
+                    target.apply_write(remote.addr, remote.rkey, data, wr.stamps(), deliver)?;
+                    if let Some(imm) = *imm {
+                        target.push_imm(me, local.len, imm, deliver)?;
+                    }
+                    Ok((CompletionKind::WriteDone, t.injected))
+                })?
             }
             WrOp::Read { local, remote } => {
                 // Header-only request travels out; data travels back.
-                let at =
-                    ordered(st, leg(me, peer, REQUEST_BYTES, ready, CompletionKind::ReadDone)?);
-                let (mr, off) = target()?.ep.read_source(remote.addr, remote.rkey, remote.len)?;
-                let data = self.gather(&mr, off, remote.len);
-                let resp = leg(peer, me, remote.len, at, CompletionKind::ReadDone)?;
-                local.mr.write_at(local.offset, &data);
-                self.give_buf(data);
-                (CompletionKind::ReadDone, resp.deliver)
+                let at = ordered(st, leg(true, REQUEST_BYTES, ready, CompletionKind::ReadDone)?);
+                let source = |buf: &mut [u8]| target.read_into(remote.addr, remote.rkey, buf);
+                self.staged(remote.len, source, |data| {
+                    let resp = leg(false, remote.len, at, CompletionKind::ReadDone)?;
+                    local.mr.write_at(local.offset, data);
+                    Ok((CompletionKind::ReadDone, resp.deliver))
+                })?
             }
             WrOp::FetchAdd { local, remote, add } => atomic(local, remote, Atomic::FetchAdd(*add))?,
             WrOp::CompareSwap { local, remote, compare, swap } => {
@@ -166,16 +177,31 @@ impl Nic {
         Ok(())
     }
 
-    /// A message buffer holding a copy of `len` bytes of `mr` at `off`:
-    /// taken first from this thread's lock-free front cache, then from the
-    /// shared free list, allocated only when both are empty.
-    fn gather(&self, mr: &MemoryRegion, off: usize, len: usize) -> Vec<u8> {
+    /// Stage a `len`-byte payload: `fill` copies it in, then `f` carries it.
+    /// The copy is what lets the source region's lock go before the
+    /// target's is taken (a QP to itself may name one region at both ends).
+    /// Up to [`INLINE_BYTES`] it lives on the stack; past that in a message
+    /// buffer from this thread's lock-free front cache, then from the shared
+    /// free list, allocated only when both are empty.
+    fn staged<R>(
+        &self,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]) -> Result<()>,
+        f: impl FnOnce(&[u8]) -> Result<R>,
+    ) -> Result<R> {
+        if len <= INLINE_BYTES {
+            let mut inline = [0u8; INLINE_BYTES];
+            let buf = &mut inline[..len];
+            fill(buf)?;
+            return f(buf);
+        }
         let mut v = BUF_FRONT
             .with(|c| c.borrow_mut().pop())
             .unwrap_or_else(|| self.buf_pool.lock().pop().unwrap_or_default());
         v.resize(len, 0);
-        mr.read_at(off, &mut v);
-        v
+        let res = fill(&mut v).and_then(|()| f(&v));
+        self.give_buf(v);
+        res
     }
 
     /// Return a message buffer for reuse: into the thread-local front cache
@@ -215,13 +241,21 @@ impl Nic {
     }
 }
 
+/// A staging fill that copies `local` out of its region.
+fn gather(local: &MrSlice) -> impl FnOnce(&mut [u8]) -> Result<()> + '_ {
+    |buf| {
+        local.mr.read_at(local.offset, buf);
+        Ok(())
+    }
+}
+
 /// Clamp a leg's delivery to its flow's in-order floor and record the leg
 /// as the floors its successors on the QP must respect; returns the ordered
 /// delivery time.
 fn ordered(st: &QpState, t: Transfer) -> VTime {
     let deliver = VTime(t.deliver.0.max(st.deliver_floor.load(Ordering::Acquire)));
-    st.depart_floor.fetch_max(t.injected.0, Ordering::AcqRel);
-    st.deliver_floor.fetch_max(deliver.0, Ordering::AcqRel);
+    raise_to(&st.depart_floor, t.injected.0);
+    raise_to(&st.deliver_floor, deliver.0);
     deliver
 }
 
@@ -235,30 +269,32 @@ impl FabricBackend for Nic {
         self.switch.upgrade().map_or(0, |sw| sw.len())
     }
 
-    /// The per-post overhead (`send_overhead_ns`) and the QP lookup are
-    /// charged once for the whole run. The wrs execute in order on the
-    /// same QP, so a signaled *last* wr implies every earlier one has
-    /// completed — the contract the middleware's one-CQE batch fan-out
-    /// relies on. Effects apply before return; completions carry modeled
-    /// timestamps.
+    /// The per-post overhead (`send_overhead_ns`), the QP lookup and the
+    /// peer lookup are paid once for the whole run. The wrs execute in
+    /// order on the same QP, so a signaled *last* wr implies every earlier
+    /// one has completed — the contract the middleware's one-CQE batch
+    /// fan-out relies on. Effects apply before return; completions carry
+    /// modeled timestamps.
     fn post_send_many(&self, qp: Qp, wrs: &[SendWr], now: VTime) -> Result<()> {
         let sw = self.switch.upgrade().ok_or(FabricError::Down)?;
-        let st = self.ep.live_qp(qp)?;
-        let base = now + sw.model().send_overhead_ns;
-        for wr in wrs {
-            // RC in-order floor: never depart before a predecessor on this QP.
-            let ready = base.max(VTime(st.depart_floor.load(Ordering::Acquire)));
-            self.exec(&sw, &st, wr, ready)?;
-        }
-        Ok(())
+        self.ep.with_live_qp(qp, |st| {
+            let nics = sw.nics();
+            let peer = nics.get(qp.peer).ok_or(FabricError::NoSuchNode { node: qp.peer })?;
+            let base = now + sw.model().send_overhead_ns;
+            for wr in wrs {
+                // RC in-order floor: never depart before a predecessor on this QP.
+                let ready = base.max(VTime(st.depart_floor.load(Ordering::Acquire)));
+                self.exec(&sw, peer, st, wr, ready)?;
+            }
+            Ok(())
+        })
     }
 
     /// From the fault plan: [`WcStatus::RemoteDead`] when `peer` or this
     /// node itself is dead at `now`, [`WcStatus::RetryExceeded`] inside a
     /// partition window, `None` for a healthy path.
     fn node_status(&self, peer: NodeId, now: VTime) -> Option<WcStatus> {
-        let sw = self.switch.upgrade()?;
-        let f = sw.faults();
+        let f = &self.faults;
         if !f.has_disruptions() {
             return None;
         }
@@ -282,14 +318,14 @@ impl FabricBackend for Nic {
     /// the layer above tell "the peer died" from "I died" so it never
     /// records a live peer dead on the strength of its own crash.
     fn self_dead_at(&self, now: VTime) -> bool {
-        self.switch.upgrade().is_some_and(|sw| sw.faults().node_dead_at(self.ep.node(), now))
+        self.faults.node_dead_at(self.ep.node(), now)
     }
 
     /// The incarnation of `peer` at virtual time `now` (+1 per
     /// [`crate::FaultPlan::revive_node_at`]). A connection established
     /// against one incarnation must not be reused against a later one.
     fn node_incarnation(&self, peer: NodeId, now: VTime) -> u64 {
-        self.switch.upgrade().map_or(0, |sw| sw.faults().incarnation_at(peer, now))
+        self.faults.incarnation_at(peer, now)
     }
 }
 

@@ -337,12 +337,13 @@ impl SockNic {
     /// Refuse a post on an errored QP, or on one whose channel ran out of
     /// retries (which errors the QP).
     fn check_qp(&self, qp: Qp) -> Result<()> {
-        let st = self.ep.live_qp(qp)?;
-        if qp.peer != self.node() && self.chan(qp.peer).is_ok_and(Channel::is_failed) {
-            st.error.store(true, Ordering::Release);
-            return Err(FabricError::PeerUnreachable { node: qp.peer });
-        }
-        Ok(())
+        self.ep.with_live_qp(qp, |st| {
+            if qp.peer != self.node() && self.chan(qp.peer).is_ok_and(Channel::is_failed) {
+                st.error.store(true, Ordering::Release);
+                return Err(FabricError::PeerUnreachable { node: qp.peer });
+            }
+            Ok(())
+        })
     }
 
     /// Execute `wr` on a QP to this node itself, synchronously, like the

@@ -317,6 +317,9 @@ impl Rx<'_> {
                 }
             }
             Body::ReadReq { addr, rkey, len } => {
+                // An owned handle, not a borrow under the MR table's lock:
+                // the response is encoded under the channel's lock, which
+                // must not nest inside the table's.
                 let Ok((mr, off)) = nic.ep.read_source(addr, rkey, len as usize) else {
                     return self.refuse(ch, p.op);
                 };

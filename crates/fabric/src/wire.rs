@@ -1,21 +1,22 @@
 //! The interconnect: a crossbar switch applying the LogGP model with
 //! per-port serialization.
 //!
-//! Every node owns one full-duplex port.  A transfer reserves time on the
-//! source's egress register and the destination's ingress register through
-//! [`crate::clock::BusyUntil`], which is what makes concurrent flows queue
-//! behind each other (incast congestion, bandwidth sharing) instead of each
-//! seeing an idle network.
+//! Every node owns one full-duplex port, kept in its [`Nic`]. A
+//! transfer reserves time on the source's egress register and the
+//! destination's ingress register through [`crate::clock::BusyUntil`],
+//! which is what makes concurrent flows queue behind each other (incast
+//! congestion, bandwidth sharing) instead of each seeing an idle network.
 
+use crate::backend::FabricBackend;
 use crate::clock::{BusyUntil, VTime};
 use crate::error::{FabricError, Result};
 use crate::fault::FaultPlan;
 use crate::model::NetworkModel;
 use crate::nic::Nic;
 use crate::NodeId;
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Size on the wire of a read/atomic request packet (header-only).
 pub const REQUEST_BYTES: usize = 32;
@@ -47,10 +48,14 @@ pub struct Transfer {
     pub deliver: VTime,
 }
 
+/// One node's full-duplex switch port: its egress and ingress calendars,
+/// and the packets and payload bytes it has sent.
 #[derive(Debug, Default)]
-struct Port {
+pub(crate) struct Port {
     egress: BusyUntil,
     ingress: BusyUntil,
+    packets: AtomicU64,
+    bytes: AtomicU64,
 }
 
 #[derive(Debug, Default)]
@@ -59,17 +64,14 @@ struct PodLinks {
     down: BusyUntil,
 }
 
-/// The cluster-wide switch: owns the NICs, the network model, and the fault
-/// plan.
+/// The cluster-wide switch: owns the NICs (and through them the ports), the
+/// network model, and the fault plan.
 #[derive(Debug)]
 pub struct Switch {
     model: NetworkModel,
     nics: RwLock<Vec<Arc<Nic>>>,
-    ports: RwLock<Vec<Arc<Port>>>,
-    pods: RwLock<Option<(PodTopology, Vec<Arc<PodLinks>>)>>,
-    faults: FaultPlan,
-    packets: AtomicU64,
-    bytes: AtomicU64,
+    pods: OnceLock<(PodTopology, Vec<PodLinks>)>,
+    faults: Arc<FaultPlan>,
 }
 
 impl Switch {
@@ -78,22 +80,18 @@ impl Switch {
         Switch {
             model,
             nics: RwLock::new(Vec::new()),
-            ports: RwLock::new(Vec::new()),
-            pods: RwLock::new(None),
-            faults: FaultPlan::none(),
-            packets: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
+            pods: OnceLock::new(),
+            faults: Arc::new(FaultPlan::none()),
         }
     }
 
-    /// Install a two-level pod topology. Call before traffic flows; sizing
-    /// covers the currently attached nodes.
+    /// Install a two-level pod topology, once per switch. Call before
+    /// traffic flows; sizing covers the currently attached nodes.
     pub fn set_topology(&self, topo: PodTopology) {
         assert!(topo.pod_size >= 1 && topo.oversubscription >= 1);
         let n = self.nics.read().len();
-        let pods = n.div_ceil(topo.pod_size.max(1));
-        *self.pods.write() =
-            Some((topo, (0..pods).map(|_| Arc::new(PodLinks::default())).collect()));
+        let links = (0..n.div_ceil(topo.pod_size)).map(|_| PodLinks::default()).collect();
+        assert!(self.pods.set((topo, links)).is_ok(), "pod topology already installed");
     }
 
     /// The network model in force.
@@ -106,15 +104,23 @@ impl Switch {
         &self.faults
     }
 
-    /// Attach a NIC built by `f` (which receives the assigned node id).
-    /// Called by NIC/cluster construction; attachment order defines ids.
-    pub(crate) fn attach_with(&self, f: impl FnOnce(NodeId) -> Arc<Nic>) -> Arc<Nic> {
+    /// Attach a NIC built by `f`, which receives the assigned node id and
+    /// the fault plan it shares with the switch. Called by NIC/cluster
+    /// construction; attachment order defines ids.
+    pub(crate) fn attach_with(
+        &self,
+        f: impl FnOnce(NodeId, Arc<FaultPlan>) -> Arc<Nic>,
+    ) -> Arc<Nic> {
         let mut nics = self.nics.write();
-        let id = nics.len();
-        let nic = f(id);
+        let nic = f(nics.len(), Arc::clone(&self.faults));
         nics.push(Arc::clone(&nic));
-        self.ports.write().push(Arc::new(Port::default()));
         nic
+    }
+
+    /// The attach table, read-locked: a post holds it for its whole run so
+    /// that every leg reaches both NICs without another lookup.
+    pub(crate) fn nics(&self) -> RwLockReadGuard<'_, Vec<Arc<Nic>>> {
+        self.nics.read()
     }
 
     /// Number of attached nodes.
@@ -144,36 +150,36 @@ impl Switch {
         bytes: usize,
         ready: VTime,
     ) -> Result<Transfer> {
-        let (sp, dp) = {
-            let ports = self.ports.read();
-            let sp = ports.get(src).cloned().ok_or(FabricError::NoSuchNode { node: src })?;
-            let dp = ports.get(dst).cloned().ok_or(FabricError::NoSuchNode { node: dst })?;
-            (sp, dp)
-        };
+        let nics = self.nics.read();
+        let nic = |node| nics.get(node).ok_or(FabricError::NoSuchNode { node });
+        self.leg(nic(src)?, nic(dst)?, bytes, ready)
+    }
+
+    /// [`Switch::transfer`] between two NICs the caller already holds.
+    pub(crate) fn leg(&self, src: &Nic, dst: &Nic, bytes: usize, ready: VTime) -> Result<Transfer> {
+        let (s, d) = (src.node(), dst.node());
         // Availability faults reject the packet *before* any port state is
         // reserved, so a failed transfer leaves the calendar untouched.
         // Evaluated at `ready` (the departure lower bound), which keeps
         // windowed partitions deterministic; loopback still fails when the
         // node itself is dead.
-        if self.faults.has_disruptions() {
-            if let Some(node) = self.faults.unreachable_between(src, dst, ready) {
-                return Err(FabricError::PeerUnreachable { node });
-            }
+        if let Some(node) = self.faults.unreachable_between(s, d, ready) {
+            return Err(FabricError::PeerUnreachable { node });
         }
         let hold = self.model.egress_hold_ns(bytes);
-        let (depart, injected) = sp.egress.reserve(ready, hold);
+        let (depart, injected) = src.port.egress.reserve(ready, hold);
         let mut latency = self.model.latency_ns;
         if !self.faults.is_empty() {
             // Windowed faults key off the departure time, so a chaos
             // schedule installed up front activates deterministically.
-            latency += self.faults.extra_latency_at(src, dst, depart);
+            latency += self.faults.extra_latency_at(s, d, depart);
         }
         // Cross-pod traffic additionally serializes on the shared,
         // oversubscribed pod uplinks and pays the core hop.
         let mut ingress_floor = VTime(0);
-        if src != dst {
-            if let Some((topo, links)) = self.pods.read().as_ref() {
-                let (sp_pod, dp_pod) = (src / topo.pod_size, dst / topo.pod_size);
+        if s != d {
+            if let Some((topo, links)) = self.pods.get() {
+                let (sp_pod, dp_pod) = (s / topo.pod_size, d / topo.pod_size);
                 if sp_pod != dp_pod {
                     let shared_hold = hold * topo.oversubscription;
                     let (_, up_end) = links[sp_pod].up.reserve(depart, shared_hold);
@@ -183,45 +189,47 @@ impl Switch {
                 }
             }
         }
-        let deliver = if src == dst {
+        let deliver = if s == d {
             injected
         } else {
             // The first byte reaches the far port after L; the port then
             // spends the serialization time receiving it. Cross-pod flows
             // cannot start receiving before the core finished forwarding.
             let earliest = (depart + latency).max(ingress_floor);
-            let (_, deliver) = dp.ingress.reserve(earliest, hold);
+            let (_, deliver) = dst.port.ingress.reserve(earliest, hold);
             deliver
         };
-        self.packets.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+        src.port.packets.fetch_add(1, Ordering::Relaxed);
+        src.port.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
         Ok(Transfer { depart, injected, deliver })
     }
 
-    /// Total packets routed (diagnostics).
+    /// Total packets routed (diagnostics): the sum over the node ports.
     pub fn packets_routed(&self) -> u64 {
-        self.packets.load(Ordering::Relaxed)
+        self.nics.read().iter().map(|nic| nic.port.packets.load(Ordering::Relaxed)).sum()
     }
 
-    /// Total payload bytes routed (diagnostics).
+    /// Total payload bytes routed (diagnostics): the sum over the node ports.
     pub fn bytes_routed(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
+        self.nics.read().iter().map(|nic| nic.port.bytes.load(Ordering::Relaxed)).sum()
+    }
+
+    /// Run `f` on `node`'s port.
+    fn with_port<R>(&self, node: NodeId, f: impl FnOnce(&Port) -> R) -> Result<R> {
+        let nics = self.nics.read();
+        Ok(f(&nics.get(node).ok_or(FabricError::NoSuchNode { node })?.port))
     }
 
     /// Egress/ingress utilization of `node`'s port (busy fraction of the
     /// booked horizon): a congestion diagnostic for experiments.
     pub fn port_utilization(&self, node: NodeId) -> Result<(f64, f64)> {
-        let ports = self.ports.read();
-        let p = ports.get(node).ok_or(FabricError::NoSuchNode { node })?;
-        Ok((p.egress.utilization(), p.ingress.utilization()))
+        self.with_port(node, |p| (p.egress.utilization(), p.ingress.utilization()))
     }
 
     /// Egress/ingress booking horizons of `node`'s port: the virtual times
     /// at which each register is free of all current reservations.
     pub fn port_horizons(&self, node: NodeId) -> Result<(VTime, VTime)> {
-        let ports = self.ports.read();
-        let p = ports.get(node).ok_or(FabricError::NoSuchNode { node })?;
-        Ok((p.egress.horizon(), p.ingress.horizon()))
+        self.with_port(node, |p| (p.egress.horizon(), p.ingress.horizon()))
     }
 
     /// Latest virtual time booked anywhere on the switch (all node ports and
@@ -229,10 +237,10 @@ impl Switch {
     /// invariant checkers use it as the snapshot horizon.
     pub fn time_horizon(&self) -> VTime {
         let mut h = VTime::ZERO;
-        for p in self.ports.read().iter() {
-            h = h.max(p.egress.horizon()).max(p.ingress.horizon());
+        for nic in self.nics.read().iter() {
+            h = h.max(nic.port.egress.horizon()).max(nic.port.ingress.horizon());
         }
-        if let Some((_, links)) = self.pods.read().as_ref() {
+        if let Some((_, links)) = self.pods.get() {
             for l in links {
                 h = h.max(l.up.horizon()).max(l.down.horizon());
             }
@@ -243,11 +251,12 @@ impl Switch {
     /// Reset all port serialization registers to idle. Used between
     /// benchmark repetitions together with resetting consumer clocks.
     pub fn reset_time(&self) {
-        for p in self.ports.read().iter() {
-            p.egress.reset();
-            p.ingress.reset();
-        }
-        for nic in self.nics.read().iter() {
+        // A copy of the attach table, so no QP table is read under it: a
+        // post takes the two in the other order.
+        let nics = self.nics.read().clone();
+        for nic in &nics {
+            nic.port.egress.reset();
+            nic.port.ingress.reset();
             nic.reset_flow_floors();
         }
     }

@@ -586,3 +586,74 @@ fn loopback_qp_round_trips() {
     assert_eq!(&src[32..40], b"write-pa", "read back the landed write");
     assert_eq!(seen[0], seen[1], "both backends agree");
 }
+
+/// A post holds its QP and its target region only for as long as it runs,
+/// and never waits on set-up or tear-down elsewhere: one thread streams
+/// 8-byte writes on a QP while a second creates and destroys QPs on the
+/// same endpoint (each destroyed one refusing a post with `NoSuchQp`) and
+/// a third registers and deregisters regions on the target. Every post
+/// resolves with its completion, and all three threads finish before a
+/// wall-clock deadline: a lock-order inversion hangs them instead.
+#[test]
+fn posts_survive_qp_and_mr_churn() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::{mpsc, Barrier};
+    const POSTS: u64 = 2_000;
+    const CHURNS: u64 = 100;
+    for f in backends() {
+        let (a, b, name) = (Arc::clone(&f.nics[0]), Arc::clone(&f.nics[1]), f.name);
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || {
+            let (a, b) = (a.as_ref(), b.as_ref());
+            let src = a.register(8, Access::ALL).unwrap();
+            let dst = b.register(8, Access::ALL).unwrap();
+            let qp = a.create_qp(1).unwrap();
+            let write = |id| {
+                let (local, remote) = (MrSlice::new(&src, 0, 8), dst.remote_key());
+                let remote = RemoteSlice::from_key(&remote, 0, 8);
+                SendWr::new(id, WrOp::Write { local, remote, imm: None })
+            };
+            let (start, stop) = (Barrier::new(3), AtomicBool::new(false));
+            let (qp_churns, mr_churns) = (AtomicU64::new(0), AtomicU64::new(0));
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    start.wait();
+                    while !stop.load(Ordering::Acquire) {
+                        let gone = a.create_qp(1).unwrap();
+                        a.destroy_qp(gone).unwrap();
+                        let refused = a.post_send(gone, write(0), VTime(0));
+                        assert!(matches!(refused, Err(FabricError::NoSuchQp { .. })), "{name}");
+                        qp_churns.fetch_add(1, Ordering::Relaxed);
+                        std::thread::yield_now();
+                    }
+                });
+                s.spawn(|| {
+                    start.wait();
+                    while !stop.load(Ordering::Acquire) {
+                        let mr = b.register(64, Access::ALL).unwrap();
+                        b.mrs().deregister(&mr).unwrap();
+                        mr_churns.fetch_add(1, Ordering::Relaxed);
+                        std::thread::yield_now();
+                    }
+                });
+                start.wait();
+                let churned =
+                    || qp_churns.load(Ordering::Relaxed).min(mr_churns.load(Ordering::Relaxed));
+                let mut id = 0;
+                while id < POSTS || churned() < CHURNS {
+                    src.write_u64(0, id);
+                    a.post_send(qp, write(id), VTime(0)).unwrap_or_else(|e| panic!("{name}: {e}"));
+                    let c = wait_send_cqes(a, 1).remove(0);
+                    assert_eq!((c.wr_id, c.status), (id, WcStatus::Success), "{name}");
+                    id += 1;
+                }
+                wait_remote_u64(&dst, 0, id - 1);
+                stop.store(true, Ordering::Release);
+            });
+            let _ = done.send(());
+        });
+        // A panic in the scenario drops `done` at once; a hang times out.
+        let outcome = finished.recv_timeout(3 * DEADLINE);
+        assert!(outcome.is_ok(), "{name}: a churn thread panicked or hung ({outcome:?})");
+    }
+}
