@@ -33,13 +33,10 @@ fn alltoall_once_ns(n: usize, block: usize, topo: Option<PodTopology>) -> u64 {
                 // arrival order — so which rank's thread the OS runs first
                 // decides who queues behind whom on the shared uplinks, and
                 // the makespan moved by ±10% between runs. Post in rank
-                // order instead: wait until the previous rank's puts are in.
+                // order instead: wait until the previous rank's blocks (one
+                // send each) are in.
                 if let Some(prev) = p.rank().checked_sub(1).map(|r| &ranks[r]) {
-                    let posted = || {
-                        let s = prev.stats();
-                        s.puts_eager + s.puts_direct
-                    };
-                    while posted() < n as u64 - 1 {
+                    while prev.stats().sends < n as u64 - 1 {
                         std::thread::yield_now();
                     }
                 }
@@ -84,7 +81,8 @@ mod tests {
             Some(PodTopology { pod_size: 4, oversubscription: 4, core_latency_ns: 300 }),
         );
         assert!(over4 > flat * 2, "4x oversubscription must hurt an all-to-all: {flat} -> {over4}");
-        // Non-blocking pods (over=1) stay close to flat (core hop only).
+        // 1:1 pods still share one port's worth of uplink per pod, but
+        // cost far less than 4:1.
         let over1 = super::alltoall_ns(
             8,
             2048,

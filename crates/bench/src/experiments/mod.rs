@@ -62,7 +62,6 @@ pub fn compact_photon_config() -> photon_core::PhotonConfig {
     photon_core::PhotonConfig {
         ledger_entries: 64,
         eager_ring_bytes: 16 * 1024,
-        coll_slot_bytes: 4 * 1024,
         eager_threshold: 4096,
         ..photon_core::PhotonConfig::default()
     }

@@ -2,11 +2,12 @@
 //!
 //! Photon exposes collectives so runtimes need not layer MPI alongside it:
 //! a dissemination **barrier**, binomial-tree **broadcast**, binomial
-//! **reduce** + broadcast forming **allreduce**, and a direct-put
-//! **all-to-all** ("exchange").  Every primitive is implemented with the
-//! same ledgers and eager rings as user traffic, in a reserved completion-id
-//! namespace, so collective scaling measurements reflect the middleware's
-//! real delivery costs.
+//! **reduce** + broadcast forming **allreduce**, **gather** / **scatter**,
+//! and an **all-to-all** ("exchange").  Every primitive is a set of eager
+//! messages in a reserved completion-id namespace, collected by
+//! `wait_coll`: the same ledgers and eager rings as user traffic, so
+//! collective scaling measurements reflect the middleware's real delivery
+//! costs, and no collective needs state exchanged ahead of it.
 //!
 //! All ranks must invoke collectives in the same order (the usual
 //! communicator discipline); each invocation takes a fresh generation number
@@ -29,7 +30,6 @@
 //! });
 //! ```
 
-use crate::obs::Stats;
 use crate::probe::rid_space;
 use crate::{Photon, PhotonError, Rank, Result};
 use std::sync::atomic::Ordering;
@@ -39,7 +39,6 @@ const KIND_BCAST: u8 = 2;
 const KIND_REDUCE: u8 = 3;
 const KIND_ALLREDUCE_BCAST: u8 = 4;
 const KIND_A2A: u8 = 5;
-const KIND_A2A_LOCAL: u8 = 6;
 const KIND_GATHER: u8 = 7;
 const KIND_SCATTER: u8 = 8;
 
@@ -139,10 +138,18 @@ impl Photon {
     pub fn reduce_u64(&self, root: Rank, data: &mut [u64], op: ReduceOp) -> Result<()> {
         self.check_rank(root)?;
         let gen = self.next_gen();
-        self.reduce_internal(root, data, op, gen)
+        self.reduce_internal(root, data, gen, |a, b| op.apply(a, b))
     }
 
-    fn reduce_internal(&self, root: Rank, data: &mut [u64], op: ReduceOp, gen: u32) -> Result<()> {
+    /// The binomial tree every reduction runs: `combine(mine, child's)`
+    /// folds each child's partial into this rank's before it goes up.
+    fn reduce_internal(
+        &self,
+        root: Rank,
+        data: &mut [u64],
+        gen: u32,
+        combine: impl Fn(u64, u64) -> u64,
+    ) -> Result<()> {
         let n = self.size();
         if n <= 1 {
             return Ok(());
@@ -166,7 +173,7 @@ impl Photon {
                     return Err(PhotonError::Protocol("reduce length mismatch"));
                 }
                 for (d, v) in data.iter_mut().zip(incoming) {
-                    *d = op.apply(*d, v);
+                    *d = combine(*d, v);
                 }
             }
             mask <<= 1;
@@ -178,8 +185,25 @@ impl Photon {
     /// Allreduce: binomial reduce to `root = 0`, then broadcast. All ranks
     /// hold the reduced result on return.
     pub fn allreduce_u64(&self, data: &mut [u64], op: ReduceOp) -> Result<()> {
+        self.allreduce_with(data, |a, b| op.apply(a, b))
+    }
+
+    /// Allreduce over `f64` (element-wise sum only): the `u64` tree run over
+    /// the values' bit patterns, adding them as floats. The tree and the
+    /// addition order are fixed, so results are bit-exact run to run.
+    pub fn allreduce_f64_sum(&self, data: &mut [f64]) -> Result<()> {
+        let mut bits: Vec<u64> = data.iter().map(|v| v.to_bits()).collect();
+        self.allreduce_with(&mut bits, |a, b| (f64::from_bits(a) + f64::from_bits(b)).to_bits())?;
+        for (d, b) in data.iter_mut().zip(bits) {
+            *d = f64::from_bits(b);
+        }
+        Ok(())
+    }
+
+    /// Binomial reduce to rank 0 under `combine`, then broadcast.
+    fn allreduce_with(&self, data: &mut [u64], combine: impl Fn(u64, u64) -> u64) -> Result<()> {
         let gen = self.next_gen();
-        self.reduce_internal(0, data, op, gen)?;
+        self.reduce_internal(0, data, gen, combine)?;
         let mut bytes = encode_u64s(data);
         self.bcast_internal(0, &mut bytes, KIND_ALLREDUCE_BCAST, gen)?;
         let out = decode_u64s(&bytes);
@@ -190,116 +214,40 @@ impl Photon {
         Ok(())
     }
 
-    /// Allreduce over `f64` (element-wise sum only; bit-exact trees).
-    pub fn allreduce_f64_sum(&self, data: &mut [f64]) -> Result<()> {
-        // Reduce in u64 bit-space is wrong for floats; go via a bytes tree
-        // with an f64 combine. Reuse the u64 machinery with transmuted
-        // payloads and a dedicated combine pass.
-        let gen = self.next_gen();
-        let n = self.size();
-        if n <= 1 {
-            return Ok(());
-        }
-        let vr = self.rank();
-        let mut mask = 1usize;
-        let mut round = 0u8;
-        let mut done_sending = false;
-        while mask < n {
-            if vr & mask != 0 {
-                let parent = vr - mask;
-                let rid = rid_space::collective(KIND_REDUCE, gen, round);
-                self.send_internal(parent, &encode_f64s(data), rid, None)?;
-                done_sending = true;
-                break;
-            } else if vr + mask < n {
-                let rid = rid_space::collective(KIND_REDUCE, gen, round);
-                let (_src, payload, _ts) = self.wait_coll(rid)?;
-                let incoming = decode_f64s(&payload);
-                if incoming.len() != data.len() {
-                    return Err(PhotonError::Protocol("allreduce length mismatch"));
-                }
-                for (d, v) in data.iter_mut().zip(incoming) {
-                    *d += v;
-                }
-            }
-            mask <<= 1;
-            round += 1;
-        }
-        let _ = done_sending;
-        let mut bytes = encode_f64s(data);
-        self.bcast_internal(0, &mut bytes, KIND_ALLREDUCE_BCAST, gen)?;
-        let out = decode_f64s(&bytes);
-        data.copy_from_slice(&out);
-        Ok(())
-    }
-
     /// All-to-all exchange (`photon exchange`): rank `i`'s `send` block `j`
     /// lands in rank `j`'s `recv` block `i`.  Blocks are `send.len() / n`
-    /// bytes and must fit the per-peer collective slot.
-    ///
-    /// Implemented with direct PWC puts into pre-registered collective
-    /// scratch buffers — no barrier; completion counting synchronizes.
+    /// bytes and each travels as one eager message, so a block larger than
+    /// [`crate::PhotonConfig::max_eager_payload`] fails with
+    /// [`PhotonError::MessageTooLarge`] on every rank, before any traffic.
+    /// No barrier: the `n - 1` arrivals synchronize.
     pub fn alltoall(&self, send: &[u8], recv: &mut [u8]) -> Result<()> {
         let n = self.size();
         if send.len() != recv.len() || !send.len().is_multiple_of(n) {
             return Err(PhotonError::Protocol("alltoall buffer sizes must be n * block"));
         }
         let block = send.len() / n;
-        if block > self.coll_slot_bytes() {
-            return Err(PhotonError::Protocol("alltoall block exceeds collective slot"));
-        }
-        if n > 255 {
-            return Err(PhotonError::Protocol("alltoall supports up to 255 ranks"));
+        let max = self.cfg.max_eager_payload();
+        if block > max {
+            return Err(PhotonError::MessageTooLarge { len: block, max });
         }
         let me = self.rank();
+        recv[me * block..(me + 1) * block].copy_from_slice(&send[me * block..(me + 1) * block]);
         if n == 1 {
-            recv.copy_from_slice(send);
             return Ok(());
         }
         let gen = self.next_gen();
         let rid = rid_space::collective(KIND_A2A, gen, 0);
-        // Stage the send blocks into registered memory.
-        self.coll_send_buf().write_at(0, send);
-        self.clock.advance(self.copy_ns(send.len()));
-        let slot = self.coll_slot_bytes();
-        for j in 0..n {
-            if j == me {
-                continue;
+        // Rotated destinations, so no rank is everyone's first target.
+        for j in (1..n).map(|k| (me + k) % n) {
+            self.send_internal(j, &send[j * block..(j + 1) * block], rid, None)?;
+        }
+        for _ in 1..n {
+            let (src, payload, _ts) = self.wait_coll(rid)?;
+            if payload.len() != block {
+                return Err(PhotonError::Protocol("alltoall block length mismatch"));
             }
-            let dst = self.coll_key(j);
-            let local_rid = rid_space::collective(KIND_A2A_LOCAL, gen, j as u8);
-            self.put_with_completion(
-                j,
-                self.coll_send_buf(),
-                j * block,
-                block,
-                &dst,
-                me * slot,
-                local_rid,
-                rid,
-            )?;
+            recv[src * block..(src + 1) * block].copy_from_slice(&payload);
         }
-        // Our own block short-circuits.
-        recv[me * block..(me + 1) * block].copy_from_slice(&send[me * block..(me + 1) * block]);
-        // Wait for everyone's block to land here, then for our injections.
-        for _ in 0..n - 1 {
-            self.wait_coll(rid)?;
-        }
-        for j in 0..n {
-            if j != me {
-                self.wait_local(rid_space::collective(KIND_A2A_LOCAL, gen, j as u8))?;
-            }
-        }
-        // Copy out of the collective landing slots.
-        for j in 0..n {
-            if j == me {
-                continue;
-            }
-            let data = self.coll_recv_buf().to_vec(j * slot, block);
-            recv[j * block..(j + 1) * block].copy_from_slice(&data);
-        }
-        self.clock.advance(self.copy_ns((n - 1) * block));
-        Stats::bump(&self.stats.rendezvous_ops);
         Ok(())
     }
 }
@@ -374,14 +322,6 @@ fn encode_u64s(data: &[u64]) -> Vec<u8> {
 
 fn decode_u64s(bytes: &[u8]) -> Vec<u64> {
     bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect()
-}
-
-fn encode_f64s(data: &[f64]) -> Vec<u8> {
-    data.iter().flat_map(|v| v.to_le_bytes()).collect()
-}
-
-fn decode_f64s(bytes: &[u8]) -> Vec<f64> {
-    bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect()
 }
 
 #[cfg(test)]
@@ -536,26 +476,28 @@ mod tests {
     #[test]
     fn alltoall_exchanges_blocks() {
         let n = 4;
-        let block = 8;
-        let c = PhotonCluster::new(n, NetworkModel::ib_fdr(), PhotonConfig::default());
-        run_all(&c, |p| {
-            let me = p.rank() as u8;
-            // send block j = [i, j, i, j, ...]
-            let mut send = vec![0u8; n * block];
-            for j in 0..n {
-                for k in 0..block {
-                    send[j * block + k] = if k % 2 == 0 { me } else { j as u8 };
+        // 96 KiB is past the 64 KiB per-peer window the exchange once took.
+        for block in [8, 96 * 1024] {
+            let c = PhotonCluster::new(n, NetworkModel::ib_fdr(), PhotonConfig::default());
+            run_all(&c, |p| {
+                let me = p.rank() as u8;
+                // send block j = [i, j, i, j, ...]
+                let mut send = vec![0u8; n * block];
+                for j in 0..n {
+                    for k in 0..block {
+                        send[j * block + k] = if k % 2 == 0 { me } else { j as u8 };
+                    }
                 }
-            }
-            let mut recv = vec![0u8; n * block];
-            p.alltoall(&send, &mut recv).unwrap();
-            for j in 0..n {
-                for k in 0..block {
-                    let expect = if k % 2 == 0 { j as u8 } else { me };
-                    assert_eq!(recv[j * block + k], expect, "rank {me} block {j} byte {k}");
+                let mut recv = vec![0u8; n * block];
+                p.alltoall(&send, &mut recv).unwrap();
+                for j in 0..n {
+                    for k in 0..block {
+                        let expect = if k % 2 == 0 { j as u8 } else { me };
+                        assert_eq!(recv[j * block + k], expect, "rank {me} block {j} byte {k}");
+                    }
                 }
-            }
-        });
+            });
+        }
     }
 
     #[test]
@@ -565,6 +507,17 @@ mod tests {
             let send = vec![0u8; 10];
             let mut recv = vec![0u8; 12];
             assert!(matches!(p.alltoall(&send, &mut recv), Err(PhotonError::Protocol(_))));
+            // A block one byte past the eager limit fails typed on every
+            // rank before any traffic, so the next collective lines up.
+            let max = p.config().max_eager_payload();
+            let send = vec![1u8; 2 * (max + 1)];
+            let mut recv = vec![0u8; send.len()];
+            let err = p.alltoall(&send, &mut recv).unwrap_err();
+            assert!(
+                matches!(err, PhotonError::MessageTooLarge { len, .. } if len == max + 1),
+                "{err:?}"
+            );
+            p.barrier().unwrap();
         });
     }
 

@@ -49,8 +49,6 @@ pub struct PhotonConfig {
     /// Return ledger credits after consuming this many entries
     /// (0 = every entry; default = half the ledger).
     pub credit_interval: usize,
-    /// Bytes of per-peer collective scratch space.
-    pub coll_slot_bytes: usize,
     /// Wall-clock seconds a blocking wait may spin before reporting
     /// [`crate::PhotonError::Timeout`] (deadlock guard for tests).
     pub wait_timeout_secs: u64,
@@ -159,9 +157,6 @@ impl PhotonConfig {
         if self.suspect_death_probes == 0 {
             faults.push("suspect_death_probes must be nonzero".to_string());
         }
-        if self.coll_slot_bytes == 0 {
-            faults.push("coll_slot_bytes must be nonzero".to_string());
-        }
         if self.wait_timeout_secs == 0 {
             faults.push("wait_timeout_secs must be nonzero (it is the deadlock guard)".to_string());
         }
@@ -212,7 +207,6 @@ impl Default for PhotonConfig {
             eager_ring_bytes: 256 * 1024,
             ledger_entries: 256,
             credit_interval: 128,
-            coll_slot_bytes: 64 * 1024,
             wait_timeout_secs: 30,
             imm_completions: false,
             skip_credit_return_interval: 0,
@@ -261,8 +255,6 @@ impl PhotonConfigBuilder {
         ledger_entries: usize,
         /// See [`PhotonConfig::credit_interval`].
         credit_interval: usize,
-        /// See [`PhotonConfig::coll_slot_bytes`].
-        coll_slot_bytes: usize,
         /// See [`PhotonConfig::wait_timeout_secs`].
         wait_timeout_secs: u64,
         /// See [`PhotonConfig::imm_completions`].
@@ -376,7 +368,6 @@ mod tests {
         for (i, b) in [
             PhotonConfig::builder().backoff_base_ns(0),
             PhotonConfig::builder().ledger_entries(1),
-            PhotonConfig::builder().coll_slot_bytes(0),
             PhotonConfig::builder().wait_timeout_secs(0),
         ]
         .into_iter()

@@ -323,12 +323,6 @@ impl Photon {
         Ok(())
     }
 
-    /// Install the pre-exchanged collective-window key table (one
-    /// descriptor per rank, this rank's own included).
-    pub(crate) fn set_coll_keys(&self, keys: Vec<RemoteKey>) {
-        self.coll_keys.set(keys).expect("coll keys set once");
-    }
-
     /// Evict least-recently-used connections until the cache respects
     /// [`PhotonConfig::conn_cache_cap`]. Caller holds the CM lock. Victims
     /// with no in-flight work requests are preferred (their flush is a
@@ -457,17 +451,14 @@ impl Photon {
 
     /// Approximate bytes of per-rank membership/connection state: the
     /// registered service/staging blocks plus the heap structures of every
-    /// live connection, the dead map, and the collective buffers if they
-    /// were ever allocated. The churn memory-bound test asserts this grows
-    /// sublinearly in cluster size.
+    /// live connection, the dead map and the per-peer remote-event FIFOs.
+    /// The churn memory-bound test asserts this grows sublinearly in
+    /// cluster size.
     pub fn conn_state_bytes(&self) -> usize {
         let conns = self.conns.read();
         let mut bytes: usize = conns.values().map(|c| c.state_bytes()).sum();
         bytes += self.dead.lock().len() * (std::mem::size_of::<Rank>() + 8);
         bytes += self.remote_events.state_bytes();
-        for buf in [self.coll_recv.get(), self.coll_send.get()].into_iter().flatten() {
-            bytes += buf.len();
-        }
         bytes
     }
 

@@ -137,14 +137,6 @@ pub struct Photon {
     pub(crate) dead: Mutex<HashMap<Rank, u64>>,
     /// The out-of-band connection manager (set at cluster construction).
     pub(crate) directory: OnceLock<Arc<ConnDirectory>>,
-    /// Collective scratch buffers, allocated on first collective use
-    /// (`n * coll_slot_bytes` each — O(N), so lazy matters at scale).
-    pub(crate) coll_recv: OnceLock<PhotonBuffer>,
-    pub(crate) coll_send: OnceLock<PhotonBuffer>,
-    /// Collective-window descriptors for every rank, pre-exchanged at
-    /// multi-process join ([`crate::process::PhotonProcess`]). Absent
-    /// in-process, where the connection directory serves the lookup.
-    pub(crate) coll_keys: OnceLock<Vec<RemoteKey>>,
     pub(crate) wr_table: WrTable,
     pub(crate) local_events: LocalQueue,
     pub(crate) remote_events: RemoteQueue,
@@ -223,9 +215,6 @@ impl Photon {
             conn_stamp: AtomicU64::new(0),
             dead: Mutex::new(HashMap::new()),
             directory: OnceLock::new(),
-            coll_recv: OnceLock::new(),
-            coll_send: OnceLock::new(),
-            coll_keys: OnceLock::new(),
             wr_table: WrTable::new(),
             local_events: LocalQueue::new(),
             remote_events: RemoteQueue::new(),
@@ -425,42 +414,6 @@ impl Photon {
 
     pub(crate) fn remote_slice(&self, conn: &Conn, sub: usize, len: usize) -> RemoteSlice {
         RemoteSlice { addr: conn.remote_key.addr + sub as u64, rkey: conn.remote_key.rkey, len }
-    }
-
-    pub(crate) fn coll_slot_bytes(&self) -> usize {
-        self.cfg.coll_slot_bytes
-    }
-
-    /// The collective receive window, allocated lazily on first collective
-    /// (its footprint is O(N), which a churn simulation never pays).
-    pub(crate) fn coll_recv_buf(&self) -> &PhotonBuffer {
-        self.coll_recv.get_or_init(|| {
-            PhotonBuffer::register(self.nic.as_ref(), self.n * self.cfg.coll_slot_bytes)
-                .expect("collective recv window registration")
-        })
-    }
-
-    /// The collective send window, allocated lazily on first collective.
-    pub(crate) fn coll_send_buf(&self) -> &PhotonBuffer {
-        self.coll_send.get_or_init(|| {
-            PhotonBuffer::register(self.nic.as_ref(), self.n * self.cfg.coll_slot_bytes)
-                .expect("collective send window registration")
-        })
-    }
-
-    /// Descriptor of `peer`'s collective receive window: the key table a
-    /// multi-process join pre-exchanged, or a lookup through the connection
-    /// directory (out-of-band either way, like a PMI key lookup).
-    pub(crate) fn coll_key(&self, peer: Rank) -> RemoteKey {
-        if peer == self.rank {
-            return self.coll_recv_buf().region().remote_key();
-        }
-        if let Some(keys) = self.coll_keys.get() {
-            return keys[peer];
-        }
-        let dir = self.directory.get().expect("cluster initialized");
-        let p = dir.photon(peer).expect("peer context alive");
-        p.coll_recv_buf().region().remote_key()
     }
 }
 

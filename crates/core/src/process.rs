@@ -5,12 +5,12 @@
 //! A *multi-process* job has no shared address space, so this module joins
 //! through the out-of-band bootstrap rendezvous instead (the PMI role of a
 //! real launcher): each rank process connects to the `photon-launch`
-//! rendezvous socket, allgathers its UDP endpoint, its per-peer
-//! service-block descriptors, and its collective-window descriptor, and
-//! installs every connection *eagerly* and fully formed. After
-//! [`PhotonProcess::join`] returns, all PWC/ledger/eager/rendezvous/
-//! collective traffic flows over real sockets with no further control-plane
-//! round-trips.
+//! rendezvous socket, allgathers its UDP endpoint and its per-peer
+//! service-block descriptors (two rounds), and installs every connection
+//! *eagerly* and fully formed. After [`PhotonProcess::join`] returns, all
+//! PWC/ledger/eager/rendezvous/collective traffic flows over real sockets
+//! with no further control-plane round-trips; collectives are eager
+//! messages, so they need nothing exchanged of their own.
 //!
 //! The launcher contract is three environment variables, consumed by
 //! [`PhotonProcess::from_env`]:
@@ -86,13 +86,6 @@ impl PhotonProcess {
             let key = decode_key(&row[rank * KEY_BYTES..(rank + 1) * KEY_BYTES])?;
             photon.install_conn(p, svc, key)?;
         }
-
-        // Round 3: collective receive windows (forced into existence now —
-        // lazily allocating them would need another exchange later).
-        let mine = photon.coll_recv_buf().region().remote_key().to_bytes();
-        let coll =
-            bs.allgather(&mine)?.iter().map(|b| decode_key(b)).collect::<Result<Vec<_>>>()?;
-        photon.set_coll_keys(coll);
         Ok(PhotonProcess { photon })
     }
 
@@ -141,7 +134,7 @@ mod tests {
     use photon_fabric::sock::BootstrapServer;
 
     /// The full multi-process join protocol, with ranks on threads instead
-    /// of processes (same code path end to end: TCP rendezvous, three
+    /// of processes (same code path end to end: TCP rendezvous, two
     /// allgather rounds, eager connections, real UDP data plane).
     /// `photon-launch` + separate binaries exercise the genuine article.
     #[test]
@@ -172,6 +165,13 @@ mod tests {
                         p.put_with_completion(1, &buf, 0, 5, &dst, 0, 7, 99).unwrap();
                         p.wait_local(7).unwrap();
                     }
+                    // No window keys were exchanged: the all-to-all rides
+                    // the eager path like every other collective.
+                    let send: Vec<u8> = (0..n).flat_map(|to| [rank as u8, to as u8]).collect();
+                    let mut recv = vec![0u8; 2 * n];
+                    p.alltoall(&send, &mut recv).unwrap();
+                    let want: Vec<u8> = (0..n).flat_map(|from| [from as u8, rank as u8]).collect();
+                    assert_eq!(recv, want);
                     p.barrier().unwrap();
                 })
             })

@@ -258,6 +258,43 @@ fn every_operation_class_between_every_pair_over_sockets() {
     }
 }
 
+/// Every rank sends a 96 KiB message to every other rank, then all-to-alls
+/// 96 KiB blocks: each one eager frame three fragments long on the wire. A
+/// receiver polls its eager ring by frame header, so when write fragments
+/// were applied as they arrived it could accept a frame whose tail was
+/// still in flight, and read zeros from byte 32,720 on (one fragment less
+/// the 48-byte frame header).
+#[test]
+fn large_sends_and_alltoall_blocks_arrive_whole_over_sockets() {
+    const BIG: usize = 96 * 1024;
+    let check = |what: &str, got: &[u8], want: Vec<u8>| {
+        let bad = got.iter().zip(&want).position(|(a, b)| a != b);
+        assert!(got.len() == want.len() && bad.is_none(), "{what}: first wrong byte {bad:?}");
+    };
+    let c = sock_cluster(N);
+    std::thread::scope(|s| {
+        for me in 0..N {
+            let p = c.rank(me);
+            s.spawn(move || {
+                for to in (0..N).filter(|&r| r != me) {
+                    p.send(to, &fill(me, to, BIG), rid(me, 8)).unwrap();
+                }
+                for _ in 1..N {
+                    let m = p.wait_completion_matching(ProbeFlags::Remote).unwrap();
+                    let got = m.payload.expect("a send carries its payload");
+                    check(&format!("send {}->{me}", m.peer), &got, fill(m.peer, me, BIG));
+                }
+                let send: Vec<u8> = (0..N).flat_map(|to| fill(me, to, BIG)).collect();
+                let mut recv = vec![0u8; N * BIG];
+                p.alltoall(&send, &mut recv).unwrap();
+                for (from, got) in recv.chunks(BIG).enumerate() {
+                    check(&format!("block {from}->{me}"), got, fill(from, me, BIG));
+                }
+            });
+        }
+    });
+}
+
 #[cfg(target_os = "linux")]
 extern "C" {
     fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;

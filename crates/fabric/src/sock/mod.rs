@@ -138,7 +138,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::net::{SocketAddr, UdpSocket};
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
     use std::sync::Barrier;
     use std::time::{Duration, Instant};
 
@@ -576,6 +576,56 @@ mod tests {
             }
             self.inner.send_to(buf, to)
         }
+    }
+
+    /// Drops the first transmission of the second datagram that carries a
+    /// full fragment, and passes everything else.
+    #[derive(Debug)]
+    struct DropSecondFragment {
+        inner: Arc<UdpSocket>,
+        full: AtomicU32,
+    }
+
+    impl Datagram for DropSecondFragment {
+        fn send_to(&self, buf: &[u8], to: SocketAddr) -> std::io::Result<usize> {
+            if buf.len() > wire::MAX_FRAG && self.full.fetch_add(1, Ordering::Relaxed) == 1 {
+                return Ok(buf.len());
+            }
+            self.inner.send_to(buf, to)
+        }
+    }
+
+    /// A write longer than one fragment lands whole or not at all. With its
+    /// second fragment lost, the target shows none of it while the first
+    /// sits received, until the retransmission completes it: a target that
+    /// polls a region for a frame header (an eager ring) must never find a
+    /// frame whose tail is still on the wire.
+    #[test]
+    fn a_fragmented_write_lands_only_when_whole() {
+        const LEN: usize = 64 * 1024;
+        let lossy = SockNic::bind_with(0, 2, |inner| {
+            Arc::new(DropSecondFragment { inner, full: AtomicU32::new(0) })
+        });
+        let c = SockCluster::start_all(vec![lossy.unwrap(), SockNic::bind(1, 2).unwrap()]).unwrap();
+        let src = c.nic(0).register(LEN, Access::ALL).unwrap();
+        let dst = c.nic(1).register(LEN, Access::ALL).unwrap();
+        // No zero byte: an all-zero target holds none of the write.
+        let pattern: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8 | 1).collect();
+        src.write_at(0, &pattern);
+        let qp = c.nic(0).create_qp(1).unwrap();
+        let write = WrOp::Write {
+            local: MrSlice::new(&src, 0, LEN),
+            remote: RemoteSlice::from_key(&dst.remote_key(), 0, LEN),
+            imm: None,
+        };
+        c.nic(0).post_send(qp, SendWr::new(1, write), VTime(0)).unwrap();
+        wait_for("the first fragment", || (c.nic(1).stats().frames_rx > 0).then_some(()));
+        let early = dst.to_vec(0, LEN);
+        assert_eq!(c.nic(0).stats().retransmits, 0, "looked after the retransmission");
+        assert!(early.iter().all(|&b| b == 0), "a prefix of the write landed alone");
+        assert_eq!(wait_send_cqe(c.nic(0)).status, WcStatus::Success);
+        assert_eq!(dst.to_vec(0, LEN), pattern);
+        assert!(c.nic(0).stats().retransmits > 0);
     }
 
     /// What coalescing changed about loss: a lost datagram is now a lost

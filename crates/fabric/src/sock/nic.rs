@@ -60,12 +60,16 @@ impl PendingOp {
     }
 }
 
-/// In-progress reassembly of a fragmented two-sided send.
+/// A send or write longer than one fragment, gathered until its last
+/// fragment and then delivered or applied whole. Fragments arrive in
+/// channel order, so each one appends.
 #[derive(Debug)]
-pub(super) struct SendReasm {
+pub(super) struct Reasm {
     pub buf: Vec<u8>,
-    pub received: usize,
-    pub imm: Option<u64>,
+    /// A write's target `(addr, rkey)`, from its first fragment.
+    pub target: (u64, u32),
+    /// A write's stamp offsets, re-based to the whole write.
+    pub stamps: Vec<usize>,
 }
 
 /// A sockets-transport fabric endpoint for one node.
@@ -86,7 +90,8 @@ pub struct SockNic {
     pub(super) chans: OnceLock<Vec<Channel>>,
     next_op: AtomicU64,
     pub(super) pending: Mutex<HashMap<u64, PendingOp>>,
-    pub(super) reasm: Mutex<HashMap<(NodeId, u64), SendReasm>>,
+    /// Multi-fragment sends and writes in flight, by `(source, op id)`.
+    pub(super) reasm: Mutex<HashMap<(NodeId, u64), Reasm>>,
     /// Job-wide wall-clock epoch (unix nanoseconds); timestamps are
     /// relative to it.
     epoch_ns: AtomicU64,
@@ -330,6 +335,8 @@ impl SockNic {
                 st.error.store(true, Ordering::Release);
             }
         });
+        // Partial sends and writes from the peer can never complete.
+        self.reasm.lock().retain(|&(src, _), _| src != peer);
     }
 
     // ------------------------------------------------------------ posting

@@ -48,7 +48,7 @@
 //! not polling, or while the reactor is armed, leaves inside the post.
 
 use super::chan::{Channel, OpDone};
-use super::nic::{fragments, PendingOp, SendReasm, SockNic};
+use super::nic::{fragments, PendingOp, Reasm, SockNic};
 use super::stats::SockStats;
 use super::sys;
 use super::wire::{self, Body, Packet, F_ERR, F_HAS_IMM, F_LAST, MAX_DGRAM};
@@ -236,6 +236,33 @@ impl Rx<'_> {
         ch.send_ack(true, Some(op), self.ack_buf);
     }
 
+    /// Add one fragment of a multi-fragment send or write to its op's
+    /// reassembly, opened at the first fragment with the write's `target`;
+    /// the whole op once its last fragment is in.
+    fn reassemble(
+        &self,
+        p: &Packet<'_>,
+        target: (u64, u32),
+        payload: &[u8],
+        stamps: impl Iterator<Item = usize>,
+    ) -> Option<Reasm> {
+        let key = (p.src, p.op);
+        let mut reasm = self.nic.reasm.lock();
+        let r = reasm.entry(key).or_insert_with(|| Reasm {
+            buf: Vec::new(),
+            target,
+            stamps: Vec::new(),
+        });
+        let at = r.buf.len();
+        r.stamps.extend(stamps.map(|s| at + s));
+        r.buf.extend_from_slice(payload);
+        if p.flags & F_LAST != 0 {
+            reasm.remove(&key)
+        } else {
+            None
+        }
+    }
+
     fn handle(&mut self, chans: &[Channel], p: &Packet<'_>) {
         let nic = self.nic;
         if p.dst != nic.node() || p.src == nic.node() {
@@ -271,13 +298,29 @@ impl Rx<'_> {
         match p.body {
             Body::Ack => unreachable!("handled above"),
             Body::Write { addr, rkey, total, imm, stamps, payload } => {
-                // Applied straight from the datagram. Stamp offsets come off
-                // the wire: only those that fit the fragment are applied.
+                // Stamp offsets come off the wire: only those that fit the
+                // fragment are applied.
                 let stamps = stamps.iter().map(|s| s as usize).filter(|s| s + 8 <= payload.len());
-                if nic.ep.apply_write(addr, rkey, payload, stamps, self.ts).is_err() {
+                let last = p.flags & F_LAST != 0;
+                let applied = if last && payload.len() == total as usize {
+                    // One fragment: applied straight from the datagram.
+                    nic.ep.apply_write(addr, rkey, payload, stamps, self.ts)
+                } else {
+                    // Several: applied whole at the last one, because a
+                    // target polling the region (an eager ring) accepts a
+                    // frame once its header has landed.
+                    match self.reassemble(p, (addr, rkey), payload, stamps) {
+                        Some(w) => {
+                            let (addr, rkey) = w.target;
+                            nic.ep.apply_write(addr, rkey, &w.buf, w.stamps.into_iter(), self.ts)
+                        }
+                        None => Ok(()),
+                    }
+                };
+                if applied.is_err() {
                     return self.refuse(ch, p.op);
                 }
-                if p.flags & F_LAST != 0 && p.flags & F_HAS_IMM != 0 {
+                if last && p.flags & F_HAS_IMM != 0 {
                     let _ = nic.ep.push_imm(p.src, total as usize, imm, self.ts);
                 }
             }
@@ -286,34 +329,11 @@ impl Rx<'_> {
             // so such a send is dropped.
             Body::Send { total, frag_off, imm, payload } => {
                 let imm = (p.flags & F_HAS_IMM != 0).then_some(imm);
-                let total = total as usize;
-                if frag_off == 0 && payload.len() == total {
+                if frag_off == 0 && payload.len() == total as usize {
                     let _ = nic.ep.deliver_send(p.src, Cow::Borrowed(payload), imm, self.ts);
-                } else {
-                    let key = (p.src, p.op);
-                    let mut reasm = nic.reasm.lock();
-                    let entry = reasm.entry(key).or_insert_with(|| SendReasm {
-                        buf: vec![0u8; total],
-                        received: 0,
-                        imm: None,
-                    });
-                    let off = frag_off as usize;
-                    let end = (off + payload.len()).min(entry.buf.len());
-                    if off < end {
-                        entry.buf[off..end].copy_from_slice(&payload[..end - off]);
-                        entry.received += end - off;
-                    }
-                    if imm.is_some() {
-                        entry.imm = imm;
-                    }
-                    if p.flags & F_LAST != 0 {
-                        let whole = reasm.remove(&key);
-                        drop(reasm);
-                        if let Some(whole) = whole {
-                            let data = Cow::Owned(whole.buf);
-                            let _ = nic.ep.deliver_send(p.src, data, whole.imm, self.ts);
-                        }
-                    }
+                } else if let Some(whole) = self.reassemble(p, (0, 0), payload, std::iter::empty())
+                {
+                    let _ = nic.ep.deliver_send(p.src, Cow::Owned(whole.buf), imm, self.ts);
                 }
             }
             Body::ReadReq { addr, rkey, len } => {

@@ -15,15 +15,16 @@
 //! carries the sender's cumulative ack of the reverse direction, stamped
 //! when the train is built, so a train doubles as an ack.
 //!
-//! Large transfers are fragmented at [`MAX_FRAG`] payload bytes. Write
-//! fragments are *independent* (each names its own remote address), so a
-//! receiver applies them as they arrive in channel order; send and
-//! read-response fragments carry `(total, frag_off)` and are reassembled
-//! per op id.
+//! Large transfers are fragmented at [`MAX_FRAG`] payload bytes. Each
+//! write fragment names its own remote address, but a receiver applies a
+//! multi-fragment write whole, at its last fragment, so a target polling
+//! the region never sees a prefix of it; send fragments carry `(total,
+//! frag_off)` and are gathered the same way, per op id; read-response
+//! fragments scatter into the initiator's slice as they arrive.
 //!
 //! Decoding borrows: payloads and stamp tables are slices of the datagram
-//! buffer, applied to registered memory from where the kernel put them.
-//! Decoding never allocates.
+//! buffer, and a one-fragment write is applied to registered memory from
+//! where the kernel put it. Decoding never allocates.
 
 use crate::verbs::Atomic;
 use crate::NodeId;

@@ -1,4 +1,5 @@
-//! Multi-process ping-pong + windowed puts over the sockets backend.
+//! Multi-process ping-pong, windowed puts and an all-to-all over the
+//! sockets backend.
 //!
 //! This example is the `photon-launch` smoke workload: run it as a real
 //! multi-process cluster on localhost —
@@ -9,10 +10,11 @@
 //! ```
 //!
 //! Each rank joins the job through the launcher's environment contract
-//! (`PHOTON_RANK`/`PHOTON_BOOTSTRAP`), then runs two phases over real UDP
-//! sockets: PWC ping-pong in rank pairs, and a ring of windowed
-//! put-with-completions. It prints `PINGPONG OK` / `WINDOWED-PUT OK`
-//! markers (grepped by CI) and exits non-zero on any failure.
+//! (`PHOTON_RANK`/`PHOTON_BOOTSTRAP`), then runs three phases over real UDP
+//! sockets: PWC ping-pong in rank pairs, a ring of windowed
+//! put-with-completions, and a verified all-to-all of 48 KiB blocks. It
+//! prints `PINGPONG OK` / `WINDOWED-PUT OK` / `ALLTOALL OK` markers
+//! (grepped by CI) and exits non-zero on any failure.
 
 use photon::core::buffers::BufferDescriptor;
 use photon::core::{Completion, PhotonConfig, PhotonProcess, ProbeFlags};
@@ -118,6 +120,20 @@ fn main() {
     }
     let rate = ops as f64 / t0.elapsed().as_secs_f64() / 1.0e6;
     println!("WINDOWED-PUT OK rank={rank} ops={ops} window={window} mops={rate:.3}");
+
+    // Phase 3 — all-to-all of 48 KiB blocks: each block is one eager
+    // message, two fragments on the wire, and every byte is checked.
+    const BLOCK: usize = 48 * 1024;
+    let pat =
+        |from: usize, to: usize, i: usize| (i.wrapping_mul(31) ^ (from * 7 + to * 3 + 1)) as u8;
+    let send: Vec<u8> = (0..n).flat_map(|to| (0..BLOCK).map(move |i| pat(rank, to, i))).collect();
+    let mut recv = vec![0u8; n * BLOCK];
+    p.alltoall(&send, &mut recv).unwrap();
+    for (from, got) in recv.chunks(BLOCK).enumerate() {
+        let bad = (0..BLOCK).find(|&i| got[i] != pat(from, rank, i));
+        assert!(bad.is_none(), "all-to-all block {from}->{rank}: first wrong byte {bad:?}");
+    }
+    println!("ALLTOALL OK rank={rank} n={n} block={BLOCK}");
 
     p.barrier().unwrap();
     println!("ALL DONE rank={rank} n={n}");

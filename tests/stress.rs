@@ -42,12 +42,8 @@ fn tiny_resources_sustained_flood() {
 #[test]
 fn sixteen_ranks_all_to_all_pwc_storm() {
     let n = 16;
-    let cfg = PhotonConfig {
-        ledger_entries: 32,
-        eager_ring_bytes: 8 * 1024,
-        coll_slot_bytes: 1024,
-        ..PhotonConfig::default()
-    };
+    let cfg =
+        PhotonConfig { ledger_entries: 32, eager_ring_bytes: 8 * 1024, ..PhotonConfig::default() };
     let c = PhotonCluster::new(n, NetworkModel::ib_fdr(), cfg);
     let per_pair = 40u64;
     std::thread::scope(|s| {
