@@ -127,7 +127,7 @@ impl Photon {
         let l = MrSlice::new(local.region(), loff, 8);
         let r = RemoteSlice::from_key(dst, doff, 8);
         let conn = self.gate_blocking(peer)?;
-        self.post_tracked(&conn, mk(l, r), local_rid)?;
+        self.fail_post(&conn, self.post_tracked(&conn, [local_rid], [mk(l, r)]))?;
         Stats::bump(&self.stats.gets); // accounted with one-sided reads
         Ok(())
     }

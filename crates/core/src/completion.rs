@@ -26,6 +26,11 @@
 //! (`in_flight`, `queued_events`) and empty-queue probes are O(1) and
 //! lock-free. Shard counts are compile-time powers of two; see DESIGN.md
 //! ("Sharded completion engine") for the sizing rationale.
+//!
+//! Lock order: a [`WrTable`] shard, then a [`LocalQueue`] shard. Retiring
+//! or draining a wr hands its rid list to the caller under the wr shard
+//! lock, and the caller pushes the events from there; no path holds a
+//! local-queue shard while it takes a wr shard.
 
 use crate::probe::RemoteEvent;
 use crate::Rank;
@@ -51,10 +56,13 @@ const NIL: u32 = u32::MAX;
 
 // ------------------------------------------------------------------ WrTable
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Default)]
 struct WrSlot {
     gen: u32,
-    rid: u64,
+    /// The local rids the wr's one CQE retires: one for a single op, every
+    /// member for a doorbell run. Kept (cleared) across slot reuse, so a
+    /// warm slot holds its run without allocating.
+    rids: Vec<u64>,
     /// Destination rank of the work request, so peer eviction
     /// ([`WrTable::drain_peer`]) can find every wr bound for a dead peer.
     peer: Rank,
@@ -67,7 +75,13 @@ struct WrShard {
     free: Vec<u32>,
 }
 
-/// Sharded slab of in-flight work requests: `wr_id` → local rid.
+/// The `wr_id` of shard `si`'s `slot` at generation `gen`.
+fn encode_wr_id(gen: u32, slot: usize, si: usize) -> u64 {
+    ((gen as u64) << 32) | ((slot as u64) << WR_SHARD_BITS) | si as u64
+}
+
+/// Sharded slab of in-flight work requests: `wr_id` → the local rids its
+/// CQE retires.
 ///
 /// `wr_id` layout: `gen:32 | slot:28 | shard:4`. Generations start at 1 and
 /// skip 0 on wrap, so a generated `wr_id` is never 0 — the id unsignaled
@@ -89,9 +103,9 @@ impl WrTable {
         }
     }
 
-    /// Register an in-flight work request carrying `rid`, bound for `peer`;
-    /// returns its `wr_id`.
-    pub(crate) fn insert(&self, rid: u64, peer: Rank) -> u64 {
+    /// Register an in-flight work request bound for `peer` whose CQE
+    /// retires `rids`; returns its `wr_id`.
+    pub(crate) fn insert(&self, rids: impl IntoIterator<Item = u64>, peer: Rank) -> u64 {
         let si = self.cursor.fetch_add(1, Ordering::Relaxed) & (WR_SHARDS - 1);
         let mut shard = self.shards[si].lock();
         let slot = match shard.free.pop() {
@@ -99,7 +113,7 @@ impl WrTable {
             None => {
                 let s = shard.slots.len() as u32;
                 assert!(s < (1 << WR_SLOT_BITS), "wr table shard overflow");
-                shard.slots.push(WrSlot { gen: 0, rid: 0, peer: 0, live: false });
+                shard.slots.push(WrSlot::default());
                 s
             }
         };
@@ -108,59 +122,53 @@ impl WrTable {
         if e.gen == 0 {
             e.gen = 1;
         }
-        e.rid = rid;
+        e.rids.clear();
+        e.rids.extend(rids);
         e.peer = peer;
         e.live = true;
         self.count.fetch_add(1, Ordering::Relaxed);
-        ((e.gen as u64) << 32) | ((slot as u64) << WR_SHARD_BITS) | si as u64
+        encode_wr_id(e.gen, slot as usize, si)
     }
 
-    /// Evict every in-flight work request bound for `peer`, returning
-    /// `(wr_id, rid)` pairs (with multiplicity). The slots are freed: a
-    /// late CQE for a drained wr misses the generation check and is
-    /// harmlessly dropped, so an eviction plus a straggling flush can never
-    /// double-complete a rid.
-    pub(crate) fn drain_peer(&self, peer: Rank) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        for (si, shard) in self.shards.iter().enumerate() {
+    /// Evict every in-flight work request bound for `peer`, handing each
+    /// one's rids to `f` (under the shard lock; see the module's lock
+    /// order). The slots are freed: a late CQE for a drained wr misses the
+    /// generation check and is harmlessly dropped, so an eviction plus a
+    /// straggling flush can never double-complete a rid.
+    pub(crate) fn drain_peer(&self, peer: Rank, mut f: impl FnMut(&[u64])) {
+        for shard in &self.shards {
             let mut shard = shard.lock();
             for slot in 0..shard.slots.len() {
                 let e = &mut shard.slots[slot];
                 if e.live && e.peer == peer {
                     e.live = false;
-                    let wr_id =
-                        ((e.gen as u64) << 32) | ((slot as u64) << WR_SHARD_BITS) | si as u64;
-                    out.push((wr_id, e.rid));
+                    self.count.fetch_sub(1, Ordering::Relaxed);
+                    f(&e.rids);
                     shard.free.push(slot as u32);
                 }
             }
         }
-        self.count.fetch_sub(out.len(), Ordering::Relaxed);
-        out
     }
 
-    /// Retire `wr_id`, returning its `(rid, peer)`. `None` for ids this
-    /// table never issued (unsignaled wrs, stale generations) or
-    /// already-retired ones.
-    pub(crate) fn remove(&self, wr_id: u64) -> Option<(u64, Rank)> {
+    /// Retire `wr_id`, handing its `(peer, rids)` to `f` under the shard
+    /// lock (see the module's lock order); the wr has already left the
+    /// in-flight count when `f` runs. A no-op for ids this table never
+    /// issued (unsignaled wrs, stale generations) or already-retired ones.
+    pub(crate) fn retire(&self, wr_id: u64, f: impl FnOnce(Rank, &[u64])) {
         let gen = (wr_id >> 32) as u32;
         if gen == 0 {
-            return None;
+            return;
         }
         let si = (wr_id as usize) & (WR_SHARDS - 1);
         let slot = ((wr_id >> WR_SHARD_BITS) & ((1u64 << WR_SLOT_BITS) - 1)) as usize;
         let mut shard = self.shards[si].lock();
-        let e = shard.slots.get_mut(slot)?;
-        if !e.live || e.gen != gen {
-            return None;
-        }
+        let Some(e) = shard.slots.get_mut(slot).filter(|e| e.live && e.gen == gen) else {
+            return;
+        };
         e.live = false;
-        let rid = e.rid;
-        let peer = e.peer;
-        shard.free.push(slot as u32);
-        drop(shard);
         self.count.fetch_sub(1, Ordering::Relaxed);
-        Some((rid, peer))
+        f(e.peer, &e.rids);
+        shard.free.push(slot as u32);
     }
 
     /// Number of in-flight work requests.
@@ -168,16 +176,15 @@ impl WrTable {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Snapshot of the rids currently in flight, with multiplicity — the
-    /// ownership set a `flush_local` is allowed to consume.
+    /// Snapshot of the rids currently in flight — every member of every
+    /// live wr, with multiplicity: the ownership set a `flush_local` is
+    /// allowed to consume.
     pub(crate) fn pending_rids(&self) -> HashMap<u64, usize> {
         let mut out = HashMap::new();
         for shard in &self.shards {
             let shard = shard.lock();
-            for e in &shard.slots {
-                if e.live {
-                    *out.entry(e.rid).or_insert(0) += 1;
-                }
+            for &rid in shard.slots.iter().filter(|e| e.live).flat_map(|e| &e.rids) {
+                *out.entry(rid).or_insert(0) += 1;
             }
         }
         out
@@ -192,7 +199,7 @@ impl WrTable {
             let shard = shard.lock();
             for (slot, e) in shard.slots.iter().enumerate() {
                 if e.live {
-                    out.push(((e.gen as u64) << 32) | ((slot as u64) << WR_SHARD_BITS) | si as u64);
+                    out.push(encode_wr_id(e.gen, slot, si));
                 }
             }
         }
@@ -282,10 +289,9 @@ impl std::hash::BuildHasher for RidBuildHasher {
     }
 }
 
-/// A `u64`-keyed map using the cheap rid hasher; shared with the engine's
-/// other rid- and wr_id-keyed side tables (e.g. the doorbell-batch rid
-/// lists), which sit on the same harvest hot path.
-pub(crate) type RidMap<V> = HashMap<u64, V, RidBuildHasher>;
+/// A `u64`-keyed map using the cheap rid hasher: the local queue's per-rid
+/// index and claims maps, which sit on the harvest and wait hot paths.
+type RidMap<V> = HashMap<u64, V, RidBuildHasher>;
 
 /// Per-rid slot index. Rids are almost always unique among queued events,
 /// so the common case is a bare slot number — no allocation per event.
@@ -444,11 +450,15 @@ impl LocalQueue {
     }
 
     /// Push a run of rids sharing one (peer, ts, status) — the shape a
-    /// doorbell batch retires in. Groups rids by shard so each touched
-    /// shard lock is taken once instead of once per event; FIFO order
-    /// within a shard matches the slice order, which is all `pop_front`
-    /// guarantees across shards anyway.
+    /// retired wr hands over. Groups rids by shard so each touched shard
+    /// lock is taken once instead of once per event; FIFO order within a
+    /// shard matches the slice order, which is all `pop_front` guarantees
+    /// across shards anyway. A single rid (every op that is not a doorbell
+    /// run) goes straight to its shard.
     pub(crate) fn push_many(&self, rids: &[u64], peer: Rank, ts: VTime, status: WcStatus) {
+        if let [rid] = *rids {
+            return self.push(rid, peer, ts, status);
+        }
         for si in 0..LOCAL_SHARDS {
             let mut shard = None;
             for &rid in rids.iter().filter(|&&r| rid_shard(r) == si) {
@@ -729,17 +739,32 @@ impl RemoteQueue {
 mod tests {
     use super::*;
 
+    /// Retire `wr_id`, returning what the table hands over.
+    fn retire(t: &WrTable, wr_id: u64) -> Option<(Rank, Vec<u64>)> {
+        let mut got = None;
+        t.retire(wr_id, |peer, rids| got = Some((peer, rids.to_vec())));
+        got
+    }
+
+    /// Drain `peer`, returning every rid handed over, sorted.
+    fn drain(t: &WrTable, peer: Rank) -> Vec<u64> {
+        let mut rids = Vec::new();
+        t.drain_peer(peer, |r| rids.extend_from_slice(r));
+        rids.sort_unstable();
+        rids
+    }
+
     #[test]
     fn wr_table_roundtrip_and_stale_ids() {
         let t = WrTable::new();
-        let a = t.insert(100, 1);
-        let b = t.insert(200, 1);
+        let a = t.insert([100], 1);
+        let b = t.insert([200], 1);
         assert_ne!(a, b);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.remove(a), Some((100, 1)));
-        assert_eq!(t.remove(a), None, "double retire must miss");
-        assert_eq!(t.remove(0), None, "unsignaled wr_id 0 never matches");
-        assert_eq!(t.remove(b), Some((200, 1)));
+        assert_eq!(retire(&t, a), Some((1, vec![100])));
+        assert_eq!(retire(&t, a), None, "double retire must miss");
+        assert_eq!(retire(&t, 0), None, "unsignaled wr_id 0 never matches");
+        assert_eq!(retire(&t, b), Some((1, vec![200])));
         assert_eq!(t.len(), 0);
     }
 
@@ -747,46 +772,87 @@ mod tests {
     fn wr_table_generation_guards_recycled_slots() {
         let t = WrTable::new();
         // Drain shards until a slot is provably recycled.
-        let ids: Vec<u64> = (0..64).map(|i| t.insert(i, 0)).collect();
+        let ids: Vec<u64> = (0..64).map(|i| t.insert([i], 0)).collect();
         for id in &ids {
-            t.remove(*id).unwrap();
+            retire(&t, *id).unwrap();
         }
-        let fresh = t.insert(999, 0);
+        let fresh = t.insert([999], 0);
         for id in &ids {
-            assert_eq!(t.remove(*id), None, "stale id must not hit the recycled slot");
+            assert_eq!(retire(&t, *id), None, "stale id must not hit the recycled slot");
         }
-        assert_eq!(t.remove(fresh), Some((999, 0)));
+        assert_eq!(retire(&t, fresh), Some((0, vec![999])));
+    }
+
+    #[test]
+    fn wr_table_stale_id_misses_a_recycled_run_slot() {
+        let t = WrTable::new();
+        // Every shard's slot 0 holds a single op, then is recycled for a
+        // run: the single op's id must miss the run, which retires whole.
+        let old: Vec<u64> = (0..WR_SHARDS as u64).map(|i| t.insert([i], 2)).collect();
+        for id in &old {
+            retire(&t, *id).unwrap();
+        }
+        let runs: Vec<u64> =
+            (0..WR_SHARDS as u64).map(|i| t.insert([10 * i, 10 * i + 1], 2)).collect();
+        for id in &old {
+            assert_eq!(retire(&t, *id), None, "stale id must not retire a recycled run");
+        }
+        assert_eq!(t.len(), WR_SHARDS);
+        assert_eq!(retire(&t, runs[3]), Some((2, vec![30, 31])));
     }
 
     #[test]
     fn wr_table_pending_snapshot_counts_duplicates() {
         let t = WrTable::new();
-        t.insert(5, 2);
-        t.insert(5, 2);
-        let keep = t.insert(7, 3);
+        t.insert([5], 2);
+        t.insert([5], 2);
+        let keep = t.insert([7], 3);
         let m = t.pending_rids();
         assert_eq!(m.get(&5), Some(&2));
         assert_eq!(m.get(&7), Some(&1));
-        t.remove(keep);
+        retire(&t, keep);
         assert_eq!(t.pending_rids().get(&7), None);
+    }
+
+    #[test]
+    fn wr_table_pending_snapshot_counts_every_run_member() {
+        let t = WrTable::new();
+        let run = t.insert([1, 2, 3, 1], 4);
+        t.insert([3], 4);
+        let m = t.pending_rids();
+        assert_eq!((m.get(&1), m.get(&2), m.get(&3)), (Some(&2), Some(&1), Some(&2)));
+        assert_eq!(t.len(), 2, "a run is one wr in flight");
+        retire(&t, run);
+        assert_eq!(t.pending_rids(), HashMap::from([(3, 1)]));
     }
 
     #[test]
     fn wr_table_drain_peer_evicts_only_that_peer() {
         let t = WrTable::new();
-        let keep = t.insert(10, 0);
-        let doomed_a = t.insert(20, 1);
-        t.insert(20, 1); // duplicate rid toward the dead peer
-        t.insert(30, 1);
-        let mut rids: Vec<u64> = t.drain_peer(1).into_iter().map(|(_, rid)| rid).collect();
-        rids.sort_unstable();
-        assert_eq!(rids, vec![20, 20, 30]);
+        let keep = t.insert([10], 0);
+        let doomed_a = t.insert([20], 1);
+        t.insert([20], 1); // duplicate rid toward the dead peer
+        t.insert([30], 1);
+        assert_eq!(drain(&t, 1), vec![20, 20, 30]);
         assert_eq!(t.len(), 1, "other peers' wrs survive");
-        assert_eq!(t.remove(doomed_a), None, "drained slots reject late CQEs");
-        assert_eq!(t.remove(keep), Some((10, 0)));
-        assert!(t.drain_peer(1).is_empty(), "drain is idempotent");
-        let again = t.insert(40, 1);
-        assert_eq!(t.drain_peer(1), vec![(again, 40)], "drained pairs carry live wr_ids");
+        assert_eq!(retire(&t, doomed_a), None, "drained slots reject late CQEs");
+        assert_eq!(retire(&t, keep), Some((0, vec![10])));
+        assert!(drain(&t, 1).is_empty(), "drain is idempotent");
+        let again = t.insert([40], 1);
+        assert_eq!(drain(&t, 1), vec![40]);
+        assert_eq!(retire(&t, again), None, "a drained slot is free");
+    }
+
+    #[test]
+    fn wr_table_drain_peer_yields_every_run_member() {
+        let t = WrTable::new();
+        let run = t.insert([50, 51, 52, 53], 1);
+        t.insert([60], 1);
+        let other = t.insert([70, 71], 2);
+        assert_eq!(drain(&t, 1), vec![50, 51, 52, 53, 60]);
+        assert_eq!(t.len(), 1);
+        assert_eq!(retire(&t, run), None, "a drained run rejects its late CQE");
+        assert_eq!(retire(&t, other), Some((2, vec![70, 71])));
     }
 
     const OK: WcStatus = WcStatus::Success;

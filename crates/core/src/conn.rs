@@ -5,9 +5,9 @@
 use crate::eager::{EagerRx, EagerTx};
 use crate::ledger::{LedgerRx, LedgerTx};
 use crate::obs::Stats;
-use crate::photon::{Photon, BATCH_RID};
+use crate::photon::Photon;
 use crate::probe::{rid_space, RemoteEvent};
-use crate::tx::{pool_give, RunFrame};
+use crate::tx::RunFrame;
 use crate::{PhotonError, Rank, Result};
 use parking_lot::{Mutex, RwLock};
 use photon_fabric::api::{Access, FabricError, MemoryRegion, Qp, RemoteKey, VTime, WcStatus};
@@ -383,7 +383,7 @@ impl Photon {
 
     /// Remove this side's half of a connection and flush everything that
     /// was riding it: harvest the send CQ, error-complete every in-flight
-    /// wr bound for the peer (with doorbell-batch fan-out), tear down the
+    /// wr bound for the peer (every rid of a doorbell run), tear down the
     /// QP and deregister the blocks.
     fn drop_half(&self, conn: &Arc<Conn>) {
         {
@@ -401,27 +401,16 @@ impl Photon {
         let _ = self.nic.mrs().deregister(&conn.stage);
     }
 
-    /// Error-complete every in-flight work request bound for `peer`,
-    /// fanning doorbell-batch sentinels out to their member rids — the
-    /// shared flush step of death, eviction, and stale-generation
-    /// retirement.
+    /// Error-complete every rid of every in-flight work request bound for
+    /// `peer` — the shared flush step of death, eviction, and
+    /// stale-generation retirement.
     fn flush_peer_wrs(&self, peer: Rank) {
         self.harvest_send_cq();
         let now = self.clock.now();
-        for (wr_id, rid) in self.wr_table.drain_peer(peer) {
-            if rid == BATCH_RID {
-                if let Some(rids) = self.batch_rids.lock().remove(&wr_id) {
-                    for &r in &rids {
-                        self.local_events.push(r, peer, now, WcStatus::FlushErr);
-                        Stats::bump(&self.stats.rids_flushed);
-                    }
-                    pool_give(&self.rid_vec_pool, rids);
-                }
-            } else {
-                self.local_events.push(rid, peer, now, WcStatus::FlushErr);
-                Stats::bump(&self.stats.rids_flushed);
-            }
-        }
+        self.wr_table.drain_peer(peer, |rids| {
+            self.local_events.push_many(rids, peer, now, WcStatus::FlushErr);
+            Stats::add(&self.stats.rids_flushed, rids.len() as u64);
+        });
     }
 
     /// Retire a connection whose generation is stale (the peer died and

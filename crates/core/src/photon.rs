@@ -34,7 +34,7 @@
 //! suite).
 
 use crate::buffers::PhotonBuffer;
-use crate::completion::{LocalQueue, RemoteQueue, RidMap, WrTable};
+use crate::completion::{LocalQueue, RemoteQueue, WrTable};
 use crate::config::PhotonConfig;
 use crate::conn::Conn;
 use crate::eager;
@@ -63,11 +63,6 @@ pub(crate) const CREDIT_BYTES: usize = 24;
 /// Internal-rid namespace for middleware-generated local completions.
 pub(crate) const INTERNAL_RID_BASE: u64 = 0xFF10_0000_0000_0000;
 
-/// Sentinel rid marking a doorbell-batched work request: the CQE's real
-/// local rids live in [`Photon::batch_rids`], keyed by `wr_id`. Sits in the
-/// reserved namespace so user rids can never alias it.
-pub(crate) const BATCH_RID: u64 = 0xFF20_0000_0000_0000;
-
 /// Consecutive `try_lock` skips of one peer's receive lock before a probe
 /// blocks on it (see [`Photon::poll_peer`]).
 pub(crate) const RX_SKIP_LIMIT: u32 = 16;
@@ -76,7 +71,7 @@ pub(crate) const RX_SKIP_LIMIT: u32 = 16;
 /// generation, region)`. See [`Photon::resolve_write_cached`].
 pub(crate) type MrCache = Option<(u32, u64, MemoryRegion)>;
 
-/// Retention cap of the per-context scratch-vector recycler caches: enough
+/// Retention cap of the per-context delivery-stamp list recycler: enough
 /// for every plausible in-flight batch, small enough that an adversarial
 /// burst cannot pin unbounded memory.
 pub(crate) const VEC_POOL_CAP: usize = 64;
@@ -154,13 +149,6 @@ pub struct Photon {
     /// sorted by peer rank so pass order (and thus virtual-time evolution)
     /// is deterministic regardless of hash-map iteration order.
     pub(crate) conn_scratch: Mutex<Vec<Arc<Conn>>>,
-    /// Local rids carried by in-flight doorbell-batched work requests,
-    /// keyed by `wr_id` (the wr itself carries [`BATCH_RID`]). One lock op
-    /// per *batch*, not per frame; rid-hashed and free-listed so the
-    /// steady-state batch path allocates nothing.
-    pub(crate) batch_rids: Mutex<RidMap<Vec<u64>>>,
-    /// Recycler cache of rid-list vectors cycling through `batch_rids`.
-    pub(crate) rid_vec_pool: Mutex<Vec<Vec<u64>>>,
     /// Recycler cache of delivery-stamp offset vectors cycling through
     /// doorbell-batched work requests.
     pub(crate) stamp_vec_pool: Mutex<Vec<Vec<usize>>>,
@@ -222,8 +210,6 @@ impl Photon {
             progress_gate: AtomicBool::new(false),
             probe_ticks: AtomicU64::new(0),
             conn_scratch: Mutex::new(Vec::new()),
-            batch_rids: Mutex::new(RidMap::default()),
-            rid_vec_pool: Mutex::new(Vec::new()),
             stamp_vec_pool: Mutex::new(Vec::new()),
             cq_scratch: Mutex::new(Vec::new()),
             dead_notify: Mutex::new(Vec::new()),

@@ -6,9 +6,8 @@ use crate::conn::Conn;
 use crate::eager::{EagerFrame, FrameKind};
 use crate::ledger::{Entry, EntryKind, ENTRY_BYTES};
 use crate::obs::{OpKind, Stats};
-use crate::photon::{MrCache, Photon, BATCH_RID, CQ_HARVEST_BATCH, RX_SKIP_LIMIT};
+use crate::photon::{MrCache, Photon, CQ_HARVEST_BATCH, RX_SKIP_LIMIT};
 use crate::probe::{rid_space, RemoteEvent};
-use crate::tx::pool_give;
 use crate::{PhotonError, Rank, Result};
 use photon_fabric::api::{Access, Completion as Cqe, MemoryRegion, RemoteKey, VTime, WcStatus};
 use std::sync::atomic::Ordering;
@@ -50,34 +49,22 @@ impl Photon {
         out.sort_unstable_by_key(|c| c.peer);
     }
 
-    /// Retire a harvested slice of send CQEs into local events. Retiring a
-    /// CQE is one sharded-slab lookup; a stale or unsignaled wr_id simply
-    /// misses. Exactly-once is guaranteed by the table's generation check,
-    /// not by a global lock pairing, so the gated progress pass and an
-    /// eviction flush can retire concurrently.
+    /// Retire a harvested slice of send CQEs into local events: each CQE
+    /// surfaces every rid its wr carries (all of a doorbell run's, whose
+    /// sources became reusable when the run was staged). Retiring a CQE is
+    /// one sharded-slab lookup; a stale or unsignaled wr_id simply misses.
+    /// Exactly-once is guaranteed by the table's generation check, not by a
+    /// global lock pairing, so the gated progress pass and an eviction
+    /// flush can retire concurrently.
     fn retire_send_cqes(&self, cqes: &[Cqe]) {
         for c in cqes {
-            if let Some((rid, peer)) = self.wr_table.remove(c.wr_id) {
-                if rid == BATCH_RID {
-                    // One CQE for a doorbell batch: every frame's source
-                    // became reusable when the run was staged, so all
-                    // its local rids surface at the batch's delivery.
-                    if let Some(rids) = self.batch_rids.lock().remove(&c.wr_id) {
-                        if self.obs.is_enabled() {
-                            for &r in &rids {
-                                self.obs.op_inject(r, c.ts);
-                            }
-                        }
-                        self.local_events.push_many(&rids, peer, c.ts, c.status);
-                        Stats::add(&self.stats.local_completions, rids.len() as u64);
-                        pool_give(&self.rid_vec_pool, rids);
-                    }
-                } else {
+            self.wr_table.retire(c.wr_id, |peer, rids| {
+                for &rid in rids {
                     self.obs.op_inject(rid, c.ts);
-                    self.local_events.push(rid, peer, c.ts, c.status);
-                    Stats::bump(&self.stats.local_completions);
                 }
-            }
+                self.local_events.push_many(rids, peer, c.ts, c.status);
+                Stats::add(&self.stats.local_completions, rids.len() as u64);
+            });
         }
     }
 

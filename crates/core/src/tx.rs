@@ -7,7 +7,7 @@ use crate::conn::{Conn, PeerTx, PEER_DEAD};
 use crate::eager::{self, FrameHeader, FrameKind};
 use crate::ledger::{self, Entry, EntryKind, ENTRY_BYTES};
 use crate::obs::{OpKind, Stats, TraceOp};
-use crate::photon::{Photon, BATCH_RID, CREDIT_BYTES, VEC_POOL_CAP};
+use crate::photon::{Photon, CREDIT_BYTES, VEC_POOL_CAP};
 use crate::probe::rid_space;
 use crate::{PhotonError, Rank, Result};
 use parking_lot::Mutex;
@@ -96,20 +96,20 @@ pub struct PutManyItem {
     pub remote_rid: u64,
 }
 
-// Free lists for the vectors that cycle through the doorbell-batch
-// machinery (rid fan-out lists, delivery-stamp offset lists). Each vector
-// reaches its working capacity once and is then recycled forever, so the
-// steady-state batch path performs zero heap allocations (pinned by
-// `obs_overhead`'s counting test).
+// Free list for the delivery-stamp offset lists that cycle through
+// doorbell-batched work requests (a run's rid list lives in its wr-table
+// slot instead). Each vector reaches its working capacity once and is then
+// recycled forever, so the steady-state batch path performs zero heap
+// allocations (pinned by `obs_overhead`'s counting test).
 
 /// Take a vector from a recycler cache (empty, capacity retained from
 /// earlier batches).
-pub(crate) fn pool_take<T>(pool: &Mutex<Vec<Vec<T>>>) -> Vec<T> {
+fn pool_take<T>(pool: &Mutex<Vec<Vec<T>>>) -> Vec<T> {
     pool.lock().pop().unwrap_or_default()
 }
 
 /// Return a vector to a recycler cache (dropped past the retention cap).
-pub(crate) fn pool_give<T>(pool: &Mutex<Vec<Vec<T>>>, mut v: Vec<T>) {
+fn pool_give<T>(pool: &Mutex<Vec<Vec<T>>>, mut v: Vec<T>) {
     let mut pool = pool.lock();
     if pool.len() < VEC_POOL_CAP {
         v.clear();
@@ -118,26 +118,40 @@ pub(crate) fn pool_give<T>(pool: &Mutex<Vec<Vec<T>>>, mut v: Vec<T>) {
 }
 
 impl Photon {
-    /// Post one tracked work request (a user write, read or atomic) on
-    /// `conn`: `local_rid` surfaces as a local completion when its CQE
-    /// drains. With [`Photon::get_many`]'s run of reads, the only place a
-    /// user work request reaches the fabric. Draws no health consequence
-    /// from a failure — callers holding the TX lock apply
-    /// [`Photon::fail_post`] after releasing it.
-    fn post_tracked_raw(&self, conn: &Conn, op: WrOp, local_rid: u64) -> Result<()> {
-        let wr_id = self.wr_table.insert(local_rid, conn.peer);
-        self.nic.post_send(conn.qp, SendWr::new(wr_id, op), self.clock.now()).map_err(|e| {
-            self.wr_table.remove(wr_id);
+    /// Post a run of tracked user work requests (writes, reads, atomics) on
+    /// `conn` with one doorbell — the only place a user work request
+    /// reaches the fabric. Only the last wr is signaled, and its one CQE
+    /// surfaces every rid in `local_rids`. The wr is registered before the
+    /// doorbell rings (another thread's progress pass may harvest the CQE
+    /// at once) and unwound if the post fails. Draws no health consequence
+    /// from a failure: callers apply [`Photon::fail_post`], after releasing
+    /// the TX lock if they hold it.
+    pub(crate) fn post_tracked<I>(
+        &self,
+        conn: &Conn,
+        local_rids: impl IntoIterator<Item = u64>,
+        ops: I,
+    ) -> Result<()>
+    where
+        I: IntoIterator<Item = WrOp>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let mut ops = ops.into_iter();
+        let last = ops.len() - 1;
+        let wr_id = self.wr_table.insert(local_rids, conn.peer);
+        let now = self.clock.now();
+        let wr = |i, op| if i == last { SendWr::new(wr_id, op) } else { SendWr::unsignaled(op) };
+        let res = if last == 0 {
+            // A single op posts from the stack.
+            self.nic.post_send(conn.qp, wr(0, ops.next().expect("a one-op run")), now)
+        } else {
+            let wrs: Vec<SendWr> = ops.enumerate().map(|(i, op)| wr(i, op)).collect();
+            self.nic.post_send_many(conn.qp, &wrs, now)
+        };
+        res.map_err(|e| {
+            self.wr_table.retire(wr_id, |_, _| ());
             e.into()
         })
-    }
-
-    /// [`Photon::post_tracked_raw`] on a connection the caller has gated
-    /// with [`Photon::gate_blocking`], evicting the peer when the post
-    /// finds it unreachable.
-    pub(crate) fn post_tracked(&self, conn: &Arc<Conn>, op: WrOp, local_rid: u64) -> Result<()> {
-        let r = self.post_tracked_raw(conn, op, local_rid);
-        self.fail_post(conn, r)
     }
 
     // ------------------------------------------------------- posting layer
@@ -147,10 +161,10 @@ impl Photon {
     /// frame, credit words) reaches the fabric. Every offset in `stamps`
     /// (relative to the staged slice) gets the delivery stamp, and all of
     /// `local_rids` surface as local completions when the write's single
-    /// CQE drains. Only a run carrying more than one rid touches the
-    /// `batch_rids` side table and its recycler pool (likewise the stamp
-    /// pool for more than one stamp): a single frame or entry costs no lock
-    /// beyond the work-request table's.
+    /// CQE drains: the work-request table slot holds them all. Only a run
+    /// carrying more than one stamp touches the stamp recycler pool, so a
+    /// single frame or entry costs no lock beyond the work-request
+    /// table's.
     fn post_stage_write(
         &self,
         conn: &Conn,
@@ -163,20 +177,10 @@ impl Photon {
         let local = MrSlice::new(&conn.stage, sub, len);
         let remote = self.remote_slice(conn, sub, len);
         let op = WrOp::Write { local, remote, imm: None };
-        let mut rids = local_rids.into_iter().fuse();
-        let mut wr = match (rids.next(), rids.next()) {
-            (None, _) => SendWr::unsignaled(op),
-            (Some(rid), None) => SendWr::new(self.wr_table.insert(rid, peer), op),
-            (Some(first), Some(second)) => {
-                // One CQE for the whole run: the wr carries the sentinel
-                // and the side table fans it out to the member rids.
-                let wr_id = self.wr_table.insert(BATCH_RID, peer);
-                let mut fanout = pool_take(&self.rid_vec_pool);
-                fanout.extend([first, second]);
-                fanout.extend(rids);
-                self.batch_rids.lock().insert(wr_id, fanout);
-                SendWr::new(wr_id, op)
-            }
+        let mut rids = local_rids.into_iter().peekable();
+        let mut wr = match rids.peek() {
+            None => SendWr::unsignaled(op),
+            Some(_) => SendWr::new(self.wr_table.insert(rids, peer), op),
         };
         let mut stamps = stamps.into_iter().fuse();
         wr.stamp_deliver_at = stamps.next();
@@ -192,10 +196,7 @@ impl Photon {
             pool_give(&self.stamp_vec_pool, std::mem::take(&mut wr.stamp_deliver_also));
         }
         if res.is_err() && wr.signaled {
-            self.wr_table.remove(wr.wr_id);
-            if let Some(fanout) = self.batch_rids.lock().remove(&wr.wr_id) {
-                pool_give(&self.rid_vec_pool, fanout);
-            }
+            self.wr_table.retire(wr.wr_id, |_, _| ());
         }
         res.map_err(Into::into)
     }
@@ -681,7 +682,7 @@ impl Photon {
                         remote: RemoteSlice::from_key(dst, it.doff, it.len),
                         imm: imm.then_some(it.remote_rid),
                     };
-                    self.post_tracked_raw(&conn, data, it.local_rid)?;
+                    self.post_tracked(&conn, [it.local_rid], [data])?;
                     if let Some(seq) = entry_seq {
                         let done =
                             EntrySpec::plain(EntryKind::Completion, it.remote_rid, it.len as u64);
@@ -827,7 +828,7 @@ impl Photon {
             remote: RemoteSlice::from_key(dst, doff, len),
             imm: None,
         };
-        self.post_tracked(&conn, op, local_rid)?;
+        self.fail_post(&conn, self.post_tracked(&conn, [local_rid], [op]))?;
         Stats::bump(&self.stats.puts_direct);
         Stats::add(&self.stats.bytes_put, len as u64);
         self.tracer.record(self.clock.now(), TraceOp::Put, peer, local_rid, len);
@@ -837,6 +838,7 @@ impl Photon {
     /// One-sided get with local completion (`photon_get_with_completion`):
     /// fetches `len` bytes from `src[soff..]` on `peer` into
     /// `local[loff..]`; `local_rid` is surfaced when the data has landed.
+    /// The one-item case of [`Photon::get_many`].
     #[allow(clippy::too_many_arguments)]
     pub fn get_with_completion(
         &self,
@@ -848,32 +850,17 @@ impl Photon {
         soff: usize,
         local_rid: u64,
     ) -> Result<()> {
-        self.check_rank(peer)?;
-        local.check(loff, len)?;
-        if soff + len > src.len {
-            return Err(PhotonError::OutOfRange { offset: soff, len, cap: src.len });
-        }
-        let conn = self.gate_blocking(peer)?;
-        self.obs.op_post(local_rid, peer, OpKind::Get, len, self.clock.now());
-        let op = WrOp::Read {
-            local: MrSlice::new(local.region(), loff, len),
-            remote: RemoteSlice::from_key(src, soff, len),
-        };
-        self.post_tracked(&conn, op, local_rid)?;
-        Stats::bump(&self.stats.gets);
-        Stats::add(&self.stats.bytes_got, len as u64);
-        self.tracer.record(self.clock.now(), TraceOp::Get, peer, local_rid, len);
-        Ok(())
+        self.get_many(peer, local, src, &[GetManyItem { loff, len, soff, local_rid }])
     }
 
     /// Doorbell-batched [`Photon::get_with_completion`]: post every read in
     /// `items` toward `peer` with **one** doorbell and one signaled CQE.
     /// On a reliable-connected QP reads retire in posting order, so the
     /// final read's CQE means every earlier read's data has landed too: the
-    /// one CQE fans out into `items.len()` local completions through the
-    /// same side table the batched put path uses. Each item's `local_rid`
-    /// therefore surfaces when the *batch* completes — items that need
-    /// independent completion latitude should use single gets.
+    /// one CQE surfaces all `items.len()` local completions, which its
+    /// work-request table slot carries. Each item's `local_rid` therefore
+    /// surfaces when the *batch* completes — items that need independent
+    /// completion latitude should use single gets.
     pub fn get_many(
         &self,
         peer: Rank,
@@ -893,33 +880,15 @@ impl Photon {
         }
         let conn = self.gate_blocking(peer)?;
         let now = self.clock.now();
-        let mut rids = pool_take(&self.rid_vec_pool);
-        rids.extend(items.iter().map(|it| it.local_rid));
-        // Register the fan-out side table *before* posting: once the
-        // doorbell rings, another thread's progress pass may harvest the CQE.
-        let wr_id = self.wr_table.insert(BATCH_RID, peer);
-        self.batch_rids.lock().insert(wr_id, rids);
-        let mut wrs = Vec::with_capacity(items.len());
-        for (i, it) in items.iter().enumerate() {
+        for it in items {
             self.obs.op_post(it.local_rid, peer, OpKind::Get, it.len, now);
-            let op = WrOp::Read {
-                local: MrSlice::new(local.region(), it.loff, it.len),
-                remote: RemoteSlice::from_key(src, it.soff, it.len),
-            };
-            // Only the run's last read is signaled; it carries the batch id.
-            wrs.push(if i + 1 == items.len() {
-                SendWr::new(wr_id, op)
-            } else {
-                SendWr::unsignaled(op)
-            });
         }
-        if let Err(e) = self.nic.post_send_many(conn.qp, &wrs, now) {
-            self.wr_table.remove(wr_id);
-            if let Some(rids) = self.batch_rids.lock().remove(&wr_id) {
-                pool_give(&self.rid_vec_pool, rids);
-            }
-            return self.fail_post(&conn, Err(e.into()));
-        }
+        let reads = items.iter().map(|it| WrOp::Read {
+            local: MrSlice::new(local.region(), it.loff, it.len),
+            remote: RemoteSlice::from_key(src, it.soff, it.len),
+        });
+        let rids = items.iter().map(|it| it.local_rid);
+        self.fail_post(&conn, self.post_tracked(&conn, rids, reads))?;
         for it in items {
             Stats::bump(&self.stats.gets);
             Stats::add(&self.stats.bytes_got, it.len as u64);

@@ -435,6 +435,46 @@ mod tests {
     }
 
     #[test]
+    fn flush_local_consumes_every_put_many_member() {
+        let c = pair();
+        let (p0, p1) = (c.rank(0), c.rank(1));
+        let src = p0.register_buffer(64).unwrap();
+        let dst = p1.register_buffer(64).unwrap();
+        let items: Vec<crate::PutManyItem> = (0..4u64)
+            .map(|i| crate::PutManyItem {
+                loff: 8 * i as usize,
+                len: 8,
+                doff: 8 * i as usize,
+                local_rid: i,
+                remote_rid: i,
+            })
+            .collect();
+        assert_eq!(p0.try_put_many(1, &src, &dst.descriptor(), &items).unwrap(), 4);
+        p0.flush_local().unwrap();
+        // One CQE retired all four members; the flush owns every one.
+        assert!(p0.poll_completion(ProbeFlags::Local).unwrap().is_none());
+    }
+
+    #[test]
+    fn flush_local_consumes_every_get_many_member() {
+        let c = pair();
+        let (p0, p1) = (c.rank(0), c.rank(1));
+        let dst = p0.register_buffer(64).unwrap();
+        let src = p1.register_buffer(64).unwrap();
+        let items: Vec<crate::GetManyItem> = (0..4u64)
+            .map(|i| crate::GetManyItem {
+                loff: 8 * i as usize,
+                len: 8,
+                soff: 8 * i as usize,
+                local_rid: i,
+            })
+            .collect();
+        p0.get_many(1, &dst, &src.descriptor(), &items).unwrap();
+        p0.flush_local().unwrap();
+        assert!(p0.poll_completion(ProbeFlags::Local).unwrap().is_none());
+    }
+
+    #[test]
     fn flush_local_spares_already_harvested_events() {
         let c = pair();
         let (p0, p1) = (c.rank(0), c.rank(1));

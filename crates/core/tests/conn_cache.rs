@@ -4,7 +4,7 @@
 //! kill-then-rejoin incarnation guard. Companion to DESIGN.md "Membership
 //! and connection lifecycle" and experiment E22.
 
-use photon_core::{PeerHealthState, PhotonCluster, PhotonConfig, PhotonError};
+use photon_core::{GetManyItem, PeerHealthState, PhotonCluster, PhotonConfig, PhotonError};
 use photon_fabric::{NetworkModel, VTime};
 
 #[test]
@@ -120,6 +120,36 @@ fn eviction_resolves_in_flight_rids_like_mark_dead() {
     // reconnect completes exactly once, with a genuine success.
     p0.put(1, &src, 0, 64, &dst.descriptor(), 0, 7).unwrap();
     p0.wait_local(7).unwrap();
+
+    // A doorbell batch in flight: four 64 KiB reads behind one CQE. Once
+    // peer 1 is evicted, every member has resolved exactly once — through
+    // the harvested CQE or the drained wr — not just the wr that carries
+    // them.
+    let items: Vec<GetManyItem> = (0..4u64)
+        .map(|i| GetManyItem {
+            loff: i as usize * 64 * 1024,
+            len: 64 * 1024,
+            soff: i as usize * 64 * 1024,
+            local_rid: 20 + i,
+        })
+        .collect();
+    p0.get_many(1, &src, &dst.descriptor(), &items).unwrap();
+    assert_eq!(p0.in_flight(), 1, "one wr carries the whole batch");
+    // Two more peers push peer 1 out of the two-entry cache again.
+    p0.send(2, b"x", 102).unwrap();
+    p0.send(3, b"y", 103).unwrap();
+    assert_eq!(p0.in_flight(), 0, "eviction leaves nothing pending");
+    for it in &items {
+        match p0.wait_local(it.local_rid) {
+            Ok(_) => {}
+            Err(PhotonError::OpFailed { rid, .. }) if rid == it.local_rid => {}
+            other => panic!("rid {} must resolve typed, got {other:?}", it.local_rid),
+        }
+    }
+    assert_eq!(p0.queued_events().0, 0, "each member resolved exactly once");
+    let opened = p0.stats().conns_opened;
+    p0.send(1, b"z", 104).unwrap();
+    assert_eq!(p0.stats().conns_opened, opened + 1, "peer 1 had been evicted");
 }
 
 #[test]

@@ -159,9 +159,10 @@ fn disabled_recording_allocates_nothing_per_op() {
 fn recycler_caches_make_the_batched_put_loop_allocation_free() {
     let _serial = serialized();
     // The tightened form of the bound above, for the doorbell-batched path:
-    // with the CQE harvest reading into recycled scratch, the batch rid /
-    // stamp vectors cycling through the context pools, and the run frames
-    // living in per-peer TX scratch, the steady-state batched put loop
+    // with the CQE harvest reading into recycled scratch, each batch's rid
+    // list held in its warm wr-table slot, the stamp vectors cycling
+    // through the context pool, and the run frames living in per-peer TX
+    // scratch, the steady-state batched put loop
     // performs literally zero heap allocations. Setup (buffer registration,
     // caller-side scratch) happens before the allocator arms.
     let c = PhotonCluster::new(2, NetworkModel::ideal(), PhotonConfig::default());
