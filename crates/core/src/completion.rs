@@ -20,7 +20,8 @@
 //!   preserved exactly; cross-peer draining is fair instead of
 //!   arrival-ordered, so one chatty peer cannot starve the rest. `pop_from`
 //!   (the `photon_wait_recv_request(proc)` analogue) is O(1) instead of a
-//!   scan.
+//!   scan, and `pop_batch` drains a run in exactly the order repeated
+//!   `pop_any` calls would, reading the peer table once.
 //!
 //! All three keep an atomic element count so the observer hooks
 //! (`in_flight`, `queued_events`) and empty-queue probes are O(1) and
@@ -34,7 +35,7 @@
 
 use crate::probe::RemoteEvent;
 use crate::Rank;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use photon_fabric::{VTime, WcStatus};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -678,24 +679,58 @@ impl RemoteQueue {
     }
 
     /// Pop the next event, rotating the starting peer so no single producer
-    /// monopolizes the probe stream.
+    /// monopolizes the probe stream: the one-event case of
+    /// [`RemoteQueue::pop_batch`].
     pub(crate) fn pop_any(&self) -> Option<RemoteEvent> {
-        if self.count.load(Ordering::Relaxed) == 0 {
-            return None;
+        let mut got = None;
+        self.pop_batch(1, |ev| got = Some(ev));
+        got
+    }
+
+    /// Drain up to `max` events into `f`, in the order and with the cursor
+    /// movement of that many [`RemoteQueue::pop_any`] calls: the `i`-th
+    /// event comes from the first non-empty FIFO at or after `cursor + i`,
+    /// and the cursor ends as far on as the events delivered. The peer
+    /// table is read once per batch, and a FIFO's lock is kept while
+    /// consecutive events come from it, so a run off one peer costs one
+    /// lock. `f` runs under that lock and must not call back into this
+    /// queue. Returns how many events were delivered.
+    pub(crate) fn pop_batch(&self, max: usize, mut f: impl FnMut(RemoteEvent)) -> usize {
+        // Repeated pops stop at the first one that sees an empty queue.
+        let max = max.min(self.count.load(Ordering::Relaxed));
+        if max == 0 {
+            return 0;
         }
         let slots = self.slots.read();
         let n = slots.len();
-        if n == 0 {
-            return None;
-        }
-        let start = self.cursor.fetch_add(1, Ordering::Relaxed);
-        for k in 0..n {
-            if let Some(ev) = slots[(start + k) % n].1.lock().pop_front() {
-                self.count.fetch_sub(1, Ordering::Relaxed);
-                return Some(ev);
+        let start = self.cursor.load(Ordering::Relaxed);
+        let mut held: Option<(usize, MutexGuard<'_, VecDeque<RemoteEvent>>)> = None;
+        let mut got = 0;
+        'events: while got < max {
+            for k in 0..n {
+                let i = (start + got + k) % n;
+                let fifo = match &mut held {
+                    Some((h, fifo)) if *h == i => fifo,
+                    _ => {
+                        // One FIFO lock at a time: release before taking.
+                        held = None;
+                        &mut held.insert((i, slots[i].1.lock())).1
+                    }
+                };
+                if let Some(ev) = fifo.pop_front() {
+                    got += 1;
+                    f(ev);
+                    continue 'events;
+                }
             }
+            break;
         }
-        None
+        drop(held);
+        if got > 0 {
+            self.cursor.fetch_add(got, Ordering::Relaxed);
+            self.count.fetch_sub(got, Ordering::Relaxed);
+        }
+        got
     }
 
     /// Pop the next event from `src` only. O(log peers-heard-from): no scan
@@ -952,6 +987,68 @@ mod tests {
             until_peer2 += 1;
         }
         assert!(until_peer2 < 3, "fair rotation starved peer 2 for {until_peer2} pops");
+    }
+
+    /// `pop_any` written out one event at a time, independent of
+    /// `pop_batch`: the reference the batch drain is held to.
+    fn pop_one(q: &RemoteQueue) -> Option<RemoteEvent> {
+        if q.count.load(Ordering::Relaxed) == 0 {
+            return None;
+        }
+        let slots = q.slots.read();
+        let start = q.cursor.fetch_add(1, Ordering::Relaxed);
+        for k in 0..slots.len() {
+            if let Some(ev) = slots[(start + k) % slots.len()].1.lock().pop_front() {
+                q.count.fetch_sub(1, Ordering::Relaxed);
+                return Some(ev);
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn remote_batch_drain_matches_repeated_pop_any() {
+        // Two queues fed the same pushes: one drained in batches, the other
+        // by repeated single pops. Three peers with uneven FIFOs (and a
+        // fourth that appears mid-run) make the rotation matter; the cursor
+        // must end where the reference's does, which the next pop and a
+        // direct comparison both check.
+        let (batched, reference) = (RemoteQueue::new(), RemoteQueue::new());
+        let mut rid = 0;
+        let mut push = |src: Rank, k: u64| {
+            for _ in 0..k {
+                rid += 1;
+                batched.push(rev(src, rid));
+                reference.push(rev(src, rid));
+            }
+        };
+        push(1, 7);
+        push(2, 2);
+        push(5, 4);
+        let key = |ev: RemoteEvent| (ev.src, ev.rid);
+        for (step, max) in [1, 5, usize::MAX, 5, 1, usize::MAX, 1, 5, 5].into_iter().enumerate() {
+            let mut got = Vec::new();
+            let n = batched.pop_batch(max, |ev| got.push(key(ev)));
+            let want: Vec<_> =
+                std::iter::from_fn(|| pop_one(&reference)).take(max).map(key).collect();
+            assert_eq!(got, want, "step {step}: batch of {max}");
+            assert_eq!(n, got.len());
+            assert_eq!(
+                batched.cursor.load(Ordering::Relaxed),
+                reference.cursor.load(Ordering::Relaxed),
+                "step {step}: cursor"
+            );
+            assert_eq!(batched.pop_any().map(key), pop_one(&reference).map(key), "step {step}");
+            assert_eq!(batched.len(), reference.len());
+            let step = step as u64;
+            push(1, step % 3);
+            push(2, 2 * step % 5);
+            push(5, 1 + step % 2);
+            if step == 3 {
+                push(3, 4);
+            }
+        }
+        assert_eq!(batched.pop_batch(usize::MAX, |_| {}), reference.len());
     }
 
     #[test]

@@ -135,9 +135,15 @@ const RECYCLER_PER_CLASS: usize = 16;
 /// not worth hoarding per-thread.
 const RECYCLER_MAX_CLASS: usize = 1 << 20;
 
+/// Classes the recycler retains: every power of two up to
+/// [`RECYCLER_MAX_CLASS`].
+const RECYCLER_CLASSES: usize = RECYCLER_MAX_CLASS.trailing_zeros() as usize + 1;
+
 std::thread_local! {
-    static RECYCLER: std::cell::RefCell<HashMap<usize, Vec<Vec<u8>>>> =
-        std::cell::RefCell::new(HashMap::new());
+    /// One bucket per retained class, indexed by the class's log2: a take
+    /// or give on the parcel hot path is an index, not a hash.
+    static RECYCLER: std::cell::RefCell<[Vec<Vec<u8>>; RECYCLER_CLASSES]> =
+        const { std::cell::RefCell::new([const { Vec::new() }; RECYCLER_CLASSES]) };
 }
 
 /// A thread-local recycler cache for plain heap buffers (`Vec<u8>`),
@@ -166,13 +172,12 @@ impl Recycler {
         if class > RECYCLER_MAX_CLASS {
             return Vec::with_capacity(len);
         }
-        RECYCLER.with(|c| {
-            if let Some(mut v) = c.borrow_mut().get_mut(&class).and_then(Vec::pop) {
+        RECYCLER.with(|c| match c.borrow_mut()[class.trailing_zeros() as usize].pop() {
+            Some(mut v) => {
                 v.clear();
                 v
-            } else {
-                Vec::with_capacity(class)
             }
+            None => Vec::with_capacity(class),
         })
     }
 
@@ -185,8 +190,7 @@ impl Recycler {
             return;
         }
         RECYCLER.with(|c| {
-            let mut cache = c.borrow_mut();
-            let bucket = cache.entry(class).or_default();
+            let bucket = &mut c.borrow_mut()[class.trailing_zeros() as usize];
             if bucket.len() < RECYCLER_PER_CLASS {
                 bucket.push(v);
             }
@@ -195,12 +199,12 @@ impl Recycler {
 
     /// Number of vectors currently cached on this thread (all classes).
     pub fn cached() -> usize {
-        RECYCLER.with(|c| c.borrow().values().map(Vec::len).sum())
+        RECYCLER.with(|c| c.borrow().iter().map(Vec::len).sum())
     }
 
     /// Drop everything cached on this thread.
     pub fn clear() {
-        RECYCLER.with(|c| c.borrow_mut().clear());
+        RECYCLER.with(|c| c.borrow_mut().iter_mut().for_each(Vec::clear));
     }
 }
 

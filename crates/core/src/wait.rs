@@ -38,14 +38,17 @@ impl Photon {
             }
         };
         if let Some(c) = &got {
-            match c.class {
-                CompletionClass::Local => self.obs.op_complete_local(c.rid, c.ts, c.status),
-                CompletionClass::Remote => {
-                    self.obs.op_complete_remote(c.peer, c.rid, c.ts, c.status)
-                }
-            }
+            self.observe_completion(c);
         }
         got
+    }
+
+    /// The lifecycle span's `complete` stamp for a dequeued event.
+    fn observe_completion(&self, c: &Completion) {
+        match c.class {
+            CompletionClass::Local => self.obs.op_complete_local(c.rid, c.ts, c.status),
+            CompletionClass::Remote => self.obs.op_complete_remote(c.peer, c.rid, c.ts, c.status),
+        }
     }
 
     /// Run progress ahead of a probe, amortized: when events matching
@@ -153,33 +156,45 @@ impl Photon {
         Stats::bump(&self.stats.probes);
         Stats::bump(&self.stats.probe_batches);
         self.progress_for_probe(flags)?;
-        if matches!(flags, ProbeFlags::Local) {
-            // Local-only drains (the runtime's completion-reap shape) take
-            // the batched queue path: one shard lock per run instead of one
-            // per event, with the clock advanced once to the batch maximum
-            // (`advance_to` is a running max, so order is immaterial).
-            let mut latest = VTime(0);
-            let got = self.local_events.pop_front_batch(max, |rid, peer, ts, status| {
-                let c = Completion::local(rid, peer, ts, status);
-                self.obs.op_complete_local(rid, ts, status);
-                latest = latest.max(ts);
-                self.trace_completion(&c);
-                out.push(c);
-            });
-            if got > 0 {
-                self.clock.advance_to(latest);
+        // A single-class drain takes its queue's batched path: the locks are
+        // taken once per run instead of once per event, and the clock is
+        // advanced once to the batch maximum (`advance_to` is a running
+        // max, so order is immaterial). The per-event hooks run after the
+        // queue's locks are released.
+        let first = out.len();
+        let got = match flags {
+            ProbeFlags::Local => self.local_events.pop_front_batch(max, |rid, peer, ts, status| {
+                out.push(Completion::local(rid, peer, ts, status))
+            }),
+            ProbeFlags::Remote => {
+                self.remote_events.pop_batch(max, |ev| out.push(Completion::from(ev)))
             }
-            return Ok(got);
+            ProbeFlags::Any => return Ok(self.poll_any_completions(out, max)),
+        };
+        let mut latest = VTime(0);
+        for c in &out[first..] {
+            self.observe_completion(c);
+            latest = latest.max(c.ts);
+            self.trace_completion(c);
         }
+        if got > 0 {
+            self.clock.advance_to(latest);
+        }
+        Ok(got)
+    }
+
+    /// The `Any` drain: one event at a time, so local and remote events
+    /// interleave fairly within the batch.
+    fn poll_any_completions(&self, out: &mut Vec<Completion>, max: usize) -> usize {
         let mut got = 0;
         while got < max {
-            let Some(c) = self.take_one_completion(flags) else { break };
+            let Some(c) = self.take_one_completion(ProbeFlags::Any) else { break };
             self.clock.advance_to(c.ts);
             self.trace_completion(&c);
             out.push(c);
             got += 1;
         }
-        Ok(got)
+        got
     }
 
     /// Block until any completion arrives, in the consolidated

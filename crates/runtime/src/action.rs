@@ -48,9 +48,9 @@ impl ActionRegistry {
         self.names.get(name).copied()
     }
 
-    /// Fetch the handler for `id`.
-    pub(crate) fn get(&self, id: ActionId) -> Option<ActionFn> {
-        self.actions.get(id.checked_sub(USER_ACTION_BASE)? as usize).cloned()
+    /// The handler for `id`, borrowed: a dispatch costs no refcount traffic.
+    pub(crate) fn get(&self, id: ActionId) -> Option<&ActionFn> {
+        self.actions.get(id.checked_sub(USER_ACTION_BASE)? as usize)
     }
 
     /// Number of registered actions.
@@ -114,10 +114,7 @@ impl RtContext<'_> {
         payload: &[u8],
         cont: Option<crate::lco::LcoRef>,
     ) -> Result<()> {
-        match cont {
-            Some(c) => self.node.send_parcel_with_cont(target, action, payload, c),
-            None => self.node.send_parcel(target, action, payload),
-        }
+        self.node.send_parcel_inner(target, action, cont, payload)
     }
 
     /// Spawn a local task on this node's scheduler.

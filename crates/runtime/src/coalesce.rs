@@ -17,7 +17,6 @@
 //! call it before waiting on replies).
 
 use crate::Rank;
-use photon_core::Recycler;
 
 /// One destination's pending batch: encoded parcels, kept separate so the
 /// flush can hand them to the batched send API frame-by-frame.
@@ -28,14 +27,13 @@ pub(crate) struct Batch {
 }
 
 impl Batch {
-    /// Append an encoded parcel. The staging vector comes from the
-    /// thread-local [`Recycler`] cache; the flush path gives it back after
-    /// the send, so a steady-state parcel loop allocates nothing here.
-    pub(crate) fn push(&mut self, enc: &[u8]) {
+    /// Append an encoded parcel, taking its staging vector as is. The
+    /// vector came from the thread-local [`photon_core::Recycler`] cache and
+    /// the flush path gives it back after the send, so a steady-state
+    /// parcel loop allocates nothing here.
+    pub(crate) fn push(&mut self, enc: Vec<u8>) {
         self.bytes += enc.len();
-        let mut v = Recycler::take(enc.len());
-        v.extend_from_slice(enc);
-        self.parcels.push(v);
+        self.parcels.push(enc);
     }
 
     /// Parcels queued.
@@ -85,39 +83,42 @@ impl Coalescer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parcel::Parcel;
-    use bytes::Bytes;
+    use crate::lco::LcoRef;
+    use crate::parcel::{decode_header, encode_into, PARCEL_HDR};
+
+    fn enc(action: u32, cont: Option<LcoRef>, payload: &[u8]) -> Vec<u8> {
+        let mut b = Vec::new();
+        encode_into(&mut b, action, cont, payload);
+        b
+    }
 
     #[test]
     fn batch_keeps_parcels_separate() {
         let mut b = Batch::default();
-        let p1 = Parcel::new(17, &b"alpha"[..]);
-        let p2 = Parcel::new(18, &b""[..]);
-        let p3 = Parcel {
-            action: 19,
-            payload: Bytes::from(vec![7u8; 100]),
-            cont: Some(crate::lco::LcoRef { rank: 2, id: 9 }),
-        };
-        for p in [&p1, &p2, &p3] {
-            b.push(&p.encode());
+        let cont = Some(LcoRef { rank: 2, id: 9 });
+        let want = [(17, None, vec![1u8; 5]), (18, None, vec![]), (19, cont, vec![7u8; 100])];
+        for (action, cont, payload) in &want {
+            b.push(enc(*action, *cont, payload));
         }
         assert_eq!(b.len(), 3);
-        assert_eq!(b.wire_len(), [&p1, &p2, &p3].iter().map(|p| p.encode().len()).sum());
+        assert_eq!(b.wire_len(), 3 * PARCEL_HDR + 105);
         let frames = b.take();
         assert_eq!(b.len(), 0);
         assert_eq!(b.wire_len(), 0);
         // Each frame decodes back to its parcel independently — no
         // batch-level framing to strip.
-        let got: Vec<Parcel> = frames.iter().map(|f| Parcel::decode(f).unwrap()).collect();
-        assert_eq!(got, vec![p1, p2, p3]);
+        for (f, (action, cont, payload)) in frames.iter().zip(&want) {
+            assert_eq!(decode_header(f).unwrap(), (*action, *cont));
+            assert_eq!(&f[PARCEL_HDR..], &payload[..]);
+        }
     }
 
     #[test]
     fn coalescer_tracks_per_peer() {
         let mut c = Coalescer::new(3);
-        c.batch_mut(0).push(&Parcel::new(1, &b"a"[..]).encode());
-        c.batch_mut(2).push(&Parcel::new(2, &b"b"[..]).encode());
-        c.batch_mut(2).push(&Parcel::new(3, &b"c"[..]).encode());
+        c.batch_mut(0).push(enc(1, None, b"a"));
+        c.batch_mut(2).push(enc(2, None, b"b"));
+        c.batch_mut(2).push(enc(3, None, b"c"));
         let flushed = c.take_all();
         assert_eq!(flushed.len(), 2);
         assert_eq!(flushed[0].0, 0);

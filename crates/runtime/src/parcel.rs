@@ -5,6 +5,17 @@
 //! ```text
 //! [ action u32 | flags u8 | pad ×3 | cont_rank u32 | cont_id u64 | payload… ]
 //! ```
+//!
+//! A remote parcel has one wire path and no owned form. The sender writes
+//! header and payload once, with [`encode_into`], into a staging vector
+//! from the thread-local [`photon_core::Recycler`]; that vector is then
+//! either sent and given back, or handed to the coalescer as is. The
+//! receiver decodes only the header, with [`decode_header`]. The task owns
+//! the payload vector the probe harvested and runs the handler on
+//! `&payload[PARCEL_HDR..]`. [`Parcel`] owns its payload, and exists only
+//! where that ownership is real: a parcel to self, which outlives the
+//! caller's slice. A rendezvous pull runs the handler on the vector it
+//! pulled.
 
 use crate::lco::LcoRef;
 use crate::{ActionId, Rank, RtError};
@@ -27,49 +38,30 @@ pub struct Parcel {
     pub cont: Option<LcoRef>,
 }
 
-impl Parcel {
-    /// A parcel with no continuation.
-    pub fn new(action: ActionId, payload: impl Into<Bytes>) -> Parcel {
-        Parcel { action, payload: payload.into(), cont: None }
-    }
+/// Append the wire form of `(action, cont, payload)` to `out`.
+pub fn encode_into(out: &mut Vec<u8>, action: ActionId, cont: Option<LcoRef>, payload: &[u8]) {
+    let (flags, crank, cid) = match cont {
+        Some(c) => (FLAG_CONT, c.rank as u32, c.id),
+        None => (0, 0, 0),
+    };
+    out.extend_from_slice(&action.to_le_bytes());
+    out.extend_from_slice(&[flags, 0, 0, 0]);
+    out.extend_from_slice(&crank.to_le_bytes());
+    out.extend_from_slice(&cid.to_le_bytes());
+    out.extend_from_slice(payload);
+}
 
-    /// A parcel whose result sets `cont`.
-    pub fn with_cont(action: ActionId, payload: impl Into<Bytes>, cont: LcoRef) -> Parcel {
-        Parcel { action, payload: payload.into(), cont: Some(cont) }
+/// Decode the header of a wire parcel; its payload is `b[PARCEL_HDR..]`.
+pub fn decode_header(b: &[u8]) -> Result<(ActionId, Option<LcoRef>), RtError> {
+    if b.len() < PARCEL_HDR {
+        return Err(RtError::BadParcel("short header"));
     }
-
-    /// Encode for the wire.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(PARCEL_HDR + self.payload.len());
-        b.extend_from_slice(&self.action.to_le_bytes());
-        let (flags, crank, cid) = match &self.cont {
-            Some(c) => (FLAG_CONT, c.rank as u32, c.id),
-            None => (0, 0, 0),
-        };
-        b.push(flags);
-        b.extend_from_slice(&[0u8; 3]);
-        b.extend_from_slice(&crank.to_le_bytes());
-        b.extend_from_slice(&cid.to_le_bytes());
-        b.extend_from_slice(&self.payload);
-        b
-    }
-
-    /// Decode from the wire.
-    pub fn decode(b: &[u8]) -> Result<Parcel, RtError> {
-        if b.len() < PARCEL_HDR {
-            return Err(RtError::BadParcel("short header"));
-        }
-        let action = u32::from_le_bytes(b[0..4].try_into().unwrap());
-        let flags = b[4];
-        let cont = if flags & FLAG_CONT != 0 {
-            let rank = u32::from_le_bytes(b[8..12].try_into().unwrap()) as Rank;
-            let id = u64::from_le_bytes(b[12..20].try_into().unwrap());
-            Some(LcoRef { rank, id })
-        } else {
-            None
-        };
-        Ok(Parcel { action, payload: Bytes::copy_from_slice(&b[PARCEL_HDR..]), cont })
-    }
+    let action = u32::from_le_bytes(b[0..4].try_into().unwrap());
+    let cont = (b[4] & FLAG_CONT != 0).then(|| LcoRef {
+        rank: u32::from_le_bytes(b[8..12].try_into().unwrap()) as Rank,
+        id: u64::from_le_bytes(b[12..20].try_into().unwrap()),
+    });
+    Ok((action, cont))
 }
 
 #[cfg(test)]
@@ -77,29 +69,40 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn roundtrip(action: ActionId, cont: Option<LcoRef>, payload: &[u8]) {
+        let mut b = Vec::new();
+        encode_into(&mut b, action, cont, payload);
+        assert_eq!(b.len(), PARCEL_HDR + payload.len());
+        assert_eq!(decode_header(&b).unwrap(), (action, cont));
+        assert_eq!(&b[PARCEL_HDR..], payload);
+    }
+
     #[test]
     fn roundtrip_with_and_without_cont() {
-        let p = Parcel::new(17, &b"work"[..]);
-        assert_eq!(Parcel::decode(&p.encode()).unwrap(), p);
-        let c = Parcel::with_cont(99, &b""[..], LcoRef { rank: 3, id: 0xdead });
-        assert_eq!(Parcel::decode(&c.encode()).unwrap(), c);
+        roundtrip(17, None, b"work");
+        roundtrip(99, Some(LcoRef { rank: 3, id: 0xdead }), b"");
+    }
+
+    #[test]
+    fn wire_bytes_are_fixed() {
+        let mut b = Vec::new();
+        encode_into(&mut b, 0x0102_0304, Some(LcoRef { rank: 5, id: 0x0a0b }), b"xy");
+        let want: &[u8] =
+            &[4, 3, 2, 1, FLAG_CONT, 0, 0, 0, 5, 0, 0, 0, 0x0b, 0x0a, 0, 0, 0, 0, 0, 0, b'x', b'y'];
+        assert_eq!(b, want);
     }
 
     #[test]
     fn short_buffer_rejected() {
-        assert!(matches!(Parcel::decode(&[0u8; 5]), Err(RtError::BadParcel(_))));
+        assert!(matches!(decode_header(&[0u8; 5]), Err(RtError::BadParcel(_))));
+        assert!(decode_header(&[0u8; PARCEL_HDR]).is_ok());
     }
 
     proptest! {
         #[test]
         fn roundtrip_prop(action in any::<u32>(), payload in proptest::collection::vec(any::<u8>(), 0..256),
                           cont in proptest::option::of((0usize..64, any::<u64>()))) {
-            let p = Parcel {
-                action,
-                payload: Bytes::from(payload),
-                cont: cont.map(|(rank, id)| LcoRef { rank, id }),
-            };
-            prop_assert_eq!(Parcel::decode(&p.encode()).unwrap(), p);
+            roundtrip(action, cont.map(|(rank, id)| LcoRef { rank, id }), &payload);
         }
     }
 }

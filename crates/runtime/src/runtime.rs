@@ -4,7 +4,7 @@
 use crate::action::{ActionId, ActionRegistry, RtContext};
 use crate::coalesce::Coalescer;
 use crate::lco::{FutureBytes, LcoRef};
-use crate::parcel::Parcel;
+use crate::parcel::{decode_header, encode_into, Parcel, PARCEL_HDR};
 use crate::rpc::RpcCounters;
 use crate::scheduler::{Scheduler, Task};
 use crate::{Rank, Result, RtError};
@@ -303,7 +303,7 @@ impl RtNode {
 
     /// Fire-and-forget active message.
     pub fn send_parcel(&self, target: Rank, action: ActionId, payload: &[u8]) -> Result<()> {
-        self.send_parcel_inner(target, Parcel::new(action, payload.to_vec()))
+        self.send_parcel_inner(target, action, None, payload)
     }
 
     /// Active message whose handler result sets `cont`.
@@ -314,10 +314,20 @@ impl RtNode {
         payload: &[u8],
         cont: LcoRef,
     ) -> Result<()> {
-        self.send_parcel_inner(target, Parcel::with_cont(action, payload.to_vec(), cont))
+        self.send_parcel_inner(target, action, Some(cont), payload)
     }
 
-    fn send_parcel_inner(&self, target: Rank, p: Parcel) -> Result<()> {
+    /// The one path every parcel takes: application sends, continuation
+    /// replies and RPC envelopes. A remote eager parcel is encoded once into
+    /// a recycled staging vector, which either joins its target's coalescing
+    /// batch as is or is sent and given back; it builds no [`Parcel`].
+    pub(crate) fn send_parcel_inner(
+        &self,
+        target: Rank,
+        action: ActionId,
+        cont: Option<LcoRef>,
+        payload: &[u8],
+    ) -> Result<()> {
         if target >= self.n {
             return Err(RtError::InvalidRank(target));
         }
@@ -327,14 +337,16 @@ impl RtNode {
         RtCounters::bump(&self.stats.parcels_sent);
         if target == self.rank {
             let node = self.me();
-            self.sched.submit(Box::new(move || node.run_parcel(p)));
+            let p = Parcel { action, payload: bytes::Bytes::copy_from_slice(payload), cont };
+            self.sched.submit(Box::new(move || node.run_parcel(p.action, p.cont, &p.payload)));
             return Ok(());
         }
-        let enc = p.encode();
         let eager_cap = self.cfg.parcel_eager_max.min(self.photon.config().max_eager_payload());
-        if enc.len() > eager_cap {
-            return self.send_parcel_rendezvous(target, p);
+        if PARCEL_HDR + payload.len() > eager_cap {
+            return self.send_parcel_rendezvous(target, action, cont, payload);
         }
+        let mut enc = Recycler::take(PARCEL_HDR + payload.len());
+        encode_into(&mut enc, action, cont, payload);
         if self.cfg.coalesce_max > 1 {
             let flush = {
                 let mut co = self.coalescer.lock();
@@ -352,7 +364,7 @@ impl RtNode {
             let full = {
                 let mut co = self.coalescer.lock();
                 let batch = co.batch_mut(target);
-                batch.push(&enc);
+                batch.push(enc);
                 (batch.len() >= self.cfg.coalesce_max).then(|| batch.take())
             };
             if let Some(parcels) = full {
@@ -360,9 +372,9 @@ impl RtNode {
             }
             return Ok(());
         }
-        self.photon
-            .send(target, &enc, RID_PARCEL)
-            .map_err(|e| self.note_send_failure(1, e.into()))?;
+        let sent = self.photon.send(target, &enc, RID_PARCEL);
+        Recycler::give(enc);
+        sent.map_err(|e| self.note_send_failure(1, e.into()))?;
         Ok(())
     }
 
@@ -374,7 +386,7 @@ impl RtNode {
             .map_err(|e| self.note_send_failure(parcels.len() as u64, e.into()))?;
         RtCounters::bump(&self.stats.batches_sent);
         // The staging vectors came from the thread-local recycler cache
-        // (`Batch::push`); the payloads live in the ring now, so the vectors
+        // (`send_parcel_inner`); the payloads live in the ring now, so the vectors
         // go back for the next batch.
         for v in parcels {
             Recycler::give(v);
@@ -400,15 +412,20 @@ impl RtNode {
         Ok(())
     }
 
-    fn send_parcel_rendezvous(&self, target: Rank, p: Parcel) -> Result<()> {
+    fn send_parcel_rendezvous(
+        &self,
+        target: Rank,
+        action: ActionId,
+        cont: Option<LcoRef>,
+        payload: &[u8],
+    ) -> Result<()> {
         RtCounters::bump(&self.stats.parcels_rdv);
         let tag = ((self.rank as u64) << 32) | self.next_tag.fetch_add(1, Ordering::Relaxed);
         // Control message: tag, size, then the parcel header (no payload).
-        let hdr_only = Parcel { action: p.action, payload: bytes::Bytes::new(), cont: p.cont };
-        let mut ctrl = Vec::with_capacity(16 + crate::parcel::PARCEL_HDR);
+        let mut ctrl = Vec::with_capacity(16 + PARCEL_HDR);
         ctrl.extend_from_slice(&tag.to_le_bytes());
-        ctrl.extend_from_slice(&(p.payload.len() as u64).to_le_bytes());
-        ctrl.extend_from_slice(&hdr_only.encode());
+        ctrl.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        encode_into(&mut ctrl, action, cont, &[]);
         self.photon
             .send(target, &ctrl, RID_RDV_CTRL)
             .map_err(|e| self.note_send_failure(1, e.into()))?;
@@ -416,9 +433,9 @@ impl RtNode {
         // rendezvous against the receiver's announced landing zone. If the
         // receiver dies mid-handshake the rendezvous resolves with
         // PeerDead (the core's failure-aware waits) rather than hanging.
-        let buf = self.photon.register_buffer(p.payload.len())?;
-        buf.write_at(0, &p.payload);
-        let sent = self.photon.send_rendezvous(target, &buf, 0, p.payload.len(), tag);
+        let buf = self.photon.register_buffer(payload.len())?;
+        buf.write_at(0, payload);
+        let sent = self.photon.send_rendezvous(target, &buf, 0, payload.len(), tag);
         self.photon.release_buffer(&buf)?;
         sent.map_err(|e| self.note_send_failure(1, e.into()))?;
         Ok(())
@@ -479,18 +496,18 @@ impl RtNode {
         }
     }
 
-    /// Turn one remote completion into the task that handles it.
+    /// Turn one remote completion into the task that handles it. Only the
+    /// parcel header is decoded here: the task owns the payload vector the
+    /// probe harvested and hands the handler its bytes past the header.
     fn task_for(self: &Arc<RtNode>, ev: Completion, out: &mut Vec<Task>) {
         match ev.rid {
             RID_PARCEL => {
-                let Some(bytes) = ev.payload else { return };
-                match Parcel::decode(&bytes) {
-                    Ok(p) => {
-                        let node = Arc::clone(self);
-                        out.push(Box::new(move || node.run_parcel(p)));
-                    }
-                    Err(_) => { /* malformed parcel: drop, counted nowhere */ }
-                }
+                let Some(frame) = ev.payload else { return };
+                // A frame shorter than the header is malformed: dropped,
+                // counted nowhere.
+                let Ok((action, cont)) = decode_header(&frame) else { return };
+                let node = Arc::clone(self);
+                out.push(Box::new(move || node.run_parcel(action, cont, &frame[PARCEL_HDR..])));
             }
             RID_RDV_CTRL => {
                 let Some(bytes) = ev.payload else { return };
@@ -499,7 +516,7 @@ impl RtNode {
                 }
                 let tag = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
                 let size = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-                let Ok(hdr) = Parcel::decode(&bytes[16..]) else { return };
+                let Ok((action, cont)) = decode_header(&bytes[16..]) else { return };
                 let node = Arc::clone(self);
                 let src = ev.peer;
                 // The pull runs as a task, off the turn, so other workers
@@ -523,11 +540,7 @@ impl RtNode {
                         }
                         let payload = buf.to_vec(0, size);
                         node.photon.release_buffer(&buf)?;
-                        node.run_parcel(Parcel {
-                            action: hdr.action,
-                            payload: payload.into(),
-                            cont: hdr.cont,
-                        });
+                        node.run_parcel(action, cont, &payload);
                         Ok(())
                     };
                     match run() {
@@ -548,44 +561,50 @@ impl RtNode {
         }
     }
 
-    fn run_parcel(self: &Arc<RtNode>, p: Parcel) {
-        self.run_parcel_inner(p);
+    fn run_parcel(self: &Arc<RtNode>, action: ActionId, cont: Option<LcoRef>, payload: &[u8]) {
+        self.run_parcel_inner(action, cont, payload);
         // Counted at COMPLETION, after every send the handler performed:
         // quiescence detection relies on `sent` being visibly ahead of
         // `run` whenever follow-on work can still appear.
         self.stats.parcels_run.fetch_add(1, Ordering::AcqRel);
     }
 
-    fn run_parcel_inner(self: &Arc<RtNode>, p: Parcel) {
-        if p.action == ACTION_SET_LCO {
-            if p.payload.len() >= 8 {
-                let id = u64::from_le_bytes(p.payload[0..8].try_into().unwrap());
+    fn run_parcel_inner(
+        self: &Arc<RtNode>,
+        action: ActionId,
+        cont: Option<LcoRef>,
+        payload: &[u8],
+    ) {
+        if action == ACTION_SET_LCO {
+            if payload.len() >= 8 {
+                let id = u64::from_le_bytes(payload[0..8].try_into().unwrap());
                 if let Some(f) = self.lcos.lock().remove(&id) {
-                    f.set(p.payload[8..].to_vec());
+                    f.set(payload[8..].to_vec());
                 }
             }
             return;
         }
-        if p.action == ACTION_RPC_REQ {
-            crate::rpc::server::handle_request(self, &p.payload);
+        if action == ACTION_RPC_REQ {
+            crate::rpc::server::handle_request(self, payload);
             return;
         }
-        if p.action == ACTION_RPC_REP {
-            crate::rpc::client::handle_reply(self, &p.payload);
+        if action == ACTION_RPC_REP {
+            crate::rpc::client::handle_reply(self, payload);
             return;
         }
-        let Some(handler) = self.registry.get(p.action) else {
+        let Some(handler) = self.registry.get(action) else {
             // Unknown action: in a real runtime this is fatal; here we drop
             // and count it as run so quiescence still converges.
             return;
         };
-        let ctx = RtContext { node: self, cont: p.cont };
-        let result = handler(&ctx, &p.payload);
-        if let (Some(bytes), Some(cont)) = (result, p.cont) {
-            let mut payload = Vec::with_capacity(8 + bytes.len());
-            payload.extend_from_slice(&cont.id.to_le_bytes());
-            payload.extend_from_slice(&bytes);
-            let _ = self.send_parcel_inner(cont.rank, Parcel::new(ACTION_SET_LCO, payload));
+        let ctx = RtContext { node: self, cont };
+        let result = handler(&ctx, payload);
+        if let (Some(bytes), Some(cont)) = (result, cont) {
+            let mut reply = Recycler::take(8 + bytes.len());
+            reply.extend_from_slice(&cont.id.to_le_bytes());
+            reply.extend_from_slice(&bytes);
+            let _ = self.send_parcel_inner(cont.rank, ACTION_SET_LCO, None, &reply);
+            Recycler::give(reply);
         }
     }
 
@@ -682,6 +701,71 @@ mod tests {
         assert_eq!(fut.wait(), (64 * 1024u64).to_le_bytes());
         assert_eq!(n0.stats().parcels_rdv, 1);
         c.shutdown();
+    }
+
+    /// Send a payload of exactly `eager_cap - PARCEL_HDR` bytes, then one
+    /// of a byte more: the first must stay eager and the second take the
+    /// rendezvous, and the handler must see each payload byte for byte.
+    fn eager_boundary(coalesce_max: usize) {
+        let seen = Arc::new(Mutex::new(Vec::<Vec<u8>>::new()));
+        let mut reg = ActionRegistry::new();
+        let s2 = Arc::clone(&seen);
+        let keep = reg.register("keep", move |_ctx, payload| {
+            s2.lock().push(payload.to_vec());
+            None
+        });
+        let cfg = RtConfig { coalesce_max, ..RtConfig::default() };
+        let c = RuntimeCluster::new(2, NetworkModel::ib_fdr(), cfg, reg);
+        let n0 = c.node(0);
+        let eager_cap = cfg.parcel_eager_max.min(n0.photon().config().max_eager_payload());
+        for (len, rdv) in [(eager_cap - PARCEL_HDR, 0), (eager_cap - PARCEL_HDR + 1, 1)] {
+            let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            n0.send_parcel(1, keep, &payload).unwrap();
+            n0.flush_parcels().unwrap();
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while seen.lock().is_empty() {
+                assert!(std::time::Instant::now() < deadline, "{len}-byte parcel never ran");
+                std::thread::yield_now();
+            }
+            assert_eq!(seen.lock().pop(), Some(payload), "{len}-byte payload");
+            assert_eq!(n0.stats().parcels_rdv, rdv, "{len}-byte payload took the wrong path");
+        }
+        c.shutdown();
+    }
+
+    #[test]
+    fn eager_boundary_is_exact() {
+        eager_boundary(0);
+    }
+
+    #[test]
+    fn eager_boundary_is_exact_when_coalescing() {
+        eager_boundary(4);
+    }
+
+    #[test]
+    fn short_parcel_frame_is_dropped() {
+        let ran = Arc::new(AtomicUsize::new(0));
+        let mut reg = ActionRegistry::new();
+        let r2 = Arc::clone(&ran);
+        let bump = reg.register("bump", move |_ctx, _| {
+            r2.fetch_add(1, Ordering::Relaxed);
+            None
+        });
+        let c = boot(2, reg);
+        // A frame one byte short of a header, then a well-formed parcel
+        // behind it from the same peer: once the parcel has run, the short
+        // frame has been harvested too, and the shutdown runs every task
+        // harvested before it returns.
+        c.node(0).photon().send(1, &[0u8; PARCEL_HDR - 1], RID_PARCEL).unwrap();
+        c.node(0).send_parcel(1, bump, b"ok").unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while ran.load(Ordering::Relaxed) == 0 {
+            assert!(std::time::Instant::now() < deadline, "the parcel never ran");
+            std::thread::yield_now();
+        }
+        c.shutdown();
+        assert_eq!(c.node(1).stats().parcels_run, 1, "the short frame ran as a parcel");
     }
 
     #[test]
