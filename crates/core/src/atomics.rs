@@ -80,13 +80,12 @@ impl Photon {
         doff: usize,
         add: u64,
     ) -> Result<u64> {
-        let tmp = self.register_buffer(8)?;
-        let rid = self.internal_rid();
-        self.atomic_fetch_add(peer, &tmp, 0, dst, doff, add, rid)?;
-        self.wait_local(rid)?;
-        let old = tmp.read_u64(0);
-        self.release_buffer(&tmp)?;
-        Ok(old)
+        self.with_scratch(8, |tmp| {
+            let rid = self.internal_rid();
+            self.atomic_fetch_add(peer, tmp, 0, dst, doff, add, rid)?;
+            self.wait_local(rid)?;
+            Ok(tmp.read_u64(0))
+        })
     }
 
     /// Blocking convenience: compare-and-swap returning the old value
@@ -99,13 +98,12 @@ impl Photon {
         compare: u64,
         swap: u64,
     ) -> Result<u64> {
-        let tmp = self.register_buffer(8)?;
-        let rid = self.internal_rid();
-        self.atomic_compare_swap(peer, &tmp, 0, dst, doff, compare, swap, rid)?;
-        self.wait_local(rid)?;
-        let old = tmp.read_u64(0);
-        self.release_buffer(&tmp)?;
-        Ok(old)
+        self.with_scratch(8, |tmp| {
+            let rid = self.internal_rid();
+            self.atomic_compare_swap(peer, tmp, 0, dst, doff, compare, swap, rid)?;
+            self.wait_local(rid)?;
+            Ok(tmp.read_u64(0))
+        })
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -137,7 +135,7 @@ impl Photon {
 mod tests {
 
     use crate::{PhotonCluster, PhotonConfig};
-    use photon_fabric::{FabricError, NetworkModel};
+    use photon_fabric::{FabricError, NetworkModel, VTime};
 
     fn pair() -> PhotonCluster {
         PhotonCluster::new(2, NetworkModel::ib_fdr(), PhotonConfig::default())
@@ -203,5 +201,21 @@ mod tests {
         // Out-of-range is caught before the fabric.
         let err = p0.fetch_add(1, &d, 12, 1);
         assert!(matches!(err, Err(crate::PhotonError::OutOfRange { .. })));
+    }
+
+    #[test]
+    fn failed_atomics_release_their_scratch() {
+        let c = pair();
+        let (p0, p1) = (c.rank(0), c.rank(1));
+        let slot = p1.register_buffer(8).unwrap();
+        let d = slot.descriptor();
+        c.fabric().switch().faults().kill_node_at(1, VTime(0));
+        let mrs = p0.nic().mrs();
+        let before = (mrs.region_count(), mrs.registered_bytes());
+        for _ in 0..5 {
+            assert!(p0.fetch_add(1, &d, 0, 1).is_err());
+            assert!(p0.compare_swap(1, &d, 0, 0, 1).is_err());
+        }
+        assert_eq!((mrs.region_count(), mrs.registered_bytes()), before, "scratch leaked");
     }
 }

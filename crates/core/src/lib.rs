@@ -97,7 +97,7 @@ pub use obs::{
     TraceExport, TraceOp, TraceRecord, Tracer,
 };
 pub use photon::{CreditState, GetManyItem, PeerHealthState, Photon, PhotonCluster, PutManyItem};
-pub use pool::{BufferPool, Recycler};
+pub use pool::Recycler;
 pub use probe::{Completion, CompletionClass, ProbeFlags, RemoteEvent};
 pub use process::PhotonProcess;
 

@@ -305,6 +305,24 @@ impl Photon {
         Ok(())
     }
 
+    /// Run `f` over a transient registered buffer of `len` bytes: the one
+    /// owner of every per-op registration. The buffer is registered like
+    /// [`register_buffer`](Self::register_buffer) and released on every
+    /// path once `f` returns, so a failed op never leaks pinned memory.
+    /// `f`'s own error wins over a release error.
+    pub fn with_scratch<T, E: From<PhotonError>>(
+        &self,
+        len: usize,
+        f: impl FnOnce(&PhotonBuffer) -> std::result::Result<T, E>,
+    ) -> std::result::Result<T, E> {
+        let buf = self.register_buffer(len)?;
+        let out = f(&buf);
+        let released = self.release_buffer(&buf);
+        let v = out?;
+        released?;
+        Ok(v)
+    }
+
     /// Allocate a middleware-internal completion identifier (reserved
     /// namespace, never collides with user rids).
     pub fn internal_rid(&self) -> u64 {
@@ -474,5 +492,18 @@ mod tests {
         let _b = p0.register_buffer(1 << 20).unwrap();
         let m = NetworkModel::ib_fdr();
         assert_eq!(p0.now().as_nanos() - before.as_nanos(), m.registration_ns(1 << 20));
+    }
+
+    #[test]
+    fn with_scratch_releases_on_every_path() {
+        let c = pair();
+        let p0 = c.rank(0);
+        let mrs = p0.nic().mrs();
+        let ok: Result<usize> = p0.with_scratch(64, |b| Ok(b.len()));
+        assert_eq!(ok, Ok(64));
+        assert_eq!(mrs.region_count(), 0);
+        let err: Result<()> = p0.with_scratch(64, |_| Err(PhotonError::PeerDead(1)));
+        assert_eq!(err, Err(PhotonError::PeerDead(1)), "the op's own error is returned");
+        assert_eq!((mrs.region_count(), mrs.registered_bytes()), (0, 0));
     }
 }

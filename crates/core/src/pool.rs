@@ -1,35 +1,21 @@
-//! A registered-buffer pool.
+//! A thread-local recycler for plain staging vectors.
 //!
-//! One-sided operations require registered memory; transient operations
-//! (8-byte atomics, small GAS transfers, staging) would otherwise pay a
-//! registration round trip each time. [`BufferPool`] keeps released buffers
-//! keyed by *size class* for reuse — the middleware-side analogue of the
-//! baseline's registration cache, here an *explicit* tool rather than
-//! hidden magic.
+//! Hot paths (parcel encodings, coalescer batches, bounce buffers) would
+//! otherwise pay an allocator round trip per message. [`Recycler`] keeps
+//! released `Vec<u8>`s keyed by *size class* for reuse on the same thread.
 //!
 //! ## Size classes
 //!
-//! Buffers are bucketed by power-of-two size class rather than exact
-//! length, so a request for 1023 bytes is served by a pooled 1024-byte
-//! buffer instead of registering a fresh region. Fresh allocations are
-//! rounded **up** to the class size (so they re-pool cleanly); foreign
-//! buffers handed to [`give`](BufferPool::give) are bucketed by the largest
-//! class they can fully back, which keeps every pooled buffer at least as
-//! large as any request its bucket serves.
+//! Vectors are bucketed by power-of-two size class rather than exact
+//! length, so a request for 1023 bytes is served by a cached 1024-byte
+//! vector. Fresh allocations are rounded **up** to the class size (so they
+//! re-cache cleanly); vectors handed back are bucketed by the largest class
+//! their capacity can fully back, which keeps every cached vector at least
+//! as large as any request its bucket serves.
 //!
-//! ## Capacity
-//!
-//! Pooled-but-idle buffers still count against the NIC's pinning budget, so
-//! the pool caps the bytes it retains (an eighth of the registration limit
-//! by default, tunable via [`with_capacity`](BufferPool::with_capacity));
-//! overflow buffers are deregistered on `give` instead of hoarded.
-
-use crate::buffers::PhotonBuffer;
-use crate::{Photon, Result};
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+//! Registered memory is not recycled here: a transient registration is
+//! owned by [`Photon::with_scratch`](crate::Photon::with_scratch), which
+//! releases it on every path.
 
 /// Round `len` up to its power-of-two size class (0 stays 0).
 fn class_of(len: usize) -> usize {
@@ -44,90 +30,6 @@ fn class_backed_by(len: usize) -> usize {
         1 << (usize::BITS - 1 - len.leading_zeros())
     }
 }
-
-/// A size-class-keyed pool of registered buffers over one Photon context.
-#[derive(Debug)]
-pub struct BufferPool {
-    photon: Arc<Photon>,
-    free: Mutex<HashMap<usize, Vec<PhotonBuffer>>>,
-    /// Bytes currently held in `free` (pinned but idle).
-    pooled_bytes: AtomicU64,
-    /// Retention cap: `give` deregisters instead of pooling past this.
-    max_pooled_bytes: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl BufferPool {
-    /// A pool allocating through `photon`, retaining at most an eighth of
-    /// the node's pinning limit.
-    pub fn new(photon: Arc<Photon>) -> BufferPool {
-        let cap = photon.nic().mrs().limit_bytes() / 8;
-        BufferPool::with_capacity(photon, cap)
-    }
-
-    /// A pool retaining at most `max_pooled_bytes` of idle registered
-    /// memory; buffers given back past the cap are deregistered.
-    pub fn with_capacity(photon: Arc<Photon>, max_pooled_bytes: usize) -> BufferPool {
-        BufferPool {
-            photon,
-            free: Mutex::new(HashMap::new()),
-            pooled_bytes: AtomicU64::new(0),
-            max_pooled_bytes,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Take a buffer of *at least* `len` bytes: pooled when the size class
-    /// has one (zeroed for reuse), freshly registered at the class size
-    /// otherwise (registration cost charged once, at first allocation).
-    pub fn take(&self, len: usize) -> Result<PhotonBuffer> {
-        let class = class_of(len);
-        if let Some(b) = self.free.lock().get_mut(&class).and_then(Vec::pop) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.pooled_bytes.fetch_sub(b.len() as u64, Ordering::Relaxed);
-            b.fill(0);
-            return Ok(b);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.photon.register_buffer(class)
-    }
-
-    /// Return a buffer for reuse. Past the retention cap the buffer is
-    /// deregistered instead, releasing its pinning budget.
-    pub fn give(&self, buf: PhotonBuffer) {
-        let len = buf.len() as u64;
-        if self.pooled_bytes.load(Ordering::Relaxed) + len > self.max_pooled_bytes as u64 {
-            let _ = self.photon.release_buffer(&buf);
-            return;
-        }
-        self.pooled_bytes.fetch_add(len, Ordering::Relaxed);
-        self.free.lock().entry(class_backed_by(buf.len())).or_default().push(buf);
-    }
-
-    /// Deregister everything currently pooled (releases pinning budget).
-    pub fn drain(&self) -> Result<()> {
-        let all: Vec<PhotonBuffer> = self.free.lock().drain().flat_map(|(_, v)| v).collect();
-        for b in all {
-            self.pooled_bytes.fetch_sub(b.len() as u64, Ordering::Relaxed);
-            self.photon.release_buffer(&b)?;
-        }
-        Ok(())
-    }
-
-    /// Bytes currently retained (pinned but idle).
-    pub fn pooled_bytes(&self) -> usize {
-        self.pooled_bytes.load(Ordering::Relaxed) as usize
-    }
-
-    /// `(hits, misses)` so far.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
-    }
-}
-
-// --------------------------------------------------------------- Recycler
 
 /// Per-class retention cap of the thread-local [`Recycler`] cache.
 const RECYCLER_PER_CLASS: usize = 16;
@@ -147,15 +49,12 @@ std::thread_local! {
 }
 
 /// A thread-local recycler cache for plain heap buffers (`Vec<u8>`),
-/// bucketed by the same power-of-two size classes as [`BufferPool`].
+/// bucketed by power-of-two size class.
 ///
-/// Where [`BufferPool`] recycles *registered* regions (saving the
-/// registration round trip), `Recycler` recycles ordinary staging vectors —
-/// parcel encodings, coalescer batches, bounce buffers — saving the
-/// allocator round trip on hot paths. Being thread-local it takes no lock
-/// and needs no ownership protocol: `take` hands out a cleared vector with
-/// at least the class capacity, `give` returns it to the caller's own
-/// cache (dropped past a per-class cap, so idle threads cannot hoard).
+/// Being thread-local it takes no lock and needs no ownership protocol:
+/// `take` hands out a cleared vector with at least the class capacity,
+/// `give` returns it to the caller's own cache (dropped past a per-class
+/// cap, so idle threads cannot hoard).
 ///
 /// Ownership rule (see DESIGN.md, "Progress engine"): a recycled vector
 /// belongs to exactly one thread's cache at a time; giving a vector back
@@ -211,93 +110,6 @@ impl Recycler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PhotonCluster, PhotonConfig};
-    use photon_fabric::NetworkModel;
-
-    #[test]
-    fn pool_reuses_and_zeroes() {
-        let c = PhotonCluster::new(1, NetworkModel::ib_fdr(), PhotonConfig::default());
-        let pool = BufferPool::new(c.rank(0).clone());
-        let before = c.rank(0).now();
-        let a = pool.take(64).unwrap();
-        a.write_u64(0, 7);
-        let a_key = a.descriptor();
-        pool.give(a);
-        let after_first = c.rank(0).now();
-        assert!(after_first > before, "first take pays registration");
-        let b = pool.take(64).unwrap();
-        assert_eq!(b.descriptor().rkey, a_key.rkey, "same region reused");
-        assert_eq!(b.read_u64(0), 0, "reused buffer is zeroed");
-        assert_eq!(c.rank(0).now(), after_first, "hit is free in virtual time");
-        assert_eq!(pool.stats(), (1, 1));
-        pool.give(b);
-    }
-
-    #[test]
-    fn different_sizes_do_not_mix() {
-        let c = PhotonCluster::new(1, NetworkModel::ideal(), PhotonConfig::default());
-        let pool = BufferPool::new(c.rank(0).clone());
-        let a = pool.take(32).unwrap();
-        pool.give(a);
-        let b = pool.take(64).unwrap();
-        assert_eq!(b.len(), 64);
-        assert_eq!(pool.stats(), (0, 2));
-    }
-
-    #[test]
-    fn size_class_serves_near_sizes() {
-        let c = PhotonCluster::new(1, NetworkModel::ideal(), PhotonConfig::default());
-        let pool = BufferPool::new(c.rank(0).clone());
-        let a = pool.take(1024).unwrap();
-        pool.give(a);
-        // 1023 rounds up to the 1024 class: the pooled buffer is reused.
-        let b = pool.take(1023).unwrap();
-        assert_eq!(b.len(), 1024, "class-size buffer serves the request");
-        assert_eq!(pool.stats(), (1, 1));
-        // Odd sizes round up on registration too, so they re-pool cleanly.
-        let d = pool.take(700).unwrap();
-        assert_eq!(d.len(), 1024);
-        pool.give(d);
-        let e = pool.take(513).unwrap();
-        assert_eq!(pool.stats(), (2, 2));
-        pool.give(e);
-        pool.give(b);
-    }
-
-    #[test]
-    fn foreign_odd_buffer_backs_smaller_class_only() {
-        let c = PhotonCluster::new(1, NetworkModel::ideal(), PhotonConfig::default());
-        let p = c.rank(0);
-        let pool = BufferPool::new(p.clone());
-        // A 1000-byte buffer registered outside the pool can only fully
-        // back 512-byte-class requests.
-        let odd = p.register_buffer(1000).unwrap();
-        pool.give(odd);
-        let b = pool.take(600).unwrap();
-        assert!(b.len() >= 600, "freshly registered, not the short pooled one");
-        assert_eq!(pool.stats(), (0, 1));
-        let s = pool.take(512).unwrap();
-        assert_eq!(s.len(), 1000, "pooled odd buffer serves its class");
-        assert_eq!(pool.stats(), (1, 1));
-        pool.give(s);
-        pool.give(b);
-    }
-
-    #[test]
-    fn capacity_cap_deregisters_overflow() {
-        let c = PhotonCluster::new(1, NetworkModel::ideal(), PhotonConfig::default());
-        let p = c.rank(0);
-        let pool = BufferPool::with_capacity(p.clone(), 1024);
-        let before = p.nic().mrs().registered_bytes();
-        let a = pool.take(1024).unwrap();
-        let b = pool.take(1024).unwrap();
-        assert_eq!(p.nic().mrs().registered_bytes(), before + 2048);
-        pool.give(a); // fits the cap: retained
-        assert_eq!(pool.pooled_bytes(), 1024);
-        pool.give(b); // would exceed the cap: deregistered
-        assert_eq!(pool.pooled_bytes(), 1024);
-        assert_eq!(p.nic().mrs().registered_bytes(), before + 1024);
-    }
 
     #[test]
     fn recycler_reuses_capacity_per_class() {
@@ -329,19 +141,5 @@ mod tests {
         assert_eq!(Recycler::cached(), RECYCLER_PER_CLASS);
         Recycler::clear();
         assert_eq!(Recycler::cached(), 0);
-    }
-
-    #[test]
-    fn drain_releases_pinning() {
-        let c = PhotonCluster::new(1, NetworkModel::ideal(), PhotonConfig::default());
-        let p = c.rank(0);
-        let pool = BufferPool::new(p.clone());
-        let before = p.nic().mrs().registered_bytes();
-        let a = pool.take(4096).unwrap();
-        pool.give(a);
-        assert_eq!(p.nic().mrs().registered_bytes(), before + 4096);
-        pool.drain().unwrap();
-        assert_eq!(p.nic().mrs().registered_bytes(), before);
-        assert_eq!(pool.pooled_bytes(), 0);
     }
 }

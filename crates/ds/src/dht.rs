@@ -465,15 +465,14 @@ impl Dht {
         let sh = &self.sh;
         let p = node.photon();
         let h = hash_key(key);
-        let tmp = p.register_buffer(sh.slot.slot_bytes())?;
-        let out = (|| {
+        p.with_scratch(sh.slot.slot_bytes(), |tmp| {
             'probe: for i in 0..sh.cfg.probe_len {
                 let off = sh.slot.offset(bucket_at(sh, h, i));
                 for _ in 0..sh.cfg.lock_retries {
                     let rid = p.internal_rid();
                     p.get_with_completion(
                         owner,
-                        &tmp,
+                        tmp,
                         0,
                         sh.slot.slot_bytes(),
                         &sh.descs[owner],
@@ -489,7 +488,7 @@ impl Dht {
                         std::thread::sleep(LOCK_PAUSE);
                         continue;
                     }
-                    match parse_snapshot(sh, &tmp, h, key) {
+                    match parse_snapshot(sh, tmp, h, key) {
                         Slot::Empty => return Ok(Some(None)),
                         Slot::Other => continue 'probe,
                         Slot::Spilled => return Ok(None), // owner must answer
@@ -499,9 +498,7 @@ impl Dht {
                 return Ok(None); // lock stuck: let the owner arbitrate
             }
             Ok(Some(None))
-        })();
-        p.release_buffer(&tmp)?;
-        out
+        })
     }
 
     /// One-sided store. `Ok(true)` = stored; `Ok(false)` = fall back to RPC
@@ -513,71 +510,70 @@ impl Dht {
         }
         let p = node.photon();
         let h = hash_key(key);
-        let tmp = p.register_buffer(sh.slot.slot_bytes())?;
-        let word = p.register_buffer(8)?;
-        let out = (|| {
-            'probe: for i in 0..sh.cfg.probe_len {
-                let off = sh.slot.offset(bucket_at(sh, h, i));
-                for _ in 0..sh.cfg.lock_retries {
-                    let rid = p.internal_rid();
-                    p.get_with_completion(
-                        owner,
-                        &tmp,
-                        0,
-                        sh.slot.slot_bytes(),
-                        &sh.descs[owner],
-                        off,
-                        rid,
-                    )?;
-                    p.wait_local(rid)?;
-                    let v = tmp.read_u64(sh.lay.ver);
-                    if v & 1 == 1 {
-                        std::thread::sleep(LOCK_PAUSE);
-                        continue;
+        p.with_scratch(sh.slot.slot_bytes(), |tmp| {
+            p.with_scratch(8, |word| {
+                'probe: for i in 0..sh.cfg.probe_len {
+                    let off = sh.slot.offset(bucket_at(sh, h, i));
+                    for _ in 0..sh.cfg.lock_retries {
+                        let rid = p.internal_rid();
+                        p.get_with_completion(
+                            owner,
+                            tmp,
+                            0,
+                            sh.slot.slot_bytes(),
+                            &sh.descs[owner],
+                            off,
+                            rid,
+                        )?;
+                        p.wait_local(rid)?;
+                        let v = tmp.read_u64(sh.lay.ver);
+                        if v & 1 == 1 {
+                            std::thread::sleep(LOCK_PAUSE);
+                            continue;
+                        }
+                        match parse_snapshot(sh, tmp, h, key) {
+                            Slot::Other => continue 'probe,
+                            // The owner must clear its spill entry with the
+                            // bucket lock held; only the RPC path can.
+                            Slot::Spilled => return Ok(false),
+                            Slot::Empty | Slot::Inline(_) => {}
+                        }
+                        // Lock: CAS v -> v+1. Success proves the bucket is
+                        // unchanged since the snapshot (versions only grow).
+                        let seen =
+                            p.compare_swap(owner, &sh.descs[owner], off + sh.lay.ver, v, v + 1)?;
+                        if seen != v {
+                            DsCounters::bump(&sh.counters.dht_lock_conflicts);
+                            continue;
+                        }
+                        // Write every payload field in one put (hash onward).
+                        tmp.write_u64(sh.lay.hash, h);
+                        tmp.write_u64(sh.lay.meta, pack_meta(key.len(), val.len() as u32));
+                        tmp.write_at(sh.lay.key, key);
+                        tmp.write_at(sh.lay.val, val);
+                        let rid = p.internal_rid();
+                        p.put(
+                            owner,
+                            tmp,
+                            sh.lay.hash,
+                            sh.slot.slot_bytes() - sh.lay.hash,
+                            &sh.descs[owner],
+                            off + sh.lay.hash,
+                            rid,
+                        )?;
+                        p.wait_local(rid)?;
+                        // Release: publish version v+2.
+                        word.write_u64(0, v + 2);
+                        let rid = p.internal_rid();
+                        p.put(owner, word, 0, 8, &sh.descs[owner], off + sh.lay.ver, rid)?;
+                        p.wait_local(rid)?;
+                        return Ok(true);
                     }
-                    match parse_snapshot(sh, &tmp, h, key) {
-                        Slot::Other => continue 'probe,
-                        // The owner must clear its spill entry with the
-                        // bucket lock held; only the RPC path can.
-                        Slot::Spilled => return Ok(false),
-                        Slot::Empty | Slot::Inline(_) => {}
-                    }
-                    // Lock: CAS v -> v+1. Success proves the bucket is
-                    // unchanged since the snapshot (versions only grow).
-                    if p.compare_swap(owner, &sh.descs[owner], off + sh.lay.ver, v, v + 1)? != v {
-                        DsCounters::bump(&sh.counters.dht_lock_conflicts);
-                        continue;
-                    }
-                    // Write every payload field in one put (hash onward).
-                    tmp.write_u64(sh.lay.hash, h);
-                    tmp.write_u64(sh.lay.meta, pack_meta(key.len(), val.len() as u32));
-                    tmp.write_at(sh.lay.key, key);
-                    tmp.write_at(sh.lay.val, val);
-                    let rid = p.internal_rid();
-                    p.put(
-                        owner,
-                        &tmp,
-                        sh.lay.hash,
-                        sh.slot.slot_bytes() - sh.lay.hash,
-                        &sh.descs[owner],
-                        off + sh.lay.hash,
-                        rid,
-                    )?;
-                    p.wait_local(rid)?;
-                    // Release: publish version v+2.
-                    word.write_u64(0, v + 2);
-                    let rid = p.internal_rid();
-                    p.put(owner, &word, 0, 8, &sh.descs[owner], off + sh.lay.ver, rid)?;
-                    p.wait_local(rid)?;
-                    return Ok(true);
+                    return Ok(false); // contention budget spent: try RPC
                 }
-                return Ok(false); // contention budget spent: try RPC
-            }
-            Err(DsError::Full)
-        })();
-        p.release_buffer(&tmp)?;
-        p.release_buffer(&word)?;
-        out
+                Err(DsError::Full)
+            })
+        })
     }
 }
 

@@ -326,11 +326,10 @@ impl DQueue {
         }
         let p = node.photon();
         let owner = sh.cfg.owner;
-        let tmp = p.register_buffer(sh.slot.slot_bytes().max(CTRL_BYTES))?;
-        let out = (|| {
+        p.with_scratch(sh.slot.slot_bytes().max(CTRL_BYTES), |tmp| {
             for _ in 0..sh.cfg.claim_retries {
                 let rid = p.internal_rid();
-                p.get_with_completion(owner, &tmp, 0, CTRL_BYTES, &sh.ctrl_desc, 0, rid)?;
+                p.get_with_completion(owner, tmp, 0, CTRL_BYTES, &sh.ctrl_desc, 0, rid)?;
                 p.wait_local(rid)?;
                 let t = tmp.read_u64(CTRL_TAIL);
                 let head_pub = tmp.read_u64(CTRL_HEAD);
@@ -352,7 +351,7 @@ impl DQueue {
                 let rid = p.internal_rid();
                 p.put(
                     owner,
-                    &tmp,
+                    tmp,
                     sh.lay.len,
                     sh.slot.slot_bytes() - sh.lay.len,
                     &sh.ring_desc,
@@ -362,14 +361,12 @@ impl DQueue {
                 p.wait_local(rid)?;
                 tmp.write_u64(0, t + 1);
                 let rid = p.internal_rid();
-                p.put(owner, &tmp, 0, 8, &sh.ring_desc, off + sh.lay.seq, rid)?;
+                p.put(owner, tmp, 0, 8, &sh.ring_desc, off + sh.lay.seq, rid)?;
                 p.wait_local(rid)?;
                 return Ok(true);
             }
             Ok(false) // claim contention: let the owner serialize us
-        })();
-        p.release_buffer(&tmp)?;
-        out
+        })
     }
 }
 

@@ -69,13 +69,12 @@ impl GlobalArray {
             return Ok(self.locals[owner].read_u64(off));
         }
         let p = node.photon();
-        let tmp = p.register_buffer(8)?;
-        let rid = p.internal_rid();
-        p.get_with_completion(owner, &tmp, 0, 8, &self.descs[owner], off, rid)?;
-        p.wait_local(rid)?;
-        let v = tmp.read_u64(0);
-        p.release_buffer(&tmp)?;
-        Ok(v)
+        p.with_scratch(8, |tmp| {
+            let rid = p.internal_rid();
+            p.get_with_completion(owner, tmp, 0, 8, &self.descs[owner], off, rid)?;
+            p.wait_local(rid)?;
+            Ok(tmp.read_u64(0))
+        })
     }
 
     /// One-sided write of element `idx` from `node`; returns after the
@@ -88,13 +87,13 @@ impl GlobalArray {
             return Ok(());
         }
         let p = node.photon();
-        let tmp = p.register_buffer(8)?;
-        tmp.write_u64(0, v);
-        let rid = p.internal_rid();
-        p.put(owner, &tmp, 0, 8, &self.descs[owner], off, rid)?;
-        p.wait_local(rid)?;
-        p.release_buffer(&tmp)?;
-        Ok(())
+        p.with_scratch(8, |tmp| {
+            tmp.write_u64(0, v);
+            let rid = p.internal_rid();
+            p.put(owner, tmp, 0, 8, &self.descs[owner], off, rid)?;
+            p.wait_local(rid)?;
+            Ok(())
+        })
     }
 
     /// Bulk one-sided write (`memput`): store `values` at consecutive
@@ -107,28 +106,28 @@ impl GlobalArray {
         self.check(idx)?;
         self.check(idx + values.len() - 1)?;
         let p = node.photon();
-        let tmp = p.register_buffer(values.len() * 8)?;
-        for (k, v) in values.iter().enumerate() {
-            tmp.write_u64(k * 8, *v);
-        }
-        let mut done = 0usize;
-        while done < values.len() {
-            let (owner, off) = self.locate(idx + done);
-            let in_block =
-                (self.elems_per_rank - (idx + done) % self.elems_per_rank).min(values.len() - done);
-            let bytes = in_block * 8;
-            if owner == node.rank() {
-                let data = tmp.to_vec(done * 8, bytes);
-                self.locals[owner].write_at(off, &data);
-            } else {
-                let rid = p.internal_rid();
-                p.put(owner, &tmp, done * 8, bytes, &self.descs[owner], off, rid)?;
-                p.wait_local(rid)?;
+        p.with_scratch(values.len() * 8, |tmp| {
+            for (k, v) in values.iter().enumerate() {
+                tmp.write_u64(k * 8, *v);
             }
-            done += in_block;
-        }
-        p.release_buffer(&tmp)?;
-        Ok(())
+            let mut done = 0usize;
+            while done < values.len() {
+                let (owner, off) = self.locate(idx + done);
+                let in_block = (self.elems_per_rank - (idx + done) % self.elems_per_rank)
+                    .min(values.len() - done);
+                let bytes = in_block * 8;
+                if owner == node.rank() {
+                    let data = tmp.to_vec(done * 8, bytes);
+                    self.locals[owner].write_at(off, &data);
+                } else {
+                    let rid = p.internal_rid();
+                    p.put(owner, tmp, done * 8, bytes, &self.descs[owner], off, rid)?;
+                    p.wait_local(rid)?;
+                }
+                done += in_block;
+            }
+            Ok(())
+        })
     }
 
     /// Bulk one-sided read (`memget`): load `out.len()` consecutive
@@ -140,28 +139,36 @@ impl GlobalArray {
         self.check(idx)?;
         self.check(idx + out.len() - 1)?;
         let p = node.photon();
-        let tmp = p.register_buffer(out.len() * 8)?;
-        let mut done = 0usize;
-        while done < out.len() {
-            let (owner, off) = self.locate(idx + done);
-            let in_block =
-                (self.elems_per_rank - (idx + done) % self.elems_per_rank).min(out.len() - done);
-            let bytes = in_block * 8;
-            if owner == node.rank() {
-                let data = self.locals[owner].to_vec(off, bytes);
-                tmp.write_at(done * 8, &data);
-            } else {
-                let rid = p.internal_rid();
-                p.get_with_completion(owner, &tmp, done * 8, bytes, &self.descs[owner], off, rid)?;
-                p.wait_local(rid)?;
+        p.with_scratch(out.len() * 8, |tmp| {
+            let mut done = 0usize;
+            while done < out.len() {
+                let (owner, off) = self.locate(idx + done);
+                let in_block = (self.elems_per_rank - (idx + done) % self.elems_per_rank)
+                    .min(out.len() - done);
+                let bytes = in_block * 8;
+                if owner == node.rank() {
+                    let data = self.locals[owner].to_vec(off, bytes);
+                    tmp.write_at(done * 8, &data);
+                } else {
+                    let rid = p.internal_rid();
+                    p.get_with_completion(
+                        owner,
+                        tmp,
+                        done * 8,
+                        bytes,
+                        &self.descs[owner],
+                        off,
+                        rid,
+                    )?;
+                    p.wait_local(rid)?;
+                }
+                done += in_block;
             }
-            done += in_block;
-        }
-        for (k, o) in out.iter_mut().enumerate() {
-            *o = tmp.read_u64(k * 8);
-        }
-        p.release_buffer(&tmp)?;
-        Ok(())
+            for (k, o) in out.iter_mut().enumerate() {
+                *o = tmp.read_u64(k * 8);
+            }
+            Ok(())
+        })
     }
 
     /// Direct access to the local block of `rank` (owner-side compute).
@@ -174,7 +181,7 @@ impl GlobalArray {
 mod tests {
 
     use crate::{ActionRegistry, RtConfig, RuntimeCluster};
-    use photon_fabric::NetworkModel;
+    use photon_fabric::{NetworkModel, VTime};
 
     #[test]
     fn locate_math() {
@@ -254,5 +261,26 @@ mod tests {
         let a = c.alloc_global_array(2).unwrap();
         assert!(a.get(c.node(0), 5).is_err());
         c.shutdown();
+    }
+
+    #[test]
+    fn ops_toward_a_dead_owner_release_their_scratch() {
+        let c = RuntimeCluster::new(
+            2,
+            NetworkModel::ib_fdr(),
+            RtConfig::default(),
+            ActionRegistry::new(),
+        );
+        let a = c.alloc_global_array(4).unwrap(); // elements 4..8 live on rank 1
+        c.photon().fabric().switch().faults().kill_node_at(1, VTime(0));
+        let n0 = c.node(0);
+        let mrs = n0.photon().nic().mrs();
+        let before = (mrs.region_count(), mrs.registered_bytes());
+        assert!(a.get(n0, 5).is_err());
+        assert!(a.put(n0, 5, 1).is_err());
+        assert!(a.get_slice(n0, 4, &mut [0; 3]).is_err());
+        assert!(a.put_slice(n0, 4, &[1, 2, 3]).is_err());
+        c.shutdown();
+        assert_eq!((mrs.region_count(), mrs.registered_bytes()), before, "scratch leaked");
     }
 }

@@ -470,7 +470,10 @@ mod tests {
         let cfg =
             RtConfig { rpc: crate::rpc::RpcConfig { dedup_window: 1 }, ..RtConfig::default() };
         let c = RuntimeCluster::new(2, NetworkModel::ib_fdr(), cfg, ActionRegistry::new());
-        c.node(1).rpc_serve::<Slow>(|v| {
+        let admitted = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let a2 = Arc::clone(&admitted);
+        c.node(1).rpc_serve::<Slow>(move |v| {
+            a2.store(true, Ordering::Release);
             std::thread::sleep(Duration::from_millis(40));
             Ok(v * 2)
         });
@@ -480,6 +483,16 @@ mod tests {
             RpcOptions::at_most_once().with_timeout(Duration::from_millis(30)).with_attempts(6);
         let c1 = Arc::clone(&client);
         let h = std::thread::spawn(move || c1.call::<Slow>(&3, opts));
+        // The second call takes its sequence number only once the first is
+        // admitted. Were the two numbers to reach the server in the other
+        // order, the higher one's completion would raise the window's floor
+        // past the lower one, which then resolves as stale, not busy (the
+        // case `dedup::eviction_can_strand_the_new_seq` pins).
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !admitted.load(Ordering::Acquire) {
+            assert!(std::time::Instant::now() < deadline, "the first call was never admitted");
+            std::thread::yield_now();
+        }
         let c2 = Arc::clone(&client);
         let h2 = std::thread::spawn(move || c2.call::<Slow>(&5, opts));
         let (a, b) = (h.join().unwrap().unwrap(), h2.join().unwrap().unwrap());

@@ -22,6 +22,10 @@ const RID_PARCEL: u64 = 1;
 const RID_RDV_CTRL: u64 = 2;
 /// Remote completions one poll turn harvests at most.
 const POLL_BATCH: usize = 64;
+/// Parcels with encodings at or below this size (capped by the context's
+/// eager payload limit) travel as one eager PWC message; larger ones
+/// rendezvous.
+const PARCEL_EAGER_MAX: usize = 8192;
 
 /// Internal action: set an LCO with the payload.
 const ACTION_SET_LCO: ActionId = 0;
@@ -36,9 +40,6 @@ pub struct RtConfig {
     /// Worker threads per node (at least 1): they run parcel handlers and,
     /// when idle, poll the network.
     pub workers: usize,
-    /// Parcels with encodings at or below this size travel as one eager PWC
-    /// message; larger ones rendezvous.
-    pub parcel_eager_max: usize,
     /// Coalesce up to this many small parcels per destination into one
     /// doorbell-batched eager post (0 disables coalescing). Batches also
     /// flush when full for the wire, when a worker's poll turn comes up
@@ -60,7 +61,6 @@ impl Default for RtConfig {
     fn default() -> Self {
         RtConfig {
             workers: 2,
-            parcel_eager_max: 8192,
             coalesce_max: 0,
             rpc: crate::rpc::RpcConfig::default(),
             membership: None,
@@ -341,7 +341,7 @@ impl RtNode {
             self.sched.submit(Box::new(move || node.run_parcel(p.action, p.cont, &p.payload)));
             return Ok(());
         }
-        let eager_cap = self.cfg.parcel_eager_max.min(self.photon.config().max_eager_payload());
+        let eager_cap = PARCEL_EAGER_MAX.min(self.photon.config().max_eager_payload());
         if PARCEL_HDR + payload.len() > eager_cap {
             return self.send_parcel_rendezvous(target, action, cont, payload);
         }
@@ -394,15 +394,6 @@ impl RtNode {
         Ok(())
     }
 
-    /// Send the same parcel to every rank (self included): the fan-out
-    /// primitive runtime broadcasts are built from.
-    pub fn broadcast_parcel(&self, action: ActionId, payload: &[u8]) -> Result<()> {
-        for r in 0..self.n {
-            self.send_parcel(r, action, payload)?;
-        }
-        Ok(())
-    }
-
     /// Force-flush all coalesced batches (call before waiting on replies).
     pub fn flush_parcels(&self) -> Result<()> {
         let pending = self.coalescer.lock().take_all();
@@ -433,12 +424,13 @@ impl RtNode {
         // rendezvous against the receiver's announced landing zone. If the
         // receiver dies mid-handshake the rendezvous resolves with
         // PeerDead (the core's failure-aware waits) rather than hanging.
-        let buf = self.photon.register_buffer(payload.len())?;
-        buf.write_at(0, payload);
-        let sent = self.photon.send_rendezvous(target, &buf, 0, payload.len(), tag);
-        self.photon.release_buffer(&buf)?;
-        sent.map_err(|e| self.note_send_failure(1, e.into()))?;
-        Ok(())
+        // A registration failure is not a send failure: it stays uncounted.
+        self.photon.with_scratch(payload.len(), |buf| {
+            buf.write_at(0, payload);
+            self.photon
+                .send_rendezvous(target, buf, 0, payload.len(), tag)
+                .map_err(|e| self.note_send_failure(1, e.into()))
+        })
     }
 
     // ------------------------------------------------------- network side
@@ -522,9 +514,8 @@ impl RtNode {
                 // The pull runs as a task, off the turn, so other workers
                 // keep polling while it waits for the payload.
                 out.push(Box::new(move || {
-                    let run = || -> Result<()> {
-                        let buf = node.photon.register_buffer(size)?;
-                        node.photon.post_recv_buffer(src, &buf, 0, size, tag)?;
+                    let pull = node.photon.with_scratch(size, |buf| -> Result<Vec<u8>> {
+                        node.photon.post_recv_buffer(src, buf, 0, size, tag)?;
                         // Transient stalls get bounded re-waits; peer death
                         // escalates out of the loop immediately (the
                         // failure-aware wait_fin runs the health gate).
@@ -538,13 +529,10 @@ impl RtNode {
                                 Err(e) => return Err(e.into()),
                             }
                         }
-                        let payload = buf.to_vec(0, size);
-                        node.photon.release_buffer(&buf)?;
-                        node.run_parcel(action, cont, &payload);
-                        Ok(())
-                    };
-                    match run() {
-                        Ok(()) => {}
+                        Ok(buf.to_vec(0, size))
+                    });
+                    match pull {
+                        Ok(payload) => node.run_parcel(action, cont, &payload),
                         // The sender died between its control message and
                         // the payload transfer: the parcel can never run.
                         // Count the drop and degrade gracefully.
@@ -717,7 +705,7 @@ mod tests {
         let cfg = RtConfig { coalesce_max, ..RtConfig::default() };
         let c = RuntimeCluster::new(2, NetworkModel::ib_fdr(), cfg, reg);
         let n0 = c.node(0);
-        let eager_cap = cfg.parcel_eager_max.min(n0.photon().config().max_eager_payload());
+        let eager_cap = PARCEL_EAGER_MAX.min(n0.photon().config().max_eager_payload());
         for (len, rdv) in [(eager_cap - PARCEL_HDR, 0), (eager_cap - PARCEL_HDR + 1, 1)] {
             let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
             n0.send_parcel(1, keep, &payload).unwrap();
@@ -1053,6 +1041,34 @@ mod tests {
         assert_eq!(n0.send_parcel(1, sink, &payload).unwrap_err(), RtError::PeerDead(1));
         assert_eq!(n0.stats().parcels_failed, 1);
         c.shutdown();
+    }
+
+    #[test]
+    fn rendezvous_from_a_dead_sender_is_dropped_without_leaking() {
+        use photon_fabric::VTime;
+        let mut reg = ActionRegistry::new();
+        let sink = reg.register("sink", |_, _| None);
+        let c = boot(2, reg);
+        let p1 = c.node(1).photon();
+        // Live regions net of the two blocks each live connection holds.
+        let scratch = || p1.nic().mrs().region_count() - 2 * p1.conn_count();
+        let baseline = scratch();
+        // The control message of a 64 KiB parcel whose payload never comes:
+        // the sender dies right after announcing it.
+        let mut ctrl = Vec::new();
+        ctrl.extend_from_slice(&7u64.to_le_bytes());
+        ctrl.extend_from_slice(&(64 * 1024u64).to_le_bytes());
+        encode_into(&mut ctrl, sink, None, &[]);
+        c.node(0).photon().send(1, &ctrl, RID_RDV_CTRL).unwrap();
+        c.photon().fabric().switch().faults().kill_node_at(0, VTime(0));
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while c.node(1).stats().parcels_dropped == 0 {
+            assert!(std::time::Instant::now() < deadline, "the parcel was never dropped");
+            std::thread::yield_now();
+        }
+        c.shutdown();
+        assert_eq!(c.node(1).stats().parcels_dropped, 1);
+        assert_eq!(scratch(), baseline, "the landing zone leaked");
     }
 
     #[test]

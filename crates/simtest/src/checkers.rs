@@ -182,6 +182,28 @@ pub fn check_stats(rank: usize, p: &Photon, tally: &RankTally, out: &mut Violati
     }
 }
 
+/// Per rank, the registrations not pinned by a live connection: live
+/// regions minus the two blocks (service and staging) each connection
+/// holds. Snapshot it right after a structure boots, then hand it to
+/// [`check_registrations`].
+pub fn held_registrations(cluster: &PhotonCluster) -> Vec<usize> {
+    cluster.ranks().iter().map(|p| p.nic().mrs().region_count() - 2 * p.conn_count()).collect()
+}
+
+/// **Registration audit**: every transient registration is released on
+/// every path, failed ops included, so once the clients are done each
+/// rank's [`held_registrations`] is back at its `booted` value. A rank
+/// above it leaked pinned memory.
+pub fn check_registrations(cluster: &PhotonCluster, booted: &[usize], out: &mut Violations) {
+    for (r, (now, was)) in held_registrations(cluster).into_iter().zip(booted).enumerate() {
+        if now != *was {
+            out.push(format!(
+                "rank {r}: {now} registrations held beyond connection blocks, {was} after boot"
+            ));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,6 +230,21 @@ mod tests {
         let mut v = Violations::default();
         check_quiescent(&c, &mut v);
         assert!(!v.is_empty(), "undelivered remote event must fail quiescence");
+    }
+
+    #[test]
+    fn leaked_registration_is_reported() {
+        let c = PhotonCluster::new(2, NetworkModel::ideal(), PhotonConfig::default());
+        let booted = held_registrations(&c);
+        // A connection opened after boot pins its blocks; that is no leak.
+        c.rank(0).send(1, b"x", 1).unwrap();
+        let mut v = Violations::default();
+        check_registrations(&c, &booted, &mut v);
+        assert!(v.is_empty(), "{:?}", v.items());
+        let leak = c.rank(1).register_buffer(8).unwrap();
+        check_registrations(&c, &booted, &mut v);
+        assert!(v.items().iter().any(|s| s.starts_with("rank 1:")), "{:?}", v.items());
+        c.rank(1).release_buffer(&leak).unwrap();
     }
 
     #[test]

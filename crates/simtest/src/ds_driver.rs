@@ -28,8 +28,14 @@
 //! in push order. Pushes that resolved as errors are indeterminate (their
 //! value may legitimately surface), and completeness is deliberately not
 //! asserted — a crashed owner takes undrained elements with it.
+//!
+//! *Both flavors* end with the registration audit
+//! ([`check_registrations`]): once the runtime has stopped, every rank
+//! holds the registrations it held right after the structure booted, net
+//! of connection blocks. A one-sided op that failed without releasing its
+//! scratch buffer shows up here.
 
-use crate::checkers::Violations;
+use crate::checkers::{check_registrations, held_registrations, Violations};
 use crate::clients::{self, token_of, with_clients};
 use crate::exec::CaseReport;
 use crate::schedule::{Op, Schedule, SimParams};
@@ -204,12 +210,16 @@ pub fn run_ds_case(seed: u64, case_id: u64, params: &SimParams) -> CaseReport {
     let sched = Schedule::generate(seed, case_id, params);
     let cluster = clients::boot(&sched);
     // Every fourth case drives the queue; the rest drive the DHT.
-    let (flavor, violations) = if case_id % 4 == 3 {
+    let (flavor, (mut violations, booted)) = if case_id % 4 == 3 {
         ("dq", run_queue_case(&cluster, &sched))
     } else {
         ("dht", run_dht_case(&cluster, &sched))
     };
+    // Audited once the runtime has stopped: no worker is then midway
+    // through opening or dropping a connection, whose blocks the audit nets
+    // out.
     cluster.shutdown();
+    check_registrations(cluster.photon(), &booted, &mut violations);
 
     let digest_src = format!(
         "ds n={} flavor={flavor} ops={} v={:?}",
@@ -220,12 +230,15 @@ pub fn run_ds_case(seed: u64, case_id: u64, params: &SimParams) -> CaseReport {
     CaseReport::verdict(seed, case_id, violations, &digest_src)
 }
 
-fn run_dht_case(cluster: &RuntimeCluster, sched: &Schedule) -> Violations {
+/// Run a DHT case: its violations, and each rank's registrations right
+/// after the table booted (for the registration audit).
+fn run_dht_case(cluster: &RuntimeCluster, sched: &Schedule) -> (Violations, Vec<usize>) {
     let dht = Dht::new(
         cluster,
         DhtConfig { buckets_per_rank: 64, key_max: 8, val_max: 16, ..DhtConfig::default() },
     )
     .expect("dht boots before chaos");
+    let booted = held_registrations(cluster.photon());
 
     let clock = AtomicU64::new(0);
     let records: Vec<Mutex<Option<Recorded>>> =
@@ -301,20 +314,23 @@ fn run_dht_case(cluster: &RuntimeCluster, sched: &Schedule) -> Violations {
             violations.push(format!("key {key}: history not linearizable: {hist:?}"));
         }
     }
-    violations
+    (violations, booted)
 }
 
 fn decode_val(v: Vec<u8>) -> Val {
     u64::from_le_bytes(v.as_slice().try_into().expect("ds values are token u64s"))
 }
 
-fn run_queue_case(cluster: &RuntimeCluster, sched: &Schedule) -> Violations {
+/// Run a queue case: like [`run_dht_case`], violations plus the
+/// registrations right after the queue booted.
+fn run_queue_case(cluster: &RuntimeCluster, sched: &Schedule) -> (Violations, Vec<usize>) {
     let owner = sched.rpc_server.expect("ds schedules carry an owner rank");
     let q = DQueue::new(
         cluster,
         DQueueConfig { capacity: 16, val_max: 16, owner, ..Default::default() },
     )
     .expect("queue boots before chaos");
+    let booted = held_registrations(cluster.photon());
 
     // Push outcome per op: Ok(true) = success, Ok(false) = typed error
     // (indeterminate), Err = untyped error, None = never resolved.
@@ -402,7 +418,7 @@ fn run_queue_case(cluster: &RuntimeCluster, sched: &Schedule) -> Violations {
                 .push(format!("producer {client}: pops {order:?} out of push order {expected:?}"));
         }
     }
-    violations
+    (violations, booted)
 }
 
 #[cfg(test)]
