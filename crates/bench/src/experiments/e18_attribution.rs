@@ -11,7 +11,7 @@
 
 use crate::report::{size_label, us, Table};
 use photon_core::obs::{OpSpan, SpanDir};
-use photon_core::{PhotonCluster, PhotonConfig};
+use photon_core::{PhotonCluster, PhotonConfig, ProbeFlags};
 use photon_fabric::{NetworkModel, VTime, Window};
 
 /// Mean of `f` over spans where it yields a value, in ns (0 if none).
@@ -51,9 +51,9 @@ fn staged_puts(
     let d = dst.descriptor();
     for i in 0..iters {
         p0.put_with_completion(1, &src, 0, size, &d, 0, i, i).unwrap();
-        let local = p0.wait_completion().unwrap();
+        let local = p0.wait_completion_matching(ProbeFlags::Any).unwrap();
         assert!(local.is_ok() && local.rid == i);
-        let remote = p1.wait_completion().unwrap();
+        let remote = p1.wait_completion_matching(ProbeFlags::Any).unwrap();
         assert!(remote.rid == i);
     }
     let init = p0.span_trace().spans;

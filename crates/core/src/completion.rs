@@ -33,7 +33,7 @@
 //! lock, and the caller pushes the events from there; no path holds a
 //! local-queue shard while it takes a wr shard.
 
-use crate::probe::RemoteEvent;
+use crate::probe::Completion;
 use crate::Rank;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use photon_fabric::{VTime, WcStatus};
@@ -177,36 +177,6 @@ impl WrTable {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Snapshot of the rids currently in flight — every member of every
-    /// live wr, with multiplicity: the ownership set a `flush_local` is
-    /// allowed to consume.
-    pub(crate) fn pending_rids(&self) -> HashMap<u64, usize> {
-        let mut out = HashMap::new();
-        for shard in &self.shards {
-            let shard = shard.lock();
-            for &rid in shard.slots.iter().filter(|e| e.live).flat_map(|e| &e.rids) {
-                *out.entry(rid).or_insert(0) += 1;
-            }
-        }
-        out
-    }
-
-    /// Snapshot of the `wr_id`s currently in flight — the completion set a
-    /// `flush_local` waits on (a wr leaves the table when its CQE is
-    /// harvested, regardless of who later consumes the event).
-    pub(crate) fn pending_wrs(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        for (si, shard) in self.shards.iter().enumerate() {
-            let shard = shard.lock();
-            for (slot, e) in shard.slots.iter().enumerate() {
-                if e.live {
-                    out.push(encode_wr_id(e.gen, slot, si));
-                }
-            }
-        }
-        out
-    }
-
     /// Does any in-flight work request target `peer`? Used by the
     /// connection cache's eviction policy to prefer idle victims. O(total
     /// slots) scan, but only runs when the cache is over capacity.
@@ -221,19 +191,6 @@ impl WrTable {
             }
         }
         false
-    }
-
-    /// Is `wr_id` still in flight? O(1): shard + slot decode, generation
-    /// compare.
-    pub(crate) fn contains(&self, wr_id: u64) -> bool {
-        let gen = (wr_id >> 32) as u32;
-        if gen == 0 {
-            return false;
-        }
-        let si = (wr_id as usize) & (WR_SHARDS - 1);
-        let slot = ((wr_id >> WR_SHARD_BITS) & ((1u64 << WR_SLOT_BITS) - 1)) as usize;
-        let shard = self.shards[si].lock();
-        shard.slots.get(slot).is_some_and(|e| e.live && e.gen == gen)
     }
 }
 
@@ -291,7 +248,7 @@ impl std::hash::BuildHasher for RidBuildHasher {
 }
 
 /// A `u64`-keyed map using the cheap rid hasher: the local queue's per-rid
-/// index and claims maps, which sit on the harvest and wait hot paths.
+/// index, which sits on the harvest and wait hot paths.
 type RidMap<V> = HashMap<u64, V, RidBuildHasher>;
 
 /// Per-rid slot index. Rids are almost always unique among queued events,
@@ -304,17 +261,6 @@ enum RidIndex {
     Many(VecDeque<u32>),
 }
 
-/// Outcome of a claims-respecting take (see [`LocalQueue::take_rid_unclaimed`]).
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum TakeOutcome {
-    /// An event was consumed.
-    Taken(VTime, WcStatus),
-    /// The rid is claimed by a `wait_local` waiter; not touched.
-    Claimed,
-    /// No event with this rid is queued.
-    Empty,
-}
-
 #[derive(Debug, Default)]
 struct LocalShard {
     nodes: Vec<LocalNode>,
@@ -323,10 +269,6 @@ struct LocalShard {
     tail: u32,
     /// rid → slot(s) holding it (rids may legally repeat).
     by_rid: RidMap<RidIndex>,
-    /// rid → number of `wait_local` waiters currently claiming it. Kept in
-    /// the shard so claim/take share one striped lock instead of adding a
-    /// global mutex to the wait hot path.
-    claims: RidMap<usize>,
 }
 
 impl LocalShard {
@@ -570,44 +512,6 @@ impl LocalQueue {
         Some((ts, status))
     }
 
-    /// Declare a `wait_local(rid)` in progress: `flush_local` must leave
-    /// this rid's events to the waiter. Claims nest (two waiters on the same
-    /// rid hold two claims).
-    pub(crate) fn claim(&self, rid: u64) {
-        let mut shard = self.shards[rid_shard(rid)].lock();
-        *shard.claims.entry(rid).or_insert(0) += 1;
-    }
-
-    /// Release one claim on `rid` (the waiter got its event or gave up).
-    pub(crate) fn unclaim(&self, rid: u64) {
-        let mut shard = self.shards[rid_shard(rid)].lock();
-        if let Entry::Occupied(mut o) = shard.claims.entry(rid) {
-            *o.get_mut() -= 1;
-            if *o.get() == 0 {
-                o.remove();
-            }
-        } else {
-            debug_assert!(false, "unclaim without matching claim");
-        }
-    }
-
-    /// `take_rid`, unless a waiter has claimed `rid`. The claim check and
-    /// the take happen under the same shard lock, so a flush can never steal
-    /// an event from a waiter that claimed first.
-    pub(crate) fn take_rid_unclaimed(&self, rid: u64) -> TakeOutcome {
-        let mut shard = self.shards[rid_shard(rid)].lock();
-        if shard.claims.contains_key(&rid) {
-            return TakeOutcome::Claimed;
-        }
-        let Some(slot) = shard.index_take(rid) else {
-            return TakeOutcome::Empty;
-        };
-        let (_, _, ts, status) = shard.unlink(slot);
-        drop(shard);
-        self.count.fetch_sub(1, Ordering::Relaxed);
-        TakeOutcome::Taken(ts, status)
-    }
-
     pub(crate) fn len(&self) -> usize {
         self.count.load(Ordering::Relaxed)
     }
@@ -623,7 +527,7 @@ impl LocalQueue {
 /// O(N) dense array, so a rank's footprint scales with the peers it has
 /// actually heard from, not the cluster size. The sorted order also keeps
 /// `pop_any`'s rotation deterministic in single-threaded simulations.
-type PeerFifo = Arc<Mutex<VecDeque<RemoteEvent>>>;
+type PeerFifo = Arc<Mutex<VecDeque<Completion>>>;
 
 #[derive(Debug)]
 pub(crate) struct RemoteQueue {
@@ -660,20 +564,20 @@ impl RemoteQueue {
         }
     }
 
-    pub(crate) fn push(&self, ev: RemoteEvent) {
-        self.fifo(ev.src).lock().push_back(ev);
+    pub(crate) fn push(&self, ev: Completion) {
+        self.fifo(ev.peer).lock().push_back(ev);
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Append a drained run of events — all from `src` — under a single
     /// peer-lock acquisition, emptying `buf` (its capacity stays with the
     /// caller's scratch). FIFO order within the run is preserved.
-    pub(crate) fn push_drain(&self, src: Rank, buf: &mut Vec<RemoteEvent>) {
+    pub(crate) fn push_drain(&self, src: Rank, buf: &mut Vec<Completion>) {
         let n = buf.len();
         if n == 0 {
             return;
         }
-        debug_assert!(buf.iter().all(|ev| ev.src == src), "push_drain runs share one source");
+        debug_assert!(buf.iter().all(|ev| ev.peer == src), "push_drain runs share one source");
         self.fifo(src).lock().extend(buf.drain(..));
         self.count.fetch_add(n, Ordering::Relaxed);
     }
@@ -681,7 +585,7 @@ impl RemoteQueue {
     /// Pop the next event, rotating the starting peer so no single producer
     /// monopolizes the probe stream: the one-event case of
     /// [`RemoteQueue::pop_batch`].
-    pub(crate) fn pop_any(&self) -> Option<RemoteEvent> {
+    pub(crate) fn pop_any(&self) -> Option<Completion> {
         let mut got = None;
         self.pop_batch(1, |ev| got = Some(ev));
         got
@@ -695,7 +599,7 @@ impl RemoteQueue {
     /// consecutive events come from it, so a run off one peer costs one
     /// lock. `f` runs under that lock and must not call back into this
     /// queue. Returns how many events were delivered.
-    pub(crate) fn pop_batch(&self, max: usize, mut f: impl FnMut(RemoteEvent)) -> usize {
+    pub(crate) fn pop_batch(&self, max: usize, mut f: impl FnMut(Completion)) -> usize {
         // Repeated pops stop at the first one that sees an empty queue.
         let max = max.min(self.count.load(Ordering::Relaxed));
         if max == 0 {
@@ -704,7 +608,7 @@ impl RemoteQueue {
         let slots = self.slots.read();
         let n = slots.len();
         let start = self.cursor.load(Ordering::Relaxed);
-        let mut held: Option<(usize, MutexGuard<'_, VecDeque<RemoteEvent>>)> = None;
+        let mut held: Option<(usize, MutexGuard<'_, VecDeque<Completion>>)> = None;
         let mut got = 0;
         'events: while got < max {
             for k in 0..n {
@@ -736,7 +640,7 @@ impl RemoteQueue {
     /// Pop the next event from `src` only. O(log peers-heard-from): no scan
     /// past other peers' traffic, and no FIFO allocated just to find it
     /// empty.
-    pub(crate) fn pop_from(&self, src: Rank) -> Option<RemoteEvent> {
+    pub(crate) fn pop_from(&self, src: Rank) -> Option<Completion> {
         let q = {
             let slots = self.slots.read();
             let i = slots.binary_search_by_key(&src, |s| s.0).ok()?;
@@ -762,10 +666,10 @@ impl RemoteQueue {
         let slots = self.slots.read();
         slots.len()
             * (std::mem::size_of::<(Rank, PeerFifo)>()
-                + std::mem::size_of::<Mutex<VecDeque<RemoteEvent>>>())
+                + std::mem::size_of::<Mutex<VecDeque<Completion>>>())
             + slots
                 .iter()
-                .map(|s| s.1.lock().capacity() * std::mem::size_of::<RemoteEvent>())
+                .map(|s| s.1.lock().capacity() * std::mem::size_of::<Completion>())
                 .sum::<usize>()
     }
 }
@@ -834,31 +738,6 @@ mod tests {
         }
         assert_eq!(t.len(), WR_SHARDS);
         assert_eq!(retire(&t, runs[3]), Some((2, vec![30, 31])));
-    }
-
-    #[test]
-    fn wr_table_pending_snapshot_counts_duplicates() {
-        let t = WrTable::new();
-        t.insert([5], 2);
-        t.insert([5], 2);
-        let keep = t.insert([7], 3);
-        let m = t.pending_rids();
-        assert_eq!(m.get(&5), Some(&2));
-        assert_eq!(m.get(&7), Some(&1));
-        retire(&t, keep);
-        assert_eq!(t.pending_rids().get(&7), None);
-    }
-
-    #[test]
-    fn wr_table_pending_snapshot_counts_every_run_member() {
-        let t = WrTable::new();
-        let run = t.insert([1, 2, 3, 1], 4);
-        t.insert([3], 4);
-        let m = t.pending_rids();
-        assert_eq!((m.get(&1), m.get(&2), m.get(&3)), (Some(&2), Some(&1), Some(&2)));
-        assert_eq!(t.len(), 2, "a run is one wr in flight");
-        retire(&t, run);
-        assert_eq!(t.pending_rids(), HashMap::from([(3, 1)]));
     }
 
     #[test]
@@ -948,22 +827,8 @@ mod tests {
         assert_eq!(got, (0..20).collect::<Vec<_>>());
     }
 
-    #[test]
-    fn claims_shield_rids_from_unclaimed_takes() {
-        let q = LocalQueue::new();
-        q.push(7, 3, VTime(1), OK);
-        q.claim(7);
-        assert_eq!(q.take_rid_unclaimed(7), TakeOutcome::Claimed);
-        assert_eq!(q.take_rid_unclaimed(8), TakeOutcome::Empty);
-        assert_eq!(q.take_rid(7), Some((VTime(1), OK)), "the claiming waiter itself still takes");
-        q.unclaim(7);
-        q.push(7, 3, VTime(2), OK);
-        assert_eq!(q.take_rid_unclaimed(7), TakeOutcome::Taken(VTime(2), OK));
-        assert_eq!(q.len(), 0);
-    }
-
-    fn rev(src: Rank, rid: u64) -> RemoteEvent {
-        RemoteEvent { src, rid, size: 0, payload: None, ts: VTime(rid), status: OK }
+    fn rev(src: Rank, rid: u64) -> Completion {
+        Completion::remote(src, rid, 0, None, VTime(rid))
     }
 
     #[test]
@@ -981,7 +846,7 @@ mod tests {
         let mut until_peer2 = 0;
         loop {
             let ev = q.pop_any().expect("events remain");
-            if ev.src == 2 {
+            if ev.peer == 2 {
                 break;
             }
             until_peer2 += 1;
@@ -991,7 +856,7 @@ mod tests {
 
     /// `pop_any` written out one event at a time, independent of
     /// `pop_batch`: the reference the batch drain is held to.
-    fn pop_one(q: &RemoteQueue) -> Option<RemoteEvent> {
+    fn pop_one(q: &RemoteQueue) -> Option<Completion> {
         if q.count.load(Ordering::Relaxed) == 0 {
             return None;
         }
@@ -1025,7 +890,7 @@ mod tests {
         push(1, 7);
         push(2, 2);
         push(5, 4);
-        let key = |ev: RemoteEvent| (ev.src, ev.rid);
+        let key = |ev: Completion| (ev.peer, ev.rid);
         for (step, max) in [1, 5, usize::MAX, 5, 1, usize::MAX, 1, 5, 5].into_iter().enumerate() {
             let mut got = Vec::new();
             let n = batched.pop_batch(max, |ev| got.push(key(ev)));

@@ -6,7 +6,7 @@ use crate::eager::{EagerRx, EagerTx};
 use crate::ledger::{LedgerRx, LedgerTx};
 use crate::obs::Stats;
 use crate::photon::Photon;
-use crate::probe::{rid_space, RemoteEvent};
+use crate::probe::{rid_space, Completion};
 use crate::tx::RunFrame;
 use crate::{PhotonError, Rank, Result};
 use parking_lot::{Mutex, RwLock};
@@ -34,7 +34,7 @@ pub(crate) struct PeerRx {
     /// per-peer event queue in one locked append instead of one lock per
     /// event. Lives with the rx state (whose mutex serializes drainers of
     /// this peer), so steady-state batching allocates nothing.
-    pub(crate) ev_scratch: Vec<RemoteEvent>,
+    pub(crate) ev_scratch: Vec<Completion>,
 }
 
 /// Externally visible classification of a peer by the health machine.

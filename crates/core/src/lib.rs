@@ -39,7 +39,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use photon_core::{PhotonCluster, PhotonConfig};
+//! use photon_core::{PhotonCluster, PhotonConfig, ProbeFlags};
 //! use photon_fabric::NetworkModel;
 //!
 //! // Two "nodes" over a modeled FDR InfiniBand fabric.
@@ -56,10 +56,10 @@
 //! p0.put_with_completion(1, &src, 0, 12, &dst.descriptor(), 0, 7, 99).unwrap();
 //!
 //! // Rank 0 sees its local completion...
-//! let c = p0.wait_completion().unwrap();
+//! let c = p0.wait_completion_matching(ProbeFlags::Any).unwrap();
 //! assert!(c.is_local() && c.rid == 7);
 //! // ...and rank 1 discovers the remote completion by probing.
-//! let c = p1.wait_completion().unwrap();
+//! let c = p1.wait_completion_matching(ProbeFlags::Any).unwrap();
 //! assert!(c.is_remote());
 //! assert_eq!((c.rid, c.peer), (99, 0));
 //! assert_eq!(dst.to_vec(0, 12), b"hello photon");
@@ -98,7 +98,7 @@ pub use obs::{
 };
 pub use photon::{CreditState, GetManyItem, PeerHealthState, Photon, PhotonCluster, PutManyItem};
 pub use pool::Recycler;
-pub use probe::{Completion, CompletionClass, ProbeFlags, RemoteEvent};
+pub use probe::{Completion, CompletionClass, ProbeFlags};
 pub use process::PhotonProcess;
 
 /// The counter-declaration macro, defined in `photon-fabric` (the bottom of

@@ -6,6 +6,13 @@
 //! buffer?"; remote events answer "what just landed in my memory, and what
 //! does it mean?" — the identifier is the meaning, assigned by the
 //! initiator.
+//!
+//! Both classes share one type, [`Completion`], and each way to consume one
+//! is a single `Photon` method: probe (`poll_completion`,
+//! `poll_completions`), test (`test_local`) or wait (`wait_local`,
+//! `wait_completion_matching`, `wait_completion_from`). Every wait gives up
+//! after the config's `wait_timeout_secs` with
+//! [`PhotonError::Timeout`](crate::PhotonError::Timeout).
 
 use crate::Rank;
 use photon_fabric::{VTime, WcStatus};
@@ -23,25 +30,6 @@ pub enum ProbeFlags {
     Any,
 }
 
-/// A remote completion: a peer's PWC/send has fully arrived here.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RemoteEvent {
-    /// The initiating rank.
-    pub src: Rank,
-    /// The remote completion identifier the initiator attached.
-    pub rid: u64,
-    /// Payload size (0 for pure completions).
-    pub size: usize,
-    /// For destination-less sends: the payload itself.
-    pub payload: Option<Vec<u8>>,
-    /// Virtual arrival time.
-    pub ts: VTime,
-    /// Completion status. Anything but [`WcStatus::Success`] means the
-    /// operation this event reports *failed* (peer death, partition flush)
-    /// and `payload` is absent.
-    pub status: WcStatus,
-}
-
 /// Which side of the wire a [`Completion`] was observed on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompletionClass {
@@ -52,16 +40,16 @@ pub enum CompletionClass {
     Remote,
 }
 
-/// The consolidated completion view returned by every probe/wait path
-/// (`Photon::poll_completion` / `poll_completions` / `wait_completion` /
-/// `wait_completion_matching` / `wait_completion_from`).
+/// The one completion type, returned by every class-addressed probe and
+/// wait (`Photon::poll_completion` / `poll_completions` /
+/// `wait_completion_matching` / `wait_completion_from`) and held as is in
+/// the remote event queues.
 ///
 /// One shape for both directions: rid, peer, timestamp, status, and class,
-/// plus the payload/size a remote send delivers. Rid-addressed waits
-/// ([`crate::Photon::wait_local`]) still return bare `(VTime, status)`
-/// information — the caller already knows the rid — and [`RemoteEvent`]
-/// survives as the payload-bearing remote half, interconverting losslessly
-/// with [`CompletionClass::Remote`] completions.
+/// plus the payload/size a remote send delivers. Rid-addressed calls
+/// ([`crate::Photon::wait_local`], [`crate::Photon::test_local`]) return
+/// only the completion's virtual time — the caller already knows the rid —
+/// and surface an error status as [`crate::PhotonError::OpFailed`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Completion {
     /// The completion identifier: the `local` id the initiator passed (for
@@ -104,31 +92,16 @@ impl Completion {
         Completion { rid, peer, ts, status, class: CompletionClass::Local, size: 0, payload: None }
     }
 
-    #[cfg(test)]
-    pub(crate) fn into_remote_event(self) -> RemoteEvent {
-        debug_assert_eq!(self.class, CompletionClass::Remote);
-        RemoteEvent {
-            src: self.peer,
-            rid: self.rid,
-            size: self.size,
-            payload: self.payload,
-            ts: self.ts,
-            status: self.status,
-        }
-    }
-}
-
-impl From<RemoteEvent> for Completion {
-    fn from(r: RemoteEvent) -> Completion {
-        Completion {
-            rid: r.rid,
-            peer: r.src,
-            ts: r.ts,
-            status: r.status,
-            class: CompletionClass::Remote,
-            size: r.size,
-            payload: r.payload,
-        }
+    /// A successful remote completion: `src`'s operation `rid` landed here.
+    pub(crate) fn remote(
+        src: Rank,
+        rid: u64,
+        size: usize,
+        payload: Option<Vec<u8>>,
+        ts: VTime,
+    ) -> Completion {
+        let status = WcStatus::Success;
+        Completion { rid, peer: src, ts, status, class: CompletionClass::Remote, size, payload }
     }
 }
 
@@ -199,23 +172,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn completion_accessors_and_remote_round_trip() {
+    fn completion_accessors_by_class() {
         let c = Completion::local(5, 3, VTime(10), WcStatus::Success);
         assert!(c.is_ok() && c.is_local() && !c.is_remote());
         assert_eq!((c.rid, c.peer, c.ts), (5, 3, VTime(10)));
 
-        let r = RemoteEvent {
-            src: 2,
-            rid: 9,
-            size: 4,
-            payload: Some(vec![1, 2, 3, 4]),
-            ts: VTime(3),
-            status: WcStatus::Success,
-        };
-        let c: Completion = r.clone().into();
-        assert!(c.is_remote() && !c.is_local());
-        assert_eq!((c.peer, c.rid, c.size), (2, 9, 4));
-        assert_eq!(c.clone().into_remote_event(), r);
+        let c = Completion::remote(2, 9, 4, Some(vec![1, 2, 3, 4]), VTime(3));
+        assert!(c.is_ok() && c.is_remote() && !c.is_local());
+        assert_eq!((c.peer, c.rid, c.size, c.ts), (2, 9, 4, VTime(3)));
+        assert_eq!(c.payload.as_deref(), Some(&[1u8, 2, 3, 4][..]));
 
         let bad = Completion::local(1, 0, VTime(1), WcStatus::FlushErr);
         assert!(!bad.is_ok());

@@ -62,7 +62,7 @@ impl Photon {
         buf.check(off, len)?;
         let post = rdv_post(tag, &buf.descriptor_at(off, len)?);
         Stats::bump(&self.stats.rendezvous_ops);
-        self.post_entry_run("rendezvous post credits", peer, &[post])
+        self.post_entry("rendezvous post credits", peer, post)
     }
 
     /// Non-blocking [`Photon::post_recv_buffer`]: `Ok(false)` when the
@@ -79,7 +79,7 @@ impl Photon {
     ) -> Result<bool> {
         buf.check(off, len)?;
         let post = rdv_post(tag, &buf.descriptor_at(off, len)?);
-        let posted = self.try_post_entry_run(peer, &[post])? == 1;
+        let posted = self.try_post_entry(peer, post)?;
         if posted {
             Stats::bump(&self.stats.rendezvous_ops);
         }
@@ -118,40 +118,16 @@ impl Photon {
         }))
     }
 
-    /// Doorbell-batched [`Photon::post_recv_buffer`]: announce every
-    /// `(tag, descriptor)` pair to `peer` in one call, coalescing the
-    /// control entries of contiguous ledger slots into single wire writes
-    /// (runtimes pre-posting a window of landing zones pay one doorbell
-    /// for the window instead of one per buffer). Blocks on ledger credits.
-    pub fn post_recv_buffers(&self, peer: Rank, posts: &[(u64, BufferDescriptor)]) -> Result<()> {
-        self.check_rank(peer)?;
-        let specs: Vec<EntrySpec> = posts.iter().map(|(tag, d)| rdv_post(*tag, d)).collect();
-        self.post_entry_run("rendezvous batch post credits", peer, &specs)?;
-        Stats::add(&self.stats.rendezvous_ops, posts.len() as u64);
-        Ok(())
-    }
-
-    /// Doorbell-batched [`Photon::send_fin`]: post a FIN for every tag in
-    /// `tags` toward `peer`, coalescing contiguous control entries into
-    /// single wire writes. Blocks on ledger credits.
-    pub fn send_fins(&self, peer: Rank, tags: &[u64]) -> Result<()> {
-        self.check_rank(peer)?;
-        let specs: Vec<EntrySpec> = tags.iter().map(|&tag| fin(tag)).collect();
-        self.post_entry_run("fin batch credits", peer, &specs)?;
-        Stats::add(&self.stats.rendezvous_ops, tags.len() as u64);
-        Ok(())
-    }
-
     /// Tell `peer` the put into its announced buffer for `tag` is complete.
     pub fn send_fin(&self, peer: Rank, tag: u64) -> Result<()> {
         Stats::bump(&self.stats.rendezvous_ops);
-        self.post_entry_run("fin credits", peer, &[fin(tag)])
+        self.post_entry("fin credits", peer, fin(tag))
     }
 
     /// Non-blocking [`Photon::send_fin`]: `Ok(false)` when the control
     /// ledger toward `peer` is out of credits.
     pub fn try_send_fin(&self, peer: Rank, tag: u64) -> Result<bool> {
-        let posted = self.try_post_entry_run(peer, &[fin(tag)])? == 1;
+        let posted = self.try_post_entry(peer, fin(tag))?;
         if posted {
             Stats::bump(&self.stats.rendezvous_ops);
         }
@@ -286,53 +262,23 @@ mod tests {
     }
 
     #[test]
-    fn batched_posts_and_fins_coalesce_doorbells() {
-        let c = pair();
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        let n = 8usize;
-        let bufs: Vec<_> = (0..n).map(|_| p1.register_buffer(32).unwrap()).collect();
-        let posts: Vec<(u64, crate::buffers::BufferDescriptor)> =
-            bufs.iter().enumerate().map(|(i, b)| (i as u64, b.descriptor())).collect();
-        // One call announces the whole window; contiguous ledger slots ride
-        // single wire writes instead of one per entry.
-        p1.post_recv_buffers(0, &posts).unwrap();
-        assert_eq!(p1.stats().rendezvous_ops, n as u64);
-        let sbuf = p0.register_buffer(32).unwrap();
-        for tag in 0..n as u64 {
-            let d = p0.wait_send_buffer(1, tag).unwrap();
-            assert_eq!(d.addr, bufs[tag as usize].descriptor().addr);
-            sbuf.write_at(0, &[tag as u8; 32]);
-            let rid = p0.internal_rid();
-            p0.put(1, &sbuf, 0, 32, &d, 0, rid).unwrap();
-            p0.wait_local(rid).unwrap();
-        }
-        // One call FINs the whole window.
-        let tags: Vec<u64> = (0..n as u64).collect();
-        p0.send_fins(1, &tags).unwrap();
-        for tag in 0..n as u64 {
-            p1.wait_fin(0, tag).unwrap();
-            assert_eq!(bufs[tag as usize].to_vec(0, 32), vec![tag as u8; 32]);
-        }
-    }
-
-    #[test]
-    fn batched_posts_survive_credit_exhaustion() {
-        // More entries than the control ledger has slots: the batch must
-        // ride through credit stalls (progress on the consumer side frees
-        // slots) and still deliver every announcement exactly once.
+    fn recv_buffer_posts_survive_credit_exhaustion() {
+        // More announcements than the control ledger has slots: the
+        // blocking posts must ride through credit stalls (progress on the
+        // consumer side frees slots) and still deliver every announcement
+        // exactly once.
         let c = pair();
         let (p0, p1) = (c.rank(0).clone(), c.rank(1).clone());
-        let slots = PhotonConfig::default().ledger_entries;
-        let n = slots * 3;
+        let n = PhotonConfig::default().ledger_entries * 3;
         let buf = p1.register_buffer(8).unwrap();
-        let posts: Vec<(u64, crate::buffers::BufferDescriptor)> =
-            (0..n as u64).map(|tag| (tag, buf.descriptor())).collect();
         let t = std::thread::spawn(move || {
             for tag in 0..n as u64 {
                 p0.wait_send_buffer(1, tag).unwrap();
             }
         });
-        p1.post_recv_buffers(0, &posts).unwrap();
+        for tag in 0..n as u64 {
+            p1.post_recv_buffer(0, &buf, 0, 8, tag).unwrap();
+        }
         t.join().unwrap();
     }
 

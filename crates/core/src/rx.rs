@@ -7,9 +7,9 @@ use crate::eager::{EagerFrame, FrameKind};
 use crate::ledger::{Entry, EntryKind, ENTRY_BYTES};
 use crate::obs::{OpKind, Stats};
 use crate::photon::{MrCache, Photon, CQ_HARVEST_BATCH, RX_SKIP_LIMIT};
-use crate::probe::{rid_space, RemoteEvent};
+use crate::probe::{rid_space, Completion};
 use crate::{PhotonError, Rank, Result};
-use photon_fabric::api::{Access, Completion as Cqe, MemoryRegion, RemoteKey, VTime, WcStatus};
+use photon_fabric::api::{Access, Completion as Cqe, MemoryRegion, RemoteKey, VTime};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -329,7 +329,7 @@ impl Photon {
         size: usize,
         payload: Option<&[u8]>,
         ts: VTime,
-        publish: impl FnOnce(RemoteEvent),
+        publish: impl FnOnce(Completion),
     ) {
         Stats::bump(&self.stats.remote_completions);
         let payload = payload.map(<[u8]>::to_vec);
@@ -338,14 +338,14 @@ impl Photon {
             self.coll_inbox.lock().entry(rid).or_default().push_back((src, body, ts));
         } else {
             self.obs.op_deliver(src, rid, kind, size, ts);
-            publish(RemoteEvent { src, rid, size, payload, ts, status: WcStatus::Success });
+            publish(Completion::remote(src, rid, size, payload, ts));
         }
     }
 
     /// Route one completion-ledger entry. Remote events go to `sink` (the
     /// drain pass's per-peer staging buffer), not straight to the event
     /// queue — the caller publishes the whole run under one peer lock.
-    fn route_entry(&self, src: Rank, e: Entry, sink: &mut Vec<RemoteEvent>) {
+    fn route_entry(&self, src: Rank, e: Entry, sink: &mut Vec<Completion>) {
         let ts = VTime(e.ts);
         match e.kind {
             EntryKind::Completion | EntryKind::GetNotify => {
@@ -377,7 +377,7 @@ impl Photon {
         f: EagerFrame,
         payload: &[u8],
         mr_cache: &mut MrCache,
-        sink: &mut Vec<RemoteEvent>,
+        sink: &mut Vec<Completion>,
     ) -> Result<()> {
         let h = f.header;
         let ts = VTime(h.ts);

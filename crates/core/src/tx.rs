@@ -38,10 +38,8 @@ pub(crate) struct RunFrame {
     pub(crate) local_rid: Option<u64>,
 }
 
-/// One ledger entry of a coalesced control run (see
-/// [`Photon::try_post_entry_run`]): the rendezvous batch APIs build these
-/// and the posting layer packs contiguous ledger slots into single
-/// doorbell writes.
+/// One control-ledger entry (see [`Photon::try_post_entry`]): a rendezvous
+/// announce, a FIN, a get notification or a direct put's completion.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EntrySpec {
     /// Control-entry kind (RdvPost, Fin, ...).
@@ -329,106 +327,63 @@ impl Photon {
         Ok(k)
     }
 
-    /// Claim up to `want` consecutive ledger slots toward `conn`'s peer,
-    /// reading the credit words once on exhaustion. Returns the sequence
-    /// number of the first claimed slot and how many were claimed (`0` on a
-    /// full stall).
-    fn claim_ledger_slots(&self, conn: &Conn, tx: &mut PeerTx, want: usize) -> (u64, usize) {
-        let first_seq = tx.ledger.produced() + 1;
-        let mut claimed = 0usize;
-        let mut refreshed = None;
-        let mut unblocked = None;
-        while claimed < want {
-            match tx.ledger.try_produce() {
-                Some(_) => {
-                    claimed += 1;
-                    unblocked = refreshed;
-                }
-                None if refreshed.is_none() => {
-                    refreshed = Some(self.refresh_tx_credits(conn, tx));
-                }
-                None => break,
-            }
+    /// Claim one ledger slot toward `conn`'s peer, reading the credit words
+    /// once on exhaustion. Returns the claimed slot's sequence number, or
+    /// `None` on a stall.
+    fn claim_ledger_slot(&self, conn: &Conn, tx: &mut PeerTx) -> Option<u64> {
+        if let Some((_, seq)) = tx.ledger.try_produce() {
+            return Some(seq);
         }
-        if claimed == 0 {
+        let t = self.refresh_tx_credits(conn, tx);
+        let Some((_, seq)) = tx.ledger.try_produce() else {
             Stats::bump(&self.stats.credit_stalls);
-        } else if let Some(t) = unblocked {
-            // Unblocked by the credit read: causally ordered after it.
-            self.clock.advance_to(t);
-        }
-        (first_seq, claimed)
+            return None;
+        };
+        // Unblocked by the credit read: causally ordered after it.
+        self.clock.advance_to(t);
+        Some(seq)
     }
 
-    /// Stage `specs` into the ledger slots claimed from `first_seq` on and
-    /// post them with coalesced doorbells: contiguous slots go out as
-    /// **one** wire write (one doorbell, one delivery-stamp run) instead of
-    /// one write per entry. The ring of slots wraps, so a run may split in
-    /// two.
-    fn post_claimed_entries(&self, conn: &Conn, first_seq: u64, specs: &[EntrySpec]) -> Result<()> {
-        let ring = self.cfg.ledger_entries;
-        let mut i = 0usize;
-        while i < specs.len() {
-            let seq = first_seq + i as u64;
-            let slot = ((seq - 1) % ring as u64) as usize;
-            let seg = (specs.len() - i).min(ring - slot);
-            for (j, sp) in specs[i..i + seg].iter().enumerate() {
-                let e = Entry {
-                    seq: seq + j as u64,
-                    rid: sp.rid,
-                    size: sp.size,
-                    addr: sp.addr,
-                    rkey: sp.rkey,
-                    kind: sp.kind,
-                    ts: 0,
-                };
-                conn.stage.write_at(self.sub_ledger(slot + j), &e.encode());
-            }
-            self.post_stage_write(
-                conn,
-                self.sub_ledger(slot),
-                seg * ENTRY_BYTES,
-                [],
-                (0..seg).map(|j| j * ENTRY_BYTES + ledger::TS_OFFSET),
-            )?;
-            i += seg;
-        }
-        Ok(())
+    /// Stage `spec` into the ledger slot claimed as `seq` and post it: one
+    /// wire write carrying the entry and its delivery stamp.
+    fn post_claimed_entry(&self, conn: &Conn, seq: u64, spec: EntrySpec) -> Result<()> {
+        let slot = ((seq - 1) % self.cfg.ledger_entries as u64) as usize;
+        let e = Entry {
+            seq,
+            rid: spec.rid,
+            size: spec.size,
+            addr: spec.addr,
+            rkey: spec.rkey,
+            kind: spec.kind,
+            ts: 0,
+        };
+        conn.stage.write_at(self.sub_ledger(slot), &e.encode());
+        self.post_stage_write(conn, self.sub_ledger(slot), ENTRY_BYTES, [], [ledger::TS_OFFSET])
     }
 
-    /// Post a run of control-ledger entries (rendezvous announces, FINs,
-    /// get notifications) toward `peer`; a single entry is the one-spec
-    /// run. Returns how many of `specs` were posted: the longest prefix the
-    /// ledger credits allow (`0` on a full stall or a gated peer).
-    pub(crate) fn try_post_entry_run(&self, peer: Rank, specs: &[EntrySpec]) -> Result<usize> {
-        if specs.is_empty() {
-            return Ok(0);
-        }
+    /// Post one control-ledger entry (rendezvous announce, FIN, get
+    /// notification) toward `peer`. `Ok(false)` when the ledger is out of
+    /// credits or the peer is gated.
+    pub(crate) fn try_post_entry(&self, peer: Rank, spec: EntrySpec) -> Result<bool> {
         let Some(conn) = self.gated_conn(peer)? else {
-            return Ok(0);
+            return Ok(false);
         };
         // The TX guard is released before `fail_post` (eviction locks the
         // same TX state).
         let r = {
             let mut tx = conn.tx.lock();
-            let (first_seq, n) = self.claim_ledger_slots(&conn, &mut tx, specs.len());
-            self.post_claimed_entries(&conn, first_seq, &specs[..n]).map(|()| n)
+            match self.claim_ledger_slot(&conn, &mut tx) {
+                Some(seq) => self.post_claimed_entry(&conn, seq, spec).map(|()| true),
+                None => Ok(false),
+            }
         };
         self.fail_post(&conn, r)
     }
 
-    /// Blocking [`Photon::try_post_entry_run`]: spins through credit
-    /// exhaustion until every spec is posted.
-    pub(crate) fn post_entry_run(
-        &self,
-        what: &'static str,
-        peer: Rank,
-        specs: &[EntrySpec],
-    ) -> Result<()> {
-        let mut done = 0usize;
-        self.blocking(what, |s| {
-            done += s.try_post_entry_run(peer, &specs[done..])?;
-            Ok((done == specs.len()).then_some(()))
-        })
+    /// Blocking [`Photon::try_post_entry`]: spins through credit exhaustion
+    /// until the entry is posted.
+    pub(crate) fn post_entry(&self, what: &'static str, peer: Rank, spec: EntrySpec) -> Result<()> {
+        self.blocking(what, |s| Ok(s.try_post_entry(peer, spec)?.then_some(())))
     }
 
     /// Read the local credit words for production over `conn`; returns the
@@ -672,10 +627,10 @@ impl Photon {
                     let entry_seq = if imm {
                         None
                     } else {
-                        match self.claim_ledger_slots(&conn, &mut tx, 1) {
-                            (_, 0) => break, // out of ledger credits
-                            (seq, _) => Some(seq),
-                        }
+                        let Some(seq) = self.claim_ledger_slot(&conn, &mut tx) else {
+                            break; // out of ledger credits
+                        };
+                        Some(seq)
                     };
                     let data = WrOp::Write {
                         local: MrSlice::new(local.region(), it.loff, it.len),
@@ -686,7 +641,7 @@ impl Photon {
                     if let Some(seq) = entry_seq {
                         let done =
                             EntrySpec::plain(EntryKind::Completion, it.remote_rid, it.len as u64);
-                        self.post_claimed_entries(&conn, seq, &[done])?;
+                        self.post_claimed_entry(&conn, seq, done)?;
                     }
                     Stats::bump(&self.stats.puts_direct);
                     Stats::add(&self.stats.bytes_put, it.len as u64);
@@ -913,7 +868,7 @@ impl Photon {
     ) -> Result<()> {
         self.get_with_completion(peer, local, loff, len, src, soff, local_rid)?;
         let notify = EntrySpec::plain(EntryKind::GetNotify, remote_rid, len as u64);
-        self.post_entry_run("gwc notify credits", peer, &[notify])
+        self.post_entry("gwc notify credits", peer, notify)
     }
 
     /// Destination-less message (`photon_send` analogue): the payload is

@@ -1,13 +1,10 @@
-//! The wait / probe surface: dequeueing completions, blocking waits with
-//! deadlines, and local flush.
+//! The wait / probe surface: dequeueing completions and blocking waits.
 
-use crate::completion::TakeOutcome;
 use crate::obs::{Stats, TraceOp};
 use crate::photon::Photon;
 use crate::probe::{Completion, CompletionClass, ProbeFlags};
 use crate::{PhotonError, Rank, Result};
 use photon_fabric::api::{VTime, WcStatus};
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -25,7 +22,7 @@ impl Photon {
                 .pop_front()
                 .map(|(rid, peer, ts, status)| Completion::local(rid, peer, ts, status))
         };
-        let remote = |s: &Self| s.remote_events.pop_any().map(Completion::from);
+        let remote = |s: &Self| s.remote_events.pop_any();
         let got = match flags {
             ProbeFlags::Local => local(self),
             ProbeFlags::Remote => remote(self),
@@ -72,20 +69,12 @@ impl Photon {
     /// Block until the local completion `rid` arrives; other events stay
     /// queued. Returns the completion's virtual time, or
     /// [`PhotonError::OpFailed`] when the operation completed with an error
-    /// status (its peer died or the path to it broke). The lookup is O(1)
-    /// per spin (indexed by rid), independent of queue depth.
+    /// status (its peer died or the path to it broke), or
+    /// [`PhotonError::Timeout`] (carrying `rid`) when it does not arrive
+    /// within the config's `wait_timeout_secs`, leaving the operation
+    /// pending. The lookup is O(1) per spin (indexed by rid), independent
+    /// of queue depth.
     pub fn wait_local(&self, rid: u64) -> Result<VTime> {
-        self.wait_local_inner(rid, Duration::from_secs(self.cfg.wait_timeout_secs))
-    }
-
-    /// [`Photon::wait_local`] with a caller-supplied deadline: reports
-    /// [`PhotonError::Timeout`] (carrying `rid`) when the completion does
-    /// not arrive in time, leaving the operation pending.
-    pub fn wait_local_for(&self, rid: u64, timeout: Duration) -> Result<VTime> {
-        self.wait_local_inner(rid, timeout)
-    }
-
-    fn wait_local_inner(&self, rid: u64, timeout: Duration) -> Result<VTime> {
         // Consumer-first fast path: a completion already harvested — by an
         // earlier pass, ours or another thread's — is taken with no
         // progress work at all.
@@ -93,19 +82,17 @@ impl Photon {
             return self.finish_local(rid, ts, status);
         }
         // Optimistic inline pass: with synchronous fabric effects one pass
-        // usually harvests the completion, and a hit skips the claim locks.
+        // usually harvests the completion.
         self.progress()?;
         if let Some((ts, status)) = self.local_events.take_rid(rid) {
             return self.finish_local(rid, ts, status);
         }
-        // Slow path: claim the rid while blocked so a concurrent
-        // `flush_local` leaves its event to us (see `flush_local`).
-        self.local_events.claim(rid);
-        let res = self.blocking_deadline("local completion", Some(rid), timeout, |s| {
-            Ok(s.local_events.take_rid(rid))
-        });
-        self.local_events.unclaim(rid);
-        let (ts, status) = res?;
+        let (ts, status) = self
+            .blocking("local completion", |s| Ok(s.local_events.take_rid(rid)))
+            .map_err(|e| match e {
+                PhotonError::Timeout { what, .. } => PhotonError::Timeout { what, rid: Some(rid) },
+                e => e,
+            })?;
         self.finish_local(rid, ts, status)
     }
 
@@ -166,9 +153,7 @@ impl Photon {
             ProbeFlags::Local => self.local_events.pop_front_batch(max, |rid, peer, ts, status| {
                 out.push(Completion::local(rid, peer, ts, status))
             }),
-            ProbeFlags::Remote => {
-                self.remote_events.pop_batch(max, |ev| out.push(Completion::from(ev)))
-            }
+            ProbeFlags::Remote => self.remote_events.pop_batch(max, |c| out.push(c)),
             ProbeFlags::Any => return Ok(self.poll_any_completions(out, max)),
         };
         let mut latest = VTime(0);
@@ -197,29 +182,11 @@ impl Photon {
         got
     }
 
-    /// Block until any completion arrives, in the consolidated
-    /// [`Completion`] shape (fair across classes).
-    pub fn wait_completion(&self) -> Result<Completion> {
-        self.wait_completion_for(Duration::from_secs(self.cfg.wait_timeout_secs))
-    }
-
-    /// [`Photon::wait_completion`] with a caller-supplied deadline: reports
-    /// [`PhotonError::Timeout`] when no completion arrives in time.
-    pub fn wait_completion_for(&self, timeout: Duration) -> Result<Completion> {
-        self.blocking_deadline("completion", None, timeout, |s| {
-            Ok(s.take_one_completion(ProbeFlags::Any))
-        })
-        .inspect(|c| {
-            self.clock.advance_to(c.ts);
-            self.trace_completion(c);
-        })
-    }
-
-    /// Block until a completion matching `flags` arrives. The class-aware
-    /// sibling of [`Photon::wait_completion`]: [`ProbeFlags::Remote`] is
-    /// the historical `wait_remote` (events of the other class stay
-    /// queued), [`ProbeFlags::Local`] blocks for the next initiator-side
-    /// completion regardless of rid.
+    /// Block until a completion matching `flags` arrives, in the
+    /// consolidated [`Completion`] shape. [`ProbeFlags::Any`] takes either
+    /// class fairly; [`ProbeFlags::Remote`] is the historical `wait_remote`
+    /// (events of the other class stay queued); [`ProbeFlags::Local`]
+    /// blocks for the next initiator-side completion regardless of rid.
     pub fn wait_completion_matching(&self, flags: ProbeFlags) -> Result<Completion> {
         let what = match flags {
             ProbeFlags::Local => "local completion",
@@ -238,12 +205,12 @@ impl Photon {
     /// per-peer queue is popped directly, never scanned.
     pub fn wait_completion_from(&self, src: Rank) -> Result<Completion> {
         self.check_rank(src)?;
-        let ev =
+        let c =
             self.blocking("remote completion from peer", |s| Ok(s.remote_events.pop_from(src)))?;
-        self.clock.advance_to(ev.ts);
-        self.obs.op_complete_remote(ev.src, ev.rid, ev.ts, ev.status);
-        self.tracer.record(ev.ts, TraceOp::RemoteDone, ev.src, ev.rid, ev.size);
-        Ok(Completion::from(ev))
+        self.clock.advance_to(c.ts);
+        self.observe_completion(&c);
+        self.trace_completion(&c);
+        Ok(c)
     }
 
     fn trace_completion(&self, c: &Completion) {
@@ -275,59 +242,6 @@ impl Photon {
         }
     }
 
-    /// Block until every operation this context had initiated *at the time
-    /// of the call* has completed locally, consuming those completions'
-    /// events. This is the `photon_flush`-style quiesce used before reusing
-    /// or releasing many buffers at once.
-    ///
-    /// Two snapshots taken at entry bound what the flush touches:
-    ///
-    /// * **Completion** is tracked by `wr_id`: the flush returns once every
-    ///   work request pending at entry has been harvested from the send CQ,
-    ///   no matter which thread consumes the resulting events. Waiting on
-    ///   event *consumption* instead would deadlock whenever a concurrent
-    ///   `wait_local` legitimately eats one of them.
-    /// * **Consumption** is by the pending rids, and opportunistic: the
-    ///   flush drains their events as they appear, but skips any rid a
-    ///   concurrent `wait_local` has claimed — those events belong to their
-    ///   waiters (claim check and take share one queue-shard lock, so the
-    ///   flush can never win a check-then-take race against a waiter). The
-    ///   previous implementation cleared the whole shared queue on every
-    ///   spin, silently discarding completions concurrent waiters needed
-    ///   and stranding them until timeout.
-    pub fn flush_local(&self) -> Result<()> {
-        let mut wrs = self.wr_table.pending_wrs();
-        let mut owed = self.wr_table.pending_rids();
-        let sweep = |s: &Self, owed: &mut HashMap<u64, usize>| {
-            owed.retain(|rid, n| {
-                while *n > 0 {
-                    match s.local_events.take_rid_unclaimed(*rid) {
-                        // A flush quiesces: an error completion still means
-                        // the source buffer is final (flushed), so it counts.
-                        TakeOutcome::Taken(ts, status) => {
-                            s.clock.advance_to(ts);
-                            s.obs.op_complete_local(*rid, ts, status);
-                            *n -= 1;
-                        }
-                        TakeOutcome::Claimed => return false,
-                        TakeOutcome::Empty => break,
-                    }
-                }
-                *n > 0
-            });
-        };
-        self.blocking("local flush", |s| {
-            sweep(s, &mut owed);
-            wrs.retain(|&w| s.wr_table.contains(w));
-            Ok(wrs.is_empty().then_some(()))
-        })?;
-        // One mop-up pass: a harvester on another thread may have retired
-        // the final wr just before pushing its event.
-        self.progress()?;
-        sweep(self, &mut owed);
-        Ok(())
-    }
-
     /// Block until a collective-namespace message with `rid` arrives.
     pub(crate) fn wait_coll(&self, rid: u64) -> Result<(Rank, Vec<u8>, VTime)> {
         let got = self.blocking("collective message", |s| {
@@ -337,26 +251,14 @@ impl Photon {
         Ok(got)
     }
 
-    /// Spin, making progress, until `f` yields a value or the config-wide
-    /// deadline passes.
+    /// Spin, making progress, until `f` yields a value or the config's
+    /// `wait_timeout_secs` pass, which reports [`PhotonError::Timeout`].
     pub(crate) fn blocking<T>(
         &self,
         what: &'static str,
-        f: impl FnMut(&Self) -> Result<Option<T>>,
-    ) -> Result<T> {
-        self.blocking_deadline(what, None, Duration::from_secs(self.cfg.wait_timeout_secs), f)
-    }
-
-    /// [`Photon::blocking`] with an explicit deadline and optional rid
-    /// context for the [`PhotonError::Timeout`] it reports.
-    pub(crate) fn blocking_deadline<T>(
-        &self,
-        what: &'static str,
-        rid: Option<u64>,
-        timeout: Duration,
         mut f: impl FnMut(&Self) -> Result<Option<T>>,
     ) -> Result<T> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now() + Duration::from_secs(self.cfg.wait_timeout_secs);
         let mut spins: u32 = 0;
         loop {
             self.progress()?;
@@ -377,7 +279,7 @@ impl Photon {
             std::thread::yield_now();
             spins = spins.wrapping_add(1);
             if spins.is_multiple_of(16) && Instant::now() > deadline {
-                return Err(PhotonError::Timeout { what, rid });
+                return Err(PhotonError::Timeout { what, rid: None });
             }
         }
     }
@@ -433,148 +335,6 @@ mod tests {
         let ts = p0.test_local(5).unwrap();
         assert!(ts.is_some());
         assert_eq!(p0.test_local(5).unwrap(), None, "consumed");
-    }
-
-    #[test]
-    fn flush_local_quiesces() {
-        let c = pair();
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        let src = p0.register_buffer(8).unwrap();
-        let dst = p1.register_buffer(8).unwrap();
-        for i in 0..20 {
-            p0.put(1, &src, 0, 8, &dst.descriptor(), 0, i).unwrap();
-        }
-        p0.flush_local().unwrap();
-        // All local events consumed; nothing pending.
-        assert!(p0.poll_completion(ProbeFlags::Local).unwrap().is_none());
-    }
-
-    #[test]
-    fn flush_local_consumes_every_put_many_member() {
-        let c = pair();
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        let src = p0.register_buffer(64).unwrap();
-        let dst = p1.register_buffer(64).unwrap();
-        let items: Vec<crate::PutManyItem> = (0..4u64)
-            .map(|i| crate::PutManyItem {
-                loff: 8 * i as usize,
-                len: 8,
-                doff: 8 * i as usize,
-                local_rid: i,
-                remote_rid: i,
-            })
-            .collect();
-        assert_eq!(p0.try_put_many(1, &src, &dst.descriptor(), &items).unwrap(), 4);
-        p0.flush_local().unwrap();
-        // One CQE retired all four members; the flush owns every one.
-        assert!(p0.poll_completion(ProbeFlags::Local).unwrap().is_none());
-    }
-
-    #[test]
-    fn flush_local_consumes_every_get_many_member() {
-        let c = pair();
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        let dst = p0.register_buffer(64).unwrap();
-        let src = p1.register_buffer(64).unwrap();
-        let items: Vec<crate::GetManyItem> = (0..4u64)
-            .map(|i| crate::GetManyItem {
-                loff: 8 * i as usize,
-                len: 8,
-                soff: 8 * i as usize,
-                local_rid: i,
-            })
-            .collect();
-        p0.get_many(1, &dst, &src.descriptor(), &items).unwrap();
-        p0.flush_local().unwrap();
-        assert!(p0.poll_completion(ProbeFlags::Local).unwrap().is_none());
-    }
-
-    #[test]
-    fn flush_local_spares_already_harvested_events() {
-        let c = pair();
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        let src = p0.register_buffer(8).unwrap();
-        let dst = p1.register_buffer(8).unwrap();
-        // A waiter's operation completes and its event is harvested...
-        p0.put(1, &src, 0, 8, &dst.descriptor(), 0, 777).unwrap();
-        p0.progress().unwrap();
-        // ...then another batch is posted and flushed. The flush owns only
-        // the completions pending at entry, not the waiter's queued event.
-        for i in 0..20 {
-            p0.put(1, &src, 0, 8, &dst.descriptor(), 0, i).unwrap();
-        }
-        p0.flush_local().unwrap();
-        assert!(
-            p0.test_local(777).unwrap().is_some(),
-            "flush discarded a completion it did not own"
-        );
-        for i in 0..20 {
-            assert!(p0.test_local(i).unwrap().is_none(), "flush consumed its own batch");
-        }
-    }
-
-    #[test]
-    fn flush_local_race_with_wait_local() {
-        // A waiter blocked in wait_local must never lose its completion to a
-        // concurrent flush_local: the old flush cleared the entire shared
-        // local-event queue on every spin. The waiter claims each rid before
-        // posting (wait_local claims on entry; doing it pre-post closes the
-        // post-to-claim window so the flush snapshot provably excludes it),
-        // and a dedicated harvester thread keeps queued events exposed to the
-        // flusher instead of letting the waiter consume them back-to-back.
-        let cfg = PhotonConfig { wait_timeout_secs: 3, ..PhotonConfig::default() };
-        let c = PhotonCluster::new(2, NetworkModel::ib_fdr(), cfg);
-        let (p0, p1) = (c.rank(0), c.rank(1));
-        let dst = p1.register_buffer(8).unwrap();
-        let d = dst.descriptor();
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        std::thread::scope(|s| {
-            {
-                let p0 = p0.clone();
-                let stop = &stop;
-                s.spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        p0.progress().unwrap();
-                        std::thread::yield_now();
-                    }
-                });
-            }
-            let waiter = {
-                let p0 = p0.clone();
-                let src = p0.register_buffer(8).unwrap();
-                s.spawn(move || {
-                    for i in 0..200u64 {
-                        let rid = 0x7700_0000 + i;
-                        p0.local_events.claim(rid);
-                        p0.put(1, &src, 0, 8, &d, 0, rid).unwrap();
-                        // Simulated work between post and wait: the harvester
-                        // queues the completion, which sits exposed to the
-                        // concurrent flush until the waiter comes back for it.
-                        std::thread::sleep(Duration::from_micros(20));
-                        let res = p0.wait_local(rid);
-                        p0.local_events.unclaim(rid);
-                        res.unwrap();
-                    }
-                })
-            };
-            let flusher = {
-                let p0 = p0.clone();
-                let src = p0.register_buffer(8).unwrap();
-                s.spawn(move || {
-                    for round in 0..200u64 {
-                        for i in 0..10 {
-                            p0.put(1, &src, 0, 8, &d, 0, (round << 8) | i).unwrap();
-                        }
-                        p0.flush_local().unwrap();
-                    }
-                })
-            };
-            let w = waiter.join();
-            let f = flusher.join();
-            stop.store(true, Ordering::Relaxed);
-            w.expect("waiter lost a completion to flush_local");
-            f.expect("flusher failed");
-        });
     }
 
     #[test]
@@ -653,20 +413,21 @@ mod tests {
             Err(PhotonError::OpFailed { rid: 8, status: WcStatus::RemoteDead })
         );
         p0.local_events.push(9, 1, VTime(12), WcStatus::RetryExceeded);
-        let ev = p0.wait_completion().unwrap();
+        let ev = p0.wait_completion_matching(ProbeFlags::Any).unwrap();
         assert!(!ev.is_ok());
         assert_eq!(ev.status, WcStatus::RetryExceeded);
         assert_eq!(ev.rid, 9);
     }
 
     #[test]
-    fn wait_local_for_reports_timeout_with_rid() {
-        let c = pair();
+    fn wait_local_reports_timeout_with_rid() {
+        let cfg = PhotonConfig { wait_timeout_secs: 1, ..PhotonConfig::default() };
+        let c = PhotonCluster::new(2, NetworkModel::ib_fdr(), cfg);
         let p0 = c.rank(0);
-        let e = p0.wait_local_for(0x2a, Duration::from_millis(20)).unwrap_err();
+        let e = p0.wait_local(0x2a).unwrap_err();
         assert_eq!(e, PhotonError::Timeout { what: "local completion", rid: Some(0x2a) });
         assert!(e.to_string().contains("0x2a"));
-        let e = p0.wait_completion_for(Duration::from_millis(20)).unwrap_err();
+        let e = p0.wait_completion_matching(ProbeFlags::Any).unwrap_err();
         assert_eq!(e, PhotonError::Timeout { what: "completion", rid: None });
     }
 }

@@ -6,7 +6,6 @@
 
 use photon_core::{PeerHealthState, PhotonCluster, PhotonConfig, PhotonError, WcStatus};
 use photon_fabric::{NetworkModel, VTime, Window};
-use std::time::Duration;
 
 fn pair(cfg: PhotonConfig) -> PhotonCluster {
     PhotonCluster::new(2, NetworkModel::ib_fdr(), cfg)
@@ -174,10 +173,10 @@ fn eviction_reclaims_credits_and_purges_rendezvous_state() {
 }
 
 #[test]
-fn wait_local_for_timeout_leaves_operation_pending() {
-    let c = pair(PhotonConfig::default());
+fn wait_local_timeout_leaves_operation_pending() {
+    let c = pair(PhotonConfig { wait_timeout_secs: 1, ..PhotonConfig::default() });
     let p0 = c.rank(0);
-    let e = p0.wait_local_for(0x77, Duration::from_millis(25)).unwrap_err();
+    let e = p0.wait_local(0x77).unwrap_err();
     assert_eq!(e, PhotonError::Timeout { what: "local completion", rid: Some(0x77) });
     // The rid was never consumed: a later completion still reaches it.
     let src = p0.register_buffer(8).unwrap();

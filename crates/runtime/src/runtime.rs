@@ -268,15 +268,20 @@ impl RtNode {
     }
 
     /// Account for `n` parcels that failed to send because their target is
-    /// dead: they never entered the system, so back them out of the `sent`
-    /// counter (keeping quiescence's sent-vs-run accounting sound among the
-    /// survivors) and count them as failed.
+    /// dead: they never entered the system (see [`RtNode::back_out`]).
     fn note_send_failure(&self, n: u64, e: RtError) -> RtError {
         if matches!(e, RtError::PeerDead(_)) {
-            RtCounters::add(&self.stats.parcels_failed, n);
-            self.stats.parcels_sent.fetch_sub(n, Ordering::AcqRel);
+            self.back_out(n);
         }
         e
+    }
+
+    /// Back `n` parcels that never entered the system out of the `sent`
+    /// counter (keeping quiescence's sent-vs-run accounting sound among the
+    /// survivors) and count them as failed.
+    fn back_out(&self, n: u64) {
+        RtCounters::add(&self.stats.parcels_failed, n);
+        self.stats.parcels_sent.fetch_sub(n, Ordering::AcqRel);
     }
 
     fn me(&self) -> Arc<RtNode> {
@@ -417,20 +422,27 @@ impl RtNode {
         ctrl.extend_from_slice(&tag.to_le_bytes());
         ctrl.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         encode_into(&mut ctrl, action, cont, &[]);
+        // Stage the payload in a registered buffer before announcing it, then
+        // run the Photon rendezvous against the receiver's landing zone. A
+        // registration failure sends nothing, so the parcel never entered
+        // the system; an announced parcel whose receiver dies mid-handshake
+        // resolves with PeerDead (the core's failure-aware waits) rather
+        // than hanging.
+        let mut staged = false;
         self.photon
-            .send(target, &ctrl, RID_RDV_CTRL)
-            .map_err(|e| self.note_send_failure(1, e.into()))?;
-        // Stage the payload in a registered buffer and run the Photon
-        // rendezvous against the receiver's announced landing zone. If the
-        // receiver dies mid-handshake the rendezvous resolves with
-        // PeerDead (the core's failure-aware waits) rather than hanging.
-        // A registration failure is not a send failure: it stays uncounted.
-        self.photon.with_scratch(payload.len(), |buf| {
-            buf.write_at(0, payload);
-            self.photon
-                .send_rendezvous(target, buf, 0, payload.len(), tag)
-                .map_err(|e| self.note_send_failure(1, e.into()))
-        })
+            .with_scratch(payload.len(), |buf| {
+                staged = true;
+                buf.write_at(0, payload);
+                self.photon
+                    .send(target, &ctrl, RID_RDV_CTRL)
+                    .and_then(|()| self.photon.send_rendezvous(target, buf, 0, payload.len(), tag))
+                    .map_err(|e| self.note_send_failure(1, e.into()))
+            })
+            .inspect_err(|_| {
+                if !staged {
+                    self.back_out(1);
+                }
+            })
     }
 
     // ------------------------------------------------------- network side
@@ -1041,6 +1053,41 @@ mod tests {
         assert_eq!(n0.send_parcel(1, sink, &payload).unwrap_err(), RtError::PeerDead(1));
         assert_eq!(n0.stats().parcels_failed, 1);
         c.shutdown();
+    }
+
+    #[test]
+    fn large_parcel_that_cannot_register_is_never_announced() {
+        let mut reg = ActionRegistry::new();
+        let sink = reg.register("sink", |_, _| None);
+        let c = boot(2, reg);
+        let (n0, p0, p1) = (c.node(0), c.node(0).photon(), c.node(1).photon());
+        // Open the connection first, with a message the runtime ignores, so
+        // the failure below is the payload's registration and nothing else.
+        p0.send(1, b"warm", 0xD00D).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while p1.stats().remote_completions == 0 {
+            assert!(std::time::Instant::now() < deadline, "the warm-up never arrived");
+            std::thread::yield_now();
+        }
+        // Fill rank 0's registration limit.
+        let mrs = p0.nic().mrs();
+        let _hog = p0.register_buffer(mrs.limit_bytes() - mrs.registered_bytes()).unwrap();
+        let err = n0.send_parcel(1, sink, &vec![7u8; 64 * 1024]).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                RtError::Photon(photon_core::PhotonError::Fabric(
+                    photon_fabric::FabricError::RegistrationLimit { .. }
+                ))
+            ),
+            "got {err:?}"
+        );
+        let s = n0.stats();
+        assert_eq!(s.parcels_sent, 0, "an unannounced parcel is backed out of the sent counter");
+        assert_eq!(s.parcels_failed, 1);
+        c.shutdown();
+        p1.progress().unwrap();
+        assert_eq!(p1.stats().remote_completions, 1, "rank 1 saw a rendezvous control message");
     }
 
     #[test]

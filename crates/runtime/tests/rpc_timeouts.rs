@@ -3,8 +3,9 @@
 //! partitioned link must resolve to *different* typed errors —
 //! [`PhotonError::RpcTimeout`] (outcome unknown), [`PhotonError::RpcFailed`]
 //! (server dead: a verdict), and plain [`PhotonError::Timeout`] for
-//! Photon-core waits (`wait_local_for` / `wait_completion_from`) that expire
-//! while the RPC is wedged — with retry counters matching the fault plan.
+//! Photon-core waits (`wait_local` / `wait_completion_from`) that expire at
+//! the config's `wait_timeout_secs` while the RPC is wedged — with retry
+//! counters matching the fault plan.
 
 use photon_core::{PeerHealthState, PhotonConfig, PhotonError};
 use photon_fabric::{NetworkModel, VTime, Window};
@@ -200,7 +201,7 @@ fn core_waits_classify_as_timeout_while_an_rpc_is_wedged() {
         let p0 = c.node(0).photon();
         // A rid nothing will ever complete: bounded wait, typed timeout,
         // operation left pending.
-        let e = p0.wait_local_for(0xBEEF, Duration::from_millis(25)).unwrap_err();
+        let e = p0.wait_local(0xBEEF).unwrap_err();
         assert_eq!(e, PhotonError::Timeout { what: "local completion", rid: Some(0xBEEF) });
         // Remote-completion wait on the silent server: same classification
         // (RPC parcels ride the eager path; no PWC completion ever comes).

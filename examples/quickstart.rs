@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 2. put-with-completion ------------------------------------------
     src.write_at(0, b"one-sided hello");
     p0.put_with_completion(1, &src, 0, 15, &dst_desc, 0, /*local*/ 11, /*remote*/ 99)?;
-    let c = p0.wait_completion()?;
+    let c = p0.wait_completion_matching(ProbeFlags::Any)?;
     assert!(c.is_local(), "unexpected completion {c:?}");
     println!("[rank0] local completion rid={} at t={}", c.rid, c.ts);
 

@@ -12,11 +12,19 @@ fn tiny_resources_sustained_flood() {
     // direction: every credit path wraps many times.
     let c = PhotonCluster::new(2, NetworkModel::ideal(), PhotonConfig::tiny());
     let (p0, p1) = (c.rank(0), c.rank(1));
+    // Before the flood, while rank 1 has not probed, rank 0 sends until its
+    // ring is out of credits: the `Ok(false)` that ends this loop is a
+    // certain credit stall. The flood's rids continue after these.
+    let mut primed: u64 = 0;
+    while p0.try_send(1, &[primed as u8; 16], primed).unwrap() {
+        primed += 1;
+    }
+    assert_eq!(p0.stats().credit_stalls, 1, "priming ends on exactly one stall");
     std::thread::scope(|s| {
         for (me, other) in [(p0, p1), (p1, p0)] {
             s.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(me.rank() as u64);
-                let mut expected: u64 = 0;
+                let mut expected: u64 = if me.rank() == 0 { primed } else { 0 };
                 let mut got: u64 = 0;
                 let total = 2000u64;
                 while expected < total || got < total {
