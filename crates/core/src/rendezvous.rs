@@ -13,6 +13,13 @@
 //! be in flight at a time in each direction — the same discipline the
 //! original API imposes.
 //!
+//! It stays as the paper's pre-PWC API; nothing above core uses it. Both
+//! sides block on the other (the sender until the receiver posts, the
+//! receiver until the FIN), so a runtime whose workers send from handlers
+//! can deadlock on it: `photon-runtime` moves a large parcel with PWC
+//! instead, one announcement and one [`Photon::get_with_remote_notify`]
+//! whose notify lets the sender release its staging buffer.
+//!
 //! ```
 //! use photon_core::{PhotonCluster, PhotonConfig};
 //! use photon_fabric::NetworkModel;

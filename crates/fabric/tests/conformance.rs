@@ -289,6 +289,47 @@ fn qp_ordering_and_monotone_timestamps() {
     }
 }
 
+/// A read posted ahead of a write on one QP has taken its bytes by the
+/// time the write is visible at the target: once B sees the flag word, B
+/// may overwrite the region A read, and A still gets the old bytes. A
+/// PWC get-with-remote-notify relies on this: its notify follows its read,
+/// and the owner may recycle the source as soon as the notify lands.
+#[test]
+fn read_completes_before_a_later_write_lands() {
+    const LEN: usize = 64 * 1024;
+    for f in backends() {
+        let a = f.nics[0].as_ref();
+        let b = f.nics[1].as_ref();
+        let x = b.register(LEN, Access::ALL).unwrap();
+        let y = b.register(8, Access::ALL).unwrap();
+        let back = a.register(LEN, Access::ALL).unwrap();
+        let flag = a.register(8, Access::ALL).unwrap();
+        x.fill(0xA5);
+        flag.write_u64(0, 0xF1A6);
+        let qp = a.create_qp(1).unwrap();
+        let read = WrOp::Read {
+            local: MrSlice::new(&back, 0, LEN),
+            remote: RemoteSlice::from_key(&x.remote_key(), 0, LEN),
+        };
+        let write = WrOp::Write {
+            local: MrSlice::new(&flag, 0, 8),
+            remote: RemoteSlice::from_key(&y.remote_key(), 0, 8),
+            imm: None,
+        };
+        a.post_send(qp, SendWr::new(1, read), VTime(0)).unwrap();
+        a.post_send(qp, SendWr::new(2, write), VTime(0)).unwrap();
+        wait_remote_u64(&y, 0, 0xF1A6);
+        x.fill(0x5A);
+        let cq = wait_send_cqes(a, 2);
+        assert!(cq.iter().all(|c| c.status.is_ok()), "{}: {cq:?}", f.name);
+        assert!(
+            back.to_vec(0, LEN).iter().all(|&v| v == 0xA5),
+            "{}: read saw the overwrite",
+            f.name
+        );
+    }
+}
+
 #[test]
 fn atomics_serialize_at_target() {
     for f in backends() {

@@ -14,8 +14,10 @@
 //!   every rank before the runtime starts (the same-binary discipline of
 //!   HPX-5 action registration).
 //! * **Parcels** ([`parcel`]) — `(action, payload, optional continuation)`
-//!   tuples. Small parcels travel as single eager PWC messages; large ones
-//!   use the Photon rendezvous protocol with a control parcel upfront.
+//!   tuples. Small parcels travel as single eager PWC messages; a large
+//!   one is staged in a registered buffer and announced in one eager
+//!   message, and the receiver pulls it with a PWC get whose remote notify
+//!   lets the sender release the buffer. The sender never waits.
 //! * **Scheduler** ([`scheduler`]) — per-node worker pool over one shared
 //!   run queue, executing parcel handlers; idle workers take turns polling
 //!   the network, so a rank runs no thread besides its workers.

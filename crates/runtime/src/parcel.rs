@@ -14,8 +14,8 @@
 //! the payload vector the probe harvested and runs the handler on
 //! `&payload[PARCEL_HDR..]`. [`Parcel`] owns its payload, and exists only
 //! where that ownership is real: a parcel to self, which outlives the
-//! caller's slice. A rendezvous pull runs the handler on the vector it
-//! pulled.
+//! caller's slice. A large parcel's header rides its announcement, and
+//! its pull runs the handler on the vector the get landed.
 
 use crate::lco::LcoRef;
 use crate::{ActionId, Rank, RtError};

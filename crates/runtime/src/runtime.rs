@@ -9,8 +9,10 @@ use crate::rpc::RpcCounters;
 use crate::scheduler::{Scheduler, Task};
 use crate::{Rank, Result, RtError};
 use parking_lot::Mutex;
-use photon_core::{Completion, Photon, PhotonCluster, PhotonConfig, ProbeFlags, Recycler};
-use photon_fabric::NetworkModel;
+use photon_core::{
+    Completion, Photon, PhotonBuffer, PhotonCluster, PhotonConfig, ProbeFlags, Recycler,
+};
+use photon_fabric::{NetworkModel, RemoteKey};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -18,13 +20,23 @@ use std::thread::JoinHandle;
 
 /// Completion id of eager parcel messages on the runtime's Photon context.
 const RID_PARCEL: u64 = 1;
-/// Completion id of large-parcel rendezvous control messages.
+/// Completion id of large-parcel announcements: the staging key, the
+/// staging buffer's descriptor and the parcel header (see
+/// [`RtNode::send_parcel_rendezvous`]).
 const RID_RDV_CTRL: u64 = 2;
+/// Announcement bytes ahead of the parcel header: key, then descriptor.
+const RDV_ANNOUNCE: usize = 8 + 20;
+/// A receiver answers an announcement on rid `kind << RDV_KEY_BITS | key`,
+/// below the reserved rid namespace: [`RDV_DONE`] is its get's remote
+/// notify, [`RDV_ABORT`] an empty message saying it gave the parcel up.
+const RDV_KEY_BITS: u32 = 48;
+const RDV_DONE: u64 = 1;
+const RDV_ABORT: u64 = 2;
 /// Remote completions one poll turn harvests at most.
 const POLL_BATCH: usize = 64;
 /// Parcels with encodings at or below this size (capped by the context's
-/// eager payload limit) travel as one eager PWC message; larger ones
-/// rendezvous.
+/// eager payload limit) travel as one eager PWC message; larger ones are
+/// staged, announced and pulled (see [`RID_RDV_CTRL`]).
 const PARCEL_EAGER_MAX: usize = 8192;
 
 /// Internal action: set an LCO with the payload.
@@ -80,16 +92,19 @@ photon_core::counter_registry! {
         parcels_sent,
         /// Parcels executed on this node.
         parcels_run,
-        /// Parcels that took the rendezvous path.
+        /// Parcels sent above the eager cap: staged, announced and pulled
+        /// by the receiver with one get.
         parcels_rdv,
         /// Coalesced batches flushed to the wire.
         batches_sent,
         /// Parcels whose send failed because the target was dead or became
-        /// unreachable (not counted in `parcels_sent`: they never entered the
-        /// system, so quiescence stays sound among survivors).
+        /// unreachable, and large parcels their receiver gave up before
+        /// pulling or died holding (not counted in `parcels_sent`: they
+        /// never ran, so quiescence stays sound among survivors).
         parcels_failed,
-        /// Incoming large parcels abandoned because their sender died
-        /// mid-rendezvous (ctrl message arrived, payload never will).
+        /// Incoming large parcels abandoned after the announcement arrived:
+        /// the sender died before the pull completed, or the pull failed
+        /// after its notify had already released the sender's buffer.
         parcels_dropped,
     }
 }
@@ -106,6 +121,9 @@ pub struct RtNode {
     lcos: Mutex<HashMap<u64, Arc<FutureBytes>>>,
     next_lco: AtomicU64,
     next_tag: AtomicU64,
+    /// Large parcels announced but not yet released, by key: target and
+    /// staging buffer.
+    staged: Mutex<HashMap<u64, (Rank, PhotonBuffer)>>,
     stats: RtCounters,
     coalescer: Mutex<Coalescer>,
     rpc: crate::rpc::RpcState,
@@ -155,6 +173,7 @@ impl RuntimeCluster {
                 lcos: Mutex::new(HashMap::new()),
                 next_lco: AtomicU64::new(1),
                 next_tag: AtomicU64::new(1),
+                staged: Mutex::new(HashMap::new()),
                 stats: RtCounters::default(),
                 coalescer: Mutex::new(Coalescer::new(n)),
                 rpc: crate::rpc::RpcState::new(cfg.rpc),
@@ -408,6 +427,13 @@ impl RtNode {
         Ok(())
     }
 
+    /// Send a parcel above the eager cap the PWC way: stage the payload in
+    /// a registered buffer kept in `staged` under a fresh key, and announce
+    /// key, descriptor and header in one eager message. The receiver pulls
+    /// the payload with a get whose remote notify releases the buffer here
+    /// ([`RtNode::task_for`]), so the sender never waits for the receiver.
+    /// A registration failure sends nothing; a failed announcement releases
+    /// the buffer at once.
     fn send_parcel_rendezvous(
         &self,
         target: Rank,
@@ -416,33 +442,30 @@ impl RtNode {
         payload: &[u8],
     ) -> Result<()> {
         RtCounters::bump(&self.stats.parcels_rdv);
-        let tag = ((self.rank as u64) << 32) | self.next_tag.fetch_add(1, Ordering::Relaxed);
-        // Control message: tag, size, then the parcel header (no payload).
-        let mut ctrl = Vec::with_capacity(16 + PARCEL_HDR);
-        ctrl.extend_from_slice(&tag.to_le_bytes());
-        ctrl.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        let buf = self.photon.register_buffer(payload.len()).inspect_err(|_| self.back_out(1))?;
+        buf.write_at(0, payload);
+        let key = self.next_tag.fetch_add(1, Ordering::Relaxed);
+        let mut ctrl = Vec::with_capacity(RDV_ANNOUNCE + PARCEL_HDR);
+        ctrl.extend_from_slice(&key.to_le_bytes());
+        ctrl.extend_from_slice(&buf.descriptor().to_bytes());
         encode_into(&mut ctrl, action, cont, &[]);
-        // Stage the payload in a registered buffer before announcing it, then
-        // run the Photon rendezvous against the receiver's landing zone. A
-        // registration failure sends nothing, so the parcel never entered
-        // the system; an announced parcel whose receiver dies mid-handshake
-        // resolves with PeerDead (the core's failure-aware waits) rather
-        // than hanging.
-        let mut staged = false;
-        self.photon
-            .with_scratch(payload.len(), |buf| {
-                staged = true;
-                buf.write_at(0, payload);
-                self.photon
-                    .send(target, &ctrl, RID_RDV_CTRL)
-                    .and_then(|()| self.photon.send_rendezvous(target, buf, 0, payload.len(), tag))
-                    .map_err(|e| self.note_send_failure(1, e.into()))
-            })
-            .inspect_err(|_| {
-                if !staged {
-                    self.back_out(1);
-                }
-            })
+        self.staged.lock().insert(key, (target, buf));
+        // A dead-peer reap may have released and backed it out already.
+        self.photon.send(target, &ctrl, RID_RDV_CTRL).map_err(|e| {
+            if self.unstage(key) {
+                self.note_send_failure(1, e.into())
+            } else {
+                e.into()
+            }
+        })
+    }
+
+    /// Take the large parcel `key` off the staging table and release its
+    /// buffer. Returns false when an earlier release already did.
+    fn unstage(&self, key: u64) -> bool {
+        let Some((_, buf)) = self.staged.lock().remove(&key) else { return false };
+        let _ = self.photon.release_buffer(&buf);
+        true
     }
 
     // ------------------------------------------------------- network side
@@ -466,13 +489,20 @@ impl RtNode {
             if let Some(m) = &self.membership {
                 m.note_dead(peer);
             }
+            // Large parcels staged toward the dead rank will never be
+            // pulled: release their buffers and back them out as failed.
+            let reaped: Vec<_> = self.staged.lock().extract_if(|_, (to, _)| *to == peer).collect();
+            for (_, (_, buf)) in &reaped {
+                let _ = self.photon.release_buffer(buf);
+            }
+            self.back_out(reaped.len() as u64);
         }
         // Gossip rounds are interval-gated in virtual time inside tick().
         if let Some(m) = &self.membership {
             m.tick();
         }
-        // Only Remote events are drained here: parcel sends and rendezvous
-        // wait on their local completions from the posting threads.
+        // Only Remote events are drained here: parcel sends and large-parcel
+        // pulls wait on their local completions from the posting threads.
         match self.photon.poll_completions(ProbeFlags::Remote, events, POLL_BATCH) {
             Ok(0) => {
                 if self.cfg.coalesce_max > 1 {
@@ -500,9 +530,11 @@ impl RtNode {
         }
     }
 
-    /// Turn one remote completion into the task that handles it. Only the
-    /// parcel header is decoded here: the task owns the payload vector the
-    /// probe harvested and hands the handler its bytes past the header.
+    /// Turn one remote completion into the task that handles it. Only an
+    /// eager parcel's header is decoded here: the task owns the payload
+    /// vector the probe harvested and hands the handler its bytes past the
+    /// header. The answers to this node's own announcements are handled
+    /// inline, with no task.
     fn task_for(self: &Arc<RtNode>, ev: Completion, out: &mut Vec<Task>) {
         match ev.rid {
             RID_PARCEL => {
@@ -514,98 +546,89 @@ impl RtNode {
                 out.push(Box::new(move || node.run_parcel(action, cont, &frame[PARCEL_HDR..])));
             }
             RID_RDV_CTRL => {
-                let Some(bytes) = ev.payload else { return };
-                if bytes.len() < 16 {
-                    return;
-                }
-                let tag = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
-                let size = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-                let Ok((action, cont)) = decode_header(&bytes[16..]) else { return };
+                let Some(announce) = ev.payload else { return };
                 let node = Arc::clone(self);
-                let src = ev.peer;
                 // The pull runs as a task, off the turn, so other workers
                 // keep polling while it waits for the payload.
-                out.push(Box::new(move || {
-                    let pull = node.photon.with_scratch(size, |buf| -> Result<Vec<u8>> {
-                        node.photon.post_recv_buffer(src, buf, 0, size, tag)?;
-                        // Transient stalls get bounded re-waits; peer death
-                        // escalates out of the loop immediately (the
-                        // failure-aware wait_fin runs the health gate).
-                        let mut attempts = 0;
-                        loop {
-                            match node.photon.wait_fin(src, tag) {
-                                Ok(_) => break,
-                                Err(photon_core::PhotonError::Timeout { .. }) if attempts < 2 => {
-                                    attempts += 1;
-                                }
-                                Err(e) => return Err(e.into()),
-                            }
-                        }
-                        Ok(buf.to_vec(0, size))
-                    });
-                    match pull {
-                        Ok(payload) => node.run_parcel(action, cont, &payload),
-                        // The sender died between its control message and
-                        // the payload transfer: the parcel can never run.
-                        // Count the drop and degrade gracefully.
-                        Err(RtError::PeerDead(_)) => {
-                            RtCounters::bump(&node.stats.parcels_dropped);
-                        }
-                        Err(e) => {
-                            panic!("large-parcel receive failed on rank {}: {e}", node.rank)
-                        }
-                    }
-                }));
+                out.push(Box::new(move || node.pull_parcel(ev.peer, &announce)));
             }
-            _ => { /* not runtime traffic */ }
+            // The receiver's answer to one of this node's announcements.
+            rid => match (rid >> RDV_KEY_BITS, rid & ((1 << RDV_KEY_BITS) - 1)) {
+                (RDV_DONE, key) => {
+                    self.unstage(key);
+                }
+                // An abort finding its key already reaped backs out nothing.
+                (RDV_ABORT, key) if self.unstage(key) => self.back_out(1),
+                _ => { /* not runtime traffic */ }
+            },
+        }
+    }
+
+    /// Pull the large parcel that `peer` announced and run it: the
+    /// announcement is the parcel's key, its staging buffer's descriptor
+    /// and its header, and the get's remote notify releases that buffer.
+    /// Every parcel ends as one fate: run here; failed at the sender, told
+    /// by an abort message when the pull fails before its notify is posted;
+    /// or dropped here, when the sender is dead or the pull fails after the
+    /// notify (the sender has let the buffer go, so it cannot back out).
+    fn pull_parcel(self: &Arc<RtNode>, peer: Rank, announce: &[u8]) {
+        // An announcement too short for its header is malformed: dropped,
+        // counted nowhere.
+        let Some(Ok((action, cont))) = announce.get(RDV_ANNOUNCE..).map(decode_header) else {
+            return;
+        };
+        let key = u64::from_le_bytes(announce[0..8].try_into().unwrap());
+        let src = RemoteKey::from_bytes(&announce[8..RDV_ANNOUNCE]);
+        let mut notified = false;
+        let pull = self.photon.with_scratch(src.len, |buf| -> Result<Vec<u8>> {
+            let rid = self.photon.internal_rid();
+            let done = RDV_DONE << RDV_KEY_BITS | key;
+            self.photon.get_with_remote_notify(peer, buf, 0, src.len, &src, 0, rid, done)?;
+            notified = true;
+            self.photon.wait_local(rid)?;
+            Ok(buf.to_vec(0, src.len))
+        });
+        match pull {
+            Ok(payload) => self.run_parcel(action, cont, &payload),
+            Err(e) => {
+                let abort = RDV_ABORT << RDV_KEY_BITS | key;
+                let dead = matches!(e, RtError::PeerDead(_));
+                if notified || dead || self.photon.send(peer, &[], abort).is_err() {
+                    RtCounters::bump(&self.stats.parcels_dropped);
+                }
+            }
         }
     }
 
     fn run_parcel(self: &Arc<RtNode>, action: ActionId, cont: Option<LcoRef>, payload: &[u8]) {
-        self.run_parcel_inner(action, cont, payload);
+        match action {
+            ACTION_SET_LCO => {
+                let id = payload.get(..8).map(|id| u64::from_le_bytes(id.try_into().unwrap()));
+                if let Some(f) = id.and_then(|id| self.lcos.lock().remove(&id)) {
+                    f.set(payload[8..].to_vec());
+                }
+            }
+            ACTION_RPC_REQ => crate::rpc::server::handle_request(self, payload),
+            ACTION_RPC_REP => crate::rpc::client::handle_reply(self, payload),
+            // An unknown action is fatal in a real runtime; here it is
+            // dropped and counted as run, so quiescence still converges.
+            _ => {
+                if let Some(handler) = self.registry.get(action) {
+                    let result = handler(&RtContext { node: self, cont }, payload);
+                    if let (Some(bytes), Some(cont)) = (result, cont) {
+                        let mut reply = Recycler::take(8 + bytes.len());
+                        reply.extend_from_slice(&cont.id.to_le_bytes());
+                        reply.extend_from_slice(&bytes);
+                        let _ = self.send_parcel_inner(cont.rank, ACTION_SET_LCO, None, &reply);
+                        Recycler::give(reply);
+                    }
+                }
+            }
+        }
         // Counted at COMPLETION, after every send the handler performed:
         // quiescence detection relies on `sent` being visibly ahead of
         // `run` whenever follow-on work can still appear.
         self.stats.parcels_run.fetch_add(1, Ordering::AcqRel);
-    }
-
-    fn run_parcel_inner(
-        self: &Arc<RtNode>,
-        action: ActionId,
-        cont: Option<LcoRef>,
-        payload: &[u8],
-    ) {
-        if action == ACTION_SET_LCO {
-            if payload.len() >= 8 {
-                let id = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-                if let Some(f) = self.lcos.lock().remove(&id) {
-                    f.set(payload[8..].to_vec());
-                }
-            }
-            return;
-        }
-        if action == ACTION_RPC_REQ {
-            crate::rpc::server::handle_request(self, payload);
-            return;
-        }
-        if action == ACTION_RPC_REP {
-            crate::rpc::client::handle_reply(self, payload);
-            return;
-        }
-        let Some(handler) = self.registry.get(action) else {
-            // Unknown action: in a real runtime this is fatal; here we drop
-            // and count it as run so quiescence still converges.
-            return;
-        };
-        let ctx = RtContext { node: self, cont };
-        let result = handler(&ctx, payload);
-        if let (Some(bytes), Some(cont)) = (result, cont) {
-            let mut reply = Recycler::take(8 + bytes.len());
-            reply.extend_from_slice(&cont.id.to_le_bytes());
-            reply.extend_from_slice(&bytes);
-            let _ = self.send_parcel_inner(cont.rank, ACTION_SET_LCO, None, &reply);
-            Recycler::give(reply);
-        }
     }
 
     /// Global quiescence: block until every parcel sent anywhere has been
@@ -700,12 +723,115 @@ mod tests {
         n0.send_parcel_with_cont(1, sum, &payload, lco).unwrap();
         assert_eq!(fut.wait(), (64 * 1024u64).to_le_bytes());
         assert_eq!(n0.stats().parcels_rdv, 1);
+        // On the wire: one announcement and one get with its notify; no
+        // tag-matched handshake and no put.
+        let (s0, s1) = (n0.photon().stats(), c.node(1).photon().stats());
+        assert_eq!((s0.rendezvous_ops, s0.puts_direct), (0, 0), "sender's wire steps");
+        assert_eq!(s1.gets, 1, "receiver's wire steps");
+        c.shutdown();
+    }
+
+    /// A two-rank cluster with one worker per rank and 3 s core waits.
+    fn boot_one_worker(reg: ActionRegistry) -> Arc<RuntimeCluster> {
+        let photon = PhotonConfig { wait_timeout_secs: 3, ..PhotonConfig::default() };
+        let cfg = RtConfig { workers: 1, photon, ..RtConfig::default() };
+        Arc::new(RuntimeCluster::new(2, NetworkModel::ib_fdr(), cfg, reg))
+    }
+
+    /// Run `quiescence` on one thread per rank and fail unless every rank
+    /// is back within `limit` (the threads of a hung run are left behind,
+    /// unjoined, so the failure is reported instead of hanging the test).
+    fn quiesces_within(c: &Arc<RuntimeCluster>, limit: Duration) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let threads: Vec<_> = (0..c.len())
+            .map(|i| {
+                let (c, tx) = (Arc::clone(c), tx.clone());
+                std::thread::spawn(move || tx.send(c.node(i).quiescence()).unwrap())
+            })
+            .collect();
+        let deadline = std::time::Instant::now() + limit;
+        for _ in 0..c.len() {
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            let got = rx.recv_timeout(left);
+            assert!(matches!(got, Ok(Ok(()))), "quiescence within {limit:?}: {got:?}");
+        }
+        for t in threads {
+            t.join().unwrap();
+        }
+    }
+
+    /// Fill `p`'s registration limit; the returned buffer holds it.
+    fn fill_registrations(p: &Photon) -> PhotonBuffer {
+        let mrs = p.nic().mrs();
+        p.register_buffer(mrs.limit_bytes() - mrs.registered_bytes()).unwrap()
+    }
+
+    /// Live regions of `p` net of the two blocks each live connection holds.
+    fn scratch_regions(p: &Photon) -> usize {
+        p.nic().mrs().region_count() - 2 * p.conn_count()
+    }
+
+    #[test]
+    fn crossing_large_parcels_from_handlers_both_run() {
+        // Each rank's only worker sends a 64 KiB parcel to the other from
+        // inside a handler: neither send may wait on the other's worker.
+        let ran = Arc::new(AtomicUsize::new(0));
+        let mut reg = ActionRegistry::new();
+        let r2 = Arc::clone(&ran);
+        let sink = reg.register("sink", move |_, payload| {
+            assert_eq!(payload, vec![9u8; 64 * 1024]);
+            r2.fetch_add(1, Ordering::Relaxed);
+            None
+        });
+        let kick = reg.register("kick", move |ctx, _| {
+            ctx.send_parcel(1 - ctx.rank(), sink, &vec![9u8; 64 * 1024]).unwrap();
+            None
+        });
+        let c = boot_one_worker(reg);
+        c.node(0).send_parcel(1, kick, &[]).unwrap();
+        c.node(1).send_parcel(0, kick, &[]).unwrap();
+        quiesces_within(&c, Duration::from_secs(1));
+        assert_eq!(ran.load(Ordering::Relaxed), 2);
+        c.shutdown();
+    }
+
+    #[test]
+    fn large_parcel_the_receiver_cannot_register_fails_at_the_sender() {
+        let mut reg = ActionRegistry::new();
+        let sink = reg.register("sink", |_, _| None);
+        let echo = reg.register("echo", |_, payload| Some(payload.to_vec()));
+        let c = boot_one_worker(reg);
+        let (n0, p0, p1) = (c.node(0), c.node(0).photon(), c.node(1).photon());
+        // Warm the connection so only the pull's registration can fail.
+        p0.send(1, b"warm", 0xD00D).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while p1.stats().remote_completions == 0 {
+            assert!(std::time::Instant::now() < deadline, "the warm-up never arrived");
+            std::thread::yield_now();
+        }
+        let baseline = scratch_regions(p0);
+        let hog = fill_registrations(p1);
+        n0.send_parcel(1, sink, &vec![7u8; 64 * 1024]).unwrap();
+        // Backed out: no longer sent, and failed once.
+        while (n0.stats().parcels_sent, n0.stats().parcels_failed) != (0, 1) {
+            assert!(std::time::Instant::now() < deadline, "the sender never heard of the failure");
+            std::thread::yield_now();
+        }
+        assert!(n0.staged.lock().is_empty(), "the staging buffer was kept");
+        assert_eq!(scratch_regions(p0), baseline, "the staging buffer leaked");
+        quiesces_within(&c, Duration::from_secs(1));
+        // Rank 1's only worker is still alive: it runs the next parcel.
+        p1.release_buffer(&hog).unwrap();
+        let (lco, fut) = n0.new_future();
+        n0.send_parcel_with_cont(1, echo, b"alive", lco).unwrap();
+        assert_eq!(fut.wait(), b"alive");
         c.shutdown();
     }
 
     /// Send a payload of exactly `eager_cap - PARCEL_HDR` bytes, then one
     /// of a byte more: the first must stay eager and the second take the
-    /// rendezvous, and the handler must see each payload byte for byte.
+    /// large-parcel path, and the handler must see each payload byte for
+    /// byte.
     fn eager_boundary(coalesce_max: usize) {
         let seen = Arc::new(Mutex::new(Vec::<Vec<u8>>::new()));
         let mut reg = ActionRegistry::new();
@@ -1047,8 +1173,8 @@ mod tests {
         let c = boot(2, reg);
         c.photon().fabric().switch().faults().kill_node_at(1, VTime(0));
         let n0 = c.node(0);
-        // The rendezvous path: the control send (or the buffer-announce
-        // wait) resolves with PeerDead instead of spinning to a timeout.
+        // The large-parcel path: the announcement send resolves with
+        // PeerDead, and the staging buffer goes with it.
         let payload = vec![3u8; 64 * 1024];
         assert_eq!(n0.send_parcel(1, sink, &payload).unwrap_err(), RtError::PeerDead(1));
         assert_eq!(n0.stats().parcels_failed, 1);
@@ -1097,14 +1223,13 @@ mod tests {
         let sink = reg.register("sink", |_, _| None);
         let c = boot(2, reg);
         let p1 = c.node(1).photon();
-        // Live regions net of the two blocks each live connection holds.
-        let scratch = || p1.nic().mrs().region_count() - 2 * p1.conn_count();
-        let baseline = scratch();
-        // The control message of a 64 KiB parcel whose payload never comes:
-        // the sender dies right after announcing it.
+        let baseline = scratch_regions(p1);
+        // The announcement of a 64 KiB parcel whose sender dies right after
+        // sending it: the pull can never complete.
+        let staged = c.node(0).photon().register_buffer(64 * 1024).unwrap();
         let mut ctrl = Vec::new();
         ctrl.extend_from_slice(&7u64.to_le_bytes());
-        ctrl.extend_from_slice(&(64 * 1024u64).to_le_bytes());
+        ctrl.extend_from_slice(&staged.descriptor().to_bytes());
         encode_into(&mut ctrl, sink, None, &[]);
         c.node(0).photon().send(1, &ctrl, RID_RDV_CTRL).unwrap();
         c.photon().fabric().switch().faults().kill_node_at(0, VTime(0));
@@ -1115,7 +1240,57 @@ mod tests {
         }
         c.shutdown();
         assert_eq!(c.node(1).stats().parcels_dropped, 1);
-        assert_eq!(scratch(), baseline, "the landing zone leaked");
+        assert_eq!(scratch_regions(p1), baseline, "the landing zone leaked");
+    }
+
+    /// Opens its latch when dropped: declared after the cluster, it lets a
+    /// worker parked in a handler go before a failed test shuts down.
+    struct OpenOnDrop(Arc<crate::lco::CountdownLatch>);
+
+    impl Drop for OpenOnDrop {
+        fn drop(&mut self) {
+            self.0.count_down();
+        }
+    }
+
+    #[test]
+    fn large_parcel_to_a_receiver_that_dies_is_released_by_the_reap() {
+        use photon_fabric::VTime;
+        // Rank 1's only worker is held in a handler, so the announcement
+        // below waits unharvested until rank 1 dies.
+        let latch = crate::lco::CountdownLatch::new(1);
+        let mut reg = ActionRegistry::new();
+        let l = Arc::clone(&latch);
+        let hold = reg.register("hold", move |_, _| {
+            l.wait();
+            None
+        });
+        let sink = reg.register("sink", |_, _| None);
+        let c = boot_one_worker(reg);
+        let open = OpenOnDrop(latch);
+        let (n0, p0) = (c.node(0), c.node(0).photon());
+        n0.send_parcel(1, hold, &[]).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while c.node(1).photon().stats().remote_completions == 0 {
+            assert!(std::time::Instant::now() < deadline, "the hold never arrived");
+            std::thread::yield_now();
+        }
+        let baseline = scratch_regions(p0);
+        n0.send_parcel(1, sink, &vec![5u8; 64 * 1024]).unwrap();
+        assert_eq!(n0.staged.lock().len(), 1);
+        c.photon().fabric().switch().faults().kill_node_at(1, VTime(0));
+        // The next send trips rank 0's death verdict; its poll turn reaps
+        // the staged parcel and backs it out beside the failed send.
+        assert_eq!(n0.send_parcel(1, sink, b"x").unwrap_err(), RtError::PeerDead(1));
+        while !n0.staged.lock().is_empty()
+            || scratch_regions(p0) != baseline
+            || n0.stats().parcels_failed != 2
+        {
+            assert!(std::time::Instant::now() < deadline, "the staging buffer was never reaped");
+            std::thread::yield_now();
+        }
+        drop(open);
+        c.shutdown();
     }
 
     #[test]

@@ -8,7 +8,11 @@
 //!
 //! * exactly-once parcel execution — a seeded fan-out cascade's execution
 //!   count equals the closed-form tree size, never more, never fewer;
-//! * payload integrity through the parcel codec and eager/rendezvous paths;
+//! * payload integrity through the parcel codec and both parcel paths:
+//!   about a third of the hops (`hop_payload`) carry padding derived from
+//!   the hop that takes them past the runtime's eager cap, so they travel
+//!   as large parcels (an announcement, then the receiver's get), and the
+//!   handler checks every padding byte;
 //! * quiescence really quiesced — every parcel sent anywhere has run
 //!   (`Σ parcels_sent == Σ parcels_run` across ranks).
 //!
@@ -37,6 +41,39 @@ fn cascade_size(fanout: u64, ttl: u32) -> u64 {
     fanout * per
 }
 
+/// Payload bytes of cascade hops that stay eager: ttl, fanout, hop, marker.
+const HOP_HDR: usize = 28;
+
+/// Payload length of hop `hop`: [`HOP_HDR`] on most hops, and 8–16 KiB on
+/// the third that [`hop_payload`] pads. Any parcel above 8 KiB is past the
+/// runtime's eager cap. Derived from the hop alone, so a case draws nothing
+/// extra from its RNG.
+fn hop_len(hop: u64) -> usize {
+    if splitmix64(hop ^ 0x1A26E).is_multiple_of(3) {
+        8192 + (splitmix64(hop) % 8192) as usize
+    } else {
+        HOP_HDR
+    }
+}
+
+/// Padding byte `i` of hop `hop` (byte `HOP_HDR + i` of its payload).
+fn pad_byte(hop: u64, i: usize) -> u8 {
+    (hop as u8).wrapping_add(i as u8)
+}
+
+/// One cascade parcel: `[ttl u32][fanout u64][hop u64][marker u64]`, then
+/// the hop's padding up to [`hop_len`].
+fn hop_payload(ttl: u32, fanout: u64, hop: u64) -> Vec<u8> {
+    let len = hop_len(hop);
+    let mut p = Vec::with_capacity(len);
+    p.extend_from_slice(&ttl.to_le_bytes());
+    p.extend_from_slice(&fanout.to_le_bytes());
+    p.extend_from_slice(&hop.to_le_bytes());
+    p.extend_from_slice(&splitmix64(hop).to_le_bytes());
+    p.extend((0..len - HOP_HDR).map(|i| pad_byte(hop, i)));
+    p
+}
+
 /// Run one seeded runtime case; invariants are deterministic per seed even
 /// though thread interleavings are not.
 pub fn run_runtime_case(seed: u64, case_id: u64) -> CaseReport {
@@ -54,8 +91,8 @@ pub fn run_runtime_case(seed: u64, case_id: u64) -> CaseReport {
     let mut reg = ActionRegistry::new();
     let (ran_c, corrupt_c, self_id_c) = (ran.clone(), corrupt.clone(), self_id.clone());
     let cascade = reg.register("cascade", move |ctx, payload| {
-        // payload: [ttl u32][fanout u64][hop_seed u64][marker u64]
-        if payload.len() != 28 {
+        // payload: see `hop_payload`.
+        if payload.len() < HOP_HDR {
             corrupt_c.fetch_add(1, Ordering::Relaxed);
             return None;
         }
@@ -63,7 +100,11 @@ pub fn run_runtime_case(seed: u64, case_id: u64) -> CaseReport {
         let fanout = u64::from_le_bytes(payload[4..12].try_into().expect("fanout"));
         let hop = u64::from_le_bytes(payload[12..20].try_into().expect("hop"));
         let got_marker = u64::from_le_bytes(payload[20..28].try_into().expect("marker"));
-        if got_marker != splitmix64(hop) {
+        let padding = &payload[HOP_HDR..];
+        if got_marker != splitmix64(hop)
+            || payload.len() != hop_len(hop)
+            || padding.iter().enumerate().any(|(i, &b)| b != pad_byte(hop, i))
+        {
             corrupt_c.fetch_add(1, Ordering::Relaxed);
             return None;
         }
@@ -77,12 +118,8 @@ pub fn run_runtime_case(seed: u64, case_id: u64) -> CaseReport {
                 if dst >= me {
                     dst += 1;
                 }
-                let mut p = Vec::with_capacity(28);
-                p.extend_from_slice(&(ttl - 1).to_le_bytes());
-                p.extend_from_slice(&fanout.to_le_bytes());
-                p.extend_from_slice(&child.to_le_bytes());
-                p.extend_from_slice(&splitmix64(child).to_le_bytes());
-                ctx.send_parcel(dst, id, &p).expect("cascade send");
+                ctx.send_parcel(dst, id, &hop_payload(ttl - 1, fanout, child))
+                    .expect("cascade send");
             }
         }
         None
@@ -110,11 +147,7 @@ pub fn run_runtime_case(seed: u64, case_id: u64) -> CaseReport {
                     let node = cluster.node(r);
                     for c in 0..fanout {
                         let hop = splitmix64(seed ^ case_id ^ (c + 1).rotate_left(7));
-                        let mut p = Vec::with_capacity(28);
-                        p.extend_from_slice(&ttl.to_le_bytes());
-                        p.extend_from_slice(&fanout.to_le_bytes());
-                        p.extend_from_slice(&hop.to_le_bytes());
-                        p.extend_from_slice(&splitmix64(hop).to_le_bytes());
+                        let p = hop_payload(ttl, fanout, hop);
                         let mut dst = (hop % (n as u64 - 1)) as usize;
                         if dst >= r {
                             dst += 1;
@@ -165,6 +198,17 @@ mod tests {
         // fanout 2, ttl 1: 2 initial + 2*2 children = 6.
         assert_eq!(cascade_size(2, 1), 6);
         assert_eq!(cascade_size(3, 0), 3);
+    }
+
+    #[test]
+    fn about_a_third_of_the_hops_are_large_parcels() {
+        let large = (0..300u64).filter(|&h| hop_len(splitmix64(h)) > HOP_HDR).count();
+        assert!((70..130).contains(&large), "{large} of 300 hops padded");
+        let cap = PhotonConfig::default().max_eager_payload().min(8192);
+        for h in 0..300u64 {
+            let p = hop_payload(1, 2, splitmix64(h));
+            assert!(p.len() == HOP_HDR || p.len() > cap, "a padded hop stays eager");
+        }
     }
 
     #[test]
