@@ -412,6 +412,23 @@ mod tests {
         });
     }
 
+    /// Every generation's messages use fresh rids, so a queue left behind
+    /// once emptied is one more entry per message for the life of a rank.
+    #[test]
+    fn repeated_allreduces_leave_the_collective_inbox_empty() {
+        let c = PhotonCluster::new(2, NetworkModel::ib_fdr(), PhotonConfig::default());
+        run_all(&c, |p| {
+            for i in 0..100u64 {
+                let mut data = vec![i];
+                p.allreduce_u64(&mut data, ReduceOp::Sum).unwrap();
+                assert_eq!(data, vec![2 * i]);
+            }
+        });
+        for p in c.ranks() {
+            assert_eq!(p.coll_inbox.lock().len(), 0, "rank {}", p.rank());
+        }
+    }
+
     #[test]
     fn allreduce_f64() {
         let n = 3;

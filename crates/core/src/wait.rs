@@ -245,7 +245,15 @@ impl Photon {
     /// Block until a collective-namespace message with `rid` arrives.
     pub(crate) fn wait_coll(&self, rid: u64) -> Result<(Rank, Vec<u8>, VTime)> {
         let got = self.blocking("collective message", |s| {
-            Ok(s.coll_inbox.lock().get_mut(&rid).and_then(|q| q.pop_front()))
+            // Every collective generation has fresh rids: an emptied queue
+            // goes with its last message.
+            let mut inbox = s.coll_inbox.lock();
+            let Some(q) = inbox.get_mut(&rid) else { return Ok(None) };
+            let got = q.pop_front();
+            if q.is_empty() {
+                inbox.remove(&rid);
+            }
+            Ok(got)
         })?;
         self.clock.advance_to(got.2);
         Ok(got)
@@ -253,6 +261,10 @@ impl Photon {
 
     /// Spin, making progress, until `f` yields a value or the config's
     /// `wait_timeout_secs` pass, which reports [`PhotonError::Timeout`].
+    /// A pass whose rechecks come up empty runs the backend's
+    /// [`photon_fabric::FabricBackend::idle`] hook before it yields: over
+    /// sockets, a thread that drives several ranks serves the others there,
+    /// which is what lets their reactors stay parked while it blocks.
     pub(crate) fn blocking<T>(
         &self,
         what: &'static str,
@@ -276,6 +288,7 @@ impl Photon {
             // is waiting on must be produced by another thread (or will not
             // arrive at all), so hand the core over instead of burning the
             // rest of the quantum re-polling idle queues.
+            self.nic.idle();
             std::thread::yield_now();
             spins = spins.wrapping_add(1);
             if spins.is_multiple_of(16) && Instant::now() > deadline {

@@ -18,7 +18,8 @@
 //! of work requests is carried out ([`FabricBackend::post_send_many`]),
 //! reachability, and — for a transport that executes work only when its
 //! owner polls — the [`FabricBackend::progress`] hook every CQ poll runs
-//! first.
+//! first, and the [`FabricBackend::idle`] hook a blocking wait runs before
+//! it yields.
 //!
 //! ## What stays behind the seam
 //!
@@ -74,6 +75,13 @@ pub trait FabricBackend: Send + Sync + Debug {
     /// executes inbound work only when its owner polls receives here; one
     /// that executes at post time has nothing to do.
     fn progress(&self) {}
+
+    /// Run by a blocking wait whose progress pass and rechecks came up
+    /// empty, just before it yields. A transport whose endpoints execute
+    /// inbound work only when polled serves here the *other* endpoints the
+    /// calling thread drives, which a thread stepping several ranks leaves
+    /// unpolled while it blocks on one; the default does nothing.
+    fn idle(&self) {}
 
     /// This endpoint's node id (dense, 0-based).
     fn node(&self) -> NodeId {

@@ -392,8 +392,9 @@ mod tests {
     // ------------------------------------------------- progress hand-off
 
     /// Hot -> cold: an endpoint that was being polled and then is not must
-    /// still be served — right after the polling stops (reactor in standby)
-    /// and once it has armed.
+    /// still be served — right after the polling stops (the reactor is
+    /// parked until the owner's window lapses, then arms) and once it has
+    /// long been armed.
     #[test]
     fn a_target_that_stops_polling_is_still_served() {
         let c = SockCluster::new(2).unwrap();
@@ -427,7 +428,7 @@ mod tests {
     /// Post-and-forget: a node that posts and never polls again still
     /// delivers — whether it never polled at all (reactor armed: the post
     /// sends at once) or polled a moment ago (the frame joins a train that
-    /// only the standby reactor is left to send).
+    /// leaves when the parked reactor arms, at most `HOT_WINDOW` later).
     #[test]
     fn a_post_that_is_never_followed_by_a_poll_still_delivers() {
         let c = SockCluster::new(2).unwrap();
@@ -506,7 +507,7 @@ mod tests {
 
     /// Sixteen posts between two progress calls are one train, answered by
     /// one ack: the counters say so exactly. The test holds node 0's drain
-    /// turn while it posts, so the standby reactor cannot flush the train
+    /// turn while it posts, so its reactor cannot arm and flush the train
     /// early; node 1 is never polled, so its armed reactor takes the train
     /// in one wake-up.
     #[test]
@@ -515,11 +516,11 @@ mod tests {
         let src = c.nic(0).register(128, Access::ALL).unwrap();
         let dst = c.nic(1).register(128, Access::ALL).unwrap();
         let qp = c.nic(0).create_qp(1).unwrap();
-        // Poll until the reactor has seen the owner polling and left its
-        // armed state; with the turn in hand it cannot change its mind. Then
+        // Poll until the reactor has seen the owner polling, left its armed
+        // state and parked; with the turn in hand it cannot arm again. Then
         // stop the owner's clock, so that however long this thread is kept
         // off the CPU the posts below are made by a polling owner.
-        let turn = wait_for("standby", || {
+        let turn = wait_for("a parked reactor", || {
             assert!(c.nic(0).poll_send_cq().is_none());
             let turn = c.nic(0).turn.lock();
             (!c.nic(0).armed.load(Ordering::SeqCst)).then_some(turn)

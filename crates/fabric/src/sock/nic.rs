@@ -31,11 +31,18 @@ use crate::verbs::{Atomic, Completion, CompletionKind, MrSlice, Qp, SendWr, WcSt
 use crate::NodeId;
 use parking_lot::Mutex;
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::sync::{Arc, OnceLock, Weak};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+
+std::thread_local! {
+    /// The endpoints this thread has made progress calls on: the ones its
+    /// blocking waits drive ([`FabricBackend::idle`]).
+    static DRIVEN: RefCell<Vec<Weak<SockNic>>> = const { RefCell::new(Vec::new()) };
+}
 
 /// A read or atomic in flight, awaiting its response packet.
 #[derive(Debug)]
@@ -80,6 +87,8 @@ pub(super) struct Reasm {
 /// NIC.
 #[derive(Debug)]
 pub struct SockNic {
+    /// This endpoint, as the threads that drive it list it.
+    me: Weak<SockNic>,
     pub(super) ep: Endpoint,
     n: usize,
     /// The receive side; only the drain-turn holder reads it.
@@ -101,8 +110,8 @@ pub struct SockNic {
     born: Instant,
     /// When the owner last made a progress call (`poll_*_cq*`), in
     /// nanoseconds since `born`; 0 = never. The one observable the reactor
-    /// decides armed-or-standby from. A statistic, not a publication:
-    /// `Relaxed`.
+    /// decides armed-or-parked from, and how long it parks. A statistic,
+    /// not a publication: `Relaxed`.
     pub(super) last_progress_ns: AtomicU64,
     /// The reactor is armed (holds the turn, blocked in its wait): posts
     /// send at once instead of joining a train nobody would flush.
@@ -137,7 +146,8 @@ impl SockNic {
             .map_err(|e| FabricError::Io { what: format!("udp timeout: {e}") })?;
         let sock = Arc::new(sock);
         let wire = Wire { out: transport(Arc::clone(&sock)), stats: SockStats::default() };
-        Ok(Arc::new(SockNic {
+        Ok(Arc::new_cyclic(|me| SockNic {
+            me: me.clone(),
             ep: Endpoint::new(node, NicConfig::default()),
             n,
             sock,
@@ -193,8 +203,11 @@ impl SockNic {
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Release);
         if let Some(h) = self.reactor.lock().take() {
-            // An armed reactor is blocked in its wait: an empty datagram to
-            // our own address ends the wait now instead of at its timeout.
+            // A parked reactor wakes now instead of when the owner's window
+            // lapses; an armed one is blocked in its wait, which an empty
+            // datagram to our own address ends now instead of at its
+            // timeout.
+            h.thread().unpark();
             if let Ok(addr) = self.sock.local_addr() {
                 let _ = self.sock.send_to(&[], addr);
             }
@@ -231,11 +244,17 @@ impl SockNic {
         now.duration_since(self.born).as_nanos() as u64
     }
 
-    /// Whether the owner made a progress call within [`HOT_WINDOW`] of `now`.
-    pub(super) fn owner_is_hot(&self, now: Instant) -> bool {
+    /// How long the owner still counts as polling at `now`: what is left of
+    /// the [`HOT_WINDOW`] since its last progress call (zero if it never
+    /// made one).
+    pub(super) fn owner_hot_for(&self, now: Instant) -> Duration {
         let last = self.last_progress_ns.load(Ordering::Relaxed);
-        let idle = self.ns_since_born(now).saturating_sub(last);
-        last != 0 && idle < HOT_WINDOW.as_nanos() as u64
+        let idle = Duration::from_nanos(self.ns_since_born(now).saturating_sub(last));
+        if last == 0 {
+            Duration::ZERO
+        } else {
+            HOT_WINDOW.saturating_sub(idle)
+        }
     }
 
     /// Send every open train. One relaxed load when no post has queued
@@ -267,12 +286,14 @@ impl SockNic {
     /// queued and the endpoint marked dirty *before* `armed` is read, the
     /// reactor sets `armed` *before* it reads `dirty`, all four `SeqCst` —
     /// so either this post sees the reactor armed and sends now, or the
-    /// arming reactor sees the endpoint dirty and sends for it. No frame is
-    /// left for a timer.
+    /// arming reactor sees the endpoint dirty and sends for it. A frame
+    /// posted by an owner that then stops polling therefore leaves when the
+    /// reactor arms, within [`HOT_WINDOW`].
     fn enqueue(&self, ch: &Channel, build: impl FnOnce(&mut TxWriter<'_>)) -> Option<bool> {
         ch.post(build, || {
             self.dirty.store(true, Ordering::SeqCst);
-            let now = self.armed.load(Ordering::SeqCst) || !self.owner_is_hot(Instant::now());
+            let now =
+                self.armed.load(Ordering::SeqCst) || self.owner_hot_for(Instant::now()).is_zero();
             if now {
                 SockStats::bump(&self.wire.stats.immediate_sends);
             }
@@ -525,14 +546,32 @@ impl FabricBackend for SockNic {
     }
 
     /// A progress call by the endpoint's owner: note the time (the
-    /// reactor's one observable) and take a drain turn on this thread,
-    /// which receives and executes whatever has arrived before the poll
-    /// reads its CQ (the [`crate::sock`] module docs have the progress
-    /// model).
+    /// reactor's one observable), list this endpoint as one the calling
+    /// thread drives, and take a drain turn on this thread, which receives
+    /// and executes whatever has arrived before the poll reads its CQ (the
+    /// [`crate::sock`] module docs have the progress model).
     fn progress(&self) {
         let now = Instant::now();
         self.last_progress_ns.store(self.ns_since_born(now).max(1), Ordering::Relaxed);
+        DRIVEN.with_borrow_mut(|driven| {
+            if !driven.iter().any(|w| std::ptr::eq(w.as_ptr(), self)) {
+                driven.retain(|w| w.strong_count() > 0);
+                driven.push(self.me.clone());
+            }
+        });
         reactor::caller_turn(self, now);
+    }
+
+    /// A drain turn on every other endpoint the calling thread drives: the
+    /// ranks a single driver leaves unpolled while it blocks on this one.
+    fn idle(&self) {
+        DRIVEN.with_borrow(|driven| {
+            let now = Instant::now();
+            let others = driven.iter().filter(|w| !std::ptr::eq(w.as_ptr(), self));
+            for nic in others.filter_map(Weak::upgrade) {
+                reactor::caller_turn(&nic, now);
+            }
+        });
     }
 }
 

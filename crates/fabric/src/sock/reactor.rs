@@ -10,42 +10,45 @@
 //! **The drain turn.** Receiving is single-flight: whoever holds the
 //! endpoint's [`Turn`] is the only thread reading the socket, so datagrams
 //! are handled in arrival order (go-back-N would drop anything a second
-//! reader handled early). The turn is only ever *tried*: a caller that
-//! finds it taken lets the holder do the work and reads the CQ as it is.
-//! One pass receives until the socket is empty (non-blocking), walks each
-//! datagram's train frame by frame, and then — once, at the end — sends
-//! what the pass produced: open trains (responses, window openings), one
-//! cumulative ack per peer that sent sequenced frames (unless a train just
-//! carried it), and at most once a millisecond the retransmission timers.
-//! `F_ERR` acks and the re-advertisement that answers a duplicate do not
-//! wait for the end of the pass.
+//! reader handled early). A progress call only ever *tries* the turn: a
+//! caller that finds it taken lets the holder do the work and reads the CQ
+//! as it is. One pass receives until the socket is empty (non-blocking),
+//! walks each datagram's train frame by frame, and then — once, at the end
+//! — sends what the pass produced: open trains (responses, window
+//! openings), one cumulative ack per peer that sent sequenced frames
+//! (unless a train just carried it), and at most once a millisecond the
+//! retransmission timers. `F_ERR` acks and the re-advertisement that
+//! answers a duplicate do not wait for the end of the pass.
+//!
+//! **A blocking wait drives every endpoint its thread drives.** A thread
+//! that steps several ranks (a single-driver test or bench) leaves each
+//! unpolled while it blocks on another. So when a blocking wait's pass
+//! comes up empty, just before it yields, it takes a drain turn on every
+//! *other* endpoint its thread has made progress calls on
+//! ([`crate::FabricBackend::idle`]); a thread that drives one endpoint has
+//! nothing more to do there.
 //!
 //! **The reactor thread** exists because a passive target must be served
 //! with nobody polling it. It decides what to do from one observable: how
 //! long ago the endpoint's owner last made a progress call.
 //!
+//! * *Parked* — the owner polled within the last [`HOT_WINDOW`]. The
+//!   reactor sleeps in `park_timeout` until that window would lapse (or
+//!   shutdown unparks it), and never takes the turn or yields meanwhile:
+//!   the owner's progress calls are doing the receiving.
 //! * *Armed* — the owner has been quiet for longer than [`HOT_WINDOW`]. The
 //!   reactor takes the turn and blocks in `recv`: one wait system call per
 //!   wake-up, which returns the first datagram; non-blocking receives pick
 //!   up the rest. While armed, posts send at once
 //!   ([`super::nic::SockNic::post_send_many`]) — there is no next progress
 //!   call for a train to wait for.
-//! * *Standby* — the owner is polling. The reactor stays *runnable*
-//!   (`yield_now` in a loop) and takes the turn by `try_lock` whenever it
-//!   is scheduled. On a busy core that is exactly when the owner has
-//!   yielded inside a blocking wait or been preempted: the moments the
-//!   owner is not polling. It must not sleep: with one driver thread
-//!   stepping two ranks, rank 1 goes unpolled for as long as the driver
-//!   blocks on rank 0, and a reactor asleep for a millisecond makes that
-//!   round trip a millisecond long. It must not block on the socket
-//!   either: a reactor woken per datagram while the owner also drains pays
-//!   a context switch per datagram and races the owner for the turn.
 //!
-//! No frame ever waits on a timer. A frame posted while the owner is
-//! polling joins its channel's open train and leaves at the owner's next
-//! progress call or the standby reactor's next turn, whichever comes
-//! first, and the reactor is runnable; a frame posted while the owner is
-//! not polling, or while the reactor is armed, leaves inside the post.
+//! A frame posted while the owner is polling joins its channel's open
+//! train and leaves at the owner's next progress call, or at a blocking
+//! wait's drain turn on this endpoint, whichever comes first. A frame
+//! posted by an owner that then stops polling leaves when the reactor
+//! arms, within [`HOT_WINDOW`]; a frame posted while the owner is not
+//! polling, or while the reactor is armed, leaves inside the post.
 
 use super::chan::{Channel, OpDone};
 use super::nic::{fragments, PendingOp, Reasm, SockNic};
@@ -62,16 +65,19 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How long after its last progress call an endpoint's owner still counts
-/// as polling. Derived from the two gaps it has to sit between. Below it:
-/// the longest pause of an owner that *is* polling — a single driver
-/// stepping several ranks leaves each unpolled for a peer round trip
-/// (10–20 µs on loopback), and one yielding inside a blocking wait on a
-/// shared core waits out the other runnable threads' turns (tens of µs,
-/// since standby reactors yield straight back). Above it: nothing forces a
-/// ceiling but the cost of lingering — a standby reactor spins on
-/// `yield_now` for this long after the owner's last poll. A wrong guess in
-/// either direction costs one wake-up or a millisecond of yields, never an
-/// operation.
+/// as polling: the reactor's hysteresis. Below it: the longest pause of an
+/// owner that *is* polling — a single driver stepping several ranks leaves
+/// each unpolled for a peer round trip (10–20 µs on loopback), and one
+/// yielding inside a blocking wait on a shared core waits out the other
+/// runnable threads' turns (tens of µs). A reactor that armed inside such a
+/// pause would block on the socket while its owner polls, be woken per
+/// datagram and race the owner for the turn (measured: 63 µs ping-pong and
+/// 56 k puts/s, against 16 µs and 890 k with the owner draining alone).
+/// Above it: nothing forces a ceiling but the cost of lingering — a frame
+/// posted by an owner that then stops polling, or a request to a target
+/// whose owner just stopped, waits this long for the reactor to arm. A
+/// wrong guess in either direction costs one wake-up or a millisecond,
+/// never an operation.
 pub(super) const HOT_WINDOW: Duration = Duration::from_millis(1);
 
 /// Retransmission timers run at most this often, whoever holds the turn.
@@ -86,8 +92,9 @@ pub(super) const ARMED_WAIT: Duration = Duration::from_millis(1);
 /// streaming into a slow pass is not held at a full window.
 const DRAIN_MAX: usize = 64;
 
-/// The single-flight receive state of one endpoint: held, by `try_lock`
-/// only, for the length of one drain pass (or of the armed reactor's wait).
+/// The single-flight receive state of one endpoint: held for the length of
+/// one drain pass (or of the armed reactor's wait). Only the arming reactor
+/// waits for it; every other taker tries it.
 #[derive(Debug)]
 pub(super) struct Turn {
     /// One datagram.
@@ -133,30 +140,25 @@ pub(super) fn caller_turn(nic: &SockNic, now: Instant) {
 /// Reactor thread body for `nic` (named `photon-sock-<node>`).
 pub(super) fn run(nic: Arc<SockNic>) {
     let stats = nic.counters();
-    let mut armed = false;
     while !nic.stop.load(Ordering::Acquire) {
-        let Some(mut turn) = nic.turn.try_lock() else {
-            SockStats::bump(&stats.turn_skips);
-            std::thread::yield_now();
+        let left = nic.owner_hot_for(Instant::now());
+        if !left.is_zero() {
+            // Parked until the owner's window lapses.
+            nic.armed.store(false, Ordering::SeqCst);
+            std::thread::park_timeout(left);
             continue;
-        };
-        let now = Instant::now();
-        if nic.owner_is_hot(now) {
-            // Standby.
-            if std::mem::take(&mut armed) {
-                nic.armed.store(false, Ordering::SeqCst);
-            }
-            SockStats::bump(&stats.reactor_drain_passes);
-            drain_pass(&nic, &mut turn, None, now);
-            drop(turn);
-            std::thread::yield_now();
+        }
+        // With the owner gone the turn is held briefly if at all (a post
+        // waiting out a full window, a blocking wait driving this
+        // endpoint): wait for it.
+        let mut turn = nic.turn.lock();
+        if !nic.owner_hot_for(Instant::now()).is_zero() {
             continue;
         }
         // Armed. From this store on, posts send at once; a post that read
         // the flag just before it has already marked the endpoint dirty, so
         // the flush below sends its frames (both sides `SeqCst`: one of the
         // two must see the other).
-        armed = true;
         nic.armed.store(true, Ordering::SeqCst);
         nic.flush_trains_now();
         // `stop` is re-read with the turn held: only the turn holder takes

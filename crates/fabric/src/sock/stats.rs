@@ -30,12 +30,13 @@ crate::counter_registry! {
         /// Times the armed reactor's blocking receive returned a datagram.
         reactor_wakeups,
         /// Drain passes taken by a thread calling `poll_*_cq*` (or a post
-        /// that found the window full).
+        /// that found the window full, or a blocking wait driving this
+        /// endpoint beside another).
         caller_drain_passes,
         /// Drain passes taken by the reactor thread.
         reactor_drain_passes,
-        /// Progress calls and reactor turns that found the drain turn taken
-        /// and left the socket to its holder.
+        /// Caller turns that found the drain turn taken and left the socket
+        /// to its holder.
         turn_skips,
         /// Posts whose frames left at once because nobody was polling,
         /// rather than joining a train.
